@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -950,17 +951,26 @@ def _effective_config(args) -> dict:
     return cfg
 
 
+@functools.cache
+def _validator(command: str):
+    """The config validator of a command, built once per process.  The
+    schemas themselves are checked against the metaschema by the tests."""
+    from jsonschema.validators import validator_for
+
+    schema = SCHEMAS[command]
+    return validator_for(schema)(schema)
+
+
 def main(argv=None) -> int:
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
     from fpplab.oracle import CapExceededError
 
     args = _build_parser().parse_args(argv)
     cfg = _effective_config(args)
-    try:
-        jsonschema.validate(cfg, SCHEMAS[args.command])
-    except jsonschema.ValidationError as exc:
-        print(f"config schema violation: {exc.message}", file=sys.stderr)
+    error = best_match(_validator(args.command).iter_errors(cfg))
+    if error is not None:
+        print(f"config schema violation: {error.message}", file=sys.stderr)
         return 2
 
     outdir = Path(args.output or os.environ.get("FPPLAB_OUTPUT_DIR", "."))

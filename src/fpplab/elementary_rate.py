@@ -186,7 +186,7 @@ def estimate_rate_point(
     def one(rep_seed) -> bool:
         field = sample_weights(dist, box, int(rep_seed))
         t = restricted_passage_time(field, origin, target, region=region)
-        return bool(t <= t_budget + 1e-12)
+        return bool(t <= t_budget)
 
     hits = int(sum(_map_ordered(one, rep_seeds, threads)))
     lo_p, hi_p = wilson_interval(hits, samples)

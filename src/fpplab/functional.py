@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fpplab._segments import fvec, merge_intervals, segment_intersection
+from fpplab._segments import fvec, segment_intersection
 from fpplab.geometry import (
     GeometryError,
     HighwayNetwork,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +44,6 @@ class MomentClass(str, Enum):
     ALL_EXPONENTIAL = "all-exponential-moments"
     MIN_MOMENT = "min-moment-d-plus-xi"
     NONE = "none"
-
-
-_MOMENT_ORDER = {
-    MomentClass.BOUNDED: 3,
-    MomentClass.ALL_EXPONENTIAL: 2,
-    MomentClass.MIN_MOMENT: 1,
-    MomentClass.NONE: 0,
-}
 
 
 def _as_fraction(x) -> Fraction:

@@ -10,17 +10,17 @@ and Chernoff upper-tail bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from fpplab.model import EdgeDistribution, LatticeBox, WeightField, _adjacency, _edge_arrays
-from fpplab.passage_time import _dijkstra_heap, _region_mask, hub_check
+from fpplab.passage_time import _region_mask, hub_check
 
 __all__ = [
     "EventSpec",
@@ -66,6 +66,14 @@ class EventSpec:
 
     @classmethod
     def passage_time_at_most(cls, x, y, t, region=None) -> "EventSpec":
+        """T(x, y) <= t among paths in the region.
+
+        Every backend applies one comparison: the float passage time (edge
+        weights summed along a best path from x) against ``float(t)`` with
+        ``<=`` and no tolerance.  Exact enumeration and Monte Carlo therefore
+        test the same event; with non-dyadic atoms such as 0.1 and 0.2 that
+        event is the one on the binary values, where 0.1 + 0.2 > 0.3.
+        """
         return cls(
             kind="passage_time_at_most",
             params={"x": tuple(int(c) for c in x), "y": tuple(int(c) for c in y),
@@ -98,12 +106,99 @@ class EventSpec:
         return cls(kind="custom", params={"fn": fn}, decreasing=decreasing, name=name)
 
 
-def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution):
-    """Compile an event to (callable on a weight buffer, relevant edge mask)."""
+# ---------------------------------------------------------------------------
+# batched shortest paths
+
+#: Elements in one temporary of a batched solve; a batch holds as many weight
+#: rows as fit.  Larger batches measured no faster and cost peak memory.
+_BATCH_ELEMENTS = 1 << 16
+
+
+@lru_cache(maxsize=32)
+def _neighbour_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (V, 2d) tables of neighbour ids and edge ids.
+
+    A boundary vertex has fewer than 2d neighbours; its spare slots point at
+    the vertex itself through edge id ``n_edges``, the padding column that
+    :func:`_batched_distances` fills with ``inf``.
+    """
+    indptr, nbrs, eids = _adjacency(d, n)
+    n_vert = len(indptr) - 1
+    row = np.repeat(np.arange(n_vert), np.diff(indptr))
+    slot = np.arange(len(nbrs)) - indptr[row]
+    nbr = np.repeat(np.arange(n_vert)[:, None], 2 * d, axis=1)
+    eid = np.full((n_vert, 2 * d), len(eids) // 2)
+    nbr[row, slot] = nbrs
+    eid[row, slot] = eids
+    nbr.setflags(write=False)
+    eid.setflags(write=False)
+    return nbr, eid
+
+
+def _arc_table(box: LatticeBox, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour table of a box, with every arc touching a vertex outside the
+    region mask sent to the padding edge, so it never relaxes."""
+    nbr, eid = _neighbour_table(box.dimension, box.side)
+    if mask is not None:
+        eid = np.where(mask[:, None] & mask[nbr], eid, box.n_edges)
+    return nbr, eid
+
+
+def _batch_rows(box: LatticeBox, n_sources: int) -> int:
+    """Weight rows per batch of a solve from ``n_sources`` sources."""
+    return max(1, _BATCH_ELEMENTS // (n_sources * box.n_vertices * 2 * box.dimension))
+
+
+def _batched_distances(W: np.ndarray, sources: np.ndarray, nbr: np.ndarray,
+                       eid: np.ndarray) -> np.ndarray:
+    """Passage times from every source under every weight row, shape (B, S, V).
+
+    Bellman-Ford over the padded neighbour table: each round sets
+    ``dist[v] = min(dist[v], dist[nbr[v, k]] + w[eid[v, k]])`` for all slots
+    ``k`` at once, until a round changes nothing.  Weights are nonnegative and
+    float addition is monotone, so the fixed point is the float sum along a
+    best path from the source, bit for bit what a heap Dijkstra returns.
+    """
+    n_rows, n_vert = len(W), len(nbr)
+    padded = np.concatenate([W, np.full((n_rows, 1), math.inf)], axis=1)
+    slots = [(nbr[:, k], padded[:, None, eid[:, k]]) for k in range(nbr.shape[1])]
+    dist = np.full((n_rows, len(sources), n_vert), math.inf)
+    dist[:, np.arange(len(sources)), sources] = 0.0
+    nxt = np.empty_like(dist)
+    arrival = np.empty_like(dist)
+    # a best path has at most V - 1 edges, so round V changes nothing
+    for _ in range(n_vert):
+        np.copyto(nxt, dist)
+        for cols, w in slots:
+            np.add(dist[..., cols], w, out=arrival)
+            np.minimum(nxt, arrival, out=nxt)
+        if np.array_equal(nxt, dist):
+            return dist
+        dist, nxt = nxt, dist
+    raise ValueError("edge weights must be nonnegative")
+
+
+# ---------------------------------------------------------------------------
+# compiled events
+
+
+@dataclass(frozen=True)
+class _CompiledEvent:
+    """An event compiled for one box and law.
+
+    ``test`` maps a (B, n_edges) block of weight rows with B <= ``rows`` to
+    a (B,) boolean array; ``edge_mask`` marks the edges it can see.
+    """
+
+    test: Callable[[np.ndarray], np.ndarray]
+    edge_mask: np.ndarray
+    rows: int
+
+
+def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _CompiledEvent:
+    """Compile an event once into a batched test over weight rows."""
     n_edges = box.n_edges
-    indptr, nbrs, eids = _adjacency(box.dimension, box.side)
-    buf = np.empty(n_edges)
-    shared_field = WeightField(box=box, distribution=dist, master_seed=0, weights=buf)
+    all_edges = np.ones(n_edges, dtype=bool)
 
     if event.kind == "passage_time_at_most":
         p = event.params
@@ -111,19 +206,19 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution):
         sid, tid = box.vertex_id(p["x"]), box.vertex_id(p["y"])
         if mask is not None and not (mask[sid] and mask[tid]):
             raise ValueError("event endpoints must belong to the region")
+        nbr, eid = _arc_table(box, mask)
+        sources = np.array([sid])
         t = p["t"]
 
-        def pred(w):
-            buf[:] = w
-            dist_arr, _ = _dijkstra_heap(indptr, nbrs, eids, buf, sid, mask, box.n_vertices)
-            return dist_arr[tid] <= t
+        def test(W):
+            return _batched_distances(W, sources, nbr, eid)[:, 0, tid] <= t
 
         if mask is None:
-            edge_mask = np.ones(n_edges, dtype=bool)
+            edge_mask = all_edges
         else:
             _, _, (u_flat, v_flat) = _edge_arrays(box.dimension, box.side)
             edge_mask = mask[u_flat] & mask[v_flat]
-        return pred, edge_mask
+        return _CompiledEvent(test, edge_mask, _batch_rows(box, 1))
 
     if event.kind == "ld_lower":
         p = event.params
@@ -138,36 +233,82 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution):
             for j in range(len(grid)):
                 D[i, j] = p["metric_fn"](grid[i] / n, grid[j] / n)
         budget = D + p["eps"]
+        nbr, eid = _arc_table(box, None)
 
-        def pred(w):
-            buf[:] = w
-            for i, g in enumerate(gids):
-                dist_arr, _ = _dijkstra_heap(indptr, nbrs, eids, buf, int(g), None, box.n_vertices)
-                if np.any(dist_arr[gids] / n > budget[i]):
-                    return False
-            return True
+        def test(W):
+            dist_arr = _batched_distances(W, gids, nbr, eid)[:, :, gids]
+            return ~np.any(dist_arr / n > budget, axis=(1, 2))
 
-        return pred, np.ones(n_edges, dtype=bool)
+        return _CompiledEvent(test, all_edges, _batch_rows(box, len(gids)))
 
+    # hub and custom events see a whole field through opaque code: one row at
+    # a time through a shared buffer
+    buf = np.empty(n_edges)
+    shared_field = WeightField(box=box, distribution=dist, master_seed=0, weights=buf)
     if event.kind == "hub":
         p = event.params
 
-        def pred(w):
-            buf[:] = w
+        def holds():
             return hub_check(shared_field, p["x"], p["kappa"]).is_hub
-
-        return pred, np.ones(n_edges, dtype=bool)
-
-    if event.kind == "custom":
+    elif event.kind == "custom":
         fn = event.params["fn"]
 
-        def pred(w):
-            buf[:] = w
+        def holds():
             return bool(fn(shared_field))
+    else:
+        raise ValueError(f"unknown event kind {event.kind!r}")
 
-        return pred, np.ones(n_edges, dtype=bool)
+    def test(W):
+        out = np.empty(len(W), dtype=bool)
+        for i, row in enumerate(W):
+            buf[:] = row
+            out[i] = holds()
+        return out
 
-    raise ValueError(f"unknown event kind {event.kind!r}")
+    return _CompiledEvent(test, all_edges, max(1, _BATCH_ELEMENTS // n_edges))
+
+
+def _enumerate(test, values, probs, live: np.ndarray, n_edges: int,
+               rows: int) -> tuple[list[Fraction], list[int | None]]:
+    """Exact probabilities of the outcome columns of ``test`` over every
+    configuration of the ``live`` edges; the other edges hold ``values[0]``.
+
+    Configurations are walked as mixed-radix indices (base ``len(values)``,
+    first live edge most significant) in batches of ``rows``.  Hits are
+    counted per atom-multiplicity class, keyed by the index of the sorted
+    digits, and the exact sum of count times atom-probability product is
+    taken once per class.  Returns the probabilities and the hit counts,
+    which are ``None`` unless all atoms are equally likely.
+    """
+    s, m = len(values), len(live)
+    required = s ** m
+    place = s ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    vals = np.asarray(values, dtype=float)
+    uniform = all(q == probs[0] for q in probs)
+    block = np.full((min(rows, required), n_edges), vals[0])
+    per_class: dict[int, np.ndarray] = {}
+    for start in range(0, required, rows):
+        idx = np.arange(start, min(start + rows, required), dtype=np.int64)
+        digits = idx[:, None] // place % s
+        w = block[:len(idx)]
+        w[:, live] = vals[digits]
+        hits = test(w).reshape(len(idx), -1).astype(np.int64)
+        if uniform:  # every configuration has the same probability
+            keys, inverse = np.zeros(1, dtype=np.int64), np.zeros(len(idx), dtype=np.int64)
+        else:
+            keys, inverse = np.unique(np.sort(digits, axis=1) @ place, return_inverse=True)
+        sums = np.zeros((len(keys), hits.shape[1]), dtype=np.int64)
+        np.add.at(sums, inverse, hits)
+        for key, row in zip(keys.tolist(), sums):
+            per_class[key] = per_class.get(key, 0) + row
+
+    def class_probability(key: int) -> Fraction:
+        mult = np.bincount(np.asarray(key) // place % s, minlength=s)
+        return math.prod((q ** int(k) for q, k in zip(probs, mult)), start=Fraction(1))
+
+    total = sum(row.astype(object) * class_probability(key) for key, row in per_class.items())
+    counts = [int(c) for c in per_class[0]] if uniform else [None] * len(total)
+    return list(total), counts
 
 
 @dataclass(frozen=True)
@@ -200,40 +341,31 @@ def exact_event_probability(
 ) -> ExactProbability:
     """Exact probability of an event under a finite-support law.
 
-    Enumerates weight configurations edge by edge.  Only edges the event can
-    see are enumerated (for region-restricted passage events the rest of the
-    box is marginalised away exactly).  Probabilities are exact rationals.
+    Only edges the event can see are enumerated (for region-restricted
+    passage events the rest of the box is marginalised away exactly).  The
+    event is compiled once; configurations are walked in batches of weight
+    rows, each batch tested at once by a vectorised shortest-path solve.
+    Hits are counted per atom-multiplicity class, so the exact rational is
+    one sum of count times atom-probability product per class.  A passage
+    event holds when the float passage time satisfies ``T <= t``, the rule
+    Monte Carlo applies too.
+
+    ``n_configs`` is the number of configurations enumerated;
+    ``n_satisfying`` counts the hits when all atoms are equally likely and
+    is ``None`` otherwise.
     """
     if not dist.is_finite_support:
         raise ValueError("the enumeration oracle needs a finite-support law")
     values, probs = dist.atoms()
-    s = len(values)
-    pred, edge_mask = _predicate(event, box, dist)
-    live = np.nonzero(edge_mask)[0]
-    m = len(live)
-    required = s ** m
+    compiled = _predicate(event, box, dist)
+    live = np.nonzero(compiled.edge_mask)[0]
+    required = len(values) ** len(live)
     if required > cap:
         raise CapExceededError(required, cap)
 
-    w = np.full(box.n_edges, values[0])
-    uniform = all(p == probs[0] for p in probs)
-    count = 0
-    total_p = Fraction(0)
-    vals = np.asarray(values)
-    for combo in itertools.product(range(s), repeat=m):
-        w[live] = vals[list(combo)]
-        if pred(w):
-            if uniform:
-                count += 1
-            else:
-                cp = Fraction(1)
-                for i in combo:
-                    cp *= probs[i]
-                total_p += cp
-    if uniform:
-        return ExactProbability(p=Fraction(count, required), n_configs=required,
-                                n_satisfying=count)
-    return ExactProbability(p=total_p, n_configs=required, n_satisfying=None)
+    (p,), (count,) = _enumerate(compiled.test, values, probs, live, box.n_edges,
+                                compiled.rows)
+    return ExactProbability(p=p, n_configs=required, n_satisfying=count)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +403,20 @@ def monte_carlo_event_probability(
     samples: int,
     seed: int = 0,
 ) -> MCEstimate:
-    """Monte-Carlo frequency of an event, with a Wilson confidence interval."""
+    """Monte-Carlo frequency of an event, with a Wilson confidence interval.
+
+    Fields are sampled one per replicate seed and tested in batches by the
+    same compiled event as the exact oracle.
+    """
     from fpplab.model import sample_weights
 
-    pred, _ = _predicate(event, box, dist)
+    compiled = _predicate(event, box, dist)
     rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
     k = 0
-    for i in range(samples):
-        f = sample_weights(dist, box, int(rep_seeds[i]))
-        if pred(f.weights):
-            k += 1
+    for start in range(0, samples, compiled.rows):
+        W = np.array([sample_weights(dist, box, int(s)).weights
+                      for s in rep_seeds[start:start + compiled.rows]])
+        k += int(np.count_nonzero(compiled.test(W)))
     lo, hi = wilson_interval(k, samples)
     return MCEstimate(p_hat=k / samples, successes=k, samples=samples, ci_low=lo, ci_high=hi)
 
@@ -300,20 +436,22 @@ def validate_decreasing(
     """
     from fpplab.model import sample_weights
 
-    pred, _ = _predicate(event, box, dist)
+    compiled = _predicate(event, box, dist)
     rng = np.random.default_rng(seed)
     sup = dist.support_supremum()
     bump_to = sup if math.isfinite(sup) else None
     violations = 0
-    for i in range(trials):
-        f = sample_weights(dist, box, int(rng.integers(0, 2**63)))
-        before = pred(f.weights)
-        w2 = f.weights.copy()
-        e = int(rng.integers(0, box.n_edges))
-        w2[e] = bump_to if bump_to is not None else w2[e] + 1.0
-        after = pred(w2)
-        if after and not before:
-            violations += 1
+    for start in range(0, trials, compiled.rows):
+        before, after = [], []
+        for _ in range(start, min(start + compiled.rows, trials)):
+            w = sample_weights(dist, box, int(rng.integers(0, 2**63))).weights
+            e = int(rng.integers(0, box.n_edges))
+            bumped = w.copy()
+            bumped[e] = bump_to if bump_to is not None else w[e] + 1.0
+            before.append(w)
+            after.append(bumped)
+        flipped = compiled.test(np.array(after)) & ~compiled.test(np.array(before))
+        violations += int(np.count_nonzero(flipped))
     return violations
 
 
@@ -366,42 +504,25 @@ def fkg_supermultiplicativity_check(
         raise ValueError("x1 + x2 must stay in the box")
 
     values, probs = dist.atoms()
-    s = len(values)
-    required = s ** box.n_edges
+    required = len(values) ** box.n_edges
     if required > cap:
         raise CapExceededError(required, cap)
 
-    indptr, nbrs, eids = _adjacency(d, box.side)
     id0 = box.vertex_id(origin)
     id1 = box.vertex_id(x1)
     id12 = box.vertex_id(x12)
-    w = np.empty(box.n_edges)
-    vals = np.asarray(values)
-    uniform = all(p == probs[0] for p in probs)
+    sources = np.array([id0, id1])
+    nbr, eid = _arc_table(box, None)
 
-    cnt_lhs = Fraction(0)
-    cnt_f1 = Fraction(0)
-    cnt_f2 = Fraction(0)
-    for combo in itertools.product(range(s), repeat=box.n_edges):
-        w[:] = vals[list(combo)]
-        if uniform:
-            cp = Fraction(1, required)
-        else:
-            cp = Fraction(1)
-            for i in combo:
-                cp *= probs[i]
-        d0, _ = _dijkstra_heap(indptr, nbrs, eids, w, id0, None, box.n_vertices)
-        if d0[id12] <= t1 + t2:
-            cnt_lhs += cp
-        f1 = d0[id1] <= t1
-        if f1:
-            cnt_f1 += cp
-        d1, _ = _dijkstra_heap(indptr, nbrs, eids, w, id1, None, box.n_vertices)
-        if d1[id12] <= t2:
-            cnt_f2 += cp
-    rhs = cnt_f1 * cnt_f2
-    return FKGReport(lhs=cnt_lhs, factor_first=cnt_f1, factor_second=cnt_f2,
-                     rhs=rhs, slack=cnt_lhs - rhs)
+    def test(W):
+        dist_arr = _batched_distances(W, sources, nbr, eid)
+        return np.stack([dist_arr[:, 0, id12] <= t1 + t2, dist_arr[:, 0, id1] <= t1,
+                         dist_arr[:, 1, id12] <= t2], axis=1)
+
+    (lhs, f1, f2), _ = _enumerate(test, values, probs, np.arange(box.n_edges),
+                                  box.n_edges, _batch_rows(box, 2))
+    rhs = f1 * f2
+    return FKGReport(lhs=lhs, factor_first=f1, factor_second=f2, rhs=rhs, slack=lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,16 +218,17 @@ def restricted_passage_time(
         w_int = np.rint(w).astype(np.int64)
         integral = bool(np.all(w == w_int) and np.all(w_int >= 0))
         if integral:
-            ub = int(w_int.max(initial=0)) * box.dimension * box.side * 2 + 1
-            use_dial = integral and ub <= _DIAL_LIMIT
+            # a distance is at most max_w times the edges of some connecting
+            # path: 2dn covers a monotone path in the whole box, but inside a
+            # region the only paths may wind through every region vertex
+            hops = 2 * box.dimension * box.side if mask is None else int(mask.sum()) - 1
+            ub = int(w_int.max(initial=0)) * hops + 1
+            use_dial = ub <= _DIAL_LIMIT
         if method == "dial" and not use_dial:
             raise ValueError("dial engine needs small nonnegative integer weights")
 
     if use_dial:
-        ub = int(np.rint(w).astype(np.int64).max(initial=0)) * box.dimension * box.side * 2 + 1
-        dist, pred = _dijkstra_dial(
-            indptr, nbrs, eids, np.rint(w).astype(np.int64), sid, mask, box.n_vertices, ub
-        )
+        dist, pred = _dijkstra_dial(indptr, nbrs, eids, w_int, sid, mask, box.n_vertices, ub)
     else:
         dist, pred = _dijkstra_heap(indptr, nbrs, eids, w, sid, mask, box.n_vertices)
 

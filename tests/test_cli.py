@@ -146,6 +146,29 @@ def test_every_command_has_a_schema_and_default():
         jsonschema.validate(DEFAULT_CONFIGS[cmd], schema)
 
 
+def test_every_schema_passes_the_metaschema():
+    # main() builds each validator once and does not re-check the schema
+    from jsonschema.validators import validator_for
+
+    for schema in SCHEMAS.values():
+        validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("patch", [
+    {"surprise": 1},
+    {"distribution": {"kind": "gaussian", "mu": 0}},
+    {"dim": "two", "n": -1},
+])
+def test_schema_message_matches_jsonschema_validate(tmp_path, capsys, patch):
+    import jsonschema
+
+    cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS["oracle"])), **patch}
+    with pytest.raises(jsonschema.ValidationError) as ei:
+        jsonschema.validate(cfg, SCHEMAS["oracle"])
+    assert run(tmp_path, "oracle", cfg) == 2
+    assert capsys.readouterr().err == f"config schema violation: {ei.value.message}\n"
+
+
 # ---------------------------------------------------------------------------
 # manifests and reproducibility
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fpplab.elementary_rate import (
     fekete_envelope,
     zero_set_check,
 )
+from fpplab.oracle import wilson_interval
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
 
@@ -294,3 +295,14 @@ def test_zero_set_check_sees_finite_size_bias():
     rep = zero_set_check(surf, tc)
     assert not rep.zero_ok
     assert not rep.passed()
+
+
+def test_exact_and_mc_test_the_same_event_on_non_dyadic_atoms():
+    # the float sum 0.1 + 0.2 exceeds 0.3, so only the straight path with two
+    # light edges reaches (2, 0) in time 0.3: both backends must agree on 1/4
+    law = EdgeDistribution.two_point(0.1, 0.2, Fraction(1, 2))
+    exact = estimate_rate_point(law, (1, 0), 0.15, 2, method="exact")
+    assert exact.p_exact == Fraction(1, 4)
+    mc = estimate_rate_point(law, (1, 0), 0.15, 2, samples=400, seed=0, method="mc")
+    lo, hi = wilson_interval(mc.hits, mc.samples)
+    assert lo <= 0.25 <= hi

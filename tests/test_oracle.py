@@ -22,6 +22,7 @@ from fpplab.oracle import (
     validate_decreasing,
     wilson_interval,
 )
+from fpplab.oracle import _arc_table, _batched_distances, _predicate
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
 
@@ -243,3 +244,140 @@ def test_chernoff_bound_respected_empirically():
         if restricted_passage_time(field, (0, 0), (4, 0)) >= eps * n:
             hits += 1
     assert hits / 400 <= bound
+
+
+# ---------------------------------------------------------------------------
+# batched enumeration against per-configuration references
+# ---------------------------------------------------------------------------
+
+
+
+def _reference_dijkstra(box, w, source, mask=None):
+    """Plain heap Dijkstra over the box's edge list, mask excluding vertices."""
+    import heapq
+
+    _, _, (u_flat, v_flat) = box.edge_endpoints()
+    adj = [[] for _ in range(box.n_vertices)]
+    for e, (u, v) in enumerate(zip(u_flat.tolist(), v_flat.tolist())):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    dist = [math.inf] * box.n_vertices
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v, e in adj[u]:
+            if mask is not None and not mask[v]:
+                continue
+            nd = du + float(w[e])
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return np.array(dist)
+
+
+def _all_configs(values, n_edges):
+    return np.array(list(itertools.product(values, repeat=n_edges)), dtype=float)
+
+
+@pytest.mark.parametrize("d, n, values, region", [
+    (2, 1, (0.0, 0.3), None),
+    (2, 2, (0.1, 0.7), None),
+    (3, 1, (0.1, 0.2), None),
+    (2, 2, (0.0, 0.3), [(0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2)]),
+])
+def test_batched_distances_equal_reference_dijkstra(d, n, values, region):
+    box = LatticeBox(d, n)
+    mask = None
+    if region is not None:
+        mask = np.zeros(box.n_vertices, dtype=bool)
+        for v in region:
+            mask[box.vertex_id(v)] = True
+    sources = np.array([0, box.n_vertices // 2, box.n_vertices - 1])  # all in the region
+    W = _all_configs(values, box.n_edges)
+    nbr, eid = _arc_table(box, mask)
+    got = _batched_distances(W, sources, nbr, eid)
+    for b, w in enumerate(W):
+        for k, s in enumerate(sources):
+            want = _reference_dijkstra(box, w, int(s), mask)
+            assert np.array_equal(got[b, k], want), (b, int(s))
+
+
+def test_three_atom_law_matches_per_configuration_product():
+    # an atom at 0 and non-dyadic atoms and probabilities: every configuration
+    # gets its own Fraction product in the reference
+    law = EdgeDistribution.finite_support([0.0, 0.3, 0.7],
+                                          [Fraction(1, 5), Fraction(1, 3), Fraction(7, 15)])
+    values, probs = law.atoms()
+    box = LatticeBox(2, 1)
+    want = {"event": Fraction(0), "lhs": Fraction(0), "f1": Fraction(0), "f2": Fraction(0)}
+    for combo in itertools.product(range(3), repeat=box.n_edges):
+        w = np.array([values[i] for i in combo])
+        cp = math.prod((probs[i] for i in combo), start=Fraction(1))
+        d0 = _reference_dijkstra(box, w, box.vertex_id((0, 0)))
+        d1 = _reference_dijkstra(box, w, box.vertex_id((1, 0)))
+        want["event"] += cp * bool(d0[box.vertex_id((1, 1))] <= 0.7)
+        want["lhs"] += cp * bool(d0[box.vertex_id((1, 1))] <= 0.3 + 0.7)
+        want["f1"] += cp * bool(d0[box.vertex_id((1, 0))] <= 0.3)
+        want["f2"] += cp * bool(d1[box.vertex_id((1, 1))] <= 0.7)
+    res = exact_event_probability(EventSpec.passage_time_at_most((0, 0), (1, 1), 0.7),
+                                  law, box)
+    assert res.p == want["event"]
+    assert res.n_configs == 81 and res.n_satisfying is None
+    rep = fkg_supermultiplicativity_check(law, box, (1, 0), (0, 1), 0.3, 0.7)
+    assert (rep.lhs, rep.factor_first, rep.factor_second) == (
+        want["lhs"], want["f1"], want["f2"])
+
+
+@pytest.mark.parametrize("p_lo", [Fraction(1, 2), Fraction(1, 3)])
+def test_partial_last_batch_is_enumerated(p_lo):
+    law = EdgeDistribution.two_point(1, 2, p_lo)
+    box = LatticeBox(2, 2)
+    ev = EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0)
+    rows = _predicate(ev, box, law).rows
+    assert rows < 4096 and 4096 % rows != 0  # the walk ends on a short batch
+    W = _all_configs((1.0, 2.0), box.n_edges)
+    target = box.vertex_id((2, 1))
+    hits = [_reference_dijkstra(box, w, 0)[target] <= 4.0 for w in W]
+    res = exact_event_probability(ev, law, box)
+    assert res.n_configs == 4096
+    if p_lo == Fraction(1, 2):
+        assert res.n_satisfying == sum(hits)
+        assert res.p == Fraction(sum(hits), 4096)
+    else:
+        assert res.n_satisfying is None
+        want = sum((p_lo ** int((w == 1.0).sum()) * (1 - p_lo) ** int((w == 2.0).sum())
+                    for w, hit in zip(W, hits) if hit), Fraction(0))
+        assert res.p == want
+
+
+def test_region_event_counts_only_live_configurations():
+    box = LatticeBox(2, 2)
+    ev = EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0, region=((0, 2), (0, 1)))
+    res = exact_event_probability(ev, TP, box)
+    assert res.n_configs == 2 ** 7  # the 7 edges of the 3 x 2 strip
+    assert res.p == Fraction(13, 16) and res.n_satisfying == 104
+
+
+def test_mc_successes_at_frozen_seeds():
+    # pinned from the per-field heap engine: batching must not move a count
+    corner = EventSpec.passage_time_at_most((0, 0), (1, 1), 2.0)
+    assert monte_carlo_event_probability(corner, TP, LatticeBox(2, 1), 400, seed=0).successes == 157
+    assert monte_carlo_event_probability(corner, TP, LatticeBox(2, 1), 100, seed=5).successes == 36
+    far = EventSpec.passage_time_at_most((0, 0), (8, 8), 19.0)
+    assert _predicate(far, LatticeBox(2, 8), TP).rows < 300  # spans several batches
+    assert monte_carlo_event_probability(far, TP, LatticeBox(2, 8), 300, seed=3).successes == 253
+    law = EdgeDistribution.finite_support([0.0, 0.3, 0.7],
+                                          [Fraction(1, 5), Fraction(1, 3), Fraction(7, 15)])
+    strip = EventSpec.passage_time_at_most((0, 0), (4, 1), 1.2, region=((0, 4), (0, 1)))
+    assert monte_carlo_event_probability(strip, law, LatticeBox(2, 4), 300, seed=11).successes == 79
+
+
+def test_validate_decreasing_flags_an_increasing_event():
+    from fpplab.passage_time import restricted_passage_time
+
+    slow = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (1, 1)) >= 3.0,
+                            decreasing=True, name="T>=3")
+    assert validate_decreasing(slow, TP, LatticeBox(2, 1), trials=40, seed=4) > 0

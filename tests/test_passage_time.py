@@ -56,6 +56,18 @@ def test_dial_rejects_fractional_weights():
         restricted_passage_time(field, (0, 0), (3, 3), method="dial")
 
 
+def test_dial_engine_bounds_winding_region_geodesics():
+    # a snake through columns 0, 2, 4, 6 of the 7 x 7 box: the only path from
+    # (0, 0) to (0, 6) has 30 edges, more than the 2dn = 24 of the whole box
+    snake = [(i, j) for j in (0, 2, 4, 6) for i in range(7)] + [(6, 1), (0, 3), (6, 5)]
+    field = _det_field(2, 6)
+    assert restricted_passage_time(field, (0, 0), (0, 6), region=snake, method="heap") == 30
+    assert restricted_passage_time(field, (0, 0), (0, 6), region=snake) == 30
+    t, path = restricted_passage_time(field, (0, 0), (0, 6), region=snake, method="dial",
+                                      return_path=True)
+    assert t == 30 and path.hops == 30
+
+
 def test_geodesic_is_consistent_with_time():
     tp = EdgeDistribution.two_point(1, 4, Fraction(1, 3))
     field = sample_weights(tp, LatticeBox(2, 5), 3)
