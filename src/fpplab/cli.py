@@ -7,12 +7,14 @@ seed, and the package version.  Nothing time-dependent is written, so a
 rerun with the same manifest produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 invariant failure (or any uncaught error),
-2 config schema violation, 3 enumeration budget exceeded.
+2 config schema violation or a config value the model rejects,
+3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -185,7 +187,7 @@ SCHEMAS = {
     "simulate": _schema(
         {
             "distribution": {"$ref": "#/$defs/distribution"},
-            "dim": {"type": "integer", "minimum": 1, "maximum": 4},
+            "dim": {"type": "integer", "minimum": 2, "maximum": 4},
             "n": {"type": "integer", "minimum": 1},
             "points": {"type": "array", "items": _INT_POINT},
             "truncation": {"type": "number", "exclusiveMinimum": 0},
@@ -206,7 +208,7 @@ SCHEMAS = {
     "oracle": _schema(
         {
             "distribution": {"$ref": "#/$defs/distribution"},
-            "dim": {"type": "integer", "minimum": 1, "maximum": 4},
+            "dim": {"type": "integer", "minimum": 2, "maximum": 4},
             "n": {"type": "integer", "minimum": 1},
             "event": {
                 "oneOf": [
@@ -252,7 +254,7 @@ SCHEMAS = {
     "rate": _schema(
         {
             "distribution": {"$ref": "#/$defs/distribution"},
-            "x": _INT_POINT,
+            "x": {**_INT_POINT, "minItems": 2},
             "zeta_grid": {"type": "array", "minItems": 1,
                           "items": {"type": "number", "exclusiveMinimum": 0}},
             "zeta_count": {"type": "integer", "minimum": 2},
@@ -436,6 +438,20 @@ def _rate_fn_from(rec: dict, outdir: Path):
         return SurfaceRate(RateSurface.from_json(json.load(fh)))
 
 
+class _ConfigValueError(Exception):
+    """A config value that passes the schema but that the model rejects."""
+
+
+@contextlib.contextmanager
+def _config_values():
+    """Turn a ValueError or TypeError raised while building the law, box or
+    event of a config into a config error (exit 2) instead of a crash."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise _ConfigValueError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -447,14 +463,17 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
     from fpplab.passage_time import (geodesic_length_stats, rescaled_metric,
                                      uniform_gap)
 
-    dist = EdgeDistribution.from_spec(cfg["distribution"])
-    box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
+    pts = cfg.get("points")
+    with _config_values():
+        dist = EdgeDistribution.from_spec(cfg["distribution"])
+        box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
+        if pts is not None:
+            box.vertex_id(np.asarray(pts))
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget")
-    if budget is not None and cfg.get("points") is None and box.n_vertices ** 2 > budget:
+    if budget is not None and pts is None and box.n_vertices ** 2 > budget:
         raise CapExceededError(box.n_vertices ** 2, budget)
     field = sample_weights(dist, box, seed)
-    pts = cfg.get("points")
     metric = rescaled_metric(field, points=None if pts is None else np.asarray(pts))
     metric.write_csv(outdir / "metric.csv")
     report = {
@@ -485,19 +504,23 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
                                fkg_supermultiplicativity_check,
                                monte_carlo_event_probability)
 
-    dist = EdgeDistribution.from_spec(cfg["distribution"])
-    box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget", 1 << 24)
     ev = cfg["event"]
-    if ev["kind"] == "passage_time_at_most":
-        event = EventSpec.passage_time_at_most(ev["x"], ev["y"], ev["t"])
-    elif ev["kind"] == "ld_lower":
-        metric = _metric_from(ev["metric"])
-        event = EventSpec.ld_lower(lambda x, y: float(metric.evaluate(x, y)),
-                                   ev["eps"])
-    else:
-        event = EventSpec.hub(ev["x"], ev["kappa"])
+    with _config_values():
+        dist = EdgeDistribution.from_spec(cfg["distribution"])
+        box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
+        if ev["kind"] == "passage_time_at_most":
+            event = EventSpec.passage_time_at_most(ev["x"], ev["y"], ev["t"])
+        elif ev["kind"] == "ld_lower":
+            metric = _metric_from(ev["metric"])
+            event = EventSpec.ld_lower(lambda x, y: float(metric.evaluate(x, y)),
+                                       ev["eps"])
+        else:
+            event = EventSpec.hub(ev["x"], ev["kappa"])
+        for key in ("x", "y"):
+            if key in ev:
+                box.vertex_id(ev[key])
 
     report = {"event": event.name, "dim": cfg["dim"], "n": cfg["n"],
               "distribution": dist.spec(), "p_exact": None, "p_mc": None,
@@ -535,7 +558,8 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
                                         fekete_envelope, zero_set_check)
     from fpplab.model import EdgeDistribution
 
-    dist = EdgeDistribution.from_spec(cfg["distribution"])
+    with _config_values():
+        dist = EdgeDistribution.from_spec(cfg["distribution"])
     x = cfg["x"]
     seed = cfg.get("seed", 0)
     threads = cfg.get("threads", 1)
@@ -669,7 +693,8 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
     from fpplab.model import EdgeDistribution
 
     metric = _metric_from(cfg["metric"])
-    dist = EdgeDistribution.from_spec(cfg["distribution"])
+    with _config_values():
+        dist = EdgeDistribution.from_spec(cfg["distribution"])
     fv = None
     if "rate" in cfg:
         J = _rate_fn_from(cfg["rate"], outdir)
@@ -991,6 +1016,9 @@ def main(argv=None) -> int:
             "ld-trend": _cmd_ld_trend,
         }[args.command]
         artifacts = runner(cfg, outdir)
+    except _ConfigValueError as exc:
+        print(f"invalid config value: {exc}", file=sys.stderr)
+        return 2
     except CapExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

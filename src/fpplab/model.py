@@ -516,9 +516,11 @@ class LatticeBox:
 
     def vertex_id(self, coords) -> int:
         c = np.asarray(coords)
+        if c.shape[-1:] != (self.dimension,):
+            raise ValueError(f"vertex coordinates need length {self.dimension}")
         if c.ndim == 1:
             if np.any(c < 0) or np.any(c > self.side):
-                raise ValueError(f"vertex {tuple(c)} outside box [0, {self.side}]^{self.dimension}")
+                raise ValueError(f"vertex {tuple(c.tolist())} outside box [0, {self.side}]^{self.dimension}")
             return int(np.ravel_multi_index(tuple(int(v) for v in c), self.shape))
         if np.any(c < 0) or np.any(c > self.side):
             raise ValueError("vertex outside box")

@@ -10,7 +10,6 @@ disconnects them) get the value ``math.inf`` rather than an exception.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
@@ -102,89 +101,59 @@ def _region_mask(box: LatticeBox, region) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# shortest-path engines
-
-_DIAL_LIMIT = 1 << 22
+# the shortest-path solve
 
 
-def _dijkstra_heap(indptr, nbrs, eids, w, source: int, mask, n_vertices: int):
-    dist = np.full(n_vertices, math.inf)
-    pred = np.full(n_vertices, -1, dtype=np.int64)
-    settled = np.zeros(n_vertices, dtype=bool)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            if mask is not None and not mask[v]:
-                continue
-            nd = du + w[eids[k]]
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and not settled[v] and (pred[v] < 0 or u < pred[v]):
-                pred[v] = u
-    return dist, pred
+def _solve(field: WeightField, sources, mask=None, access=None):
+    """Passage times from ``sources`` on the box graph of a field.
+
+    Every single-field solve goes through this one scipy csgraph Dijkstra.
+    Each edge gives two arcs costing its weight; arcs into a vertex outside
+    ``mask`` cost ``inf``.  With ``access``, an extra vertex numbered
+    ``n_vertices`` gets an arc of cost ``access[u]`` to every vertex u.
+    Returns the distance rows and the CSR graph.
+    """
+    box = field.box
+    indptr, nbrs, eids = _adjacency(box.dimension, box.side)
+    data = field.weights[eids]
+    if mask is not None:
+        data = np.where(mask[nbrs], data, math.inf)
+    if access is not None:
+        indptr = np.append(indptr, indptr[-1] + box.n_vertices)
+        nbrs = np.concatenate([nbrs, np.arange(box.n_vertices)])
+        data = np.concatenate([data, access])
+    size = len(indptr) - 1
+    graph = sp.csr_matrix((data, nbrs, indptr), shape=(size, size))
+    return _scipy_dijkstra(graph, directed=True, indices=sources), graph
 
 
-def _dijkstra_dial(indptr, nbrs, eids, w_int, source: int, mask, n_vertices: int, max_dist: int):
-    """Bucket-queue variant for small nonnegative integer weights."""
-    inf = max_dist + 1
-    dist = np.full(n_vertices, inf, dtype=np.int64)
-    pred = np.full(n_vertices, -1, dtype=np.int64)
-    settled = np.zeros(n_vertices, dtype=bool)
-    buckets: list[list[int]] = [[] for _ in range(max_dist + 1)]
-    dist[source] = 0
-    buckets[0].append(source)
-    for cur in range(max_dist + 1):
-        bucket = buckets[cur]
-        while bucket:
-            u = bucket.pop()
-            if settled[u] or dist[u] != cur:
-                continue
-            settled[u] = True
-            du = cur
-            for k in range(indptr[u], indptr[u + 1]):
-                v = nbrs[k]
-                if mask is not None and not mask[v]:
-                    continue
-                nd = du + w_int[eids[k]]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
-                    if nd <= max_dist:
-                        buckets[nd].append(v)
-                elif nd == dist[v] and not settled[v] and (pred[v] < 0 or u < pred[v]):
-                    pred[v] = u
-    out = dist.astype(np.float64)
-    out[dist == inf] = math.inf
-    return out, pred
+def _geodesic(graph: sp.csr_matrix, dist: np.ndarray, source: int, target: int,
+              box: LatticeBox) -> DiscretePath:
+    """Rebuild a geodesic from the distances of one source.
 
-
-def _reconstruct(pred, source: int, target: int, box: LatticeBox) -> DiscretePath:
+    An arc u -> v is tight when dist[u] + w == dist[v].  The predecessor of v
+    is the smallest-id u on a tight arc with dist[u] < dist[v] or, across a
+    zero-weight plateau, with fewer tight-arc hops from the source; the pair
+    (dist, hops) falls strictly along every predecessor step, so chains end
+    at the source.
+    """
+    src = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    dst = graph.indices
+    tight = np.isfinite(dist[dst]) & (dist[src] + graph.data == dist[dst])
+    hop_graph = sp.csr_matrix((np.ones(int(tight.sum())), (src[tight], dst[tight])),
+                              shape=graph.shape)
+    hops = _scipy_dijkstra(hop_graph, directed=True, indices=source, unweighted=True)
+    ok = tight & ((dist[src] < dist[dst]) | (hops[src] < hops[dst]))
+    pred = np.full(graph.shape[0], graph.shape[0])
+    np.minimum.at(pred, dst[ok], src[ok])
     chain = [target]
     while chain[-1] != source:
-        p = pred[chain[-1]]
-        if p < 0:
-            raise AssertionError("broken predecessor chain")
-        chain.append(int(p))
+        chain.append(int(pred[chain[-1]]))
     chain.reverse()
     return DiscretePath(box.vertex_coords(np.asarray(chain)))
 
 
-def restricted_passage_time(
-    field: WeightField,
-    x,
-    y,
-    region=None,
-    return_path: bool = False,
-    method: str = "auto",
-):
+def restricted_passage_time(field: WeightField, x, y, region=None, return_path: bool = False):
     """Passage time between vertices x and y among paths staying in a region.
 
     Parameters
@@ -193,12 +162,12 @@ def restricted_passage_time(
     x, y : vertex coordinates (length-d integer sequences)
     region : None for the whole box, a per-axis ((lo, hi), ...) sub-box, or
         an explicit iterable of vertex coordinates.
-    return_path : also return the geodesic as a :class:`DiscretePath`.
-        Ties are broken toward the lexicographically smallest predecessor so
-        reruns reconstruct the same geodesic.
-    method : "auto", "heap" or "dial".  "dial" is the bucket-queue engine,
-        valid only for small nonnegative integer weights; "auto" picks it
-        when applicable.  Both engines return identical values.
+    return_path : also return the geodesic as a :class:`DiscretePath`.  Each
+        vertex's predecessor is the smallest-id neighbour u that is strictly
+        closer to x with T(x, u) + w(u, v) == T(x, v).  Across zero-weight
+        edges, where such a neighbour can tie v, the tie goes to the smallest
+        id among those with fewer hops from x on such exact arcs.  Reruns
+        reconstruct the same self-avoiding geodesic.
 
     Returns ``math.inf`` (and ``None`` for the path) when the restriction
     disconnects x from y.
@@ -208,45 +177,13 @@ def restricted_passage_time(
     sid, tid = box.vertex_id(x), box.vertex_id(y)
     if mask is not None and not (mask[sid] and mask[tid]):
         raise ValueError("both endpoints must belong to the region")
-    indptr, nbrs, eids = _adjacency(box.dimension, box.side)
-    w = field.weights
-
-    use_dial = False
-    if method not in ("auto", "heap", "dial"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "dial"):
-        w_int = np.rint(w).astype(np.int64)
-        integral = bool(np.all(w == w_int) and np.all(w_int >= 0))
-        if integral:
-            # a distance is at most max_w times the edges of some connecting
-            # path: 2dn covers a monotone path in the whole box, but inside a
-            # region the only paths may wind through every region vertex
-            hops = 2 * box.dimension * box.side if mask is None else int(mask.sum()) - 1
-            ub = int(w_int.max(initial=0)) * hops + 1
-            use_dial = ub <= _DIAL_LIMIT
-        if method == "dial" and not use_dial:
-            raise ValueError("dial engine needs small nonnegative integer weights")
-
-    if use_dial:
-        dist, pred = _dijkstra_dial(indptr, nbrs, eids, w_int, sid, mask, box.n_vertices, ub)
-    else:
-        dist, pred = _dijkstra_heap(indptr, nbrs, eids, w, sid, mask, box.n_vertices)
-
+    dist, graph = _solve(field, sid, mask)
     t = float(dist[tid])
     if not return_path:
         return t
     if math.isinf(t):
         return t, None
-    return t, _reconstruct(pred, sid, tid, box)
-
-
-def _box_csr(field: WeightField) -> sp.csr_matrix:
-    box = field.box
-    _, _, (u_flat, v_flat) = _edge_arrays(box.dimension, box.side)
-    row = np.concatenate([u_flat, v_flat])
-    col = np.concatenate([v_flat, u_flat])
-    dat = np.concatenate([field.weights, field.weights])
-    return sp.csr_matrix((dat, (row, col)), shape=(box.n_vertices, box.n_vertices))
+    return t, _geodesic(graph, dist, sid, tid, box)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +253,7 @@ def rescaled_metric(field: WeightField, points=None) -> RescaledMetric:
             pts = pts[None, :]
     ids = box.vertex_id(pts) if pts.ndim == 2 else np.array([box.vertex_id(pts)])
     ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-    G = _box_csr(field)
-    dist = _scipy_dijkstra(G, directed=True, indices=ids)
+    dist, _ = _solve(field, ids)
     return RescaledMetric(field, pts, dist[:, ids])
 
 
@@ -357,7 +293,6 @@ class ContinuousMetric:
             size = int(np.prod(shape))
             self.wgrid.append(self.field.weights[offset: offset + size].reshape(shape))
             offset += size
-        self._indptr, self._nbrs, self._eids = _adjacency(self.d, self.n)
         self._dist_cache: dict[tuple, np.ndarray] = {}
 
     def access_costs(self, X: np.ndarray) -> np.ndarray:
@@ -418,25 +353,9 @@ class ContinuousMetric:
         hit = self._dist_cache.get(key)
         if hit is not None:
             return hit
-        seed_cost = self.access_costs(np.asarray(X))
-        V = self.box.n_vertices
-        dist = seed_cost.copy()
-        settled = np.zeros(V, dtype=bool)
-        heap = [(float(c), int(i)) for i, c in enumerate(seed_cost) if math.isfinite(c)]
-        heapq.heapify(heap)
-        w = self.field.weights
-        indptr, nbrs, eids = self._indptr, self._nbrs, self._eids
-        while heap:
-            du, u = heapq.heappop(heap)
-            if settled[u] or du > dist[u]:
-                continue
-            settled[u] = True
-            for k in range(indptr[u], indptr[u + 1]):
-                v = nbrs[k]
-                nd = du + w[eids[k]]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+        # one solve from an extra vertex whose arcs carry the access costs
+        dist, _ = _solve(self.field, self.box.n_vertices, access=self.access_costs(X))
+        dist = dist[:-1]
         self._dist_cache[key] = dist
         return dist
 
@@ -487,8 +406,7 @@ def uniform_gap(field: WeightField, b: float, eval_points=None, seed: int = 0) -
     tf = field.truncated(b)
     floors = np.minimum(np.floor(eval_points * n).astype(np.int64), n)
     ids = np.atleast_1d(box.vertex_id(floors))
-    G = _box_csr(tf)
-    disc = _scipy_dijkstra(G, directed=True, indices=ids)[:, ids] / n
+    disc = _solve(tf, ids)[0][:, ids] / n
 
     cm = ContinuousMetric(field, b)
     k = len(eval_points)

@@ -138,6 +138,28 @@ def test_selftest_schema_rejects_junk(tmp_path):
     assert run(tmp_path, "selftest", {"anything": True}) == 2
 
 
+@pytest.mark.parametrize("command, patch, message", [
+    ("simulate", {"dim": 1}, "config schema violation"),
+    ("oracle", {"dim": 1}, "config schema violation"),
+    ("oracle", {"distribution": {"kind": "two_point", "lo": 2.0, "hi": 1.0, "p_lo": 0.5}},
+     "invalid config value: two-point law needs lo < hi"),
+    ("simulate", {"distribution": {"kind": "finite_support", "values": [1.0, 2.0],
+                                   "probs": [1.0]}},
+     "invalid config value: values and probs must be equal-length"),
+    ("oracle", {"event": {"kind": "passage_time_at_most", "x": [0, 0], "y": [1, 1, 1],
+                          "t": 2.0}},
+     "invalid config value: vertex coordinates need length 2"),
+    ("simulate", {"points": [[0, 0, 0]]},
+     "invalid config value: vertex coordinates need length 2"),
+    ("rate", {"x": [1]}, "config schema violation"),
+])
+def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
+    cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_every_command_has_a_schema_and_default():
     assert set(SCHEMAS) == set(DEFAULT_CONFIGS)
     for cmd, schema in SCHEMAS.items():
@@ -254,6 +276,14 @@ def test_custom_oracle_config(tmp_path):
     rep = read_json(tmp_path, "oracle.json")
     assert rep["p_exact"] == {"num": 1, "den": 2}
     assert rep.get("p_mc") is None
+
+
+def test_fkg_displacement_may_point_backwards(tmp_path):
+    # x2 is a step from x1, not a vertex: only x1 + x2 must lie in the box
+    cfg = json.loads(json.dumps(DEFAULT_CONFIGS["oracle"]))
+    cfg["fkg"] = {"x1": [1, 1], "x2": [-1, 0], "t1": 2.0, "t2": 1.0}
+    assert run(tmp_path, "oracle", cfg) == 0
+    assert read_json(tmp_path, "oracle.json")["fkg"]["slack_nonnegative"] is True
 
 
 def test_custom_functional_config_piecewise(tmp_path):

@@ -23,6 +23,7 @@ from fpplab.oracle import (
     wilson_interval,
 )
 from fpplab.oracle import _arc_table, _batched_distances, _predicate
+from reference import reference_dijkstra
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
 
@@ -251,33 +252,6 @@ def test_chernoff_bound_respected_empirically():
 # ---------------------------------------------------------------------------
 
 
-
-def _reference_dijkstra(box, w, source, mask=None):
-    """Plain heap Dijkstra over the box's edge list, mask excluding vertices."""
-    import heapq
-
-    _, _, (u_flat, v_flat) = box.edge_endpoints()
-    adj = [[] for _ in range(box.n_vertices)]
-    for e, (u, v) in enumerate(zip(u_flat.tolist(), v_flat.tolist())):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    dist = [math.inf] * box.n_vertices
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, e in adj[u]:
-            if mask is not None and not mask[v]:
-                continue
-            nd = du + float(w[e])
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return np.array(dist)
-
-
 def _all_configs(values, n_edges):
     return np.array(list(itertools.product(values, repeat=n_edges)), dtype=float)
 
@@ -301,7 +275,7 @@ def test_batched_distances_equal_reference_dijkstra(d, n, values, region):
     got = _batched_distances(W, sources, nbr, eid)
     for b, w in enumerate(W):
         for k, s in enumerate(sources):
-            want = _reference_dijkstra(box, w, int(s), mask)
+            want = reference_dijkstra(box, w, int(s), mask)
             assert np.array_equal(got[b, k], want), (b, int(s))
 
 
@@ -316,8 +290,8 @@ def test_three_atom_law_matches_per_configuration_product():
     for combo in itertools.product(range(3), repeat=box.n_edges):
         w = np.array([values[i] for i in combo])
         cp = math.prod((probs[i] for i in combo), start=Fraction(1))
-        d0 = _reference_dijkstra(box, w, box.vertex_id((0, 0)))
-        d1 = _reference_dijkstra(box, w, box.vertex_id((1, 0)))
+        d0 = reference_dijkstra(box, w, box.vertex_id((0, 0)))
+        d1 = reference_dijkstra(box, w, box.vertex_id((1, 0)))
         want["event"] += cp * bool(d0[box.vertex_id((1, 1))] <= 0.7)
         want["lhs"] += cp * bool(d0[box.vertex_id((1, 1))] <= 0.3 + 0.7)
         want["f1"] += cp * bool(d0[box.vertex_id((1, 0))] <= 0.3)
@@ -340,7 +314,7 @@ def test_partial_last_batch_is_enumerated(p_lo):
     assert rows < 4096 and 4096 % rows != 0  # the walk ends on a short batch
     W = _all_configs((1.0, 2.0), box.n_edges)
     target = box.vertex_id((2, 1))
-    hits = [_reference_dijkstra(box, w, 0)[target] <= 4.0 for w in W]
+    hits = [reference_dijkstra(box, w, 0)[target] <= 4.0 for w in W]
     res = exact_event_probability(ev, law, box)
     assert res.n_configs == 4096
     if p_lo == Fraction(1, 2):

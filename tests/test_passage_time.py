@@ -22,6 +22,7 @@ from fpplab.passage_time import (
     restricted_passage_time,
     uniform_gap,
 )
+from reference import reference_dijkstra
 
 
 def _det_field(d, n, value=1.0):
@@ -40,32 +41,55 @@ def test_deterministic_weights_give_l1_times():
         assert restricted_passage_time(field, x, y) == want
 
 
-def test_heap_and_dial_engines_agree():
-    tp = EdgeDistribution.two_point(1, 3, Fraction(1, 2))
-    field = sample_weights(tp, LatticeBox(2, 6), 9)
-    pairs = [((0, 0), (6, 6)), ((0, 3), (6, 3)), ((2, 1), (4, 5))]
-    for x, y in pairs:
-        th = restricted_passage_time(field, x, y, method="heap")
-        td = restricted_passage_time(field, x, y, method="dial")
-        assert th == td
+@pytest.mark.parametrize("law", [
+    EdgeDistribution.two_point(1, 3, Fraction(1, 2)),
+    EdgeDistribution.finite_support([0.1, 0.2, 0.7], [Fraction(1, 3)] * 3),
+    EdgeDistribution.two_point(0, 1, Fraction(1, 2)),
+], ids=["integer", "non-dyadic", "zero-atom"])
+@pytest.mark.parametrize("region", [None, ((0, 6), (1, 4))], ids=["box", "strip"])
+def test_passage_times_match_reference_dijkstra(law, region):
+    box = LatticeBox(2, 6)
+    coords = box.all_vertex_coords()
+    mask = None if region is None else (coords[:, 1] >= 1) & (coords[:, 1] <= 4)
+    x = (0, 1)
+    for seed in range(3):
+        field = sample_weights(law, box, seed)
+        want = reference_dijkstra(box, field.weights, box.vertex_id(x), mask)
+        for vid, y in enumerate(coords):
+            if mask is None or mask[vid]:
+                assert restricted_passage_time(field, x, y, region=region) == want[vid]
 
 
-def test_dial_rejects_fractional_weights():
-    field = sample_weights(EdgeDistribution.uniform(0.5, 1.5), LatticeBox(2, 3), 0)
-    with pytest.raises(ValueError):
-        restricted_passage_time(field, (0, 0), (3, 3), method="dial")
-
-
-def test_dial_engine_bounds_winding_region_geodesics():
+def test_winding_region_geodesic_is_found():
     # a snake through columns 0, 2, 4, 6 of the 7 x 7 box: the only path from
     # (0, 0) to (0, 6) has 30 edges, more than the 2dn = 24 of the whole box
     snake = [(i, j) for j in (0, 2, 4, 6) for i in range(7)] + [(6, 1), (0, 3), (6, 5)]
     field = _det_field(2, 6)
-    assert restricted_passage_time(field, (0, 0), (0, 6), region=snake, method="heap") == 30
     assert restricted_passage_time(field, (0, 0), (0, 6), region=snake) == 30
-    t, path = restricted_passage_time(field, (0, 0), (0, 6), region=snake, method="dial",
-                                      return_path=True)
+    t, path = restricted_passage_time(field, (0, 0), (0, 6), region=snake, return_path=True)
     assert t == 30 and path.hops == 30
+
+
+def test_geodesic_tie_break_is_pinned():
+    # integer weights tie many geodesics; the smallest-id predecessor rule
+    # picks this one, the same path the earlier heap engine returned
+    tp = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
+    field = sample_weights(tp, LatticeBox(2, 5), 9)
+    t, path = restricted_passage_time(field, (0, 0), (5, 5), return_path=True)
+    assert t == 11.0
+    assert [tuple(v) for v in path.vertices.tolist()] == [
+        (0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (5, 2), (5, 3), (5, 4), (5, 5)]
+
+
+def test_zero_weight_geodesics_are_self_avoiding_and_stable():
+    field = sample_weights(EdgeDistribution.two_point(0, 1, Fraction(1, 2)), LatticeBox(2, 8), 0)
+    for y in [(8, 8), (8, 0), (3, 5)]:
+        t, path = restricted_passage_time(field, (0, 0), y, return_path=True)
+        assert path.endpoints() == ((0, 0), y)
+        assert path.is_vertex_self_avoiding()
+        assert path_time(path, field) == t
+        again = restricted_passage_time(field, (0, 0), y, return_path=True)[1]
+        assert np.array_equal(again.vertices, path.vertices)
 
 
 def test_geodesic_is_consistent_with_time():
