@@ -168,7 +168,6 @@ _RATE_FN = {
 
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0},
-    "threads": {"type": "integer", "minimum": 1},
     "budget": {"type": "integer", "minimum": 1},
 }
 
@@ -411,7 +410,6 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, artifacts: list) -> N
         "config": json.loads(canon),
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
         "seed": cfg.get("seed"),
-        "threads": cfg.get("threads", 1),
         "budget": cfg.get("budget"),
         "artifacts": sorted(artifacts),
     }
@@ -421,7 +419,8 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, artifacts: list) -> N
 def _metric_from(cfg_metric: dict):
     from fpplab.geometry import NormPlusHighways
 
-    return NormPlusHighways.from_json(cfg_metric)
+    with _config_values():
+        return NormPlusHighways.from_json(cfg_metric)
 
 
 def _rate_fn_from(rec: dict, outdir: Path):
@@ -444,8 +443,9 @@ class _ConfigValueError(Exception):
 
 @contextlib.contextmanager
 def _config_values():
-    """Turn a ValueError or TypeError raised while building the law, box or
-    event of a config into a config error (exit 2) instead of a crash."""
+    """Turn a ValueError or TypeError raised while building the law, box,
+    event, metric or path family of a config into a config error (exit 2)
+    instead of a crash; a ``GeometryError`` is a ``ValueError``."""
     try:
         yield
     except (ValueError, TypeError) as exc:
@@ -562,7 +562,6 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
         dist = EdgeDistribution.from_spec(cfg["distribution"])
     x = cfg["x"]
     seed = cfg.get("seed", 0)
-    threads = cfg.get("threads", 1)
     samples = cfg.get("samples", 200)
     method = cfg.get("method", "auto")
     budget = cfg.get("budget", 1 << 13)
@@ -581,7 +580,7 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
             sub = int(next(children).generate_state(1)[0])
             per_z.append(estimate_rate_point(
                 dist, x, z, n, samples=samples, seed=sub, method=method,
-                enum_cap=budget, threads=threads))
+                enum_cap=budget))
         points.extend(per_z)
         envelope.append(fekete_envelope(per_z) if len(per_z) > 1 else per_z[0])
 
@@ -608,7 +607,7 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
         tc_cfg = cfg["time_constant"]
         tc = estimate_time_constant(dist, x, tc_cfg["n_ladder"],
                                     samples=tc_cfg.get("samples", 200),
-                                    seed=seed, threads=threads)
+                                    seed=seed)
         zs = zero_set_check(surface, tc, zero_tol=cfg.get("zero_tol", 0.05))
         report["time_constant"] = tc.to_json()
         report["zero_set"] = {"zero_ok": zs.zero_ok,
@@ -656,14 +655,14 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
 
     metric = _metric_from(cfg["metric"])
     J = _rate_fn_from(cfg["rate"], outdir)
-    threads = cfg.get("threads", 1)
     net = network_from_highways(metric)
     family = None
     if "family" in cfg:
-        family = PathFamily([LipschitzPath(np.asarray(p, dtype=float))
-                             for p in cfg["family"]])
+        with _config_values():
+            family = PathFamily([LipschitzPath(np.asarray(p, dtype=float))
+                                 for p in cfg["family"]])
     rep = functional_report(metric, net, J, family=family,
-                            order=cfg.get("order", 8), threads=threads)
+                            order=cfg.get("order", 8))
     out = rep.to_json()
     if "probe_metric" in cfg:
         smaller = _metric_from(cfg["probe_metric"])
@@ -954,8 +953,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: $FPPLAB_OUTPUT_DIR or .)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; results do not depend on this")
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget (cap on configurations)")
     return parser
@@ -969,7 +966,7 @@ def _effective_config(args) -> dict:
             cfg = json.load(fh)
     else:
         cfg = copy.deepcopy(DEFAULT_CONFIGS[args.command])
-    for key in ("seed", "threads", "budget"):
+    for key in ("seed", "budget"):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val

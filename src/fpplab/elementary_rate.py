@@ -39,15 +39,6 @@ class SurfaceConflictError(ValueError):
         self.conflicts = conflicts
 
 
-def _map_ordered(fn, items, threads: int = 1):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def _canonical_direction(x) -> np.ndarray:
     x = np.asarray(x, dtype=int)
     if x.ndim != 1 or np.all(x == 0):
@@ -132,7 +123,6 @@ def estimate_rate_point(
     region=None,
     max_edges: int = 1 << 22,
     enum_cap: int = 1 << 13,
-    threads: int = 1,
 ) -> RatePoint:
     """Estimate -(1/n) log P(T(0, n|x|) <= n zeta) on the box of side n max|x|.
 
@@ -188,7 +178,7 @@ def estimate_rate_point(
         t = restricted_passage_time(field, origin, target, region=region)
         return bool(t <= t_budget)
 
-    hits = int(sum(_map_ordered(one, rep_seeds, threads)))
+    hits = int(sum(one(s) for s in rep_seeds))
     lo_p, hi_p = wilson_interval(hits, samples)
     if hits == 0:
         bound = -math.log(hi_p) / n
@@ -258,7 +248,6 @@ def estimate_time_constant(
     samples: int = 200,
     seed: int = 0,
     max_edges: int = 1 << 22,
-    threads: int = 1,
 ) -> TimeConstantEstimate:
     """Per-scale means of T(0, nx)/n with the analytic norm bracket.
 
@@ -288,7 +277,7 @@ def estimate_time_constant(
             field = sample_weights(dist, box, int(rep_seed))
             return restricted_passage_time(field, origin, target) / n
 
-        vals = np.array(_map_ordered(one, rep_seeds, threads))
+        vals = np.array([one(s) for s in rep_seeds])
         means.append(float(vals.mean()))
         sd = float(vals.std(ddof=1)) if samples > 1 else 0.0
         halfs.append(_Z95 * sd / math.sqrt(samples))

@@ -14,7 +14,6 @@ for qualitative comparison against the functional value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -45,13 +44,6 @@ from fpplab.oracle import (
 
 class FunctionalError(ValueError):
     """A functional-level contract failed (ordering, consistency, domain)."""
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +220,7 @@ def _check_network_of(D, net: HighwayNetwork, tol: float):
 
 
 def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True,
-                            net_tol: float = 1e-6, threads: int = 1) -> float:
+                            net_tol: float = 1e-6) -> float:
     """Sum over network geodesics of the rate of their discounted speed.
 
     Each highway contributes the integral of J(tangent, D-speed) along
@@ -252,12 +244,11 @@ def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True,
             total += float(J(v, lam * float(gnorm(v))))
         return total
 
-    return float(sum(_map_ordered(one_highway, range(len(net.paths)), threads)))
+    return float(sum(one_highway(k) for k in range(len(net.paths))))
 
 
 def functional_intrinsic(D, net: HighwayNetwork, J, order: int = 8,
-                         validate: bool = True, net_tol: float = 1e-6,
-                         threads: int = 1) -> float:
+                         validate: bool = True, net_tol: float = 1e-6) -> float:
     """Hausdorff-measure expression of the functional.
 
     The integrand at a point of a highway is J evaluated at the unit
@@ -288,7 +279,7 @@ def functional_intrinsic(D, net: HighwayNetwork, J, order: int = 8,
             total += hausdorff_integrate([piece], f, order=order, validate=False)
         return total
 
-    return float(sum(_map_ordered(one_highway, range(len(net.paths)), threads)))
+    return float(sum(one_highway(k) for k in range(len(net.paths))))
 
 
 def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
@@ -339,8 +330,7 @@ def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
 
 
 def functional_sup_lower_bound(D, J, family: PathFamily,
-                               points_per_piece: int = 8,
-                               threads: int = 1) -> float:
+                               points_per_piece: int = 8) -> float:
     """Contribution of one admissible path family to the supremum formula.
 
     Each family member contributes the integral of J(tangent, metric speed)
@@ -386,7 +376,7 @@ def functional_sup_lower_bound(D, J, family: PathFamily,
                     total += h * float(J(u, speed))
         return total
 
-    return float(sum(_map_ordered(one_path, family.paths, threads)))
+    return float(sum(one_path(path) for path in family.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +422,7 @@ class FunctionalReport:
 
 def functional_report(D, net: HighwayNetwork, J, family: PathFamily | None = None,
                       order: int = 8, cross_tol: float = 1e-9,
-                      sup_tol: float = 1e-9, net_tol: float = 1e-6,
-                      threads: int = 1) -> FunctionalReport:
+                      sup_tol: float = 1e-9, net_tol: float = 1e-6) -> FunctionalReport:
     """Evaluate all three expressions and enforce their mutual contracts.
 
     The supremum expression is evaluated on ``family`` (default: the
@@ -445,10 +434,9 @@ def functional_report(D, net: HighwayNetwork, J, family: PathFamily | None = Non
     _check_network_of(D, net, net_tol)
     if family is None:
         family = PathFamily.from_network(net)
-    geo = functional_geodesic_sum(D, net, J, validate=False, threads=threads)
-    intr = functional_intrinsic(D, net, J, order=order, validate=False,
-                                threads=threads)
-    sup = functional_sup_lower_bound(D, J, family, threads=threads)
+    geo = functional_geodesic_sum(D, net, J, validate=False)
+    intr = functional_intrinsic(D, net, J, order=order, validate=False)
+    sup = functional_sup_lower_bound(D, J, family)
     scale = max(abs(geo), abs(intr), 1e-300)
     if abs(intr - geo) > cross_tol * max(1.0, scale):
         raise FunctionalError(

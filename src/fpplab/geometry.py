@@ -345,25 +345,26 @@ class _Highway:
     def cumd_at(self, t) -> np.ndarray:
         return np.interp(np.asarray(t, dtype=float), self.ts, self.cumd)
 
-    def projections(self, x: np.ndarray):
-        """Axis-aligned foot points of x on the highway interior.
 
-        For each linear piece and each coordinate axis moving on that piece,
-        the parameter where the highway matches x in that coordinate.  These
-        are exactly the interior candidates at which the map
-        t -> g(x - sigma(t)) can kink, so minimizing over them plus the
-        breakpoints is exact.
-        """
-        params = []
-        for i in range(len(self.ts) - 1):
-            p0, p1 = self.pts[i], self.pts[i + 1]
-            t0, t1 = self.ts[i], self.ts[i + 1]
-            delta = p1 - p0
-            for a in np.nonzero(delta)[0]:
-                frac = (x[a] - p0[a]) / delta[a]
-                if 0.0 < frac < 1.0:
-                    params.append(t0 + frac * (t1 - t0))
-        return np.array(params)
+def _axis_projections(pts: np.ndarray, ts: np.ndarray, x: np.ndarray) -> list:
+    """Axis-aligned foot points of x on the interior of a polyline.
+
+    For each linear piece of the polyline through ``pts`` (at parameters
+    ``ts``) and each coordinate axis moving on that piece, the parameter
+    where the polyline matches x in that coordinate.  These are exactly the
+    interior candidates at which the map t -> g(x - sigma(t)) can kink, so
+    minimizing over them plus the breakpoints is exact.
+    """
+    params = []
+    for i in range(len(ts) - 1):
+        p0, p1 = pts[i], pts[i + 1]
+        t0, t1 = ts[i], ts[i + 1]
+        delta = p1 - p0
+        for a in np.nonzero(delta)[0]:
+            frac = (x[a] - p0[a]) / delta[a]
+            if 0.0 < frac < 1.0:
+                params.append(t0 + frac * (t1 - t0))
+    return params
 
 
 def _normalize_profile(speed, total: float):
@@ -385,12 +386,12 @@ class NormPlusHighways:
 
     ``weights`` are the positive per-axis norm weights, each highway is an
     injective Lipschitz path together with a discount in (0, 1] (a constant or
-    a piecewise-constant profile given as (param_end, lam) pieces).  Distances
-    are computed on a candidate graph whose nodes are highway access points:
+    a piecewise-constant profile given as (param_end, lam) pieces).  The access
+    nodes form ``self.chain``, an :class:`HWChain` with one block per highway:
     uniform grids plus all breakpoints, with the query points' axis
     projections added per query.  Single-highway routes are exact because the
     access objective is piecewise linear between candidates; multi-highway
-    routes go through an all-pairs table on the access pool and converge under
+    routes go through the chain's min-plus closed table and converge under
     access refinement.
     """
 
@@ -416,7 +417,11 @@ class NormPlusHighways:
 
         if validate:
             self._validate()
-        self._build_pool()
+        self.chain = HWChain.base(self.weights)
+        for hw in self.highways:
+            params = np.unique(np.concatenate([
+                hw.ts, np.linspace(0.0, hw.path.length_l1, self.access_points)]))
+            self.chain = self.chain.insert(hw.path, params, hw.cumd_at(params))
 
     # -- validation ----------------------------------------------------------
 
@@ -457,54 +462,15 @@ class NormPlusHighways:
                             f"vs ride {ride:.12g}"
                         )
 
-    # -- access pool ----------------------------------------------------------
-
-    def _build_pool(self):
-        node_pts = []
-        node_cum = []
-        self._slices = []
-        self._node_params = []
-        start = 0
-        for hw in self.highways:
-            total = hw.path.length_l1
-            params = np.unique(np.concatenate([hw.ts, np.linspace(0.0, total, self.access_points)]))
-            pts = hw.path.point_at(params)
-            cum = hw.cumd_at(params)
-            node_pts.append(pts)
-            node_cum.append(cum)
-            self._node_params.append(params)
-            self._slices.append(slice(start, start + len(params)))
-            start += len(params)
-        if node_pts:
-            self._H = np.concatenate(node_pts, axis=0)
-            self._Hcum = np.concatenate(node_cum)
-            diff = np.abs(self._H[:, None, :] - self._H[None, :, :])
-            W = diff @ self.weights
-            for sl in self._slices:
-                cum = self._Hcum[sl]
-                ride = np.abs(cum[:, None] - cum[None, :])
-                W[sl, sl] = np.minimum(W[sl, sl], ride)
-            self._W = _floyd_warshall(_complete_csr(W), directed=False)
-        else:
-            self._H = np.zeros((0, self.dim))
-            self._Hcum = np.zeros(0)
-            self._W = np.zeros((0, 0))
-
     def refined(self) -> "NormPlusHighways":
         """Same metric with the access grid spacing halved (grids nest)."""
-        out = NormPlusHighways.__new__(NormPlusHighways)
-        out.weights = self.weights
-        out.dim = self.dim
-        out.gnorm = self.gnorm
-        out.access_points = 2 * self.access_points - 1
-        out.highways = self.highways
-        out._build_pool()
-        return out
+        return NormPlusHighways(self.weights, [(hw.path, hw.profile) for hw in self.highways],
+                                access_points=2 * self.access_points - 1, validate=False)
 
     # -- evaluation ------------------------------------------------------------
 
     def _entry_candidates(self, hw: _Highway, params_extra: np.ndarray, x: np.ndarray):
-        params = np.unique(np.concatenate([params_extra, hw.projections(x)]))
+        params = np.unique(np.concatenate([params_extra, _axis_projections(hw.pts, hw.ts, x)]))
         pts = hw.path.point_at(params)
         cum = hw.cumd_at(params)
         cost = np.abs(x[None, :] - pts) @ self.weights
@@ -518,20 +484,18 @@ class NormPlusHighways:
         best = float(self.gnorm(x - y))
         if not self.highways:
             return best
-        vx = np.abs(x[None, :] - self._H) @ self.weights
-        vy = np.abs(y[None, :] - self._H) @ self.weights
-        for k, hw in enumerate(self.highways):
-            params = self._node_params[k]
-            cx, cumx = self._entry_candidates(hw, params, x)
-            cy, cumy = self._entry_candidates(hw, params, y)
+        chain = self.chain
+        vx = np.abs(x[None, :] - chain.nodes) @ self.weights
+        vy = np.abs(y[None, :] - chain.nodes) @ self.weights
+        for hw, block in zip(self.highways, chain.blocks):
+            cx, cumx = self._entry_candidates(hw, block.params, x)
+            cy, cumy = self._entry_candidates(hw, block.params, y)
             ride = np.abs(cumx[:, None] - cumy[None, :])
             best = min(best, float(np.min(cx[:, None] + ride + cy[None, :])))
-            sl = self._slices[k]
-            node_cum = self._Hcum[sl]
-            vx[sl] = np.minimum(vx[sl], np.min(cx[:, None] + np.abs(cumx[:, None] - node_cum[None, :]), axis=0))
-            vy[sl] = np.minimum(vy[sl], np.min(cy[:, None] + np.abs(cumy[:, None] - node_cum[None, :]), axis=0))
-        best = min(best, float(np.min(vx[:, None] + self._W + vy[None, :])))
-        return best
+            sl = block.rows
+            vx[sl] = np.minimum(vx[sl], np.min(cx[:, None] + np.abs(cumx[:, None] - block.cum[None, :]), axis=0))
+            vy[sl] = np.minimum(vy[sl], np.min(cy[:, None] + np.abs(cumy[:, None] - block.cum[None, :]), axis=0))
+        return min(best, chain._min_plus(vx, vy))
 
     def __call__(self, x, y) -> float:
         return self.evaluate(x, y)
@@ -541,7 +505,7 @@ class NormPlusHighways:
     def geodesic(self, x, y):
         """A distance-realizing polyline from x to y.
 
-        Built on the candidate graph: query points, pool nodes, and the query
+        Built on the candidate graph: query points, access nodes, and the query
         points' axis projections, with straight norm hops between all pairs
         and discounted hops between parameter-consecutive points of the same
         highway.  Any graph edge is geometrically a straight segment, so the
@@ -552,9 +516,10 @@ class NormPlusHighways:
         y = np.asarray(y, dtype=float)
         pts = [x, y]
         hw_params: list[list[tuple[float, int]]] = []
-        for k, hw in enumerate(self.highways):
+        for hw, block in zip(self.highways, self.chain.blocks):
             params = np.unique(np.concatenate([
-                self._node_params[k], hw.projections(x), hw.projections(y)]))
+                block.params, _axis_projections(hw.pts, hw.ts, x),
+                _axis_projections(hw.pts, hw.ts, y)]))
             entries = []
             for t in params:
                 entries.append((float(t), len(pts)))
@@ -688,24 +653,36 @@ def _as_eval(metric) -> Callable:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Block:
+    """One inserted highway's share of an :class:`HWChain` node pool."""
+
+    rows: slice          # its rows of ``HWChain.nodes`` and ``HWChain.M``
+    params: np.ndarray   # access parameters along the highway
+    cum: np.ndarray      # ride table: cumulative distance at ``params``
+
+
 class HWChain:
-    """State of the highway insertion recursion, flattened onto a node pool.
+    """The min-plus node pool of the insertion recursion, of
+    :class:`NormPlusHighways` and of highway networks.
 
     The metric after K insertions is represented by access nodes on the
-    inserted highways and the min-plus closed matrix M of their pairwise
-    values; a query routes straight from x into the pool, through M, and
-    straight out.  M only ever decreases under insertion, and it stays at or
-    above the insertion target as long as each inserted curve is a target
-    geodesic, since every graph edge then dominates the target distance.
+    inserted highways (one :class:`_Block` each) and the min-plus closed
+    matrix M of their pairwise values; a query routes straight from x into
+    the pool, through M, and straight out.  M only ever decreases under
+    insertion, and it stays at or above the insertion target as long as each
+    inserted curve is a target geodesic, since every graph edge then
+    dominates the target distance.
     """
 
-    def __init__(self, weights, nodes=None, M=None, paths=()):
+    def __init__(self, weights, nodes=None, M=None, paths=(), blocks=()):
         self.weights = np.asarray(weights, dtype=float)
         self.gnorm = _norm_factory(self.weights)
         self.dim = self.weights.shape[0]
         self.nodes = np.zeros((0, self.dim)) if nodes is None else nodes
         self.M = np.zeros((0, 0)) if M is None else M
         self.paths = tuple(paths)
+        self.blocks = tuple(blocks)
 
     @classmethod
     def base(cls, weights) -> "HWChain":
@@ -722,15 +699,21 @@ class HWChain:
         if self.n_nodes:
             gx = np.abs(x[None, :] - self.nodes) @ self.weights
             gy = np.abs(y[None, :] - self.nodes) @ self.weights
-            best = min(best, float(np.min(gx[:, None] + self.M + gy[None, :])))
+            best = min(best, self._min_plus(gx, gy))
         return best
+
+    def _min_plus(self, gx: np.ndarray, gy: np.ndarray) -> float:
+        """Cheapest route entering the pool at cost gx, crossing M, and
+        leaving at cost gy."""
+        return float(np.min(gx[:, None] + self.M + gy[None, :]))
 
     def __call__(self, x, y) -> float:
         return self.query(x, y)
 
     def insert(self, path: LipschitzPath, access_params: np.ndarray, cum: np.ndarray) -> "HWChain":
         """Insert one highway given its access parameters and the cumulative
-        target distance along them; returns the next chain state."""
+        target distance along them; returns the next chain state, whose last
+        block records both."""
         new_pts = path.point_at(access_params)
         ride = np.abs(cum[:, None] - cum[None, :])
         all_pts = np.concatenate([self.nodes, new_pts], axis=0)
@@ -740,7 +723,8 @@ class HWChain:
             E[:n_old, :n_old] = np.minimum(E[:n_old, :n_old], self.M)
         E[n_old:, n_old:] = np.minimum(E[n_old:, n_old:], ride)
         M = _floyd_warshall(_complete_csr(E), directed=False)
-        return HWChain(self.weights, all_pts, M, self.paths + (path,))
+        block = _Block(slice(n_old, n_old + len(new_pts)), access_params, cum)
+        return HWChain(self.weights, all_pts, M, self.paths + (path,), self.blocks + (block,))
 
 
 def hw_insert(
@@ -773,14 +757,7 @@ def hw_insert(
 
     base_params = set(float(c) for c in path.cum)
     for pt in probe_points:
-        z = np.asarray(pt, dtype=float)
-        for i in range(path.n_pieces):
-            p0, p1 = path.points[i], path.points[i + 1]
-            delta = p1 - p0
-            for a in np.nonzero(delta)[0]:
-                frac = (z[a] - p0[a]) / delta[a]
-                if 0.0 < frac < 1.0:
-                    base_params.add(float(path.cum[i] + frac * (path.cum[i + 1] - path.cum[i])))
+        base_params.update(_axis_projections(path.points, path.cum, np.asarray(pt, dtype=float)))
 
     prev_vals = None
     prev_chain = None
@@ -942,14 +919,10 @@ def build_highway_network(
                 continue
             chain = hw_insert(chain, piece, metric, probe_pairs=probe_pairs,
                               tol=tol * 0.1, initial_access=initial_access)
-            # tabulate the target distances along the kept piece
-            ts = np.unique(np.concatenate([
-                piece.cum.astype(float), np.linspace(0.0, piece.length_l1, initial_access)]))
-            pts = piece.point_at(ts)
-            incs = np.array([ev(pts[i], pts[i + 1]) for i in range(len(ts) - 1)])
-            cum = np.concatenate([[0.0], np.cumsum(incs)])
+            # the target distances along the kept piece, as hw_insert tabulated them
+            block = chain.blocks[-1]
             paths.append(piece)
-            cum_tables.append((ts, cum))
+            cum_tables.append((block.params, block.cum))
         vals = np.array([chain.query(a, b) for a, b in probe_pairs])
         sup = float(np.max(np.abs(vals - target_vals))) if len(vals) else 0.0
         diagnostics.append({"k": k, "origin": origin, "sup_distance": sup,
@@ -969,12 +942,9 @@ def network_from_highways(metric: NormPlusHighways, geodesy_tol: float = 1e-9) -
     metric.validate_geodesics(tol=geodesy_tol)
     paths = [hw.path for hw in metric.highways]
     cum_tables = [(hw.ts.copy(), hw.cumd.copy()) for hw in metric.highways]
-    chain = HWChain.base(metric.weights)
-    for hw in metric.highways:
-        chain = chain.insert(hw.path, hw.ts, hw.cumd)
     return HighwayNetwork(weights=metric.weights.copy(), paths=paths,
                           cum_tables=cum_tables, diagnostics=[], converged=True,
-                          chain=chain)
+                          chain=metric.chain)
 
 
 # ---------------------------------------------------------------------------

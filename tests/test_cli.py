@@ -19,6 +19,9 @@ def run(tmp_path, command, cfg=None, extra=()):
     return main(args)
 
 
+_DIAGONAL = DEFAULT_CONFIGS["highways"]["metric"]
+
+
 def read_json(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
@@ -152,6 +155,15 @@ def test_selftest_schema_rejects_junk(tmp_path):
     ("simulate", {"points": [[0, 0, 0]]},
      "invalid config value: vertex coordinates need length 2"),
     ("rate", {"x": [1]}, "config schema violation"),
+    ("highways", {"metric": {**_DIAGONAL, "weights": [1.0, 1.0, 1.0]}},
+     "invalid config value: highway dimension does not match the norm"),
+    ("highways", {"metric": {**_DIAGONAL, "highways": [
+        {"points": [[0.0, 0.0], [1.5, 1.0]], "profile": [[2.0, 0.5]]}]}},
+     "invalid config value: speed profile must cover the path in increasing pieces"),
+    ("functional", {"family": [[[0.2, 0.2], [0.2, 0.2]]]},
+     "invalid config value: path is a single point after removing duplicates"),
+    ("functional", {"family": [[[0.1, 0.0], [0.5, 0.0]], [[0.3, 0.0], [0.7, 0.0]]]},
+     "invalid config value: family paths overlap on positive length"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
@@ -206,7 +218,7 @@ def test_manifest_shape(tmp_path):
     # no wall-clock state: reruns must hash identically
     assert set(man) == {"artifacts", "budget", "command", "config",
                         "config_sha256", "package", "schema_version",
-                        "seed", "threads", "version"}
+                        "seed", "version"}
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -234,17 +246,6 @@ def test_seed_flag_changes_results_and_manifest(tmp_path):
     ja = json.loads((a / "rate.json").read_text())
     jb = json.loads((b / "rate.json").read_text())
     assert ja["time_constant"] != jb["time_constant"]
-
-
-def test_threads_flag_keeps_results_identical(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    assert main(["functional", "-o", str(a)]) == 0
-    assert main(["functional", "-o", str(b), "--threads", "4"]) == 0
-    ja = json.loads((a / "functional.json").read_text())
-    jb = json.loads((b / "functional.json").read_text())
-    assert ja == jb
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

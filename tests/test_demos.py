@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the benchmark's own test suite, runs to completion
+against the package sources."""
 
 import os
 import subprocess
@@ -21,3 +22,12 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_tests_pass():
+    """The benchmark's own tests, which check that every traced function and
+    method still exists.  They run in a subprocess because ``tests`` and
+    ``perfbench`` each have a top-level ``reference`` module."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "perfbench/tests"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -283,6 +283,73 @@ def test_refined_never_increases_values():
         assert R.evaluate(x, y) <= D.evaluate(x, y) + 1e-12
 
 
+def _two_highway_target():
+    """Criterion 06's insertion target."""
+    return NormPlusHighways([1.0, 1.0], [
+        (LipschitzPath([[0.0, 0.0], [0.45, 0.45]]), 0.5),
+        (LipschitzPath([[0.55, 0.45], [1.0, 0.1]]), 0.7),
+    ])
+
+
+def _three_highway_family():
+    """A piecewise profile, a vertical segment and a monotone elbow."""
+    return NormPlusHighways([1.0, 1.25], [
+        (LipschitzPath([[0.1, 0.15], [0.8, 0.15]]), [[0.35, 0.5], [0.7, 0.8]]),
+        (LipschitzPath([[0.9, 0.1], [0.9, 0.9]]), 0.6),
+        (LipschitzPath([[0.1, 0.4], [0.35, 0.4], [0.35, 0.85]]), 0.45),
+    ])
+
+
+# (evaluate, refined().evaluate, geodesic value) at 10 seeded pairs, pinned
+# from a pool closed by one Floyd-Warshall over all highways; closing per
+# insertion may move them by rounding only.  evaluate and geodesic may differ
+# on multi-highway metrics, since evaluate converges only under refinement.
+_MULTI_HIGHWAY_VALUES = [
+    (_two_highway_target, 6, [
+        (0.20032300745110887, 0.20032300745110887, 0.20032300745110887),
+        (0.6159138769036607, 0.6159138769036607, 0.6159138769036607),
+        (1.2861179818143653, 1.2861179818143653, 1.2861179818143653),
+        (1.0116638231425443, 1.0116638231425443, 1.0116638231425443),
+        (0.8017821440926653, 0.8017821440926653, 0.8017821440926653),
+        (0.7748008976474481, 0.7748008976474481, 0.7748008976474481),
+        (0.9789153724237325, 0.9789153724237325, 0.9789153724237325),
+        (0.555137589902626, 0.555137589902626, 0.555137589902626),
+        (0.3837989140236542, 0.3837989140236542, 0.3837989140236542),
+        (0.16157134924819538, 0.16157134924819538, 0.16157134924819538),
+    ]),
+    (_three_highway_family, 3, [
+        (0.8845783101038548, 0.8845783101038548, 0.8845783101038547),
+        (0.5592572148642084, 0.5581634648642084, 0.5592572148642084),
+        (0.7487162394457963, 0.7487162394457963, 0.7487162394457966),
+        (0.749350679817507, 0.7493506798175069, 0.749350679817507),
+        (0.6859217006381566, 0.6859217006381566, 0.6859217006381567),
+        (0.8866972070486646, 0.8866972070486646, 0.886697207048665),
+        (0.5780648166914427, 0.5780648166914427, 0.5780648166914428),
+        (0.8971278835027301, 0.8971278835027301, 0.8971278835027302),
+        (0.6788379803943313, 0.6788379803943312, 0.6788379803943313),
+        (0.8428455693126853, 0.8428455693126853, 0.8428455693126853),
+    ]),
+]
+
+
+@pytest.mark.parametrize("make, seed, expected", _MULTI_HIGHWAY_VALUES,
+                         ids=["two-highways", "three-highways"])
+def test_multi_highway_values_match_parent(make, seed, expected):
+    D = make()
+    R = D.refined()
+    fresh = NormPlusHighways(D.weights, [(hw.path, hw.profile) for hw in D.highways],
+                             access_points=2 * D.access_points - 1)
+    assert np.array_equal(R.chain.nodes, fresh.chain.nodes)
+    assert np.array_equal(R.chain.M, fresh.chain.M)
+    rng = np.random.default_rng(seed)
+    for want_ev, want_ref, want_geo in expected:
+        x, y = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
+        assert D.evaluate(x, y) == pytest.approx(want_ev, abs=1e-14)
+        assert R.evaluate(x, y) == pytest.approx(want_ref, abs=1e-14)
+        assert R.evaluate(x, y) == fresh.evaluate(x, y)
+        assert D.geodesic(x, y)[1] == pytest.approx(want_geo, abs=1e-14)
+
+
 def test_to_json_round_trip():
     D = piecewise_metric()
     back = NormPlusHighways.from_json(D.to_json())
