@@ -27,6 +27,7 @@ from fpplab.geometry import (
     LipschitzPath,
     NormPlusHighways,
     _as_eval,
+    _as_pair_eval,
     _norm_factory,
     hausdorff_integrate,
     metric_derivative,
@@ -202,21 +203,26 @@ def _check_network_of(D, net: HighwayNetwork, tol: float):
 
     Endpoint and quartile distances along every path must match the stored
     cumulative table, which is what makes the stored discounts meaningful.
+    All paths are checked in one batch; the first failing point is reported.
     """
-    ev = _as_eval(D)
+    ev_many = _as_pair_eval(D)
     if hasattr(D, "weights") and not np.allclose(np.asarray(D.weights, float), net.weights):
         raise GeometryError("network weights disagree with the metric's norm")
-    for k, (path, (ts, cum)) in enumerate(zip(net.paths, net.cum_tables)):
-        start = path.point_at(0.0)
-        for q in (0.25, 0.5, 0.75, 1.0):
-            t = q * path.length_l1
-            want = float(np.interp(t, ts, cum))
-            got = float(ev(start, path.point_at(t)))
-            if abs(got - want) > tol * (1.0 + abs(want)):
-                raise GeometryError(
-                    f"network path {k} distance table disagrees with the metric "
-                    f"at parameter {t:.6g}: {got:.12g} vs {want:.12g}"
-                )
+    if not net.paths:
+        return
+    q = np.array([0.25, 0.5, 0.75, 1.0])
+    params = [q * path.length_l1 for path in net.paths]
+    starts = np.concatenate([path.point_at(np.zeros(len(q))) for path in net.paths])
+    ends = np.concatenate([path.point_at(t) for path, t in zip(net.paths, params)])
+    want = np.concatenate([np.interp(t, ts, cum) for t, (ts, cum) in zip(params, net.cum_tables)])
+    got = ev_many(starts, ends)
+    bad = np.abs(got - want) > tol * (1.0 + np.abs(want))
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise GeometryError(
+            f"network path {m // len(q)} distance table disagrees with the metric "
+            f"at parameter {np.concatenate(params)[m]:.6g}: {got[m]:.12g} vs {want[m]:.12g}"
+        )
 
 
 def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True,
@@ -487,9 +493,9 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
                               order_tol: float = 1e-12) -> MonotonicityReport:
     """Check that a strictly smaller metric has a strictly larger functional.
 
-    ``D1 <= D2`` is verified on a sampled pair grid and a strict witness
-    pair is required (equal metrics are rejected, the claim is about
-    distinct ones).  Both functionals are evaluated through each metric's
+    ``D1 <= D2`` is verified on a sampled pair grid, evaluated in one batch
+    per metric, and a strict witness pair is required (equal metrics are
+    rejected, the claim is about distinct ones).  Both functionals are evaluated through each metric's
     own highways; the smaller metric must win by more than ``margin``.
     """
     from scipy.stats import qmc
@@ -503,18 +509,15 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
         for row in sampler.random(n_pairs):
             pts.append(row[:dim])
             pts.append(row[dim:])
-    pairs = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
-
-    worst = 0.0
-    witness = None
-    gap = 0.0
-    for a, b in pairs:
-        v1 = float(D1.evaluate(a, b))
-        v2 = float(D2.evaluate(a, b))
-        worst = max(worst, v1 - v2)
-        if v2 - v1 > gap:
-            gap = v2 - v1
-            witness = (a, b)
+    pts = np.asarray(pts)
+    i, j = np.triu_indices(len(pts), 1)
+    v1 = D1.evaluate_many(pts[i], pts[j])
+    v2 = D2.evaluate_many(pts[i], pts[j])
+    worst = max(0.0, float(np.max(v1 - v2)))
+    rise = v2 - v1
+    k = int(np.argmax(rise))  # the first pair attaining the largest rise
+    gap = max(0.0, float(rise[k]))
+    witness = (pts[i[k]], pts[j[k]]) if gap > 0.0 else None
     if worst > order_tol:
         raise FunctionalError(
             f"ordering violated on a sampled pair: D1 - D2 = {worst:.3g}"
@@ -535,7 +538,7 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
         )
     return MonotonicityReport(
         value_smaller=val1, value_larger=val2, margin=margin,
-        n_pairs=len(pairs), max_order_violation=worst, witness=witness,
+        n_pairs=len(i), max_order_violation=worst, witness=witness,
     )
 
 

@@ -30,6 +30,11 @@ from ._segments import (
 )
 
 
+#: Element budget of one temporary array in :meth:`NormPlusHighways.evaluate_many`,
+#: which walks its pairs in chunks of as many rows as fit.
+_BATCH_ELEMENTS = 1 << 16
+
+
 class GeometryError(ValueError):
     """Invalid geometric input (non-injective path, overlapping highways, ...)."""
 
@@ -298,10 +303,13 @@ def paths_pairwise_disjoint(paths: Sequence[LipschitzPath], allow_touch: bool = 
 
 
 def _norm_factory(weights: np.ndarray) -> Callable:
-    w = np.asarray(weights, dtype=float)
+    col = np.asarray(weights, dtype=float)[:, None]
 
     def g(v):
-        return np.abs(np.asarray(v, dtype=float)) @ w
+        # one dot product per vector, so a vector in a batch of rows is
+        # rounded exactly as it is on its own
+        a = np.abs(np.asarray(v, dtype=float))
+        return (a[..., None, :] @ col)[..., 0, 0]
 
     return g
 
@@ -324,13 +332,11 @@ class _Highway:
         ts.update(min(float(end), total) for end, _ in self.profile)
         self.ts = np.array(sorted(ts))
         self.pts = self.path.point_at(self.ts)
-        ends = np.array([end for end, _ in self.profile])
-        lams = np.array([lam for _, lam in self.profile])
         cumd = [0.0]
         cumg = [0.0]
         for a, b in zip(self.ts[:-1], self.ts[1:]):
             seg_g = gnorm(self.path.point_at(b) - self.path.point_at(a))
-            lam = lams[np.searchsorted(ends, 0.5 * (a + b))]
+            lam = self.lam_at(0.5 * (a + b))
             cumd.append(cumd[-1] + lam * seg_g)
             cumg.append(cumg[-1] + seg_g)
         self.cumd = np.array(cumd)
@@ -346,25 +352,33 @@ class _Highway:
         return np.interp(np.asarray(t, dtype=float), self.ts, self.cumd)
 
 
-def _axis_projections(pts: np.ndarray, ts: np.ndarray, x: np.ndarray) -> list:
-    """Axis-aligned foot points of x on the interior of a polyline.
+def _axis_projections(pts: np.ndarray, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Axis-aligned foot points of the rows of X on the interior of a polyline.
 
     For each linear piece of the polyline through ``pts`` (at parameters
     ``ts``) and each coordinate axis moving on that piece, the parameter
-    where the polyline matches x in that coordinate.  These are exactly the
-    interior candidates at which the map t -> g(x - sigma(t)) can kink, so
-    minimizing over them plus the breakpoints is exact.
+    where the polyline matches a row of X in that coordinate.  These are
+    exactly the interior candidates at which the map t -> g(x - sigma(t))
+    can kink, so minimizing over them plus the breakpoints is exact.
+    Returns a ``(B, pieces * dim)`` array for the ``(B, dim)`` rows of X.  A
+    slot whose axis does not move on its piece, or whose foot point is not
+    interior, holds ``ts[0]``, which every caller already has among its
+    candidates, so a minimum over the slots is unchanged by it.
     """
-    params = []
-    for i in range(len(ts) - 1):
-        p0, p1 = pts[i], pts[i + 1]
-        t0, t1 = ts[i], ts[i + 1]
-        delta = p1 - p0
-        for a in np.nonzero(delta)[0]:
-            frac = (x[a] - p0[a]) / delta[a]
-            if 0.0 < frac < 1.0:
-                params.append(t0 + frac * (t1 - t0))
-    return params
+    p0 = pts[:-1]
+    delta = pts[1:] - p0
+    moving = delta != 0.0
+    frac = (X[:, None, :] - p0) / np.where(moving, delta, 1.0)
+    inside = moving & (frac > 0.0) & (frac < 1.0)
+    params = np.where(inside, ts[:-1, None] + frac * (ts[1:] - ts[:-1])[:, None], ts[0])
+    return params.reshape(len(X), -1)
+
+
+def _ride_table(cum_a: np.ndarray, cum_b: np.ndarray) -> np.ndarray:
+    """``|cum_a[:, i] - cum_b[..., j]|`` as a fresh ``(B, i, j)`` array; cum_b
+    is one table or one table per row."""
+    out = cum_a[:, :, None] - cum_b[..., None, :]
+    return np.abs(out, out=out)
 
 
 def _normalize_profile(speed, total: float):
@@ -392,7 +406,12 @@ class NormPlusHighways:
     projections added per query.  Single-highway routes are exact because the
     access objective is piecewise linear between candidates; multi-highway
     routes go through the chain's min-plus closed table and converge under
-    access refinement.
+    access refinement.  A multi-highway value is therefore an upper bound
+    that never increases under :meth:`refined`, since the access grids
+    nest.  At the default ``access_points=17`` the bias is not negligible:
+    on 120000 random pairs over 400 random 1-3-highway families, values
+    exceeded those after one refinement by up to 0.016, and those after
+    four by up to 0.021.
     """
 
     def __init__(self, weights, highways, access_points: int = 17, validate: bool = True):
@@ -448,19 +467,29 @@ class NormPlusHighways:
                         )
 
     def validate_geodesics(self, samples: int = 9, tol: float = 1e-9):
-        """Full check that each highway realizes the metric between its points."""
-        for k, hw in enumerate(self.highways):
-            ts = np.linspace(0.0, hw.path.length_l1, samples)
-            for i in range(samples):
-                for j in range(i + 1, samples):
-                    ride = abs(float(hw.cumd_at(ts[j]) - hw.cumd_at(ts[i])))
-                    val = self.evaluate(hw.path.point_at(ts[i]), hw.path.point_at(ts[j]))
-                    if abs(val - ride) > tol * (1.0 + ride):
-                        raise GeodesyError(
-                            f"highway {k} fails the geodesic identity at "
-                            f"params ({ts[i]:.6g}, {ts[j]:.6g}): metric {val:.12g} "
-                            f"vs ride {ride:.12g}"
-                        )
+        """Full check that each highway realizes the metric between its points.
+
+        All sample pairs of all highways are evaluated in one batch; the
+        first failing pair, highway by highway, is reported.
+        """
+        if not self.highways:
+            return
+        i, j = np.triu_indices(samples, 1)
+        ts = [np.linspace(0.0, hw.path.length_l1, samples) for hw in self.highways]
+        pts = [hw.path.point_at(t) for hw, t in zip(self.highways, ts)]
+        vals = self.evaluate_many(np.concatenate([p[i] for p in pts]),
+                                  np.concatenate([p[j] for p in pts]))
+        for k, (hw, t, val) in enumerate(zip(self.highways, ts, np.split(vals, len(ts)))):
+            cum = hw.cumd_at(t)
+            ride = np.abs(cum[j] - cum[i])
+            bad = np.abs(val - ride) > tol * (1.0 + ride)
+            if bad.any():
+                m = int(np.argmax(bad))
+                raise GeodesyError(
+                    f"highway {k} fails the geodesic identity at "
+                    f"params ({t[i[m]]:.6g}, {t[j[m]]:.6g}): metric {val[m]:.12g} "
+                    f"vs ride {ride[m]:.12g}"
+                )
 
     def refined(self) -> "NormPlusHighways":
         """Same metric with the access grid spacing halved (grids nest)."""
@@ -469,33 +498,73 @@ class NormPlusHighways:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _entry_candidates(self, hw: _Highway, params_extra: np.ndarray, x: np.ndarray):
-        params = np.unique(np.concatenate([params_extra, _axis_projections(hw.pts, hw.ts, x)]))
-        pts = hw.path.point_at(params)
-        cum = hw.cumd_at(params)
-        cost = np.abs(x[None, :] - pts) @ self.weights
-        return cost, cum
+    def _batch_rows(self) -> int:
+        """Pairs per chunk of :meth:`evaluate_many`.  Its largest temporaries
+        hold, per pair, each highway's candidate-by-candidate route table,
+        the candidate-by-node access tables of both points, and the pool's
+        node-by-node min-plus table."""
+        sizes = [1, self.chain.n_nodes ** 2]
+        for hw, block in zip(self.highways, self.chain.blocks):
+            n_cand = len(block.params) + (len(hw.ts) - 1) * self.dim
+            sizes += [n_cand ** 2, 2 * n_cand * len(block.params)]
+        return max(1, _BATCH_ELEMENTS // max(sizes))
 
-    def evaluate(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise GeometryError("points must match the metric dimension")
-        best = float(self.gnorm(x - y))
+    def _entry_candidates(self, hw: _Highway, block: "_Block", g: np.ndarray, P: np.ndarray):
+        """Costs of reaching each entry candidate of a highway from each row
+        of P, with the candidates' ride values: the block's access nodes,
+        whose costs ``g`` the pool already has, then the rows' axis
+        projections."""
+        proj = _axis_projections(hw.pts, hw.ts, P)
+        cost = np.abs(P[:, None, :] - hw.path.point_at(proj)) @ self.weights
+        ride = np.broadcast_to(block.cum, (len(P), len(block.cum)))
+        return (np.concatenate([g[:, block.rows], cost], axis=1),
+                np.concatenate([ride, hw.cumd_at(proj)], axis=1))
+
+    def _evaluate_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        best = self.gnorm(X - Y)
         if not self.highways:
             return best
         chain = self.chain
-        vx = np.abs(x[None, :] - chain.nodes) @ self.weights
-        vy = np.abs(y[None, :] - chain.nodes) @ self.weights
+        B = len(X)
+        P = np.concatenate([X, Y])  # x rows, then y rows
+        g = np.abs(P[:, None, :] - chain.nodes) @ self.weights
+        v = g.copy()
         for hw, block in zip(self.highways, chain.blocks):
-            cx, cumx = self._entry_candidates(hw, block.params, x)
-            cy, cumy = self._entry_candidates(hw, block.params, y)
-            ride = np.abs(cumx[:, None] - cumy[None, :])
-            best = min(best, float(np.min(cx[:, None] + ride + cy[None, :])))
-            sl = block.rows
-            vx[sl] = np.minimum(vx[sl], np.min(cx[:, None] + np.abs(cumx[:, None] - block.cum[None, :]), axis=0))
-            vy[sl] = np.minimum(vy[sl], np.min(cy[:, None] + np.abs(cumy[:, None] - block.cum[None, :]), axis=0))
-        return min(best, chain._min_plus(vx, vy))
+            c, cum = self._entry_candidates(hw, block, g, P)
+            # enter at a, ride to b, leave: (ride[a, b] + c_x[a]) + c_y[b]
+            route = _ride_table(cum[:B], cum[B:])
+            route += c[:B, :, None]
+            route += c[B:, None, :]
+            best = np.minimum(best, route.reshape(B, -1).min(axis=1))
+            # refined access costs into the block's nodes
+            route = _ride_table(cum, block.cum)
+            route += c[:, :, None]
+            v[:, block.rows] = np.minimum(v[:, block.rows], route.min(axis=1))
+        return np.minimum(best, chain._min_plus(v[:B], v[B:]))
+
+    def evaluate_many(self, X, Y) -> np.ndarray:
+        """Distances between the rows of X and Y, two ``(B, dim)`` arrays.
+
+        Per row the route search is the single-pair one: the direct norm,
+        exact rides on each highway between its entry candidates, and the
+        refined access costs through the chain's min-plus table.  Each step
+        is one array operation over a chunk of rows, and the chunks keep
+        every temporary within a fixed element budget.
+        """
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
+            raise GeometryError(f"points must be two arrays of shape (B, {self.dim})")
+        rows = self._batch_rows()
+        out = np.empty(len(X))
+        for start in range(0, len(X), rows):
+            out[start:start + rows] = self._evaluate_rows(X[start:start + rows],
+                                                          Y[start:start + rows])
+        return out
+
+    def evaluate(self, x, y) -> float:
+        return float(self.evaluate_many(np.asarray(x, dtype=float)[None],
+                                        np.asarray(y, dtype=float)[None])[0])
 
     def __call__(self, x, y) -> float:
         return self.evaluate(x, y)
@@ -518,8 +587,7 @@ class NormPlusHighways:
         hw_params: list[list[tuple[float, int]]] = []
         for hw, block in zip(self.highways, self.chain.blocks):
             params = np.unique(np.concatenate([
-                block.params, _axis_projections(hw.pts, hw.ts, x),
-                _axis_projections(hw.pts, hw.ts, y)]))
+                block.params, _axis_projections(hw.pts, hw.ts, np.stack([x, y])).ravel()]))
             entries = []
             for t in params:
                 entries.append((float(t), len(pts)))
@@ -648,6 +716,23 @@ def _as_eval(metric) -> Callable:
     raise TypeError("metric must be callable or expose .evaluate(x, y)")
 
 
+def _pair_rows(pairs, dim: int):
+    """First and second points of a list of point pairs, as two (B, dim) arrays."""
+    if len(pairs) == 0:
+        return np.empty((0, dim)), np.empty((0, dim))
+    return (np.array([a for a, _ in pairs], dtype=float),
+            np.array([b for _, b in pairs], dtype=float))
+
+
+def _as_pair_eval(metric) -> Callable:
+    """``(X, Y) -> distances`` between the rows of two point arrays: the
+    metric's own ``evaluate_many`` where it has one, else a loop over pairs."""
+    if hasattr(metric, "evaluate_many"):
+        return metric.evaluate_many
+    ev = _as_eval(metric)
+    return lambda X, Y: np.array([float(ev(a, b)) for a, b in zip(X, Y)])
+
+
 # ---------------------------------------------------------------------------
 # recursive highway insertion
 # ---------------------------------------------------------------------------
@@ -699,13 +784,16 @@ class HWChain:
         if self.n_nodes:
             gx = np.abs(x[None, :] - self.nodes) @ self.weights
             gy = np.abs(y[None, :] - self.nodes) @ self.weights
-            best = min(best, self._min_plus(gx, gy))
+            best = min(best, float(self._min_plus(gx[None], gy[None])[0]))
         return best
 
-    def _min_plus(self, gx: np.ndarray, gy: np.ndarray) -> float:
-        """Cheapest route entering the pool at cost gx, crossing M, and
-        leaving at cost gy."""
-        return float(np.min(gx[:, None] + self.M + gy[None, :]))
+    def _min_plus(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        """Cheapest routes entering the pool at costs gx, crossing M, and
+        leaving at costs gy; one route per row of the ``(B, n_nodes)``
+        cost arrays."""
+        route = gx[:, :, None] + self.M
+        route += gy[:, None, :]
+        return route.reshape(len(route), -1).min(axis=1)
 
     def __call__(self, x, y) -> float:
         return self.query(x, y)
@@ -746,6 +834,7 @@ def hw_insert(
     Cauchy at tolerance ``tol``.
     """
     ev = _as_eval(target)
+    ev_many = _as_pair_eval(target)
     total = path.length_l1
     direct = ev(path.points[0], path.points[-1])
 
@@ -753,20 +842,17 @@ def hw_insert(
         corners = [np.zeros(chain.dim), np.ones(chain.dim)]
         anchors = corners + [np.full(chain.dim, 0.5), path.points[0], path.points[-1]]
         probe_pairs = [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
-    probe_points = [p for pair in probe_pairs for p in pair]
-
-    base_params = set(float(c) for c in path.cum)
-    for pt in probe_points:
-        base_params.update(_axis_projections(path.points, path.cum, np.asarray(pt, dtype=float)))
+    probe_points = np.concatenate(_pair_rows(probe_pairs, chain.dim))
+    base_params = np.concatenate([
+        path.cum, _axis_projections(path.points, path.cum, probe_points).ravel()])
 
     prev_vals = None
     prev_chain = None
     count = initial_access
     for _ in range(max_doublings + 1):
-        params = np.unique(np.concatenate([
-            np.array(sorted(base_params)), np.linspace(0.0, total, count)]))
+        params = np.unique(np.concatenate([base_params, np.linspace(0.0, total, count)]))
         pts = path.point_at(params)
-        incs = np.array([ev(pts[i], pts[i + 1]) for i in range(len(params) - 1)])
+        incs = ev_many(pts[:-1], pts[1:])
         cum = np.concatenate([[0.0], np.cumsum(incs)])
         if abs(cum[-1] - direct) > geodesy_tol * (1.0 + abs(direct)):
             raise GeodesyError(
@@ -874,7 +960,6 @@ def build_highway_network(
     """
     from scipy.stats import qmc
 
-    ev = _as_eval(metric)
     if isinstance(metric, NormPlusHighways):
         weights = metric.weights
     else:
@@ -886,7 +971,7 @@ def build_highway_network(
         probe_pairs = _default_probe_pairs(dim, seed=seed) + [
             (hw.path.points[0], hw.path.points[-1]) for hw in metric.highways
         ]
-    target_vals = np.array([ev(a, b) for a, b in probe_pairs])
+    target_vals = metric.evaluate_many(*_pair_rows(probe_pairs, dim))
 
     chain = HWChain.base(weights)
     paths: list[LipschitzPath] = []

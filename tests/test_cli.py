@@ -94,6 +94,17 @@ def test_highways_artifacts(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
 
 
+def test_highways_profile_may_end_a_rounding_error_short(tmp_path):
+    # the path's l1 length is 1.0070000000000001, the profile ends at 1.007
+    cfg = {"mode": "own", "metric": {**_DIAGONAL, "highways": [
+        {"points": [[0.149, 0.449], [0.316, 0.699], [0.806, 0.799]],
+         "profile": [[0.5035, 0.5], [1.007, 0.6]]}]}}
+    assert run(tmp_path, "highways", cfg) == 0
+    path = read_json(tmp_path, "network.json")["paths"][0]
+    assert path["params"][-1] == 1.0070000000000001
+    assert path["cum"][-1] == pytest.approx(0.5035 * 0.5 + 0.5035 * 0.6, abs=1e-12)
+
+
 def test_functional_headline(tmp_path, capsys):
     assert run(tmp_path, "functional") == 0
     rep = read_json(tmp_path, "functional.json")
@@ -164,6 +175,12 @@ def test_selftest_schema_rejects_junk(tmp_path):
      "invalid config value: path is a single point after removing duplicates"),
     ("functional", {"family": [[[0.1, 0.0], [0.5, 0.0]], [[0.3, 0.0], [0.7, 0.0]]]},
      "invalid config value: family paths overlap on positive length"),
+    # a profile ending just below the l1 length 1.7810000000000001, on a
+    # path that doubles back, so not a geodesic of its metric
+    ("highways", {"mode": "own", "metric": {**_DIAGONAL, "highways": [
+        {"points": [[0.344, 0.43], [0.966, 0.562], [0.259, 0.242]],
+         "profile": [[0.8905, 0.5], [1.781, 0.6]]}]}},
+     "invalid config value: highway 0 is not a geodesic"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

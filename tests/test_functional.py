@@ -279,6 +279,43 @@ def test_probe_smaller_metric_wins():
     assert rep.witness is not None
 
 
+def test_probe_report_matches_parent():
+    """Criterion 08's first slowdown pair at seed 0, pinned from the
+    per-pair probe that preceded the batched one."""
+    rep = strict_monotonicity_probe(diag_metric(0.5), diag_metric(0.6), J, margin=1e-9)
+    assert rep.n_pairs == 4851
+    assert rep.max_order_violation == 0.0
+    assert [w.tolist() for w in rep.witness] == [[0.0, 0.0], [1.0, 1.0]]
+    assert rep.value_smaller == 1.0
+    assert rep.value_larger == 0.8
+
+
+def test_probe_witness_is_the_first_largest_rise():
+    """Witness and order violation are those a loop over the pair list
+    finds, on a pair grid where two later pairs share the largest rise."""
+    from scipy.stats import qmc
+
+    mid = [[0.3, 0.7], [0.7, 0.3]]  # useless between the corners
+    fast = NormPlusHighways([1.0, 1.0], [(LipschitzPath(mid), 0.5)])
+    slow = NormPlusHighways([1.0, 1.0], [(LipschitzPath(mid), 0.6)])
+    rep = strict_monotonicity_probe(fast, slow, J, n_pairs=10, seed=3)
+    pts = [np.zeros(2), np.ones(2), np.full(2, 0.5)]
+    for row in qmc.Halton(d=4, scramble=True, seed=3).random(10):
+        pts.extend([row[:2], row[2:]])
+    pairs = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
+    rises = [slow.evaluate(a, b) - fast.evaluate(a, b) for a, b in pairs]
+    worst, gap, witness = 0.0, 0.0, None
+    for (a, b), rise in zip(pairs, rises):
+        worst = max(worst, -rise)
+        if rise > gap:
+            gap, witness = rise, (a, b)
+    assert rises.count(gap) == 2
+    assert rep.n_pairs == len(pairs)
+    assert rep.max_order_violation == worst
+    assert np.array_equal(rep.witness[0], witness[0])
+    assert np.array_equal(rep.witness[1], witness[1])
+
+
 def test_probe_highway_beats_plain_norm():
     rep = strict_monotonicity_probe(
         diag_metric(0.5), NormPlusHighways([1.0, 1.0], []), J)

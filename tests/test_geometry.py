@@ -360,6 +360,102 @@ def test_to_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+
+def _metric(weights, hws):
+    return NormPlusHighways(weights, [(LipschitzPath(p), lam) for p, lam in hws])
+
+
+# criterion 06's network fixtures and insertion target, and a three-highway family
+_BATCH_METRICS = {
+    "diagonal": diag_metric,
+    "profile": piecewise_metric,
+    "two-rails": lambda: _metric([1.5, 0.8], [([[0.0, 0.0], [1.0, 0.0]], 0.6),
+                                              ([[0.0, 1.0], [1.0, 1.0]], 0.9)]),
+    "elbow": lambda: _metric([1.0, 1.0], [([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 0.4)]),
+    "two-highways": _two_highway_target,
+    "three-highways": _three_highway_family,
+}
+
+
+def _boundary_pairs(D, n=4851, seed=0):
+    """n shuffled pairs: every pair (x == y included) of the cube corners,
+    the highways' table breakpoints and random points on the highways, then
+    random pairs of the cube."""
+    rng = np.random.default_rng(seed)
+    special = [np.array(c, dtype=float) for c in np.ndindex(*([2] * D.dim))]
+    for hw in D.highways:
+        special.extend(hw.pts)
+        special.extend(hw.path.point_at(rng.uniform(0.0, hw.path.length_l1, 4)))
+    X = [a for a in special for _ in special]
+    Y = [b for _ in special for b in special]
+    fill = n - len(X)
+    X = np.concatenate([X, rng.random((fill, D.dim))])
+    Y = np.concatenate([Y, rng.random((fill, D.dim))])
+    order = rng.permutation(n)
+    return X[order], Y[order]
+
+
+@pytest.mark.parametrize("make", _BATCH_METRICS.values(), ids=_BATCH_METRICS.keys())
+def test_evaluate_many_equals_per_pair_evaluate(make):
+    D = make()
+    X, Y = _boundary_pairs(D)
+    want = np.array([D.evaluate(x, y) for x, y in zip(X, Y)])
+    rows = D._batch_rows()
+    assert 1 < rows < len(X) - 1 and len(X) % rows != 0  # the walk ends on a short chunk
+    for n in (1, rows - 1, rows, rows + 1, len(X)):
+        assert np.array_equal(D.evaluate_many(X[:n], Y[:n]), want[:n])
+
+
+def test_evaluate_many_validates_shapes():
+    D = diag_metric()
+    bad = [
+        (np.zeros((3, 2)), np.zeros((2, 2))),
+        (np.zeros((3, 3)), np.zeros((3, 3))),
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros((1, 1, 2)), np.zeros((1, 1, 2))),
+    ]
+    for X, Y in bad:
+        with pytest.raises(GeometryError):
+            D.evaluate_many(X, Y)
+    with pytest.raises(GeometryError):
+        D.evaluate((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+def test_evaluate_many_of_no_pairs_is_empty():
+    for D in (diag_metric(), NormPlusHighways([1.0, 1.0], [])):
+        out = D.evaluate_many(np.empty((0, 2)), np.empty((0, 2)))
+        assert out.shape == (0,)
+
+
+def _random_family(rng):
+    """Criterion 07's rejection sampler: 1-3 disjoint segments."""
+    while True:
+        highways = []
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = rng.uniform(0.05, 0.95, 2), rng.uniform(0.05, 0.95, 2)
+            if np.abs(a - b).sum() < 0.15:
+                break
+            highways.append((LipschitzPath([a, b]), float(rng.uniform(0.3, 0.95))))
+        else:
+            try:
+                return NormPlusHighways(rng.uniform(0.5, 2.0, 2), highways)
+            except GeometryError:
+                continue
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_refined_access_grid_is_an_upper_bound_that_decreases(seed):
+    rng = np.random.default_rng(seed)
+    D = _random_family(rng)
+    X, Y = rng.random((200, 2)), rng.random((200, 2))
+    assert np.all(D.refined().evaluate_many(X, Y) <= D.evaluate_many(X, Y) + 1e-15)
+
+
+# ---------------------------------------------------------------------------
 # grid pseudometric
 # ---------------------------------------------------------------------------
 
