@@ -416,10 +416,11 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, artifacts: list) -> N
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _metric_from(cfg_metric: dict):
+def _metric_from(cfg_metric: dict, key: str):
+    """The metric of a config, from the value at config key ``key``."""
     from fpplab.geometry import NormPlusHighways
 
-    with _config_values():
+    with _config_values(key):
         return NormPlusHighways.from_json(cfg_metric)
 
 
@@ -442,14 +443,16 @@ class _ConfigValueError(Exception):
 
 
 @contextlib.contextmanager
-def _config_values():
-    """Turn a ValueError or TypeError raised while building the law, box,
-    event, metric or path family of a config into a config error (exit 2)
-    instead of a crash; a ``GeometryError`` is a ``ValueError``."""
+def _config_values(key: str):
+    """Turn a ValueError or TypeError raised while building the law, event,
+    metric, points or path family at config key ``key`` (a dotted path such
+    as ``event.y``) into a config error (exit 2) instead of a crash; the
+    message ends with ``(in "<key>")``.  A ``GeometryError`` is a
+    ``ValueError``."""
     try:
         yield
     except (ValueError, TypeError) as exc:
-        raise _ConfigValueError(str(exc)) from exc
+        raise _ConfigValueError(f'{exc} (in "{key}")') from exc
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +467,11 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
                                      uniform_gap)
 
     pts = cfg.get("points")
-    with _config_values():
+    with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
-        box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
-        if pts is not None:
+    box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
+    if pts is not None:
+        with _config_values("points"):
             box.vertex_id(np.asarray(pts))
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget")
@@ -507,19 +511,21 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget", 1 << 24)
     ev = cfg["event"]
-    with _config_values():
+    with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
-        box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
+    box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
+    with _config_values("event"):
         if ev["kind"] == "passage_time_at_most":
             event = EventSpec.passage_time_at_most(ev["x"], ev["y"], ev["t"])
         elif ev["kind"] == "ld_lower":
-            metric = _metric_from(ev["metric"])
+            metric = _metric_from(ev["metric"], "event.metric")
             event = EventSpec.ld_lower(lambda x, y: float(metric.evaluate(x, y)),
                                        ev["eps"])
         else:
             event = EventSpec.hub(ev["x"], ev["kappa"])
-        for key in ("x", "y"):
-            if key in ev:
+    for key in ("x", "y"):
+        if key in ev:
+            with _config_values(f"event.{key}"):
                 box.vertex_id(ev[key])
 
     report = {"event": event.name, "dim": cfg["dim"], "n": cfg["n"],
@@ -558,7 +564,7 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
                                         fekete_envelope, zero_set_check)
     from fpplab.model import EdgeDistribution
 
-    with _config_values():
+    with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
     x = cfg["x"]
     seed = cfg.get("seed", 0)
@@ -625,7 +631,7 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
 def _cmd_highways(cfg: dict, outdir: Path) -> list:
     from fpplab.geometry import build_highway_network, network_from_highways
 
-    metric = _metric_from(cfg["metric"])
+    metric = _metric_from(cfg["metric"], "metric")
     seed = cfg.get("seed", 0)
     mode = cfg.get("mode", "build")
     if mode == "own":
@@ -653,19 +659,19 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
                                    strict_monotonicity_probe)
     from fpplab.geometry import LipschitzPath, network_from_highways
 
-    metric = _metric_from(cfg["metric"])
+    metric = _metric_from(cfg["metric"], "metric")
     J = _rate_fn_from(cfg["rate"], outdir)
     net = network_from_highways(metric)
     family = None
     if "family" in cfg:
-        with _config_values():
+        with _config_values("family"):
             family = PathFamily([LipschitzPath(np.asarray(p, dtype=float))
                                  for p in cfg["family"]])
     rep = functional_report(metric, net, J, family=family,
                             order=cfg.get("order", 8))
     out = rep.to_json()
     if "probe_metric" in cfg:
-        smaller = _metric_from(cfg["probe_metric"])
+        smaller = _metric_from(cfg["probe_metric"], "probe_metric")
         probe = strict_monotonicity_probe(smaller, metric, J,
                                           seed=cfg.get("seed", 0))
         out["monotonicity_probe"] = probe.to_json()
@@ -691,8 +697,8 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
     from fpplab.geometry import network_from_highways
     from fpplab.model import EdgeDistribution
 
-    metric = _metric_from(cfg["metric"])
-    with _config_values():
+    metric = _metric_from(cfg["metric"], "metric")
+    with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
     fv = None
     if "rate" in cfg:

@@ -19,14 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import LatticeBox, sample_weights
+from .model import LatticeBox, sample_weight_rows
+# not called here: perfbench/tests/test_tracing.py checks the tracer on this
+# from-import copy
+from .model import sample_weights  # noqa: F401
 from .oracle import (
     CapExceededError,
     EventSpec,
     exact_event_probability,
     wilson_interval,
 )
-from .passage_time import restricted_passage_time
+from .passage_time import _pair_ids, _region_mask, _rows_per_block, _solve_rows
 
 _Z95 = 1.959963984540054
 
@@ -112,6 +115,21 @@ def _domain_check(dist, x: np.ndarray, zeta: float):
     return l1
 
 
+def _mc_passage_times(dist, box: LatticeBox, seeds, origin, target,
+                      region=None) -> np.ndarray:
+    """T(origin, target) among paths in ``region``, under the field of each
+    replicate seed in turn.  Fields are sampled and solved a chunk of rows
+    at a time, one block-diagonal solve per chunk."""
+    mask = _region_mask(box, region)
+    sid, tid = _pair_ids(box, origin, target, mask)
+    rows = _rows_per_block(box)
+    out = np.empty(len(seeds))
+    for start in range(0, len(seeds), rows):
+        W = sample_weight_rows(dist, box, seeds[start:start + rows])
+        out[start:start + rows] = _solve_rows(W, box, sid, mask)[:, tid]
+    return out
+
+
 def estimate_rate_point(
     dist,
     x,
@@ -131,8 +149,11 @@ def estimate_rate_point(
     ``method='auto'`` an exact enumeration oracle is used whenever the
     configuration count fits ``enum_cap``, otherwise Monte Carlo over
     independent fields with a Wilson interval; a zero-hit outcome is returned
-    censored.  ``region`` restricts the admissible paths (for thin-box
-    ladders) and is passed through to both backends.
+    censored.  Monte-Carlo fields are sampled as weight rows, one per
+    replicate seed, and solved a chunk of rows at a time by one
+    block-diagonal shortest-path solve; hits are bit for bit those of one
+    solve per field.  ``region`` restricts the admissible paths (for
+    thin-box ladders) and is passed through to both backends.
     """
     xv = _canonical_direction(x)
     _domain_check(dist, xv, zeta)
@@ -170,15 +191,9 @@ def estimate_rate_point(
     if method == "exact":
         raise ValueError("exact method requires a finite-support distribution")
 
-    root = np.random.SeedSequence(seed)
-    rep_seeds = root.generate_state(samples, dtype=np.uint64)
-
-    def one(rep_seed) -> bool:
-        field = sample_weights(dist, box, int(rep_seed))
-        t = restricted_passage_time(field, origin, target, region=region)
-        return bool(t <= t_budget)
-
-    hits = int(sum(one(s) for s in rep_seeds))
+    rep_seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
+    times = _mc_passage_times(dist, box, rep_seeds, origin, target, region)
+    hits = int(np.count_nonzero(times <= t_budget))
     lo_p, hi_p = wilson_interval(hits, samples)
     if hits == 0:
         bound = -math.log(hi_p) / n
@@ -272,12 +287,7 @@ def estimate_time_constant(
         target = tuple(int(c) for c in n * xv)
         origin = (0,) * d
         rep_seeds = root.spawn(1)[0].generate_state(samples, dtype=np.uint64)
-
-        def one(rep_seed) -> float:
-            field = sample_weights(dist, box, int(rep_seed))
-            return restricted_passage_time(field, origin, target) / n
-
-        vals = np.array([one(s) for s in rep_seeds])
+        vals = _mc_passage_times(dist, box, rep_seeds, origin, target) / n
         means.append(float(vals.mean()))
         sd = float(vals.std(ddof=1)) if samples > 1 else 0.0
         halfs.append(_Z95 * sd / math.sqrt(samples))

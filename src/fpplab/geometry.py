@@ -777,15 +777,26 @@ class HWChain:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def query(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        best = float(self.gnorm(x - y))
+    def query_many(self, X, Y) -> np.ndarray:
+        """Distances between the rows of X and Y, two ``(B, dim)`` arrays:
+        per row the cheaper of the straight norm and the route through the
+        pool.  Rows are taken in chunks that keep the min-plus temporary
+        within a fixed element budget."""
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        best = self.gnorm(X - Y)
         if self.n_nodes:
-            gx = np.abs(x[None, :] - self.nodes) @ self.weights
-            gy = np.abs(y[None, :] - self.nodes) @ self.weights
-            best = min(best, float(self._min_plus(gx[None], gy[None])[0]))
+            rows = max(1, _BATCH_ELEMENTS // self.n_nodes ** 2)
+            for start in range(0, len(X), rows):
+                part = slice(start, start + rows)
+                gx = np.abs(X[part, None, :] - self.nodes) @ self.weights
+                gy = np.abs(Y[part, None, :] - self.nodes) @ self.weights
+                best[part] = np.minimum(best[part], self._min_plus(gx, gy))
         return best
+
+    def query(self, x, y) -> float:
+        return float(self.query_many(np.asarray(x, dtype=float)[None],
+                                     np.asarray(y, dtype=float)[None])[0])
 
     def _min_plus(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         """Cheapest routes entering the pool at costs gx, crossing M, and
@@ -842,7 +853,8 @@ def hw_insert(
         corners = [np.zeros(chain.dim), np.ones(chain.dim)]
         anchors = corners + [np.full(chain.dim, 0.5), path.points[0], path.points[-1]]
         probe_pairs = [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
-    probe_points = np.concatenate(_pair_rows(probe_pairs, chain.dim))
+    probe_x, probe_y = _pair_rows(probe_pairs, chain.dim)
+    probe_points = np.concatenate([probe_x, probe_y])
     base_params = np.concatenate([
         path.cum, _axis_projections(path.points, path.cum, probe_points).ravel()])
 
@@ -860,7 +872,7 @@ def hw_insert(
                 f"{cum[-1]:.12g} vs direct {direct:.12g}"
             )
         nxt = chain.insert(path, params, cum)
-        vals = np.array([nxt.query(a, b) for a, b in probe_pairs])
+        vals = nxt.query_many(probe_x, probe_y)
         if prev_vals is not None and np.max(np.abs(vals - prev_vals)) <= tol:
             return nxt
         prev_vals = vals
@@ -971,7 +983,8 @@ def build_highway_network(
         probe_pairs = _default_probe_pairs(dim, seed=seed) + [
             (hw.path.points[0], hw.path.points[-1]) for hw in metric.highways
         ]
-    target_vals = metric.evaluate_many(*_pair_rows(probe_pairs, dim))
+    probe_x, probe_y = _pair_rows(probe_pairs, dim)
+    target_vals = metric.evaluate_many(probe_x, probe_y)
 
     chain = HWChain.base(weights)
     paths: list[LipschitzPath] = []
@@ -1008,7 +1021,7 @@ def build_highway_network(
             block = chain.blocks[-1]
             paths.append(piece)
             cum_tables.append((block.params, block.cum))
-        vals = np.array([chain.query(a, b) for a, b in probe_pairs])
+        vals = chain.query_many(probe_x, probe_y)
         sup = float(np.max(np.abs(vals - target_vals))) if len(vals) else 0.0
         diagnostics.append({"k": k, "origin": origin, "sup_distance": sup,
                             "n_pieces": len(paths)})

@@ -27,6 +27,7 @@ __all__ = [
     "LatticeBox",
     "WeightField",
     "sample_weights",
+    "sample_weight_rows",
     "subcritical_atom_check",
     "BOND_PERCOLATION_THRESHOLD",
 ]
@@ -576,7 +577,10 @@ def _edge_layout(d: int, n: int):
 
 @lru_cache(maxsize=32)
 def _edge_arrays(d: int, n: int):
-    """Vectorised edge tables: base coords, axis, flat endpoint ids."""
+    """Vectorised edge tables: base coords, axis, flat endpoint ids.
+
+    Cached per box shape and shared by every caller, so the arrays are
+    read-only."""
     shape_v = (n + 1,) * d
     bases = []
     axes = []
@@ -592,12 +596,15 @@ def _edge_arrays(d: int, n: int):
     tip_coords[np.arange(len(axis_arr)), axis_arr] += 1
     u_flat = np.ravel_multi_index(tuple(base_coords.T), shape_v)
     v_flat = np.ravel_multi_index(tuple(tip_coords.T), shape_v)
+    for a in (base_coords, axis_arr, u_flat, v_flat):
+        a.setflags(write=False)
     return base_coords, axis_arr, (u_flat, v_flat)
 
 
 @lru_cache(maxsize=32)
 def _adjacency(d: int, n: int):
-    """CSR adjacency over flat vertex ids: (indptr, neighbour ids, edge ids)."""
+    """CSR adjacency over flat vertex ids: (indptr, neighbour ids, edge ids),
+    read-only like :func:`_edge_arrays`."""
     _, _, (u_flat, v_flat) = _edge_arrays(d, n)
     n_vert = (n + 1) ** d
     eids = np.arange(len(u_flat), dtype=np.int64)
@@ -609,6 +616,8 @@ def _adjacency(d: int, n: int):
     indptr = np.zeros(n_vert + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
+    for a in (indptr, dst, eid2):
+        a.setflags(write=False)
     return indptr, dst, eid2
 
 
@@ -627,10 +636,11 @@ def _avalanche(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
-def _edge_uniforms(seed: int, axis: np.ndarray, base_coords: np.ndarray) -> np.ndarray:
-    """One uniform in [0, 1) per edge, a pure function of (seed, axis, coords)."""
-    h = np.full(len(axis), np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    h = _avalanche(h ^ _GOLD)
+def _edge_uniforms(seeds: np.ndarray, axis: np.ndarray, base_coords: np.ndarray) -> np.ndarray:
+    """One uniform in [0, 1) per (seed, edge), a pure function of
+    (seed, axis, coords); ``seeds`` is a ``(B, 1)`` uint64 column and the
+    result has shape ``(B, n_edges)``."""
+    h = _avalanche(seeds ^ _GOLD)
     fields = [axis.astype(np.uint64)] + [base_coords[:, i].astype(np.uint64) for i in range(base_coords.shape[1])]
     for f in fields:
         h = _avalanche(h ^ (f * _MIX1 + _GOLD))
@@ -659,16 +669,29 @@ class WeightField:
         )
 
 
+def sample_weight_rows(dist: EdgeDistribution, box: LatticeBox, seeds) -> np.ndarray:
+    """Weight rows of a box, one per seed: a ``(len(seeds), n_edges)`` array.
+
+    Row i is ``sample_weights(dist, box, seeds[i]).weights`` bit for bit:
+    the per-edge hash and the inverse-CDF transform are elementwise, so
+    hashing a column of seeds against the edge tables changes no value.
+    Seeds are taken modulo 2^64.
+    """
+    base_coords, axis, _ = _edge_arrays(box.dimension, box.side)
+    col = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+    u = _edge_uniforms(col[:, None], axis, base_coords)
+    return dist.sample_from_uniforms(u)
+
+
 def sample_weights(dist: EdgeDistribution, box: LatticeBox, seed: int) -> WeightField:
     """Sample the i.i.d. edge-weight field of a box.
 
     Each edge's uniform is a hash of (seed, axis, base-vertex coordinates),
     so fields are reproducible bit for bit and consistent across nested boxes:
     the edges shared by [0, n]^d and [0, m]^d (m > n) receive the same weights.
+    The weights are the one row of :func:`sample_weight_rows`.
     """
-    base_coords, axis, _ = _edge_arrays(box.dimension, box.side)
-    u = _edge_uniforms(int(seed), axis, base_coords)
-    w = dist.sample_from_uniforms(u)
+    w = sample_weight_rows(dist, box, [seed])[0]
     return WeightField(box=box, distribution=dist, master_seed=int(seed), weights=w)
 
 

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from fpplab.model import EdgeDistribution, LatticeBox, WeightField, _adjacency, _edge_arrays
+from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _adjacency, _edge_arrays,
+                          sample_weight_rows)
 from fpplab.passage_time import _region_mask, hub_check
 
 __all__ = [
@@ -405,17 +406,15 @@ def monte_carlo_event_probability(
 ) -> MCEstimate:
     """Monte-Carlo frequency of an event, with a Wilson confidence interval.
 
-    Fields are sampled one per replicate seed and tested in batches by the
-    same compiled event as the exact oracle.
+    Fields are sampled one per replicate seed, a batch of weight rows at a
+    time by :func:`~fpplab.model.sample_weight_rows`, and each batch is
+    tested at once by the same compiled event as the exact oracle.
     """
-    from fpplab.model import sample_weights
-
     compiled = _predicate(event, box, dist)
     rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
     k = 0
     for start in range(0, samples, compiled.rows):
-        W = np.array([sample_weights(dist, box, int(s)).weights
-                      for s in rep_seeds[start:start + compiled.rows]])
+        W = sample_weight_rows(dist, box, rep_seeds[start:start + compiled.rows])
         k += int(np.count_nonzero(compiled.test(W)))
     lo, hi = wilson_interval(k, samples)
     return MCEstimate(p_hat=k / samples, successes=k, samples=samples, ci_low=lo, ci_high=hi)
@@ -434,23 +433,20 @@ def validate_decreasing(
     indicator never flips from false to true.  Returns the violation count
     (zero for genuinely decreasing events).
     """
-    from fpplab.model import sample_weights
-
     compiled = _predicate(event, box, dist)
     rng = np.random.default_rng(seed)
     sup = dist.support_supremum()
-    bump_to = sup if math.isfinite(sup) else None
     violations = 0
     for start in range(0, trials, compiled.rows):
-        before, after = [], []
+        seeds, edges = [], []
         for _ in range(start, min(start + compiled.rows, trials)):
-            w = sample_weights(dist, box, int(rng.integers(0, 2**63))).weights
-            e = int(rng.integers(0, box.n_edges))
-            bumped = w.copy()
-            bumped[e] = bump_to if bump_to is not None else w[e] + 1.0
-            before.append(w)
-            after.append(bumped)
-        flipped = compiled.test(np.array(after)) & ~compiled.test(np.array(before))
+            seeds.append(int(rng.integers(0, 2**63)))  # per trial: field seed, then edge
+            edges.append(int(rng.integers(0, box.n_edges)))
+        before = sample_weight_rows(dist, box, seeds)
+        after = before.copy()
+        rows = np.arange(len(seeds))
+        after[rows, edges] = sup if math.isfinite(sup) else before[rows, edges] + 1.0
+        flipped = compiled.test(after) & ~compiled.test(before)
         violations += int(np.count_nonzero(flipped))
     return violations
 

@@ -104,27 +104,78 @@ def _region_mask(box: LatticeBox, region) -> np.ndarray | None:
 # the shortest-path solve
 
 
-def _solve(field: WeightField, sources, mask=None, access=None):
-    """Passage times from ``sources`` on the box graph of a field.
+#: Vertices in one block-diagonal graph of :func:`_solve_rows`; a chunk holds
+#: as many weight rows as fit.  csgraph's multi-source solve slows down on
+#: larger graphs: at d=2 n=64 one row per solve was the fastest.
+_BLOCK_VERTICES = 1 << 12
 
-    Every single-field solve goes through this one scipy csgraph Dijkstra.
+
+def _box_graph(W: np.ndarray, box: LatticeBox, mask=None, access=None) -> sp.csr_matrix:
+    """Block-diagonal CSR graph of the box, one block per row of ``W``.
+
     Each edge gives two arcs costing its weight; arcs into a vertex outside
-    ``mask`` cost ``inf``.  With ``access``, an extra vertex numbered
-    ``n_vertices`` gets an arc of cost ``access[u]`` to every vertex u.
-    Returns the distance rows and the CSR graph.
+    ``mask`` cost ``inf``.  With ``access`` (one row per row of ``W``), an
+    extra vertex numbered ``n_vertices`` in each block gets an arc of cost
+    ``access[b, u]`` to every vertex u.  Block b holds vertices
+    ``b * size`` to ``(b + 1) * size - 1``, with ``size`` the vertices per
+    block; no arc joins two blocks.
     """
-    box = field.box
     indptr, nbrs, eids = _adjacency(box.dimension, box.side)
-    data = field.weights[eids]
+    data = W[:, eids]
     if mask is not None:
         data = np.where(mask[nbrs], data, math.inf)
     if access is not None:
         indptr = np.append(indptr, indptr[-1] + box.n_vertices)
         nbrs = np.concatenate([nbrs, np.arange(box.n_vertices)])
-        data = np.concatenate([data, access])
+        data = np.concatenate([data, access], axis=1)
+    rows, nnz = data.shape
     size = len(indptr) - 1
-    graph = sp.csr_matrix((data, nbrs, indptr), shape=(size, size))
+    if rows > 1:
+        shift = np.arange(rows)[:, None]
+        indptr = np.append((indptr[:-1] + nnz * shift).ravel(), rows * nnz)
+        nbrs = (nbrs + size * shift).ravel()
+    return sp.csr_matrix((data.ravel(), nbrs, indptr), shape=(rows * size, rows * size))
+
+
+def _solve(field: WeightField, sources, mask=None, access=None):
+    """Passage times from ``sources`` on the box graph of a field.
+
+    Every single-field solve goes through this one scipy csgraph Dijkstra on
+    the one-block :func:`_box_graph`; ``access`` is one cost per vertex.
+    Returns the distance rows and the CSR graph.
+    """
+    graph = _box_graph(field.weights[None], field.box, mask,
+                       None if access is None else access[None])
     return _scipy_dijkstra(graph, directed=True, indices=sources), graph
+
+
+def _rows_per_block(box: LatticeBox) -> int:
+    """Weight rows in one block-diagonal solve of :func:`_solve_rows`."""
+    return max(1, _BLOCK_VERTICES // box.n_vertices)
+
+
+def _solve_rows(W: np.ndarray, box: LatticeBox, sources, mask=None) -> np.ndarray:
+    """Passage times from one source per weight row: shape ``(B, n_vertices)``.
+
+    ``W`` is a ``(B, n_edges)`` block of weight rows of ``box`` and
+    ``sources`` one vertex id, or one per row.  The rows are solved in
+    chunks of :data:`_BLOCK_VERTICES`: each chunk is one block-diagonal
+    :func:`_box_graph` and one csgraph Dijkstra with ``min_only=True`` from
+    every block's source.  The blocks are disjoint components, so each
+    block's distances are its own field's, bit for bit those of
+    :func:`_solve` on that field.
+    """
+    V = box.n_vertices
+    src = np.broadcast_to(np.asarray(sources, dtype=np.int64), (len(W),))
+    rows = _rows_per_block(box)
+    out = np.empty((len(W), V))
+    for start in range(0, len(W), rows):
+        chunk = W[start:start + rows]
+        graph = _box_graph(chunk, box, mask)
+        starts = src[start:start + rows] + V * np.arange(len(chunk))
+        dist = _scipy_dijkstra(graph, directed=True, indices=starts, min_only=True)
+        out[start:start + rows] = dist.reshape(len(chunk), V)
+    return out
 
 
 def _geodesic(graph: sp.csr_matrix, dist: np.ndarray, source: int, target: int,
@@ -153,6 +204,14 @@ def _geodesic(graph: sp.csr_matrix, dist: np.ndarray, source: int, target: int,
     return DiscretePath(box.vertex_coords(np.asarray(chain)))
 
 
+def _pair_ids(box: LatticeBox, x, y, mask) -> tuple[int, int]:
+    """Vertex ids of x and y, both of which must lie in the region mask."""
+    sid, tid = box.vertex_id(x), box.vertex_id(y)
+    if mask is not None and not (mask[sid] and mask[tid]):
+        raise ValueError("both endpoints must belong to the region")
+    return sid, tid
+
+
 def restricted_passage_time(field: WeightField, x, y, region=None, return_path: bool = False):
     """Passage time between vertices x and y among paths staying in a region.
 
@@ -174,9 +233,7 @@ def restricted_passage_time(field: WeightField, x, y, region=None, return_path: 
     """
     box = field.box
     mask = _region_mask(box, region)
-    sid, tid = box.vertex_id(x), box.vertex_id(y)
-    if mask is not None and not (mask[sid] and mask[tid]):
-        raise ValueError("both endpoints must belong to the region")
+    sid, tid = _pair_ids(box, x, y, mask)
     dist, graph = _solve(field, sid, mask)
     t = float(dist[tid])
     if not return_path:
@@ -227,15 +284,28 @@ class RescaledMetric:
         return self.vertex_value(u, v)
 
     def write_csv(self, path) -> None:
-        """RFC 4180 CSV; one row per source point, row-major vertex labels."""
-        import csv
+        """RFC 4180 CSV; one row per source point, row-major vertex labels.
 
+        Cells are ``repr`` of the rescaled values, ``\r\n`` ends each line,
+        and labels such as ``0_3`` never need quoting.  Rows are written one
+        at a time as ``raw_times[i] / n``, the values of ``matrix[i]``.  When
+        a row repeats its values (integer laws), ``repr`` runs once per
+        distinct value, found by ``np.unique`` on the bit patterns so that
+        equal-comparing values such as ``0.0`` and ``-0.0`` stay apart.
+        """
+        labels = ["_".join(map(str, p)) for p in self.points]
+        assert all(lbl.replace("_", "").isdigit() for lbl in labels)  # no quoting needed
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            labels = ["_".join(map(str, p)) for p in self.points]
-            writer.writerow(["source"] + labels)
-            for lbl, row in zip(labels, self.matrix):
-                writer.writerow([lbl] + [repr(float(v)) for v in row])
+            fh.write(",".join(["source"] + labels) + "\r\n")
+            for lbl, raw in zip(labels, self.raw_times):
+                row = raw / self.n
+                bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
+                if 2 * len(bits) > len(row):
+                    cells = map(repr, row.tolist())
+                else:
+                    text = [repr(v) for v in bits.view(np.float64).tolist()]
+                    cells = map(text.__getitem__, inverse.tolist())
+                fh.write(lbl + "," + ",".join(cells) + "\r\n")
 
 
 def rescaled_metric(field: WeightField, points=None) -> RescaledMetric:

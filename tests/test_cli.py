@@ -189,6 +189,21 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message)
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, patch, key", [
+    ("oracle", {"distribution": {"kind": "two_point", "lo": 2.0, "hi": 1.0, "p_lo": 0.5}},
+     "distribution"),
+    ("oracle", {"event": {"kind": "passage_time_at_most", "x": [0, 0], "y": [1, 1, 1],
+                          "t": 2.0}}, "event.y"),
+    ("simulate", {"points": [[0, 0, 0]]}, "points"),
+    ("highways", {"metric": {**_DIAGONAL, "weights": [1.0, 1.0, 1.0]}}, "metric"),
+    ("functional", {"family": [[[0.2, 0.2], [0.2, 0.2]]]}, "family"),
+])
+def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
+    cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err.rstrip("\n").endswith(f'(in "{key}")')
+
+
 def test_every_command_has_a_schema_and_default():
     assert set(SCHEMAS) == set(DEFAULT_CONFIGS)
     for cmd, schema in SCHEMAS.items():

@@ -156,6 +156,23 @@ def test_time_constant_bracket_and_trend():
     assert tc.ci[0] < tc.mu_hat < tc.ci[1]
 
 
+def test_time_constant_means_frozen():
+    # pinned from one restricted_passage_time solve per field
+    tc = estimate_time_constant(EdgeDistribution.exponential(1.0), (1, 1), [2, 4, 8],
+                                samples=30, seed=11)
+    assert tc.means == (1.081487500655792, 0.9646755582840976, 0.8560496146959559)
+    assert tc.half_widths == (0.18324370120335517, 0.0735882111338606, 0.0605049269040716)
+
+
+def test_mc_region_point_frozen_seed():
+    pt = estimate_rate_point(EdgeDistribution.exponential(1.0), (2, 0), 0.7, 3,
+                             samples=90, seed=5, region=((0, 6), (0, 1)))
+    assert (pt.hits, pt.estimate) == (2, 1.2688874965901065)
+    with pytest.raises(ValueError, match="endpoints must belong to the region"):
+        estimate_rate_point(EdgeDistribution.exponential(1.0), (2, 0), 0.7, 3,
+                            samples=5, region=((1, 6), (0, 1)))
+
+
 def test_time_constant_rejects_bad_ladder():
     with pytest.raises(ValueError):
         estimate_time_constant(TP, (1, 0), [8, 4], samples=10)

@@ -487,6 +487,33 @@ def test_chain_base_is_the_norm():
     assert chain.query((0.25, 0), (0.5, 0.5)) == 0.75
 
 
+def _per_pair_query(chain, x, y):
+    """Reference chain query for one pair: 2-d access-cost products and a
+    scalar min, the rounding that query_many must reproduce."""
+    best = float(chain.gnorm(x - y))
+    if chain.n_nodes:
+        gx = np.abs(x[None, :] - chain.nodes) @ chain.weights
+        gy = np.abs(y[None, :] - chain.nodes) @ chain.weights
+        best = min(best, float((gx[:, None] + chain.M + gy[None, :]).min()))
+    return best
+
+
+def test_query_many_equals_per_pair_queries():
+    chains = [HWChain.base(np.array([1.0, 2.0]))]
+    for metric in (diag_metric(), piecewise_metric()):
+        chains.append(metric.chain)
+        chains.append(build_highway_network(metric, n_geodesics=3, seed=1).chain)
+    rng = np.random.default_rng(4)
+    X, Y = rng.random((300, 2)), rng.random((300, 2))
+    X[:40], Y[:40] = np.round(X[:40] * 4) / 4, np.round(Y[:40] * 4) / 4
+    Y[-3:] = X[-3:]
+    for chain in chains:
+        want = np.array([_per_pair_query(chain, x, y) for x, y in zip(X, Y)])
+        assert chain.query_many(X, Y).tobytes() == want.tobytes()
+        assert [chain.query(x, y) for x, y in zip(X[:20], Y[:20])] == want[:20].tolist()
+        assert chain.query_many(X[:0], Y[:0]).shape == (0,)
+
+
 def test_hw_insert_reaches_target_and_stays_above():
     D = diag_metric()
     chain = HWChain.base(D.weights)

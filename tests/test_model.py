@@ -12,6 +12,9 @@ from fpplab.model import (
     EdgeDistribution,
     LatticeBox,
     WeightField,
+    _adjacency,
+    _edge_arrays,
+    sample_weight_rows,
     sample_weights,
     subcritical_atom_check,
     truncate,
@@ -145,6 +148,38 @@ def test_sample_weights_deterministic_in_seed():
     c = sample_weights(tp, box, 12)
     assert np.array_equal(a.weights, b.weights)
     assert not np.array_equal(a.weights, c.weights)
+
+
+_EVERY_LAW = [
+    EdgeDistribution.deterministic(1.5),
+    EdgeDistribution.two_point(1, 2, Fraction(1, 3)),
+    EdgeDistribution.uniform(0.5, 2.0),
+    EdgeDistribution.exponential(1.0, shift=0.25),
+    EdgeDistribution.finite_support([0.0, 1.0, 2.5],
+                                    [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]),
+    truncate(EdgeDistribution.exponential(2.0), 0.7),
+    truncate(EdgeDistribution.uniform(0.0, 1.0), 0.3),
+]
+
+
+@pytest.mark.parametrize("law", _EVERY_LAW, ids=lambda law: law.kind)
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 2)])
+def test_sample_weight_rows_equal_sample_weights(law, d, n):
+    box = LatticeBox(d, n)
+    seeds = [0, 1, 7, 123456789, 2**63 + 5, 2**64 - 1, -3]
+    rows = sample_weight_rows(law, box, seeds)
+    assert rows.shape == (len(seeds), box.n_edges)
+    for row, seed in zip(rows, seeds):
+        assert row.tobytes() == sample_weights(law, box, seed).weights.tobytes()
+    # a uint64 seed array, as SeedSequence.generate_state returns, gives the same rows
+    again = sample_weight_rows(law, box, np.array(seeds[:6], dtype=np.uint64))
+    assert again.tobytes() == rows[:6].tobytes()
+
+
+def test_cached_edge_tables_are_read_only():
+    base, axis, (u, v) = _edge_arrays(2, 3)
+    for arr in (base, axis, u, v, *_adjacency(2, 3)):
+        assert not arr.flags.writeable
 
 
 def test_sample_weights_support():

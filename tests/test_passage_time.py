@@ -1,5 +1,6 @@
 """Restricted passage times, the rescaled box pseudometric, and path helpers."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
+from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, sample_weight_rows,
+                          sample_weights)
 from fpplab.passage_time import (
     ContinuousMetric,
     DiscretePath,
@@ -22,6 +24,7 @@ from fpplab.passage_time import (
     restricted_passage_time,
     uniform_gap,
 )
+from fpplab.passage_time import _region_mask, _rows_per_block, _solve, _solve_rows
 from reference import reference_dijkstra
 
 
@@ -114,6 +117,28 @@ def test_region_restriction_lengthens_or_disconnects():
     assert path is None
 
 
+_SPLIT = [(x, y) for x in (0, 1, 3, 4) for y in range(5)]  # column x = 2 is cut out
+
+
+@pytest.mark.parametrize("region", [None, ((0, 4), (0, 0)), _SPLIT],
+                         ids=["box", "strip", "disconnecting"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_solve_rows_equal_per_field_solves(region, offset):
+    law = EdgeDistribution.exponential(1.0)
+    box = LatticeBox(2, 4)
+    mask = _region_mask(box, region)
+    rows = _rows_per_block(box) + offset
+    W = sample_weight_rows(law, box, np.arange(rows))
+    live = np.arange(box.n_vertices) if mask is None else np.nonzero(mask)[0]
+    sources = live[np.arange(rows) % len(live)]
+    got = _solve_rows(W, box, sources, mask)
+    want = np.array([_solve(WeightField(box, law, 0, w), s, mask)[0]
+                     for w, s in zip(W, sources)])
+    assert got.tobytes() == want.tobytes()
+    if region is _SPLIT:
+        assert np.isinf(got[0, box.vertex_id((4, 0))])  # row 0 starts at (0, 0)
+
+
 def test_region_must_contain_endpoints():
     field = _det_field(2, 4)
     with pytest.raises(ValueError):
@@ -184,6 +209,23 @@ def test_rescaled_metric_csv_round_trip(tmp_path):
     assert len(body) == rm.matrix.shape[0]
     got = np.array([[float(v) for v in row[1:]] for row in body])
     assert np.array_equal(got, rm.matrix)
+
+
+@pytest.mark.parametrize("law, d, n, seed, points, sha256", [
+    (EdgeDistribution.two_point(1, 2, Fraction(1, 2)), 2, 4, 3, None,
+     "c72651dc35218f73c183595eecfe8f6bfe30fb78813693d8bb8d384c24611c65"),
+    (EdgeDistribution.exponential(1.0), 3, 2, 5, None,
+     "ba48f9e99340121f7b131ca19f1731f68214ba20f30fc6ef4c740b9e5f8e5e26"),
+    (EdgeDistribution.two_point(1, 2, Fraction(1, 3)), 2, 6, 8,
+     [[0, 0], [6, 6], [3, 1], [2, 5], [6, 0]],
+     "fa30abd9e8efa675c5930284458b70b9f35837ffb9f21b93fb0ffe463e7ab8be"),
+], ids=["two-point", "exponential", "points"])
+def test_metric_csv_bytes_are_pinned(tmp_path, law, d, n, seed, points, sha256):
+    # digests of files written through csv.writer with repr(float(v)) per cell
+    rm = rescaled_metric(sample_weights(law, LatticeBox(d, n), seed), points=points)
+    out = tmp_path / "metric.csv"
+    rm.write_csv(out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_rescaled_metric_explicit_points_guard():
