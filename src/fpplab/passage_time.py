@@ -159,7 +159,8 @@ def _solve_rows(W: np.ndarray, box: LatticeBox, sources, mask=None) -> np.ndarra
 
     ``W`` is a ``(B, n_edges)`` block of weight rows of ``box`` and
     ``sources`` one vertex id, or one per row.  The rows are solved in
-    chunks of :data:`_BLOCK_VERTICES`: each chunk is one block-diagonal
+    chunks of :func:`_rows_per_block` rows, at most :data:`_BLOCK_VERTICES`
+    vertices unless one row has more: each chunk is one block-diagonal
     :func:`_box_graph` and one csgraph Dijkstra with ``min_only=True`` from
     every block's source.  The blocks are disjoint components, so each
     block's distances are its own field's, bit for bit those of
