@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import LatticeBox, sample_weight_rows
+from .model import LatticeBox
 # not called here: perfbench/tests/test_tracing.py checks the tracer on this
 # from-import copy
 from .model import sample_weights  # noqa: F401
@@ -29,7 +29,7 @@ from .oracle import (
     exact_event_probability,
     wilson_interval,
 )
-from .passage_time import _pair_ids, _region_mask, _rows_per_block, _solve_rows
+from .passage_time import _seeded_passage_times
 
 _Z95 = 1.959963984540054
 
@@ -115,21 +115,6 @@ def _domain_check(dist, x: np.ndarray, zeta: float):
     return l1
 
 
-def _mc_passage_times(dist, box: LatticeBox, seeds, origin, target,
-                      region=None) -> np.ndarray:
-    """T(origin, target) among paths in ``region``, under the field of each
-    replicate seed in turn.  Fields are sampled and solved a chunk of rows
-    at a time, one block-diagonal solve per chunk."""
-    mask = _region_mask(box, region)
-    sid, tid = _pair_ids(box, origin, target, mask)
-    rows = _rows_per_block(box)
-    out = np.empty(len(seeds))
-    for start in range(0, len(seeds), rows):
-        W = sample_weight_rows(dist, box, seeds[start:start + rows])
-        out[start:start + rows] = _solve_rows(W, box, sid, mask)[:, tid]
-    return out
-
-
 def estimate_rate_point(
     dist,
     x,
@@ -192,7 +177,7 @@ def estimate_rate_point(
         raise ValueError("exact method requires a finite-support distribution")
 
     rep_seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
-    times = _mc_passage_times(dist, box, rep_seeds, origin, target, region)
+    times = _seeded_passage_times(dist, box, rep_seeds, origin, target, region)
     hits = int(np.count_nonzero(times <= t_budget))
     lo_p, hi_p = wilson_interval(hits, samples)
     if hits == 0:
@@ -287,7 +272,7 @@ def estimate_time_constant(
         target = tuple(int(c) for c in n * xv)
         origin = (0,) * d
         rep_seeds = root.spawn(1)[0].generate_state(samples, dtype=np.uint64)
-        vals = _mc_passage_times(dist, box, rep_seeds, origin, target) / n
+        vals = _seeded_passage_times(dist, box, rep_seeds, origin, target) / n
         means.append(float(vals.mean()))
         sd = float(vals.std(ddof=1)) if samples > 1 else 0.0
         halfs.append(_Z95 * sd / math.sqrt(samples))

@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from fpplab.model import LatticeBox, WeightField, _adjacency, _edge_arrays
+from fpplab.model import (LatticeBox, WeightField, _adjacency, _edge_arrays,
+                          sample_weight_rows)
 
 __all__ = [
     "DiscretePath",
@@ -104,8 +105,8 @@ def _region_mask(box: LatticeBox, region) -> np.ndarray | None:
 # the shortest-path solve
 
 
-#: Vertices in one block-diagonal graph of :func:`_solve_rows`; a chunk holds
-#: as many weight rows as fit.  csgraph's multi-source solve slows down on
+#: Vertices in one block-diagonal graph of :func:`_seeded_passage_times`; a
+#: chunk holds as many weight rows as fit.  csgraph's multi-source solve slows down on
 #: larger graphs: at d=2 n=64 one row per solve was the fastest.
 _BLOCK_VERTICES = 1 << 12
 
@@ -149,33 +150,39 @@ def _solve(field: WeightField, sources, mask=None, access=None):
     return _scipy_dijkstra(graph, directed=True, indices=sources), graph
 
 
-def _rows_per_block(box: LatticeBox) -> int:
-    """Weight rows in one block-diagonal solve of :func:`_solve_rows`."""
-    return max(1, _BLOCK_VERTICES // box.n_vertices)
-
-
 def _solve_rows(W: np.ndarray, box: LatticeBox, sources, mask=None) -> np.ndarray:
     """Passage times from one source per weight row: shape ``(B, n_vertices)``.
 
     ``W`` is a ``(B, n_edges)`` block of weight rows of ``box`` and
-    ``sources`` one vertex id, or one per row.  The rows are solved in
-    chunks of :func:`_rows_per_block` rows, at most :data:`_BLOCK_VERTICES`
-    vertices unless one row has more: each chunk is one block-diagonal
-    :func:`_box_graph` and one csgraph Dijkstra with ``min_only=True`` from
-    every block's source.  The blocks are disjoint components, so each
-    block's distances are its own field's, bit for bit those of
-    :func:`_solve` on that field.
+    ``sources`` one vertex id, or one per row.  All rows go into one
+    block-diagonal :func:`_box_graph` and one csgraph Dijkstra with
+    ``min_only=True`` from every block's source.  The blocks are disjoint
+    components, so each block's distances are its own field's, bit for bit
+    those of :func:`_solve` on that field.
     """
     V = box.n_vertices
-    src = np.broadcast_to(np.asarray(sources, dtype=np.int64), (len(W),))
-    rows = _rows_per_block(box)
-    out = np.empty((len(W), V))
-    for start in range(0, len(W), rows):
-        chunk = W[start:start + rows]
-        graph = _box_graph(chunk, box, mask)
-        starts = src[start:start + rows] + V * np.arange(len(chunk))
-        dist = _scipy_dijkstra(graph, directed=True, indices=starts, min_only=True)
-        out[start:start + rows] = dist.reshape(len(chunk), V)
+    starts = np.asarray(sources, dtype=np.int64) + V * np.arange(len(W))
+    dist = _scipy_dijkstra(_box_graph(W, box, mask), directed=True, indices=starts,
+                           min_only=True)
+    return dist.reshape(len(W), V)
+
+
+def _seeded_passage_times(dist, box: LatticeBox, seeds, x, y, region=None) -> np.ndarray:
+    """T(x, y) among paths in ``region``, under the field of each seed in turn.
+
+    The fields are sampled as weight rows and solved by :func:`_solve_rows`
+    a chunk at a time, as many rows per chunk as fit in
+    :data:`_BLOCK_VERTICES` vertices (one row when a single box has more).
+    Each value equals ``restricted_passage_time(sample_weights(dist, box,
+    seed), x, y, region)`` bit for bit.
+    """
+    mask = _region_mask(box, region)
+    sid, tid = _pair_ids(box, x, y, mask)
+    rows = max(1, _BLOCK_VERTICES // box.n_vertices)
+    out = np.empty(len(seeds))
+    for start in range(0, len(seeds), rows):
+        W = sample_weight_rows(dist, box, seeds[start:start + rows])
+        out[start:start + rows] = _solve_rows(W, box, sid, mask)[:, tid]
     return out
 
 
@@ -289,24 +296,14 @@ class RescaledMetric:
 
         Cells are ``repr`` of the rescaled values, ``\r\n`` ends each line,
         and labels such as ``0_3`` never need quoting.  Rows are written one
-        at a time as ``raw_times[i] / n``, the values of ``matrix[i]``.  When
-        a row repeats its values (integer laws), ``repr`` runs once per
-        distinct value, found by ``np.unique`` on the bit patterns so that
-        equal-comparing values such as ``0.0`` and ``-0.0`` stay apart.
+        at a time as ``raw_times[i] / n``, the values of ``matrix[i]``.
         """
         labels = ["_".join(map(str, p)) for p in self.points]
         assert all(lbl.replace("_", "").isdigit() for lbl in labels)  # no quoting needed
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["source"] + labels) + "\r\n")
             for lbl, raw in zip(labels, self.raw_times):
-                row = raw / self.n
-                bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
-                if 2 * len(bits) > len(row):
-                    cells = map(repr, row.tolist())
-                else:
-                    text = [repr(v) for v in bits.view(np.float64).tolist()]
-                    cells = map(text.__getitem__, inverse.tolist())
-                fh.write(lbl + "," + ",".join(cells) + "\r\n")
+                fh.write(lbl + "," + ",".join(map(repr, (raw / self.n).tolist())) + "\r\n")
 
 
 def rescaled_metric(field: WeightField, points=None) -> RescaledMetric:

@@ -24,7 +24,8 @@ from fpplab.passage_time import (
     restricted_passage_time,
     uniform_gap,
 )
-from fpplab.passage_time import _region_mask, _rows_per_block, _solve, _solve_rows
+from fpplab.passage_time import (_BLOCK_VERTICES, _region_mask, _seeded_passage_times,
+                                 _solve, _solve_rows)
 from reference import reference_dijkstra
 
 
@@ -122,12 +123,11 @@ _SPLIT = [(x, y) for x in (0, 1, 3, 4) for y in range(5)]  # column x = 2 is cut
 
 @pytest.mark.parametrize("region", [None, ((0, 4), (0, 0)), _SPLIT],
                          ids=["box", "strip", "disconnecting"])
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_solve_rows_equal_per_field_solves(region, offset):
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_solve_rows_equal_per_field_solves(region, rows):
     law = EdgeDistribution.exponential(1.0)
     box = LatticeBox(2, 4)
     mask = _region_mask(box, region)
-    rows = _rows_per_block(box) + offset
     W = sample_weight_rows(law, box, np.arange(rows))
     live = np.arange(box.n_vertices) if mask is None else np.nonzero(mask)[0]
     sources = live[np.arange(rows) % len(live)]
@@ -137,6 +137,23 @@ def test_solve_rows_equal_per_field_solves(region, offset):
     assert got.tobytes() == want.tobytes()
     if region is _SPLIT:
         assert np.isinf(got[0, box.vertex_id((4, 0))])  # row 0 starts at (0, 0)
+
+
+@pytest.mark.parametrize("region", [None, ((0, 4), (0, 0)), _SPLIT],
+                         ids=["box", "strip", "disconnecting"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_seeded_passage_times_equal_per_field_solves(region, offset):
+    """Seed counts around one chunk of rows, so the last chunk is short,
+    full, or a single row."""
+    law = EdgeDistribution.exponential(1.0)
+    box = LatticeBox(2, 4)
+    seeds = np.arange(_BLOCK_VERTICES // box.n_vertices + offset, dtype=np.uint64)
+    got = _seeded_passage_times(law, box, seeds, (0, 0), (4, 0), region)
+    want = np.array([restricted_passage_time(sample_weights(law, box, s), (0, 0), (4, 0),
+                                             region) for s in seeds])
+    assert got.tobytes() == want.tobytes()
+    if region is _SPLIT:
+        assert np.all(np.isinf(got))
 
 
 def test_region_must_contain_endpoints():
