@@ -424,10 +424,12 @@ def _metric_from(cfg_metric: dict, key: str):
         return NormPlusHighways.from_json(cfg_metric)
 
 
-def _rate_fn_from(rec: dict, outdir: Path):
+def _rate_fn_from(rec: dict, outdir: Path, dim: int):
+    """The rate integrand of a config, for a metric of dimension ``dim``."""
     from fpplab.functional import AnalyticRate, SurfaceRate
 
     if rec["kind"] == "analytic":
+        _check_dim("rate.weights", len(rec["weights"]), dim)
         return AnalyticRate(rec["weights"], scale=rec.get("scale", 1.0))
     from fpplab.elementary_rate import RateSurface
 
@@ -453,6 +455,14 @@ def _config_values(key: str):
         yield
     except (ValueError, TypeError) as exc:
         raise _ConfigValueError(f'{exc} (in "{key}")') from exc
+
+
+def _check_dim(key: str, got: int, want: int) -> None:
+    """A config error naming ``key`` when a value of dimension ``got`` meets
+    a metric or box of dimension ``want``."""
+    if got != want:
+        with _config_values(key):
+            raise ValueError(f"dimension {got} does not match dimension {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +529,8 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
             event = EventSpec.passage_time_at_most(ev["x"], ev["y"], ev["t"])
         elif ev["kind"] == "ld_lower":
             metric = _metric_from(ev["metric"], "event.metric")
-            event = EventSpec.ld_lower(lambda x, y: float(metric.evaluate(x, y)),
-                                       ev["eps"])
+            _check_dim("event.metric", metric.dim, cfg["dim"])
+            event = EventSpec.ld_lower(metric, ev["eps"])
         else:
             event = EventSpec.hub(ev["x"], ev["kappa"])
     for key in ("x", "y"):
@@ -660,18 +670,21 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
     from fpplab.geometry import LipschitzPath, network_from_highways
 
     metric = _metric_from(cfg["metric"], "metric")
-    J = _rate_fn_from(cfg["rate"], outdir)
+    J = _rate_fn_from(cfg["rate"], outdir, metric.dim)
     net = network_from_highways(metric)
     family = None
     if "family" in cfg:
         with _config_values("family"):
-            family = PathFamily([LipschitzPath(np.asarray(p, dtype=float))
-                                 for p in cfg["family"]])
+            paths = [LipschitzPath(np.asarray(p, dtype=float)) for p in cfg["family"]]
+            for path in paths:
+                _check_dim("family", path.dim, metric.dim)
+            family = PathFamily(paths)
     rep = functional_report(metric, net, J, family=family,
                             order=cfg.get("order", 8))
     out = rep.to_json()
     if "probe_metric" in cfg:
         smaller = _metric_from(cfg["probe_metric"], "probe_metric")
+        _check_dim("probe_metric", smaller.dim, metric.dim)
         probe = strict_monotonicity_probe(smaller, metric, J,
                                           seed=cfg.get("seed", 0))
         out["monotonicity_probe"] = probe.to_json()
@@ -702,7 +715,7 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
         dist = EdgeDistribution.from_spec(cfg["distribution"])
     fv = None
     if "rate" in cfg:
-        J = _rate_fn_from(cfg["rate"], outdir)
+        J = _rate_fn_from(cfg["rate"], outdir, metric.dim)
         fv = functional_geodesic_sum(metric, network_from_highways(metric), J)
     table = empirical_ld_trend(
         metric, dist, cfg["eps"], cfg["n_ladder"],

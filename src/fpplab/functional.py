@@ -26,9 +26,8 @@ from fpplab.geometry import (
     HighwayNetwork,
     LipschitzPath,
     NormPlusHighways,
-    _as_eval,
-    _as_pair_eval,
     _norm_factory,
+    _pair_eval,
     hausdorff_integrate,
     metric_derivative,
     network_from_highways,
@@ -205,7 +204,7 @@ def _check_network_of(D, net: HighwayNetwork, tol: float):
     cumulative table, which is what makes the stored discounts meaningful.
     All paths are checked in one batch; the first failing point is reported.
     """
-    ev_many = _as_pair_eval(D)
+    ev_many = _pair_eval(D)
     if hasattr(D, "weights") and not np.allclose(np.asarray(D.weights, float), net.weights):
         raise GeometryError("network weights disagree with the metric's norm")
     if not net.paths:
@@ -626,13 +625,12 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
             dim = int(len(D.weights))
         else:
             raise ValueError("pass dim explicitly for a bare metric callable")
-    ev = _as_eval(D)
     rungs = [int(n) for n in n_ladder]
     root = np.random.SeedSequence(seed)
     rows = []
     for n, seq in zip(rungs, root.spawn(max(len(rungs), 1))):
         box = LatticeBox(dimension=dim, side=n)
-        event = EventSpec.ld_lower(lambda x, y: float(ev(x, y)), eps, grid=grid)
+        event = EventSpec.ld_lower(D, eps, grid=grid)
         fits = (dist.is_finite_support
                 and len(dist.atoms()[0]) ** box.n_edges <= enum_cap)
         use_exact = method == "exact" or (method == "auto" and fits)

@@ -551,10 +551,7 @@ class NormPlusHighways:
         is one array operation over a chunk of rows, and the chunks keep
         every temporary within a fixed element budget.
         """
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
-            raise GeometryError(f"points must be two arrays of shape (B, {self.dim})")
+        X, Y = _point_rows(X, Y, self.dim)
         rows = self._batch_rows()
         out = np.empty(len(X))
         for start in range(0, len(X), rows):
@@ -565,9 +562,6 @@ class NormPlusHighways:
     def evaluate(self, x, y) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None],
                                         np.asarray(y, dtype=float)[None])[0])
-
-    def __call__(self, x, y) -> float:
-        return self.evaluate(x, y)
 
     # -- geodesics ---------------------------------------------------------------
 
@@ -664,56 +658,56 @@ class GridPseudometric:
         self.dim = int(dim)
 
     @classmethod
-    def from_function(cls, fn: Callable, m: int, dim: int) -> "GridPseudometric":
+    def from_function(cls, metric, m: int, dim: int) -> "GridPseudometric":
+        """Tabulate ``metric`` (see :func:`_pair_eval`) on the grid nodes, all
+        pairs above the diagonal in one batch."""
         coords = np.stack(np.meshgrid(*([np.arange(m + 1)] * dim), indexing="ij"), axis=-1)
         nodes = coords.reshape(-1, dim) / m
         n = nodes.shape[0]
+        i, j = np.triu_indices(n, 1)
         vals = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                vals[i, j] = vals[j, i] = fn(nodes[i], nodes[j])
+        vals[i, j] = vals[j, i] = _pair_eval(metric)(nodes[i], nodes[j])
         return cls(vals, m, dim)
 
-    @classmethod
-    def from_rescaled(cls, rescaled) -> "GridPseudometric":
-        """Adapter for a box metric already tabulated on all lattice sites."""
-        box = rescaled.field.box
-        return cls(rescaled.matrix, box.side, box.dimension)
-
-    def _corners(self, z: np.ndarray):
-        zm = np.clip(np.asarray(z, dtype=float), 0.0, 1.0) * self.m
+    def _corners(self, Z: np.ndarray):
+        """Flat node ids and multilinear weights of the 2^d corners of the
+        grid cell holding each row of Z, two ``(B, 2^d)`` arrays."""
+        zm = np.clip(Z, 0.0, 1.0) * self.m
         base = np.minimum(zm.astype(int), self.m - 1)
         frac = zm - base
-        idx = []
-        wts = []
-        for corner in range(1 << self.dim):
-            w = 1.0
-            flat = 0
-            for a in range(self.dim):
-                bit = (corner >> a) & 1
-                w *= frac[a] if bit else (1.0 - frac[a])
-                flat = flat * (self.m + 1) + (base[a] + bit)
-            if w > 0.0:
-                idx.append(flat)
-                wts.append(w)
-        return np.array(idx), np.array(wts)
+        corner = np.arange(1 << self.dim)
+        w = np.ones((len(Z), len(corner)))
+        flat = np.zeros((len(Z), len(corner)), dtype=np.int64)
+        for a in range(self.dim):
+            bit = (corner >> a) & 1
+            w *= np.where(bit, frac[:, a, None], 1.0 - frac[:, a, None])
+            flat = flat * (self.m + 1) + (base[:, a, None] + bit)
+        return flat, w
+
+    def evaluate_many(self, X, Y) -> np.ndarray:
+        """Interpolated values between the rows of X and Y, two ``(B, dim)``
+        arrays."""
+        X, Y = _point_rows(X, Y, self.dim)
+        ix, wx = self._corners(X)
+        iy, wy = self._corners(Y)
+        # a corner of weight zero drops out, so an inf stored there cannot
+        # turn the sum into nan
+        live = (wx[:, :, None] > 0.0) & (wy[:, None, :] > 0.0)
+        block = np.where(live, self.values[ix[:, :, None], iy[:, None, :]], 0.0)
+        return (wx[:, None, :] @ block @ wy[:, :, None])[:, 0, 0]
 
     def evaluate(self, x, y) -> float:
-        ix, wx = self._corners(x)
-        iy, wy = self._corners(y)
-        block = self.values[np.ix_(ix, iy)]
-        return float(wx @ block @ wy)
-
-    def __call__(self, x, y) -> float:
-        return self.evaluate(x, y)
+        return float(self.evaluate_many(np.asarray(x, dtype=float)[None],
+                                        np.asarray(y, dtype=float)[None])[0])
 
 
-def _as_eval(metric) -> Callable:
-    if callable(metric):
-        return metric
-    if hasattr(metric, "evaluate"):
-        return metric.evaluate
-    raise TypeError("metric must be callable or expose .evaluate(x, y)")
+def _point_rows(X, Y, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as float arrays, checked to be two ``(B, dim)`` point arrays."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != dim:
+        raise GeometryError(f"points must be two arrays of shape (B, {dim})")
+    return X, Y
 
 
 def _pair_rows(pairs, dim: int):
@@ -724,13 +718,17 @@ def _pair_rows(pairs, dim: int):
             np.array([b for _, b in pairs], dtype=float))
 
 
-def _as_pair_eval(metric) -> Callable:
-    """``(X, Y) -> distances`` between the rows of two point arrays: the
-    metric's own ``evaluate_many`` where it has one, else a loop over pairs."""
+def _pair_eval(metric) -> Callable:
+    """``(X, Y) -> distances`` between the rows of two point arrays.
+
+    A metric object answers with its own ``evaluate_many``; a bare
+    ``(x, y) -> float`` callable is called once per pair.
+    """
     if hasattr(metric, "evaluate_many"):
         return metric.evaluate_many
-    ev = _as_eval(metric)
-    return lambda X, Y: np.array([float(ev(a, b)) for a, b in zip(X, Y)])
+    if callable(metric):
+        return lambda X, Y: np.array([float(metric(a, b)) for a, b in zip(X, Y)])
+    raise TypeError("metric must expose evaluate_many(X, Y) or be a callable (x, y)")
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +804,6 @@ class HWChain:
         route += gy[:, None, :]
         return route.reshape(len(route), -1).min(axis=1)
 
-    def __call__(self, x, y) -> float:
-        return self.query(x, y)
-
     def insert(self, path: LipschitzPath, access_params: np.ndarray, cum: np.ndarray) -> "HWChain":
         """Insert one highway given its access parameters and the cumulative
         target distance along them; returns the next chain state, whose last
@@ -844,10 +839,9 @@ def hw_insert(
     access grid is doubled until the queried values at the probe pairs are
     Cauchy at tolerance ``tol``.
     """
-    ev = _as_eval(target)
-    ev_many = _as_pair_eval(target)
+    ev_many = _pair_eval(target)
     total = path.length_l1
-    direct = ev(path.points[0], path.points[-1])
+    direct = float(ev_many(path.points[:1], path.points[-1:])[0])
 
     if probe_pairs is None:
         corners = [np.zeros(chain.dim), np.ones(chain.dim)]
@@ -1059,15 +1053,21 @@ def d_length(metric, path: LipschitzPath, tol: float = 1e-9, max_depth: int = 12
     the sum by at most ``tol`` relative to its size.  Raises
     :class:`RefinementError` when the budget is exhausted before that.
     """
-    ev = _as_eval(metric)
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    ev_many = _pair_eval(metric)
+
+    def chain_sum(params):
+        pts = path.point_at(params)
+        # summed left to right, as the chain is walked
+        return float(sum(ev_many(pts[:-1], pts[1:]).tolist()))
+
     params = np.asarray(path.cum, dtype=float)
-    pts = path.point_at(params)
-    val = float(sum(ev(pts[i], pts[i + 1]) for i in range(len(params) - 1)))
+    val = chain_sum(params)
     for depth in range(1, max_depth + 1):
         mids = 0.5 * (params[:-1] + params[1:])
         params = np.sort(np.concatenate([params, mids]))
-        pts = path.point_at(params)
-        new = float(sum(ev(pts[i], pts[i + 1]) for i in range(len(params) - 1)))
+        new = chain_sum(params)
         if new - val <= tol * max(1.0, abs(new)):
             if return_details:
                 return new, {"depth": depth, "n_points": len(params)}
@@ -1099,23 +1099,20 @@ def metric_derivative(metric, path: LipschitzPath, t: float, h0: float | None = 
     total = path.length_l1
     if not (0.0 < t < total):
         raise GeometryError("parameter must be interior to the path")
-    ev = _as_eval(metric)
     if h0 is None:
         h0 = min(t, total - t) / 4.0
     h0 = min(h0, t, total - t)
-    hs = [h0 / 2 ** j for j in range(levels)]
-    qs = []
-    for h in hs:
-        a = path.point_at(t - h)
-        b = path.point_at(t + h)
-        qs.append(ev(a, b) / (2.0 * h))
+    hs = h0 / 2.0 ** np.arange(levels)
+    h = hs[-1]
+    # the symmetric ladder, then the two one-sided quotients at the last step
+    lo = path.point_at(np.append(t - hs, [t - h, t]))
+    hi = path.point_at(np.append(t + hs, [t, t + h]))
+    vals = _pair_eval(metric)(lo, hi)
+    qs = (vals[:levels] / (2.0 * hs)).tolist()
+    q_minus, q_plus = (vals[levels:] / h).tolist()
     rich = [2.0 * qs[j + 1] - qs[j] for j in range(len(qs) - 1)]
     value = rich[-1]
     spread = abs(rich[-1] - rich[-2]) if len(rich) >= 2 else math.inf
-    h = hs[-1]
-    mid = path.point_at(t)
-    q_minus = ev(path.point_at(t - h), mid) / h
-    q_plus = ev(mid, path.point_at(t + h)) / h
     gap = abs(q_plus - q_minus)
     flagged = spread > tol or gap > tol
     return MetricDerivative(value=float(value), quotients=tuple(qs),
@@ -1193,20 +1190,18 @@ def gradient_by_paths(metric, z, u, h_ladder=None) -> GradientEstimate:
 
 
 def _straight_probe(metric, z, u, h_ladder=None) -> float:
-    ev = _as_eval(metric)
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
     if h_ladder is None:
         h_ladder = [2.0 ** (-j) for j in range(3, 11)]
-    best = math.inf
-    for h in h_ladder:
-        w = z + h * u
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            continue
-        best = min(best, ev(z, w) / h)
-    if not math.isfinite(best):
+    hs = np.asarray(h_ladder, dtype=float)
+    W = z + hs[:, None] * u
+    inside = np.all((W >= 0.0) & (W <= 1.0), axis=1)
+    if not inside.any():
         raise GeometryError("no probe step keeps z + h u inside the cube")
-    return float(best)
+    hs, W = hs[inside], W[inside]
+    vals = _pair_eval(metric)(np.broadcast_to(z, W.shape), W)
+    return float(np.min(vals / hs))
 
 
 def hausdorff_integrate(paths: Sequence[LipschitzPath], integrand: Callable,

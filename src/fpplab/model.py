@@ -256,58 +256,7 @@ class EdgeDistribution:
                     return cap
                 # E[min(tau, cap)] = shift + (1 - exp(-rate (cap - shift))) / rate
                 return shift - math.expm1(-rate * (cap - shift)) / rate
-            if base.is_finite_support:
-                values, probs = base.atoms()
-                return float(sum(Fraction(min(v, cap)) * p for v, p in zip(values, probs)))
             raise AssertionError(base.kind)
-        raise AssertionError(self.kind)
-
-    def mgf(self, lam: float) -> float:
-        """E[exp(lam * tau)]; raises when the moment generating function diverges."""
-        if self.is_finite_support:
-            values, probs = self.atoms()
-            return float(sum(float(p) * math.exp(lam * v) for v, p in zip(values, probs)))
-        if self.kind == "uniform":
-            a, b = self.params
-            if lam == 0.0:
-                return 1.0
-            return (math.exp(lam * b) - math.exp(lam * a)) / (lam * (b - a))
-        if self.kind == "exponential":
-            rate, shift = self.params
-            if lam >= rate:
-                raise ValueError(f"mgf diverges for lam >= rate ({lam} >= {rate})")
-            return math.exp(lam * shift) * rate / (rate - lam)
-        if self.kind == "truncated":
-            base, cap = self.params
-            if base.is_finite_support:
-                values, probs = base.atoms()
-                return float(
-                    sum(float(p) * math.exp(lam * min(v, cap)) for v, p in zip(values, probs))
-                )
-            if base.kind == "uniform":
-                a, b = base.params
-                hi = min(b, cap)
-                mass_cont = (hi - a) / (b - a)
-                if lam == 0.0:
-                    cont = mass_cont
-                else:
-                    cont = (math.exp(lam * hi) - math.exp(lam * a)) / (lam * (b - a))
-                return cont + (1.0 - mass_cont) * math.exp(lam * cap)
-            if base.kind == "exponential":
-                rate, shift = base.params
-                if cap <= shift:
-                    return math.exp(lam * cap)
-                tail = math.exp(-rate * (cap - shift))
-                if lam == rate:
-                    cont = rate * (cap - shift) * math.exp(lam * shift)
-                else:
-                    cont = (
-                        math.exp(lam * shift)
-                        * rate
-                        / (rate - lam)
-                        * -math.expm1(-(rate - lam) * (cap - shift))
-                    )
-                return cont + tail * math.exp(lam * cap)
         raise AssertionError(self.kind)
 
     def log_mgf(self, lam: float) -> float:
@@ -341,6 +290,8 @@ class EdgeDistribution:
                 hi = min(b, cap)
                 if lam == 0.0:
                     return 0.0
+                if hi == a:  # all mass at the cap
+                    return lam * cap
                 z = lam * (hi - a)
                 if z > 0:
                     core = z + math.log(-math.expm1(-z)) - math.log(z)
@@ -359,20 +310,16 @@ class EdgeDistribution:
                 if lam == rate:
                     log_cont = lam * shift + math.log(rate * (cap - shift))
                 else:
-                    # rate/(rate-lam) (1 - exp(-(rate-lam)(cap-shift))) e^{lam shift}
+                    # rate/(rate-lam) (1 - exp(-z)) e^{lam shift}, z = (rate-lam)(cap-shift);
+                    # both factors change sign at lam = rate, and the law is
+                    # bounded, so lam > rate is finite too
                     z = (rate - lam) * (cap - shift)
                     if z > 0:
                         inner = math.log(-math.expm1(-z))
                     else:
-                        inner = z + math.log(-math.expm1(z))
+                        inner = -z + math.log(-math.expm1(z))
                     log_cont = lam * shift + math.log(rate) - math.log(abs(rate - lam)) + inner
-                    if rate - lam < 0:
-                        raise AssertionError("unreachable: lam < rate ensures rate - lam > 0")
                 return float(np.logaddexp(log_cont, log_tail))
-            if base.is_finite_support:
-                values, probs = base.atoms()
-                terms = [lam * min(v, cap) + math.log(float(p)) for v, p in zip(values, probs)]
-                return float(logsumexp(terms))
         raise AssertionError(self.kind)
 
     # -- sampling ----------------------------------------------------------

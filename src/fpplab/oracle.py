@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from fpplab.geometry import _pair_eval
 from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _adjacency, _edge_arrays,
                           sample_weight_rows)
 from fpplab.passage_time import _region_mask, hub_check
@@ -84,11 +85,15 @@ class EventSpec:
         )
 
     @classmethod
-    def ld_lower(cls, metric_fn: Callable, eps: float, grid=None) -> "EventSpec":
-        """All grid pairs satisfy T-hat(x, y) <= D(x, y) + eps."""
+    def ld_lower(cls, metric, eps: float, grid=None) -> "EventSpec":
+        """All grid pairs satisfy T-hat(x, y) <= D(x, y) + eps.
+
+        ``metric`` is D: an object with ``evaluate_many(X, Y)`` or a bare
+        ``(x, y) -> float`` callable.
+        """
         return cls(
             kind="ld_lower",
-            params={"metric_fn": metric_fn, "eps": float(eps), "grid": grid},
+            params={"metric": metric, "eps": float(eps), "grid": grid},
             decreasing=True,
             name=f"LD-lower(eps={float(eps)})",
         )
@@ -229,10 +234,8 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
             grid = box.all_vertex_coords()
         grid = np.asarray(grid, dtype=np.int64)
         gids = np.atleast_1d(box.vertex_id(grid))
-        D = np.empty((len(grid), len(grid)))
-        for i in range(len(grid)):
-            for j in range(len(grid)):
-                D[i, j] = p["metric_fn"](grid[i] / n, grid[j] / n)
+        i, j = np.divmod(np.arange(len(grid) ** 2), len(grid))
+        D = _pair_eval(p["metric"])(grid[i] / n, grid[j] / n).reshape(len(grid), len(grid))
         budget = D + p["eps"]
         nbr, eid = _arc_table(box, None)
 

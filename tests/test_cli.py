@@ -20,6 +20,7 @@ def run(tmp_path, command, cfg=None, extra=()):
 
 
 _DIAGONAL = DEFAULT_CONFIGS["highways"]["metric"]
+_NORM_3D = {"kind": "norm_plus_highways", "weights": [1.0, 1.0, 1.0], "highways": []}
 
 
 def read_json(tmp_path, name):
@@ -197,6 +198,12 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message)
     ("simulate", {"points": [[0, 0, 0]]}, "points"),
     ("highways", {"metric": {**_DIAGONAL, "weights": [1.0, 1.0, 1.0]}}, "metric"),
     ("functional", {"family": [[[0.2, 0.2], [0.2, 0.2]]]}, "family"),
+    # a value whose dimension differs from the box's or the metric's
+    ("oracle", {"event": {"kind": "ld_lower", "metric": _NORM_3D, "eps": 1.0}}, "event.metric"),
+    ("functional", {"rate": {"kind": "analytic", "weights": [1.0, 1.0, 1.0]}}, "rate.weights"),
+    ("functional", {"probe_metric": _NORM_3D}, "probe_metric"),
+    ("functional", {"family": [[[0.1, 0.1, 0.1], [0.5, 0.5, 0.5]]]}, "family"),
+    ("ld-trend", {"rate": {"kind": "analytic", "weights": [1.0, 1.0, 1.0]}}, "rate.weights"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

@@ -33,6 +33,8 @@ from fpplab.geometry import (
     paths_pairwise_disjoint,
     remove_loops,
 )
+from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
+from fpplab.passage_time import _BLOCK_VERTICES, ContinuousMetric
 
 F = Fraction
 
@@ -177,7 +179,7 @@ def test_diagonal_fixture_exact_values():
     D = diag_metric()
     one = D.evaluate((0, 0), (1, 1))
     assert one == 1.0
-    assert D((0, 0), (1, 1)) == one
+    assert D.evaluate_many([(0, 0)], [(1, 1)])[0] == one
     # the classic access fixture: enter at (1/4,1/4), leave at (3/4,3/4)
     assert D.evaluate((0.25, 0.0), (0.75, 1.0)) == 1.0
 
@@ -271,6 +273,11 @@ def test_geodesic_matches_evaluate_and_d_length():
         assert val == pytest.approx(D.evaluate(x, y), abs=1e-12)
         assert np.allclose(path.points[0], x) and np.allclose(path.points[-1], y)
         assert d_length(D, path) == pytest.approx(val, rel=1e-6)
+
+
+def test_d_length_needs_a_doubling():
+    with pytest.raises(ValueError):
+        d_length(diag_metric(), LipschitzPath([[0.0, 0.0], [1.0, 1.0]]), max_depth=0)
 
 
 def test_refined_never_increases_values():
@@ -407,6 +414,40 @@ def test_evaluate_many_equals_per_pair_evaluate(make):
     assert 1 < rows < len(X) - 1 and len(X) % rows != 0  # the walk ends on a short chunk
     for n in (1, rows - 1, rows, rows + 1, len(X)):
         assert np.array_equal(D.evaluate_many(X[:n], Y[:n]), want[:n])
+
+
+def test_grid_evaluate_many_rows_equal_rows_alone():
+    D = piecewise_metric()
+    G = GridPseudometric.from_function(D, m=5, dim=2)
+    # the batched table equals the one tabulated pair by pair
+    assert np.array_equal(G.values, GridPseudometric.from_function(D.evaluate, m=5, dim=2).values)
+    rng = np.random.default_rng(17)
+    nodes = np.array(list(np.ndindex(6, 6))) / 5.0
+    X = np.concatenate([nodes, rng.random((200, 2)), nodes[:7]])
+    Y = np.concatenate([nodes[::-1], rng.random((200, 2)), rng.random((7, 2))])
+    got = G.evaluate_many(X, Y)
+    assert np.array_equal(got, [G.evaluate(x, y) for x, y in zip(X, Y)])
+    # exact at pairs of grid nodes
+    ids = np.arange(36)
+    assert np.array_equal(got[:36], G.values[ids, ids[::-1]])
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+def test_continuous_evaluate_many_rows_equal_rows_alone(d, n):
+    field = sample_weights(EdgeDistribution.exponential(1.0), LatticeBox(d, n), 3)
+    cm = ContinuousMetric(field, 1.5)
+    rows = _BLOCK_VERTICES // (cm.box.n_vertices + 1)  # solves per block-diagonal chunk
+    rng = np.random.default_rng(9)
+    P = rng.random((rows + 3, d))
+    P[1] = np.round(P[1] * n) / n  # a lattice site
+    # more distinct X rows than one chunk holds, some of them repeated
+    X = np.concatenate([P, P[:5], P[::-1]])
+    Y = rng.random((len(X), d))
+    Y[0] = X[0]
+    want = np.array([cm.evaluate(x, y) for x, y in zip(X, Y)])
+    for k in (1, rows, rows + 1, len(X)):
+        assert np.array_equal(cm.evaluate_many(X[:k], Y[:k]), want[:k])
+    assert cm.evaluate_many(np.empty((0, d)), np.empty((0, d))).shape == (0,)
 
 
 def test_evaluate_many_validates_shapes():

@@ -78,6 +78,36 @@ def test_exponential_log_mgf_diverges_at_rate():
         ex.log_mgf(1.5)
 
 
+def _truncated_mgf_by_quadrature(law, lam):
+    """E[exp(lam * min(tau, cap))]: the base density on [support infimum,
+    cap) by quadrature, plus the atom at the cap."""
+    from scipy.integrate import quad
+
+    base, cap = law.params
+    lo = base.support_infimum
+    if base.kind == "uniform":
+        a, b = base.params
+        density = lambda t: 1.0 / (b - a)  # noqa: E731
+    else:
+        rate, shift = base.params
+        density = lambda t: rate * math.exp(-rate * (t - shift))  # noqa: E731
+    cont = quad(lambda t: density(t) * math.exp(lam * t), lo, cap)[0] if cap > lo else 0.0
+    return cont + (1.0 - base.cdf(cap)) * math.exp(lam * cap)
+
+
+@pytest.mark.parametrize("law", [
+    truncate(EdgeDistribution.exponential(1.0), 2.0),
+    truncate(EdgeDistribution.exponential(2.0, shift=0.5), 1.25),
+    truncate(EdgeDistribution.uniform(1.0, 3.0), 2.0),
+    truncate(EdgeDistribution.uniform(1.0, 2.0), 1.0),
+], ids=["exp", "shifted-exp", "uniform", "uniform-capped-at-a"])
+@pytest.mark.parametrize("lam", [-2.0, 0.5, 1.0, 1.5, 3.0])
+def test_truncated_log_mgf_matches_quadrature(law, lam):
+    # lam = 1.0 meets rate 1 of the first law; lam > rate is finite for a bounded law
+    want = math.log(_truncated_mgf_by_quadrature(law, lam))
+    assert law.log_mgf(lam) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_spec_round_trip():
     laws = [
         EdgeDistribution.deterministic(1.5),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
+from fpplab.model import EdgeDistribution, LatticeBox, sample_weights, truncate
 from fpplab.oracle import (
     CapExceededError,
     EventSpec,
@@ -230,6 +230,13 @@ def test_chernoff_formula_and_optimum():
     assert best == chernoff_upper_tail(TP, best_lam, eps, n, hops)
     with pytest.raises(ValueError):
         chernoff_upper_tail(TP, -0.1, eps, n, hops)
+
+
+def test_chernoff_best_lambda_of_a_truncated_exponential():
+    # the law is bounded, so lam above the base rate 1 gives finite bounds
+    law = truncate(EdgeDistribution.exponential(1.0), 2.0)
+    lam, bound = chernoff_best_lambda(law, 1.8, 4, 4)
+    assert lam > 1.0 and 0.0 < bound < 1.0
 
 
 def test_chernoff_bound_respected_empirically():
