@@ -569,10 +569,12 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
 
 
 def _cmd_rate(cfg: dict, outdir: Path) -> list:
-    from fpplab.elementary_rate import (default_zeta_grid, estimate_rate_point,
+    from fpplab.elementary_rate import (_canonical_direction, _domain_check, _scale_ladder,
+                                        default_zeta_grid, estimate_rate_point,
                                         estimate_time_constant, extend_surface,
                                         fekete_envelope, zero_set_check)
     from fpplab.model import EdgeDistribution
+    from fpplab.oracle import _check_method
 
     with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
@@ -581,9 +583,19 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
     samples = cfg.get("samples", 200)
     method = cfg.get("method", "auto")
     budget = cfg.get("budget", 1 << 13)
+    with _config_values("method"):
+        _check_method(method, dist)
+    with _config_values("x"):
+        xv = _canonical_direction(x)
     zetas = cfg.get("zeta_grid")
     if zetas is None:
         zetas = default_zeta_grid(dist, x, count=cfg.get("zeta_count", 5))
+    with _config_values("zeta_grid"):
+        for z in zetas:
+            _domain_check(dist, xv, z)
+    if "time_constant" in cfg:
+        with _config_values("time_constant"):
+            _scale_ladder(cfg["time_constant"]["n_ladder"])
     ladder = sorted(cfg["n_ladder"])
 
     root = np.random.SeedSequence(seed)
@@ -709,10 +721,13 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
     from fpplab.functional import empirical_ld_trend, functional_geodesic_sum
     from fpplab.geometry import network_from_highways
     from fpplab.model import EdgeDistribution
+    from fpplab.oracle import _check_method
 
     metric = _metric_from(cfg["metric"], "metric")
     with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
+    with _config_values("method"):
+        _check_method(cfg.get("method", "auto"), dist)
     fv = None
     if "rate" in cfg:
         J = _rate_fn_from(cfg["rate"], outdir, metric.dim)

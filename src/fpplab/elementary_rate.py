@@ -23,15 +23,14 @@ from .model import LatticeBox
 # not called here: perfbench/tests/test_tracing.py checks the tracer on this
 # from-import copy
 from .model import sample_weights  # noqa: F401
-from .oracle import (
-    CapExceededError,
-    EventSpec,
-    exact_event_probability,
-    wilson_interval,
-)
+from .oracle import CapExceededError, EventSpec, estimate_event_rate
 from .passage_time import _seeded_passage_times
 
 _Z95 = 1.959963984540054
+
+#: Largest box, in edges, that a rate point or a time-constant rung builds;
+#: a larger one (from config input) raises :class:`CapExceededError`.
+_MAX_EDGES = 1 << 22
 
 
 class SurfaceConflictError(ValueError):
@@ -47,6 +46,21 @@ def _canonical_direction(x) -> np.ndarray:
     if x.ndim != 1 or np.all(x == 0):
         raise ValueError("direction must be a nonzero integer vector")
     return np.abs(x)
+
+
+def _primitive(x) -> tuple[tuple[int, ...], int]:
+    """The primitive nonnegative direction p and the ray scale k, |x| = k p."""
+    xv = _canonical_direction(x)
+    k = math.gcd(*xv.tolist())
+    return tuple(int(v) for v in xv // k), k
+
+
+def _scaled_box(xv: np.ndarray, n: int):
+    """The box of side n max|x|, its origin and the target n x."""
+    box = LatticeBox(dimension=xv.shape[0], side=int(n * xv.max()))
+    if box.n_edges > _MAX_EDGES:
+        raise CapExceededError(box.n_edges, _MAX_EDGES)
+    return box, (0,) * box.dimension, tuple(int(c) for c in n * xv)
 
 
 @dataclass(frozen=True)
@@ -92,27 +106,17 @@ class RatePoint:
         return out
 
 
-def _atom_at_infimum(dist) -> Fraction:
-    if dist.is_finite_support:
-        values, probs = dist.atoms()
-        return sum((p for v, p in zip(values, probs)
-                    if Fraction(float(v)) == dist.support_infimum), Fraction(0))
-    return Fraction(0)
-
-
-def _domain_check(dist, x: np.ndarray, zeta: float):
+def _domain_check(dist, x: np.ndarray, zeta: float) -> None:
     """Speeds strictly above a |x|_1 are always admissible; the boundary speed
     itself only when the law has an atom at its infimum, since otherwise the
     event has probability zero at every scale."""
-    l1 = int(np.abs(x).sum())
-    threshold = dist.support_infimum * l1
+    threshold = dist.support_infimum * int(np.abs(x).sum())
     z = Fraction(float(zeta))
-    if z < threshold or (z == threshold and _atom_at_infimum(dist) == 0):
+    if z < threshold or (z == threshold and dist.atom_at_infimum() == 0):
         raise ValueError(
             f"zeta={zeta} is below (or at, with no atom) the trivial threshold "
             f"{float(threshold)} for x={x.tolist()}"
         )
-    return l1
 
 
 def estimate_rate_point(
@@ -124,73 +128,35 @@ def estimate_rate_point(
     seed: int = 0,
     method: str = "auto",
     region=None,
-    max_edges: int = 1 << 22,
     enum_cap: int = 1 << 13,
 ) -> RatePoint:
     """Estimate -(1/n) log P(T(0, n|x|) <= n zeta) on the box of side n max|x|.
 
     The direction is reflected to nonnegative coordinates first; coordinate
-    sign flips leave the weight law invariant, so this loses nothing.  With
-    ``method='auto'`` an exact enumeration oracle is used whenever the
-    configuration count fits ``enum_cap``, otherwise Monte Carlo over
-    independent fields with a Wilson interval; a zero-hit outcome is returned
-    censored.  Monte-Carlo fields are sampled as weight rows, one per
-    replicate seed, and solved a chunk of rows at a time by one
-    block-diagonal shortest-path solve; hits are bit for bit those of one
-    solve per field.  ``region`` restricts the admissible paths (for
-    thin-box ladders) and is passed through to both backends.
+    sign flips leave the weight law invariant, so this loses nothing.  The
+    rate comes from :func:`~fpplab.oracle.estimate_event_rate`: with
+    ``method='auto'`` exact enumeration whenever the configuration count
+    fits ``enum_cap``, otherwise Monte Carlo over independent fields with a
+    Wilson interval; a zero-hit outcome is returned censored, with the
+    one-sided bound as its estimate.  ``region`` restricts the admissible
+    paths (for thin-box ladders) and is passed through to both backends.
     """
     xv = _canonical_direction(x)
     _domain_check(dist, xv, zeta)
     if n < 1:
         raise ValueError("n must be at least 1")
-    side = int(n * xv.max())
-    d = xv.shape[0]
-    box = LatticeBox(dimension=d, side=side)
-    if box.n_edges > max_edges:
-        raise CapExceededError(box.n_edges, max_edges)
-    target = tuple(int(c) for c in n * xv)
-    origin = (0,) * d
-    t_budget = float(n * zeta)
-    event = EventSpec.passage_time_at_most(origin, target, t_budget, region=region)
-
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method in ("auto", "exact") and dist.is_finite_support:
-        try:
-            res = exact_event_probability(event, dist, box, cap=enum_cap)
-        except CapExceededError:
-            if method == "exact":
-                raise
-            res = None
-        if res is not None:
-            p = res.p
-            if p == 0:
-                raise AssertionError(
-                    "exact zero probability inside the domain; check the region")
-            rate = max(-math.log(float(p)) / n, 0.0) + 0.0
-            return RatePoint(x=tuple(int(c) for c in xv), zeta=float(zeta), n=n,
-                             estimate=rate, ci=(rate, rate), method="exact-oracle",
-                             p_exact=p)
-    if method == "exact":
-        raise ValueError("exact method requires a finite-support distribution")
-
-    rep_seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
-    times = _seeded_passage_times(dist, box, rep_seeds, origin, target, region)
-    hits = int(np.count_nonzero(times <= t_budget))
-    lo_p, hi_p = wilson_interval(hits, samples)
-    if hits == 0:
-        bound = -math.log(hi_p) / n
-        return RatePoint(x=tuple(int(c) for c in xv), zeta=float(zeta), n=n,
-                         estimate=bound, ci=(bound, math.inf), method="monte-carlo",
-                         censored=True, p_hat=0.0, samples=samples, hits=0, seed=seed)
-    p_hat = hits / samples
-    est = max(-math.log(p_hat) / n, 0.0)
-    ci = (max(-math.log(hi_p) / n, 0.0), math.inf if lo_p == 0 else -math.log(lo_p) / n)
-    return RatePoint(x=tuple(int(c) for c in xv), zeta=float(zeta), n=n,
-                     estimate=est, ci=ci, method="monte-carlo", p_hat=p_hat,
-                     samples=samples, hits=hits, seed=seed)
+    box, origin, target = _scaled_box(xv, n)
+    event = EventSpec.passage_time_at_most(origin, target, float(n * zeta), region=region)
+    row = estimate_event_rate(event, dist, box, n, samples, seed, method, enum_cap)
+    cell = dict(x=tuple(int(c) for c in xv), zeta=float(zeta), n=n, method=row.method)
+    if row.p_exact is not None:
+        if row.p_exact == 0:
+            raise AssertionError("exact zero probability inside the domain; check the region")
+        return RatePoint(**cell, estimate=row.rate, ci=(row.rate, row.rate),
+                         p_exact=row.p_exact)
+    return RatePoint(**cell, estimate=row.ci[0] if row.censored else row.rate, ci=row.ci,
+                     censored=row.censored, p_hat=row.p, samples=row.samples,
+                     hits=row.hits, seed=row.seed)
 
 
 def fekete_envelope(points: Sequence[RatePoint]) -> RatePoint:
@@ -241,13 +207,19 @@ class TimeConstantEstimate:
         }
 
 
+def _scale_ladder(n_ladder) -> list[int]:
+    ns = [int(n) for n in n_ladder]
+    if not ns or ns != sorted(ns):
+        raise ValueError("n_ladder must be a nondecreasing nonempty sequence")
+    return ns
+
+
 def estimate_time_constant(
     dist,
     x,
     n_ladder: Sequence[int],
     samples: int = 200,
     seed: int = 0,
-    max_edges: int = 1 << 22,
 ) -> TimeConstantEstimate:
     """Per-scale means of T(0, nx)/n with the analytic norm bracket.
 
@@ -257,20 +229,12 @@ def estimate_time_constant(
     enforcing it.
     """
     xv = _canonical_direction(x)
-    d = xv.shape[0]
     l1 = int(np.abs(xv).sum())
-    ns = [int(n) for n in n_ladder]
-    if not ns or ns != sorted(ns):
-        raise ValueError("n_ladder must be a nondecreasing nonempty sequence")
+    ns = _scale_ladder(n_ladder)
     means, halfs = [], []
     root = np.random.SeedSequence(seed)
     for n in ns:
-        side = int(n * xv.max())
-        box = LatticeBox(dimension=d, side=side)
-        if box.n_edges > max_edges:
-            raise CapExceededError(box.n_edges, max_edges)
-        target = tuple(int(c) for c in n * xv)
-        origin = (0,) * d
+        box, origin, target = _scaled_box(xv, n)
         rep_seeds = root.spawn(1)[0].generate_state(samples, dtype=np.uint64)
         vals = _seeded_passage_times(dist, box, rep_seeds, origin, target) / n
         means.append(float(vals.mean()))
@@ -336,9 +300,7 @@ class RateSurface:
         flagged, as a still-valid upper bound; below the range there is no
         valid bound and the flag says so with value None.
         """
-        xv = _canonical_direction(x)
-        k = math.gcd(*[int(v) for v in xv]) if xv.shape[0] > 1 else int(xv[0])
-        p = tuple(int(v) for v in xv // k)
+        p, k = _primitive(x)
         ray = self.ray(p)
         if not ray:
             raise KeyError(f"no tabulated ray for direction {p}")
@@ -441,9 +403,7 @@ def extend_surface(points: Sequence[RatePoint]) -> RateSurface:
     merged: dict[tuple, SurfaceCell] = {}
     conflicts = []
     for pt in points:
-        xv = _canonical_direction(pt.x)
-        k = math.gcd(*[int(v) for v in xv]) if xv.shape[0] > 1 else int(xv[0])
-        p = tuple(int(v) for v in xv // k)
+        p, k = _primitive(pt.x)
         zn = pt.zeta / k
         vn = pt.estimate / k
         cin = (pt.ci[0] / k, pt.ci[1] / k)
@@ -553,9 +513,7 @@ def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate,
     rate; cells below it by ``margin`` must be positive beyond their own CI;
     and a linear fit over the positive range must slope downward.
     """
-    xv = _canonical_direction(tc.x)
-    k = math.gcd(*[int(v) for v in xv]) if xv.shape[0] > 1 else int(xv[0])
-    p = tuple(int(v) for v in xv // k)
+    p, k = _primitive(tc.x)
     ray = surface.ray(p)
     if not ray:
         raise ValueError(f"surface has no ray for direction {p}")

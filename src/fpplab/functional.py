@@ -14,7 +14,7 @@ for qualitative comparison against the functional value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -34,12 +34,7 @@ from fpplab.geometry import (
     paths_pairwise_disjoint,
 )
 from fpplab.model import EdgeDistribution, LatticeBox
-from fpplab.oracle import (
-    CapExceededError,
-    EventSpec,
-    exact_event_probability,
-    monte_carlo_event_probability,
-)
+from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rate
 
 
 class FunctionalError(ValueError):
@@ -546,38 +541,6 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LDTrendRow:
-    n: int
-    method: str
-    p: float
-    p_exact: Fraction | None
-    rate: float | None          # -(1/n) log p; None when p == 0 exactly
-    ci: tuple[float, float] | None
-    censored: bool
-    samples: int
-    hits: int | None
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "method": self.method,
-            "p": self.p,
-            "p_exact": None if self.p_exact is None else
-                {"num": self.p_exact.numerator, "den": self.p_exact.denominator},
-            "rate": None if self.rate is None or not math.isfinite(self.rate)
-                else self.rate,
-            "rate_is_infinite": self.rate is not None and math.isinf(self.rate),
-            "ci": None if self.ci is None else
-                [self.ci[0], None if math.isinf(self.ci[1]) else self.ci[1]],
-            "censored": self.censored,
-            "samples": self.samples,
-            "hits": self.hits,
-            "seed": self.seed,
-        }
-
-
 @dataclass
 class LDTrendTable:
     rows: list[LDTrendRow]
@@ -594,12 +557,6 @@ class LDTrendTable:
         }
 
 
-def _rate_from_p(p: float, n: int) -> float:
-    if p <= 0.0:
-        return math.inf
-    return max(-math.log(p) / n, 0.0) + 0.0
-
-
 def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
                        n_ladder: Sequence[int], dim: int | None = None,
                        samples: int = 200, seed: int = 0,
@@ -608,14 +565,14 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
     """Probability that the rescaled box metric sits below ``D + eps``.
 
     Per ladder rung the event "every sampled vertex pair satisfies
-    T-hat_n(x, y) <= D(x, y) + eps" is measured exactly when the law has
+    T-hat_n(x, y) <= D(x, y) + eps" is measured by
+    :func:`~fpplab.oracle.estimate_event_rate`: exactly when the law has
     finite support and the configuration space fits under ``enum_cap``,
-    and by Monte Carlo otherwise.  The table reports -(1/n) log p next to
-    a functional value for qualitative comparison only; no convergence
-    claim is attached at desk scale.
+    and by Monte Carlo from the rung's sub-seed otherwise.  Exact rows
+    record ``seed`` itself.  The table reports -(1/n) log p next to a
+    functional value for qualitative comparison only; no convergence claim
+    is attached at desk scale.
     """
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError("method must be auto, exact, or mc")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if dim is None:
@@ -629,38 +586,9 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
     root = np.random.SeedSequence(seed)
     rows = []
     for n, seq in zip(rungs, root.spawn(max(len(rungs), 1))):
-        box = LatticeBox(dimension=dim, side=n)
-        event = EventSpec.ld_lower(D, eps, grid=grid)
-        fits = (dist.is_finite_support
-                and len(dist.atoms()[0]) ** box.n_edges <= enum_cap)
-        use_exact = method == "exact" or (method == "auto" and fits)
-        if use_exact:
-            res = exact_event_probability(event, dist, box, cap=enum_cap)
-            rows.append(LDTrendRow(
-                n=n, method="exact-oracle", p=float(res.p), p_exact=res.p,
-                rate=_rate_from_p(float(res.p), n), ci=None, censored=False,
-                samples=res.n_configs, hits=None, seed=seed,
-            ))
-        else:
-            sub_seed = int(seq.generate_state(1)[0])
-            mc = monte_carlo_event_probability(event, dist, box, samples,
-                                               seed=sub_seed)
-            lo, hi = mc.ci_low, mc.ci_high
-            if mc.successes == 0:
-                # censored: only a one-sided lower rate bound is available
-                bound = _rate_from_p(hi, n)
-                rows.append(LDTrendRow(
-                    n=n, method="monte-carlo", p=0.0, p_exact=None,
-                    rate=None, ci=(bound, math.inf), censored=True,
-                    samples=samples, hits=0, seed=sub_seed,
-                ))
-            else:
-                rows.append(LDTrendRow(
-                    n=n, method="monte-carlo", p=mc.p_hat, p_exact=None,
-                    rate=_rate_from_p(mc.p_hat, n),
-                    ci=(_rate_from_p(hi, n), _rate_from_p(lo, n)),
-                    censored=False, samples=samples, hits=mc.successes,
-                    seed=sub_seed,
-                ))
+        row = estimate_event_rate(EventSpec.ld_lower(D, eps, grid=grid), dist,
+                                  LatticeBox(dimension=dim, side=n), n, samples,
+                                  int(seq.generate_state(1)[0]), method, enum_cap)
+        rows.append(row if row.p_exact is None else replace(row, seed=seed))
     return LDTrendTable(rows=rows, eps=float(eps),
                         functional_value=functional_value)

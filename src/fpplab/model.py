@@ -180,19 +180,13 @@ class EdgeDistribution:
             return min(base.support_supremum(), cap)
         raise AssertionError(self.kind)
 
-    def atom_at_zero(self) -> Fraction:
-        """Exact mass at zero, nu({0})."""
+    def atom_at_infimum(self) -> Fraction:
+        """Exact mass at the support infimum a, nu({a})."""
         if self.kind == "truncated":
-            base, cap = self.params
-            if cap == 0.0:
-                return Fraction(1)
-            return base.atom_at_zero()
+            # the base law is continuous: all of it sits at a when the cap does
+            return Fraction(self.params[1] == self.support_infimum)
         if self.is_finite_support:
-            values, probs = self.atoms()
-            for v, p in zip(values, probs):
-                if v == 0.0:
-                    return p
-            return Fraction(0)
+            return self.atoms()[1][0]  # atoms are sorted by value
         return Fraction(0)
 
     # -- distribution functions -------------------------------------------
@@ -670,7 +664,7 @@ def subcritical_atom_check(dist: EdgeDistribution, d: int) -> AtomCheck:
     if d not in BOND_PERCOLATION_THRESHOLD:
         raise ValueError(f"no tabulated bond percolation threshold for d = {d}")
     pc = BOND_PERCOLATION_THRESHOLD[d]
-    atom = dist.atom_at_zero()
+    atom = dist.atom_at_infimum() if dist.support_infimum == 0.0 else Fraction(0)
     exact = isinstance(pc, Fraction)
     sub = (atom < pc) if exact else (float(atom) < pc)
     return AtomCheck(atom=atom, threshold=float(pc), subcritical=bool(sub), exact_threshold=exact)

@@ -22,7 +22,7 @@ from scipy.optimize import minimize_scalar
 from fpplab.geometry import _pair_eval
 from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _adjacency, _edge_arrays,
                           sample_weight_rows)
-from fpplab.passage_time import _region_mask, hub_check
+from fpplab.passage_time import _region_mask, _seeded_passage_times, hub_check
 
 __all__ = [
     "EventSpec",
@@ -32,6 +32,8 @@ __all__ = [
     "MCEstimate",
     "monte_carlo_event_probability",
     "wilson_interval",
+    "LDTrendRow",
+    "estimate_event_rate",
     "validate_decreasing",
     "FKGReport",
     "fkg_supermultiplicativity_check",
@@ -193,18 +195,25 @@ class _CompiledEvent:
     """An event compiled for one box and law.
 
     ``test`` maps a (B, n_edges) block of weight rows with B <= ``rows`` to
-    a (B,) boolean array; ``edge_mask`` marks the edges it can see.
+    a (B,) boolean array.
     """
 
     test: Callable[[np.ndarray], np.ndarray]
-    edge_mask: np.ndarray
     rows: int
+
+
+def _live_edges(event: EventSpec, box: LatticeBox) -> np.ndarray:
+    """Ids of the edges an event sees: those inside a passage event's region, or all."""
+    mask = _region_mask(box, event.params.get("region"))
+    if mask is None:
+        return np.arange(box.n_edges)
+    _, _, (u_flat, v_flat) = _edge_arrays(box.dimension, box.side)
+    return np.nonzero(mask[u_flat] & mask[v_flat])[0]
 
 
 def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _CompiledEvent:
     """Compile an event once into a batched test over weight rows."""
     n_edges = box.n_edges
-    all_edges = np.ones(n_edges, dtype=bool)
 
     if event.kind == "passage_time_at_most":
         p = event.params
@@ -219,12 +228,7 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
         def test(W):
             return _batched_distances(W, sources, nbr, eid)[:, 0, tid] <= t
 
-        if mask is None:
-            edge_mask = all_edges
-        else:
-            _, _, (u_flat, v_flat) = _edge_arrays(box.dimension, box.side)
-            edge_mask = mask[u_flat] & mask[v_flat]
-        return _CompiledEvent(test, edge_mask, _batch_rows(box, 1))
+        return _CompiledEvent(test, _batch_rows(box, 1))
 
     if event.kind == "ld_lower":
         p = event.params
@@ -243,7 +247,7 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
             dist_arr = _batched_distances(W, gids, nbr, eid)[:, :, gids]
             return ~np.any(dist_arr / n > budget, axis=(1, 2))
 
-        return _CompiledEvent(test, all_edges, _batch_rows(box, len(gids)))
+        return _CompiledEvent(test, _batch_rows(box, len(gids)))
 
     # hub and custom events see a whole field through opaque code: one row at
     # a time through a shared buffer
@@ -269,7 +273,7 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
             out[i] = holds()
         return out
 
-    return _CompiledEvent(test, all_edges, max(1, _BATCH_ELEMENTS // n_edges))
+    return _CompiledEvent(test, max(1, _BATCH_ELEMENTS // n_edges))
 
 
 def _enumerate(test, values, probs, live: np.ndarray, n_edges: int,
@@ -346,8 +350,9 @@ def exact_event_probability(
     """Exact probability of an event under a finite-support law.
 
     Only edges the event can see are enumerated (for region-restricted
-    passage events the rest of the box is marginalised away exactly).  The
-    event is compiled once; configurations are walked in batches of weight
+    passage events the rest of the box is marginalised away exactly), and
+    the cap is checked before the event is compiled.  The event is compiled
+    once; configurations are walked in batches of weight
     rows, each batch tested at once by a vectorised shortest-path solve.
     Hits are counted per atom-multiplicity class, so the exact rational is
     one sum of count times atom-probability product per class.  A passage
@@ -361,12 +366,12 @@ def exact_event_probability(
     if not dist.is_finite_support:
         raise ValueError("the enumeration oracle needs a finite-support law")
     values, probs = dist.atoms()
-    compiled = _predicate(event, box, dist)
-    live = np.nonzero(compiled.edge_mask)[0]
+    live = _live_edges(event, box)
     required = len(values) ** len(live)
     if required > cap:
         raise CapExceededError(required, cap)
 
+    compiled = _predicate(event, box, dist)
     (p,), (count,) = _enumerate(compiled.test, values, probs, live, box.n_edges,
                                 compiled.rows)
     return ExactProbability(p=p, n_configs=required, n_satisfying=count)
@@ -409,18 +414,119 @@ def monte_carlo_event_probability(
 ) -> MCEstimate:
     """Monte-Carlo frequency of an event, with a Wilson confidence interval.
 
-    Fields are sampled one per replicate seed, a batch of weight rows at a
-    time by :func:`~fpplab.model.sample_weight_rows`, and each batch is
-    tested at once by the same compiled event as the exact oracle.
+    The one event sampler: one field per replicate seed, sampled as weight
+    rows by :func:`~fpplab.model.sample_weight_rows`.  A passage event goes
+    through :func:`~fpplab.passage_time._seeded_passage_times` (block-diagonal
+    csgraph, faster than Bellman-Ford on boxes too big to enumerate); every
+    other event through the compiled test of the exact oracle.
     """
-    compiled = _predicate(event, box, dist)
     rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
-    k = 0
-    for start in range(0, samples, compiled.rows):
-        W = sample_weight_rows(dist, box, rep_seeds[start:start + compiled.rows])
-        k += int(np.count_nonzero(compiled.test(W)))
+    if event.kind == "passage_time_at_most":
+        p = event.params
+        times = _seeded_passage_times(dist, box, rep_seeds, p["x"], p["y"], p["region"])
+        k = int(np.count_nonzero(times <= p["t"]))
+    else:
+        compiled = _predicate(event, box, dist)
+        k = 0
+        for start in range(0, samples, compiled.rows):
+            W = sample_weight_rows(dist, box, rep_seeds[start:start + compiled.rows])
+            k += int(np.count_nonzero(compiled.test(W)))
     lo, hi = wilson_interval(k, samples)
     return MCEstimate(p_hat=k / samples, successes=k, samples=samples, ci_low=lo, ci_high=hi)
+
+
+# ---------------------------------------------------------------------------
+# finite-scale rates
+
+
+@dataclass(frozen=True)
+class LDTrendRow:
+    """-(1/n) log P(E) of one event at scale n, exact or by Monte Carlo.
+
+    Exact rows carry ``p_exact``, ``ci=None`` and the configuration count
+    in ``samples``.  Monte-Carlo rows carry the hit count and the rate
+    interval, the decreasing image of the Wilson interval on p.
+    """
+
+    n: int
+    method: str
+    p: float
+    p_exact: Fraction | None
+    rate: float | None          # inf when p == 0 exactly; None when censored
+    ci: tuple[float, float] | None
+    censored: bool
+    samples: int
+    hits: int | None
+    seed: int
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "method": self.method,
+            "p": self.p,
+            "p_exact": None if self.p_exact is None else
+                {"num": self.p_exact.numerator, "den": self.p_exact.denominator},
+            "rate": None if self.rate is None or not math.isfinite(self.rate)
+                else self.rate,
+            "rate_is_infinite": self.rate is not None and math.isinf(self.rate),
+            "ci": None if self.ci is None else
+                [self.ci[0], None if math.isinf(self.ci[1]) else self.ci[1]],
+            "censored": self.censored,
+            "samples": self.samples,
+            "hits": self.hits,
+            "seed": self.seed,
+        }
+
+
+def _check_method(method: str, dist: EdgeDistribution) -> None:
+    """Raise ``ValueError`` unless :func:`estimate_event_rate` accepts
+    ``method`` for ``dist``."""
+    if method not in ("auto", "exact", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exact" and not dist.is_finite_support:
+        raise ValueError("exact method requires a finite-support distribution")
+
+
+def estimate_event_rate(
+    event: EventSpec,
+    dist: EdgeDistribution,
+    box: LatticeBox,
+    n: int,
+    samples: int,
+    seed: int,
+    method: str = "auto",
+    enum_cap: int = DEFAULT_ENUMERATION_CAP,
+) -> LDTrendRow:
+    """-(1/n) log P(event) on ``box``, with an interval.
+
+    Enumerates under ``method='exact'``, and under ``'auto'`` when the law
+    has finite support and the configurations fit ``enum_cap``; otherwise
+    samples ``samples`` fields from ``seed`` by
+    :func:`monte_carlo_event_probability`.  The rate is ``inf`` at p == 0
+    and never below ``+0.0``.  A sample with no hit is censored: rate
+    ``None``, interval ``(-(1/n) log hi, inf)`` from the upper Wilson limit.
+    """
+    _check_method(method, dist)
+
+    def rate(p: float) -> float:
+        return math.inf if p <= 0.0 else max(-math.log(p) / n, 0.0) + 0.0
+
+    if method != "mc" and dist.is_finite_support:
+        try:
+            res = exact_event_probability(event, dist, box, cap=enum_cap)
+        except CapExceededError:
+            if method == "exact":
+                raise
+        else:
+            return LDTrendRow(n=n, method="exact-oracle", p=float(res.p), p_exact=res.p,
+                              rate=rate(float(res.p)), ci=None, censored=False,
+                              samples=res.n_configs, hits=None, seed=seed)
+    mc = monte_carlo_event_probability(event, dist, box, samples, seed)
+    censored = mc.successes == 0
+    return LDTrendRow(n=n, method="monte-carlo", p=mc.p_hat, p_exact=None,
+                      rate=None if censored else rate(mc.p_hat),
+                      ci=(rate(mc.ci_high), math.inf if censored else rate(mc.ci_low)),
+                      censored=censored, samples=samples, hits=mc.successes, seed=seed)
 
 
 def validate_decreasing(
@@ -581,12 +687,8 @@ def cramer_rate(dist: EdgeDistribution, zeta: float, tol: float = 1e-10) -> floa
     if zeta >= mean:
         return 0.0
     if zeta == a:
-        if dist.is_finite_support:
-            values, probs = dist.atoms()
-            atom = sum((p for v, p in zip(values, probs) if v == a), Fraction(0))
-            if atom > 0:
-                return -math.log(float(atom))
-        return math.inf
+        atom = dist.atom_at_infimum()
+        return -math.log(float(atom)) if atom > 0 else math.inf
 
     def neg_obj(lam: float) -> float:
         return -(lam * zeta - dist.log_mgf(lam))

@@ -204,6 +204,13 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message)
     ("functional", {"probe_metric": _NORM_3D}, "probe_metric"),
     ("functional", {"family": [[[0.1, 0.1, 0.1], [0.5, 0.5, 0.5]]]}, "family"),
     ("ld-trend", {"rate": {"kind": "analytic", "weights": [1.0, 1.0, 1.0]}}, "rate.weights"),
+    # values only the estimators used to reject, checked before any estimation
+    ("rate", {"method": "exact", "distribution": {"kind": "exponential", "rate": 1.0}}, "method"),
+    ("rate", {"zeta_grid": [1.0, 0.9]}, "zeta_grid"),
+    ("rate", {"x": [0, 0]}, "x"),
+    ("rate", {"time_constant": {"n_ladder": [8, 4]}}, "time_constant"),
+    ("ld-trend", {"method": "exact", "distribution": {"kind": "exponential", "rate": 1.0}},
+     "method"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

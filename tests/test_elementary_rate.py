@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpplab.model import EdgeDistribution
+from fpplab.model import EdgeDistribution, LatticeBox, sample_weight_rows, truncate
 from fpplab.elementary_rate import (
     RatePoint,
     RateSurface,
@@ -18,7 +18,7 @@ from fpplab.elementary_rate import (
     fekete_envelope,
     zero_set_check,
 )
-from fpplab.oracle import wilson_interval
+from fpplab.oracle import EventSpec, _predicate, monte_carlo_event_probability, wilson_interval
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
 
@@ -109,6 +109,38 @@ def test_mc_censored_point_is_one_sided():
     j = pt.to_json()
     assert j["censored"] is True
     assert j["ci"][1] is None
+
+
+def test_all_hit_mc_point_has_no_negative_zero():
+    # every field meets speed 2 = the heavy weight, so p_hat = 1 and the
+    # upper Wilson limit is 1
+    pt = estimate_rate_point(TP, (1, 0), 2.0, 2, samples=50, seed=3, method="mc")
+    assert pt.hits == 50
+    assert math.copysign(1.0, pt.estimate) == 1.0
+    assert math.copysign(1.0, pt.ci[0]) == 1.0
+
+
+def test_boundary_speed_of_an_all_zero_truncated_law():
+    # min(tau, 0) is 0 on every edge: zeta = 0 sits at the infimum, where
+    # the law holds all its mass, so every field hits
+    law = truncate(EdgeDistribution.exponential(1.0), 0.0)
+    pt = estimate_rate_point(law, (1, 0), 0.0, 2, samples=20, method="mc")
+    assert pt.hits == 20
+    assert pt.estimate == 0.0
+
+
+def test_mc_hits_agree_across_samplers():
+    # a region-restricted passage event, sampled three ways from one seed
+    law = EdgeDistribution.exponential(1.0)
+    box, region = LatticeBox(2, 6), ((0, 6), (0, 1))
+    event = EventSpec.passage_time_at_most((0, 0), (6, 0), 3.6, region=region)
+    pt = estimate_rate_point(law, (2, 0), 1.2, 3, samples=90, seed=5, region=region)
+    mc = monte_carlo_event_probability(event, law, box, 90, seed=5)
+    W = sample_weight_rows(law, box, np.random.SeedSequence(5).generate_state(90, np.uint64))
+    compiled = _predicate(event, box, law)
+    bellman_ford = sum(int(np.count_nonzero(compiled.test(W[i:i + compiled.rows])))
+                       for i in range(0, 90, compiled.rows))
+    assert 0 < pt.hits == mc.successes == bellman_ford < 90
 
 
 def test_rate_point_json_exact_fraction():

@@ -252,6 +252,25 @@ def test_subcritical_atom_check_exact_in_d2():
     at_threshold = subcritical_atom_check(
         EdgeDistribution.finite_support([0, 1], [Fraction(1, 2), Fraction(1, 2)]), 2)
     assert not at_threshold.subcritical  # the inequality is strict
+    # only an atom at zero counts, not one at a positive infimum
+    assert subcritical_atom_check(truncate(EdgeDistribution.exponential(1.0), 0.0), 2).atom == 1
+    shifted = truncate(EdgeDistribution.exponential(1.0, shift=0.5), 0.5)
+    assert subcritical_atom_check(shifted, 2).atom == 0
+
+
+def test_atom_at_infimum_of_each_kind():
+    assert EdgeDistribution.two_point(1, 2, Fraction(1, 3)).atom_at_infimum() == Fraction(1, 3)
+    assert EdgeDistribution.finite_support(
+        [0.7, 0.2], [Fraction(1, 4), Fraction(3, 4)]).atom_at_infimum() == Fraction(3, 4)
+    assert EdgeDistribution.deterministic(1.5).atom_at_infimum() == 1
+    assert EdgeDistribution.uniform(1.0, 2.0).atom_at_infimum() == 0
+    # a truncated continuous law holds all its mass at the infimum only when
+    # the cap sits there
+    exp1 = EdgeDistribution.exponential(1.0)
+    assert truncate(exp1, 0.0).atom_at_infimum() == 1
+    assert truncate(exp1, 0.5).atom_at_infimum() == 0
+    assert truncate(EdgeDistribution.exponential(1.0, shift=0.5), 0.5).atom_at_infimum() == 1
+    assert truncate(EdgeDistribution.uniform(1.0, 3.0), 2.0).atom_at_infimum() == 0
 
 
 def test_subcritical_atom_check_d3_table_value():

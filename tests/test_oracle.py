@@ -15,6 +15,7 @@ from fpplab.oracle import (
     chernoff_upper_tail,
     cramer_rate,
     crude_lower_bound,
+    estimate_event_rate,
     exact_event_probability,
     fkg_supermultiplicativity_check,
     iid_sum_lower_tail_rate,
@@ -23,6 +24,7 @@ from fpplab.oracle import (
     wilson_interval,
 )
 from fpplab.oracle import _arc_table, _batched_distances, _predicate
+from fpplab.passage_time import _BLOCK_VERTICES
 from reference import reference_dijkstra
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
@@ -348,12 +350,30 @@ def test_mc_successes_at_frozen_seeds():
     assert monte_carlo_event_probability(corner, TP, LatticeBox(2, 1), 400, seed=0).successes == 157
     assert monte_carlo_event_probability(corner, TP, LatticeBox(2, 1), 100, seed=5).successes == 36
     far = EventSpec.passage_time_at_most((0, 0), (8, 8), 19.0)
-    assert _predicate(far, LatticeBox(2, 8), TP).rows < 300  # spans several batches
+    assert _BLOCK_VERTICES // LatticeBox(2, 8).n_vertices < 300  # spans several chunks
     assert monte_carlo_event_probability(far, TP, LatticeBox(2, 8), 300, seed=3).successes == 253
     law = EdgeDistribution.finite_support([0.0, 0.3, 0.7],
                                           [Fraction(1, 5), Fraction(1, 3), Fraction(7, 15)])
     strip = EventSpec.passage_time_at_most((0, 0), (4, 1), 1.2, region=((0, 4), (0, 1)))
     assert monte_carlo_event_probability(strip, law, LatticeBox(2, 4), 300, seed=11).successes == 79
+
+
+def test_event_rate_enumerates_or_falls_back_to_monte_carlo():
+    ev = EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0)
+    box = LatticeBox(2, 2)  # 12 edges: 4096 configurations
+    exact = estimate_event_rate(ev, TP, box, 2, 100, 5, "auto", enum_cap=4096)
+    assert (exact.method, exact.ci, exact.samples, exact.seed) == ("exact-oracle", None, 4096, 5)
+    assert exact.rate == -math.log(float(exact.p_exact)) / 2
+    mc = estimate_event_rate(ev, TP, box, 2, 100, 5, "auto", enum_cap=4095)
+    assert (mc.method, mc.p_exact, mc.samples, mc.seed) == ("monte-carlo", None, 100, 5)
+    assert mc.hits == monte_carlo_event_probability(ev, TP, box, 100, seed=5).successes
+    assert mc.ci[0] <= mc.rate <= mc.ci[1]
+    with pytest.raises(CapExceededError):
+        estimate_event_rate(ev, TP, box, 2, 100, 5, "exact", enum_cap=4095)
+    with pytest.raises(ValueError, match="finite-support"):
+        estimate_event_rate(ev, EdgeDistribution.exponential(1.0), box, 2, 10, 0, "exact")
+    with pytest.raises(ValueError, match="unknown method"):
+        estimate_event_rate(ev, TP, box, 2, 10, 0, "fast")
 
 
 def test_validate_decreasing_flags_an_increasing_event():
