@@ -324,7 +324,6 @@ class _Highway:
     ts: np.ndarray = field(init=False)        # merged params
     pts: np.ndarray = field(init=False)       # points at ts
     cumd: np.ndarray = field(init=False)      # discounted g-length at ts
-    cumg: np.ndarray = field(init=False)      # plain g-length at ts
 
     def tabulate(self, gnorm: Callable):
         total = self.path.length_l1
@@ -333,14 +332,11 @@ class _Highway:
         self.ts = np.array(sorted(ts))
         self.pts = self.path.point_at(self.ts)
         cumd = [0.0]
-        cumg = [0.0]
         for a, b in zip(self.ts[:-1], self.ts[1:]):
             seg_g = gnorm(self.path.point_at(b) - self.path.point_at(a))
             lam = self.lam_at(0.5 * (a + b))
             cumd.append(cumd[-1] + lam * seg_g)
-            cumg.append(cumg[-1] + seg_g)
         self.cumd = np.array(cumd)
-        self.cumg = np.array(cumg)
 
     def lam_at(self, t: float) -> float:
         ends = [end for end, _ in self.profile]

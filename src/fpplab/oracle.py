@@ -13,16 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from fpplab.geometry import _pair_eval
-from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _adjacency, _edge_arrays,
+from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _edge_arrays,
                           sample_weight_rows)
-from fpplab.passage_time import _region_mask, _seeded_passage_times, hub_check
+from fpplab.passage_time import (_arc_table, _batch_rows, _batched_distances, _hub_budgets,
+                                 _hub_times, _pair_ids, _region_mask, _seeded_passage_times)
 
 __all__ = [
     "EventSpec",
@@ -115,78 +115,6 @@ class EventSpec:
 
 
 # ---------------------------------------------------------------------------
-# batched shortest paths
-
-#: Elements in one temporary of a batched solve; a batch holds as many weight
-#: rows as fit.  Larger batches measured no faster and cost peak memory.
-_BATCH_ELEMENTS = 1 << 16
-
-
-@lru_cache(maxsize=32)
-def _neighbour_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (V, 2d) tables of neighbour ids and edge ids.
-
-    A boundary vertex has fewer than 2d neighbours; its spare slots point at
-    the vertex itself through edge id ``n_edges``, the padding column that
-    :func:`_batched_distances` fills with ``inf``.
-    """
-    indptr, nbrs, eids = _adjacency(d, n)
-    n_vert = len(indptr) - 1
-    row = np.repeat(np.arange(n_vert), np.diff(indptr))
-    slot = np.arange(len(nbrs)) - indptr[row]
-    nbr = np.repeat(np.arange(n_vert)[:, None], 2 * d, axis=1)
-    eid = np.full((n_vert, 2 * d), len(eids) // 2)
-    nbr[row, slot] = nbrs
-    eid[row, slot] = eids
-    nbr.setflags(write=False)
-    eid.setflags(write=False)
-    return nbr, eid
-
-
-def _arc_table(box: LatticeBox, mask) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbour table of a box, with every arc touching a vertex outside the
-    region mask sent to the padding edge, so it never relaxes."""
-    nbr, eid = _neighbour_table(box.dimension, box.side)
-    if mask is not None:
-        eid = np.where(mask[:, None] & mask[nbr], eid, box.n_edges)
-    return nbr, eid
-
-
-def _batch_rows(box: LatticeBox, n_sources: int) -> int:
-    """Weight rows per batch of a solve from ``n_sources`` sources."""
-    return max(1, _BATCH_ELEMENTS // (n_sources * box.n_vertices * 2 * box.dimension))
-
-
-def _batched_distances(W: np.ndarray, sources: np.ndarray, nbr: np.ndarray,
-                       eid: np.ndarray) -> np.ndarray:
-    """Passage times from every source under every weight row, shape (B, S, V).
-
-    Bellman-Ford over the padded neighbour table: each round sets
-    ``dist[v] = min(dist[v], dist[nbr[v, k]] + w[eid[v, k]])`` for all slots
-    ``k`` at once, until a round changes nothing.  Weights are nonnegative and
-    float addition is monotone, so the fixed point is the float sum along a
-    best path from the source, bit for bit what a heap Dijkstra returns.
-    """
-    n_rows, n_vert = len(W), len(nbr)
-    padded = np.concatenate([W, np.full((n_rows, 1), math.inf)], axis=1)
-    slots = [(nbr[:, k], padded[:, None, eid[:, k]]) for k in range(nbr.shape[1])]
-    dist = np.full((n_rows, len(sources), n_vert), math.inf)
-    dist[:, np.arange(len(sources)), sources] = 0.0
-    nxt = np.empty_like(dist)
-    arrival = np.empty_like(dist)
-    # a best path has at most V - 1 edges, so round V changes nothing
-    for _ in range(n_vert):
-        np.copyto(nxt, dist)
-        for cols, w in slots:
-            np.add(dist[..., cols], w, out=arrival)
-            np.minimum(nxt, arrival, out=nxt)
-        if np.array_equal(nxt, dist):
-            return dist
-        dist, nxt = nxt, dist
-    raise ValueError("edge weights must be nonnegative")
-
-
-# ---------------------------------------------------------------------------
 # compiled events
 
 
@@ -213,14 +141,10 @@ def _live_edges(event: EventSpec, box: LatticeBox) -> np.ndarray:
 
 def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _CompiledEvent:
     """Compile an event once into a batched test over weight rows."""
-    n_edges = box.n_edges
-
     if event.kind == "passage_time_at_most":
         p = event.params
         mask = _region_mask(box, p["region"])
-        sid, tid = box.vertex_id(p["x"]), box.vertex_id(p["y"])
-        if mask is not None and not (mask[sid] and mask[tid]):
-            raise ValueError("event endpoints must belong to the region")
+        sid, tid = _pair_ids(box, p["x"], p["y"], mask)
         nbr, eid = _arc_table(box, mask)
         sources = np.array([sid])
         t = p["t"]
@@ -249,31 +173,32 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
 
         return _CompiledEvent(test, _batch_rows(box, len(gids)))
 
-    # hub and custom events see a whole field through opaque code: one row at
-    # a time through a shared buffer
-    buf = np.empty(n_edges)
-    shared_field = WeightField(box=box, distribution=dist, master_seed=0, weights=buf)
     if event.kind == "hub":
-        p = event.params
+        sid, hop_budget, time_budget = _hub_budgets(box, event.params["x"],
+                                                    event.params["kappa"])
 
-        def holds():
-            return hub_check(shared_field, p["x"], p["kappa"]).is_hub
-    elif event.kind == "custom":
-        fn = event.params["fn"]
+        def test(W):
+            vals, _ = _hub_times(W, box, sid, hop_budget, time_budget)
+            return np.all(vals <= time_budget, axis=1)
 
-        def holds():
-            return bool(fn(shared_field))
-    else:
+        return _CompiledEvent(test, _batch_rows(box, 1))
+
+    if event.kind != "custom":
         raise ValueError(f"unknown event kind {event.kind!r}")
+    # a custom event sees a whole field through opaque code: one row at a time
+    # through a shared buffer
+    buf = np.empty(box.n_edges)
+    shared_field = WeightField(box=box, distribution=dist, master_seed=0, weights=buf)
+    fn = event.params["fn"]
 
     def test(W):
         out = np.empty(len(W), dtype=bool)
         for i, row in enumerate(W):
             buf[:] = row
-            out[i] = holds()
+            out[i] = bool(fn(shared_field))
         return out
 
-    return _CompiledEvent(test, max(1, _BATCH_ELEMENTS // n_edges))
+    return _CompiledEvent(test, _batch_rows(box, 1))
 
 
 def _enumerate(test, values, probs, live: np.ndarray, n_edges: int,

@@ -11,7 +11,8 @@ disconnects them) get the value ``math.inf`` rather than an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -187,6 +188,101 @@ def _seeded_passage_times(dist, box: LatticeBox, seeds, x, y, region=None) -> np
     return out
 
 
+def _pair_ids(box: LatticeBox, x, y, mask) -> tuple[int, int]:
+    """Vertex ids of x and y, both of which must lie in the region mask."""
+    sid, tid = box.vertex_id(x), box.vertex_id(y)
+    if mask is not None and not (mask[sid] and mask[tid]):
+        raise ValueError("both endpoints must belong to the region")
+    return sid, tid
+
+
+# ---------------------------------------------------------------------------
+# Bellman-Ford over weight rows: enumerable boxes and hubs
+
+#: Elements in one temporary of a batched Bellman-Ford solve; a batch holds as
+#: many weight rows as fit.  Larger batches measured no faster and cost peak memory.
+_BATCH_ELEMENTS = 1 << 16
+
+
+@lru_cache(maxsize=32)
+def _neighbour_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (V, 2d) tables of neighbour ids and edge ids.
+
+    A boundary vertex has fewer than 2d neighbours; its spare slots point at
+    the vertex itself through edge id ``n_edges``, the padding column that
+    :func:`_bellman_ford_rounds` fills with ``inf``.
+    """
+    indptr, nbrs, eids = _adjacency(d, n)
+    n_vert = len(indptr) - 1
+    row = np.repeat(np.arange(n_vert), np.diff(indptr))
+    slot = np.arange(len(nbrs)) - indptr[row]
+    nbr = np.repeat(np.arange(n_vert)[:, None], 2 * d, axis=1)
+    eid = np.full((n_vert, 2 * d), len(eids) // 2)
+    nbr[row, slot] = nbrs
+    eid[row, slot] = eids
+    nbr.setflags(write=False)
+    eid.setflags(write=False)
+    return nbr, eid
+
+
+def _arc_table(box: LatticeBox, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour table of a box, with every arc touching a vertex outside the
+    region mask sent to the padding edge, so it never relaxes."""
+    nbr, eid = _neighbour_table(box.dimension, box.side)
+    if mask is not None:
+        eid = np.where(mask[:, None] & mask[nbr], eid, box.n_edges)
+    return nbr, eid
+
+
+def _batch_rows(box: LatticeBox, n_sources: int) -> int:
+    """Weight rows per batch of a Bellman-Ford solve from ``n_sources`` sources."""
+    return max(1, _BATCH_ELEMENTS // (n_sources * box.n_vertices * 2 * box.dimension))
+
+
+def _bellman_ford_rounds(W: np.ndarray, sources: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
+    """Yield the passage times from every source under every weight row,
+    shape (B, S, V), after each Bellman-Ford round: round h holds the
+    cheapest times over paths of at most h edges, round 0 the sources alone.
+
+    Each round sets ``dist[v] = min(dist[v], dist[nbr[v, k]] + w[eid[v, k]])``
+    for all slots ``k`` at once.  The rounds stop after the last one that
+    changes a value.  A yielded array is reused two rounds later; copy it to
+    keep it.
+    """
+    n_rows, n_vert = len(W), len(nbr)
+    padded = np.concatenate([W, np.full((n_rows, 1), math.inf)], axis=1)
+    slots = [(nbr[:, k], padded[:, None, eid[:, k]]) for k in range(nbr.shape[1])]
+    dist = np.full((n_rows, len(sources), n_vert), math.inf)
+    dist[:, np.arange(len(sources)), sources] = 0.0
+    nxt = np.empty_like(dist)
+    arrival = np.empty_like(dist)
+    yield dist
+    # a best path has at most V - 1 edges, so round V changes nothing
+    for _ in range(n_vert):
+        np.copyto(nxt, dist)
+        for cols, w in slots:
+            np.add(dist[..., cols], w, out=arrival)
+            np.minimum(nxt, arrival, out=nxt)
+        if np.array_equal(nxt, dist):
+            return
+        dist, nxt = nxt, dist
+        yield dist
+    raise ValueError("edge weights must be nonnegative")
+
+
+def _batched_distances(W: np.ndarray, sources: np.ndarray, nbr: np.ndarray,
+                       eid: np.ndarray) -> np.ndarray:
+    """Passage times from every source under every weight row, shape (B, S, V).
+
+    The fixed point of :func:`_bellman_ford_rounds`.  Weights are nonnegative
+    and float addition is monotone, so it is the float sum along a best path
+    from the source, bit for bit what a heap Dijkstra returns.
+    """
+    for dist in _bellman_ford_rounds(W, sources, nbr, eid):
+        pass
+    return dist
+
+
 def _geodesic(graph: sp.csr_matrix, dist: np.ndarray, source: int, target: int,
               box: LatticeBox) -> DiscretePath:
     """Rebuild a geodesic from the distances of one source.
@@ -211,14 +307,6 @@ def _geodesic(graph: sp.csr_matrix, dist: np.ndarray, source: int, target: int,
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
     return DiscretePath(box.vertex_coords(np.asarray(chain)))
-
-
-def _pair_ids(box: LatticeBox, x, y, mask) -> tuple[int, int]:
-    """Vertex ids of x and y, both of which must lie in the region mask."""
-    sid, tid = box.vertex_id(x), box.vertex_id(y)
-    if mask is not None and not (mask[sid] and mask[tid]):
-        raise ValueError("both endpoints must belong to the region")
-    return sid, tid
 
 
 def restricted_passage_time(field: WeightField, x, y, region=None, return_path: bool = False):
@@ -340,7 +428,9 @@ class ContinuousMetric:
     Per-edge objectives are piecewise linear in the entry point, so minimising
     over the entry candidates {endpoints, coordinate projection} is exact.
     Values coincide with the truncated rescaled metric on grid points, and
-    deviate from it by at most 2bd/n uniformly.
+    deviate from it by at most 2bd/n uniformly.  The edge weights at each
+    vertex are read from two (d, V) tables, ``wplus`` and ``wminus``, filled
+    once from the box's shared edge tables.
     """
 
     def __init__(self, field: WeightField, b: float):
@@ -353,15 +443,13 @@ class ContinuousMetric:
         self.n = box.side
         self.d = box.dimension
         self.coords = box.all_vertex_coords().astype(np.float64)
-        # per-axis weight grids; grid[a][u] = weight of edge (u, u + e_a)
-        self.wgrid = []
-        offset = 0
-        for axis in range(self.d):
-            shape = [self.n + 1] * self.d
-            shape[axis] = self.n
-            size = int(np.prod(shape))
-            self.wgrid.append(self.field.weights[offset: offset + size].reshape(shape))
-            offset += size
+        # wplus[a, u] / wminus[a, u]: weight of the edge from u to u + e_a /
+        # u - e_a, inf where it leaves the box
+        _, axis, (u_flat, v_flat) = _edge_arrays(self.d, self.n)
+        self.wplus = np.full((self.d, box.n_vertices), math.inf)
+        self.wminus = np.full((self.d, box.n_vertices), math.inf)
+        self.wplus[axis, u_flat] = self.field.weights
+        self.wminus[axis, v_flat] = self.field.weights
 
     def access_costs(self, X: np.ndarray) -> np.ndarray:
         """c_X(u): cheapest way to reach vertex u from continuum point X
@@ -375,23 +463,10 @@ class ContinuousMetric:
         absd = np.abs(delta)
         s1 = absd.sum(axis=-1)
         best = self.b * s1  # entry at the vertex itself
-        V = len(self.coords)
         for axis in range(self.d):
             base_wo = s1 - absd[..., axis]
             da = delta[..., axis]
-            cvals = self.coords[:, axis]
-            wplus = np.full(V, math.inf)
-            has_plus = cvals < self.n
-            idx_plus = np.nonzero(has_plus)[0]
-            wplus[idx_plus] = self.wgrid[axis].reshape(-1)[
-                self._plus_edge_index(idx_plus, axis)
-            ]
-            wminus = np.full(V, math.inf)
-            has_minus = cvals > 0
-            idx_minus = np.nonzero(has_minus)[0]
-            wminus[idx_minus] = self.wgrid[axis].reshape(-1)[
-                self._minus_edge_index(idx_minus, axis)
-            ]
+            wplus, wminus = self.wplus[axis], self.wminus[axis]
             with np.errstate(invalid="ignore"):
                 # full ride from the far endpoint
                 cand = self.b * (base_wo + np.abs(da - 1.0)) + wplus
@@ -406,19 +481,6 @@ class ContinuousMetric:
                 cand = self.b * base_wo + (-da) * wminus
                 np.minimum(best, np.where(proj_minus, cand, math.inf), out=best)
         return best
-
-    def _plus_edge_index(self, vertex_ids, axis):
-        c = self.box.vertex_coords(vertex_ids)
-        shape = [self.n + 1] * self.d
-        shape[axis] = self.n
-        return np.ravel_multi_index(tuple(np.asarray(c).T), shape)
-
-    def _minus_edge_index(self, vertex_ids, axis):
-        c = self.box.vertex_coords(vertex_ids).copy()
-        c[:, axis] -= 1
-        shape = [self.n + 1] * self.d
-        shape[axis] = self.n
-        return np.ravel_multi_index(tuple(np.asarray(c).T), shape)
 
     def evaluate_many(self, X, Y) -> np.ndarray:
         """Values between the rows of X and Y, two ``(B, d)`` arrays of
@@ -596,58 +658,66 @@ class HubReport:
         }
 
 
+def _hub_budgets(box: LatticeBox, x, kappa: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Source id, hop budgets 2 |x-y|_1 + 4 and time budgets kappa |x-y|_1 of
+    every target y."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    sid = box.vertex_id(x)
+    l1 = np.abs(box.all_vertex_coords() - np.asarray(x, dtype=np.int64)[None, :]).sum(axis=1)
+    return sid, 2 * l1 + 4, kappa * l1.astype(np.float64)
+
+
+def _hub_times(W: np.ndarray, box: LatticeBox, sid: int, hop_budget: np.ndarray,
+               time_budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per weight row and target, two (B, V) arrays: the cheapest time from
+    the source within the target's hop budget, and the first round at which
+    the target's time meets its time budget (-1 if none up to the largest
+    hop budget).
+
+    Round h of :func:`_bellman_ford_rounds` holds the cheapest times within
+    h hops; past its last round every round is the same.
+    """
+    h_max = int(hop_budget.max())
+    vals = np.full((len(W), box.n_vertices), math.inf)
+    first_ok = np.full((len(W), box.n_vertices), -1, dtype=np.int64)
+    rounds = _bellman_ford_rounds(W, np.array([sid]), *_arc_table(box, None))
+    for h, dist in zip(range(h_max + 1), rounds):
+        cur = dist[:, 0]
+        first_ok[(first_ok < 0) & (cur <= time_budget)] = h
+        vals[:, hop_budget == h] = cur[:, hop_budget == h]
+    later = hop_budget > h
+    vals[:, later] = cur[:, later]
+    return vals, first_ok
+
+
 def hub_check(field: WeightField, x, kappa: float) -> HubReport:
     """Is x a hub: every target y admits a path with time at most
     kappa |x-y|_1 using at most 2 |x-y|_1 + 4 hops?
 
-    A hop-layered relaxation computes, for every h, the cheapest time from x
-    within h hops; target y is served by the value at its own hop budget.
+    Target y is served by round ``2 |x-y|_1 + 4`` of the Bellman-Ford rounds
+    from x (:func:`_bellman_ford_rounds`), the cheapest time within that many
+    hops.  The worst hop slack is the hop budget less the first round at
+    which a target's time meets its time budget, over the targets that do.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
     box = field.box
-    sid = box.vertex_id(x)
-    coords = box.all_vertex_coords()
-    l1 = np.abs(coords - np.asarray(x, dtype=np.int64)[None, :]).sum(axis=1)
-    hop_budget = 2 * l1 + 4
-    time_budget = kappa * l1.astype(np.float64)
-    h_max = int(hop_budget.max())
-
-    _, _, (u_flat, v_flat) = _edge_arrays(box.dimension, box.side)
-    w = field.weights
-    cur = np.full(box.n_vertices, math.inf)
-    cur[sid] = 0.0
-    vals = np.full(box.n_vertices, math.inf)
-    first_ok = np.full(box.n_vertices, -1, dtype=np.int64)
-    first_ok[(cur <= time_budget)] = 0
-    vals[hop_budget == 0] = cur[hop_budget == 0]
-    for h in range(1, h_max + 1):
-        nxt = cur.copy()
-        np.minimum.at(nxt, v_flat, cur[u_flat] + w)
-        np.minimum.at(nxt, u_flat, cur[v_flat] + w)
-        cur = nxt
-        newly = (first_ok < 0) & (cur <= time_budget)
-        first_ok[newly] = h
-        at_budget = hop_budget == h
-        vals[at_budget] = cur[at_budget]
-
-    ok = vals <= time_budget
-    is_hub = bool(np.all(ok))
+    sid, hop_budget, time_budget = _hub_budgets(box, x, kappa)
+    vals, first_ok = (a[0] for a in _hub_times(field.weights[None], box, sid, hop_budget,
+                                               time_budget))
+    is_hub = bool(np.all(vals <= time_budget))
     time_slack = time_budget - vals
     # the source satisfies its own budgets trivially; report slack over others
     time_slack_view = time_slack.copy()
     time_slack_view[sid] = math.inf
     worst_idx = int(np.argmin(time_slack_view))
-    hop_slacks = np.where(first_ok >= 0, hop_budget - first_ok, -1)
-    reached = hop_slacks[first_ok >= 0]
-    worst_hop = int(reached.min()) if len(reached) else None
+    reached = (hop_budget - first_ok)[first_ok >= 0]
     return HubReport(
         vertex=tuple(int(c) for c in np.asarray(x)),
         kappa=float(kappa),
         is_hub=is_hub,
         worst_time_slack=float(time_slack[worst_idx]),
-        worst_time_slack_target=tuple(int(c) for c in coords[worst_idx]),
-        worst_hop_slack=worst_hop,
+        worst_time_slack_target=tuple(int(c) for c in box.vertex_coords(worst_idx)),
+        worst_hop_slack=int(reached.min()) if len(reached) else None,
         n_targets=int(box.n_vertices),
     )
 

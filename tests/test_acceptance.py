@@ -50,12 +50,11 @@ from fpplab.oracle import (
     crude_lower_bound,
     exact_event_probability,
     fkg_supermultiplicativity_check,
-    hub_check,
     iid_sum_lower_tail_rate,
     monte_carlo_event_probability,
     wilson_interval,
 )
-from fpplab.passage_time import disjoint_paths, rescaled_metric, uniform_gap
+from fpplab.passage_time import disjoint_paths, hub_check, rescaled_metric, uniform_gap
 
 TP = EdgeDistribution.two_point(1.0, 2.0, 0.5)
 TP3 = EdgeDistribution.two_point(1.0, 2.0, Fraction(1, 3))

@@ -23,8 +23,8 @@ from fpplab.oracle import (
     validate_decreasing,
     wilson_interval,
 )
-from fpplab.oracle import _arc_table, _batched_distances, _predicate
-from fpplab.passage_time import _BLOCK_VERTICES
+from fpplab.oracle import _predicate
+from fpplab.passage_time import _BLOCK_VERTICES, _arc_table, _batched_distances
 from reference import reference_dijkstra
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
@@ -382,3 +382,27 @@ def test_validate_decreasing_flags_an_increasing_event():
     slow = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (1, 1)) >= 3.0,
                             decreasing=True, name="T>=3")
     assert validate_decreasing(slow, TP, LatticeBox(2, 1), trials=40, seed=4) > 0
+
+
+def test_hub_event_values_are_pinned():
+    # exact Fractions and frozen-seed Monte-Carlo hits of hub events, pinned
+    # from the per-field hub check the batched hub test replaced
+    fixture = exact_event_probability(EventSpec.hub((0, 0), 2.0),
+                                      EdgeDistribution.two_point(1.0, 2.0, 0.5), LatticeBox(2, 1))
+    assert (fixture.p, fixture.n_configs, fixture.n_satisfying) == (Fraction(1), 16, 16)
+    zero_atom = EdgeDistribution.two_point(0, 3, Fraction(1, 3))
+    assert exact_event_probability(EventSpec.hub((1, 1), 1.5), TP, LatticeBox(2, 2)).p == \
+        Fraction(1, 16)
+    assert exact_event_probability(EventSpec.hub((0, 0), 1.5), zero_atom, LatticeBox(2, 2)).p == \
+        Fraction(78173, 531441)
+    assert exact_event_probability(EventSpec.hub((0, 0, 0), 1.5), TP, LatticeBox(3, 1)).p == \
+        Fraction(511, 4096)
+    for event, law, box, samples, seed, hits in [
+        (EventSpec.hub((0, 0), 2.0), TP, LatticeBox(2, 1), 400, 0, 400),
+        (EventSpec.hub((2, 2), 1.6), TP, LatticeBox(2, 4), 300, 3, 12),
+        (EventSpec.hub((0, 0), 1.2), zero_atom, LatticeBox(2, 6), 200, 7, 3),
+        (EventSpec.hub((1, 1, 1), 1.6), EdgeDistribution.exponential(1.0), LatticeBox(3, 2), 200,
+         9, 151),
+    ]:
+        assert monte_carlo_event_probability(event, law, box, samples, seed).successes == hits
+    assert validate_decreasing(EventSpec.hub((2, 2), 1.6), TP, LatticeBox(2, 4), 40, 4) == 0

@@ -26,6 +26,7 @@ from fpplab.passage_time import (
 )
 from fpplab.passage_time import (_BLOCK_VERTICES, _region_mask, _seeded_passage_times,
                                  _solve, _solve_rows)
+from fpplab.oracle import EventSpec, _predicate
 from reference import reference_dijkstra
 
 
@@ -272,6 +273,53 @@ def test_continuous_metric_agrees_on_grid_nodes():
         assert abs(got - want) < 1e-12
 
 
+def _reference_access_costs(cm, X):
+    """c_X(u) for one point X of [0, n]^d by a loop over the edges at each
+    vertex u: the free leg to u itself, or to a point of an edge at u (its far
+    end or the projection of X) plus the ride into u, with the same float
+    formula per candidate."""
+    box, b, w = cm.box, cm.b, cm.field.weights
+    out = []
+    for u in box.all_vertex_coords().tolist():
+        delta = [float(xc) - float(uc) for xc, uc in zip(X, u)]
+        s1 = sum(abs(c) for c in delta)
+        best = b * s1
+        for axis, step in itertools.product(range(box.dimension), (1, -1)):
+            v = list(u)
+            v[axis] += step
+            if not 0 <= v[axis] <= box.side:
+                continue
+            wt = float(w[box.edge_id(u, v)])
+            base_wo = s1 - abs(delta[axis])
+            da = step * delta[axis]  # how far X sits along the edge
+            best = min(best, b * (base_wo + abs(delta[axis] - step)) + wt)
+            if 0.0 < da < 1.0:
+                best = min(best, b * base_wo + da * wt)
+        out.append(best)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 5), (3, 3)])
+def test_access_costs_equal_per_edge_reference(d, n):
+    box = LatticeBox(d, n)
+    rng = np.random.default_rng(d * 10 + n)
+    vertices = box.all_vertex_coords()[:: max(1, box.n_vertices // 9)].astype(float)
+    face = rng.uniform(0, n, size=(6, d))
+    face[np.arange(6), rng.integers(0, d, size=6)] = rng.choice([0.0, float(n)], size=6)
+    on_edges = np.floor(rng.uniform(0, n, size=(4, d)))
+    on_edges[:, 0] += rng.uniform(0, 1, size=4)
+    X = np.concatenate([vertices, face, on_edges, rng.uniform(0, n, size=(6, d))])
+    laws = [EdgeDistribution.two_point(1, 2, Fraction(1, 2)),
+            EdgeDistribution.two_point(0, 3, Fraction(1, 3)),
+            EdgeDistribution.exponential(1.0)]
+    for law, b in itertools.product(laws, (1.5, 3.0)):
+        cm = ContinuousMetric(sample_weights(law, box, 5), b)
+        got = cm.access_costs(X)
+        for row, x in zip(got, X):
+            assert np.array_equal(row, _reference_access_costs(cm, x))
+        assert np.array_equal(cm.access_costs(X[0]), got[0])
+
+
 @pytest.mark.parametrize("d,n,b", [(2, 4, 1.0), (2, 8, 2.0), (3, 4, 1.0)])
 def test_uniform_gap_within_truncation_bound(d, n, b):
     tp = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
@@ -343,6 +391,82 @@ def test_hub_check_fails_for_tiny_kappa():
     rep = hub_check(field, (0, 0), kappa=0.5)
     assert not rep.is_hub
     assert rep.worst_time_slack < 0.0
+
+
+def _reference_hub(field, x, kappa):
+    """An independent hub check: a hop-layered relaxation over the edge list
+    (every edge relaxed both ways per hop with ``np.minimum.at``), each
+    target read at its own hop budget."""
+    box = field.box
+    sid = box.vertex_id(x)
+    coords = box.all_vertex_coords()
+    l1 = np.abs(coords - np.asarray(x, dtype=np.int64)[None, :]).sum(axis=1)
+    hop_budget = 2 * l1 + 4
+    time_budget = kappa * l1.astype(np.float64)
+    _, _, (u_flat, v_flat) = box.edge_endpoints()
+    w = field.weights
+    cur = np.full(box.n_vertices, math.inf)
+    cur[sid] = 0.0
+    vals = np.full(box.n_vertices, math.inf)
+    first_ok = np.full(box.n_vertices, -1, dtype=np.int64)
+    first_ok[cur <= time_budget] = 0
+    for h in range(1, int(hop_budget.max()) + 1):
+        nxt = cur.copy()
+        np.minimum.at(nxt, v_flat, cur[u_flat] + w)
+        np.minimum.at(nxt, u_flat, cur[v_flat] + w)
+        cur = nxt
+        first_ok[(first_ok < 0) & (cur <= time_budget)] = h
+        vals[hop_budget == h] = cur[hop_budget == h]
+    time_slack = time_budget - vals
+    view = time_slack.copy()
+    view[sid] = math.inf
+    worst = int(np.argmin(view))
+    reached = (hop_budget - first_ok)[first_ok >= 0]
+    return (bool(np.all(vals <= time_budget)), float(time_slack[worst]),
+            tuple(int(c) for c in coords[worst]), int(reached.min()) if len(reached) else None)
+
+
+@pytest.mark.parametrize("law", [
+    EdgeDistribution.two_point(1, 2, Fraction(1, 2)),
+    EdgeDistribution.two_point(0, 3, Fraction(1, 3)),
+    EdgeDistribution.exponential(1.0),
+], ids=["two-point", "zero-atom", "exp"])
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (2, 7), (3, 2)])
+def test_hub_check_equals_hop_layered_reference(law, d, n):
+    box = LatticeBox(d, n)
+    event_rows, want_hub = [], []
+    for seed, x, kappa in itertools.product(range(4), [(0,) * d, (n // 2,) * d],
+                                            (0.5, 1.0, 1.3, 1.7, 2.5)):
+        field = sample_weights(law, box, seed)
+        rep = hub_check(field, x, kappa)
+        want = _reference_hub(field, x, kappa)
+        assert (rep.is_hub, rep.worst_time_slack, rep.worst_time_slack_target,
+                rep.worst_hop_slack) == want, (seed, x, kappa)
+        assert (rep.vertex, rep.kappa, rep.n_targets) == (x, kappa, box.n_vertices)
+        if x[0] == 0 and kappa == 1.3:
+            event_rows.append(field.weights)
+            want_hub.append(rep.is_hub)
+    # the compiled hub event tests a block of rows at once, with the same answers
+    test = _predicate(EventSpec.hub((0,) * d, 1.3), box, law).test
+    assert test(np.array(event_rows)).tolist() == want_hub
+
+
+def test_hub_hop_slack_counts_rounds_up_to_the_largest_budget():
+    # zero-weight snake from (0, 0) that comes back to (0, 1) at hop 21, one
+    # past the largest hop budget 2 * 8 + 4; every other edge costs 10
+    snake = ([(i, 0) for i in range(5)] + [(4, j) for j in range(1, 5)]
+             + [(i, 4) for i in (3, 2, 1, 0)] + [(i, 3) for i in range(4)]
+             + [(i, 2) for i in (3, 2, 1, 0)] + [(0, 1)])
+    box = LatticeBox(2, 4)
+    w = np.full(box.n_edges, 10.0)
+    for u, v in zip(snake, snake[1:]):
+        w[box.edge_id(u, v)] = 0.0
+    field = WeightField(box=box, distribution=EdgeDistribution.two_point(0, 10, Fraction(1, 2)),
+                        master_seed=0, weights=w)
+    rep = hub_check(field, (0, 0), 1.0)
+    assert rep.worst_hop_slack == 2 * 2 + 4 - 20  # (0, 2) at hop 20, not (0, 1) at hop 21
+    assert (rep.is_hub, rep.worst_time_slack, rep.worst_time_slack_target,
+            rep.worst_hop_slack) == _reference_hub(field, (0, 0), 1.0)
 
 
 def test_geodesic_length_stats_ladder():
