@@ -473,8 +473,8 @@ def _check_dim(key: str, got: int, want: int) -> None:
 def _cmd_simulate(cfg: dict, outdir: Path) -> list:
     from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
     from fpplab.oracle import CapExceededError
-    from fpplab.passage_time import (geodesic_length_stats, rescaled_metric,
-                                     uniform_gap)
+    from fpplab.passage_time import (_check_all_pairs, geodesic_length_stats,
+                                     rescaled_metric, uniform_gap)
 
     pts = cfg.get("points")
     with _config_values("distribution"):
@@ -483,6 +483,9 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
     if pts is not None:
         with _config_values("points"):
             box.vertex_id(np.asarray(pts))
+    else:
+        with _config_values("n"):
+            _check_all_pairs(box)
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget")
     if budget is not None and pts is None and box.n_vertices ** 2 > budget:
@@ -494,7 +497,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
         "dim": cfg["dim"], "n": cfg["n"], "seed": seed,
         "distribution": dist.spec(), "n_edges": box.n_edges,
         "n_grid_points": len(metric.points),
-        "max_rescaled_value": float(np.max(metric.matrix)),
+        "max_rescaled_value": float(metric.raw_times.max()) / metric.n,
     }
     if "truncation" in cfg:
         gap = uniform_gap(field, cfg["truncation"], seed=seed)

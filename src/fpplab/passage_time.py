@@ -383,26 +383,45 @@ class RescaledMetric:
     def write_csv(self, path) -> None:
         """RFC 4180 CSV; one row per source point, row-major vertex labels.
 
-        Cells are ``repr`` of the rescaled values, ``\r\n`` ends each line,
-        and labels such as ``0_3`` never need quoting.  Rows are written one
-        at a time as ``raw_times[i] / n``, the values of ``matrix[i]``.
+        Cells are ``repr`` of the rescaled values ``raw_times / n``, ``\r\n``
+        ends each line, and labels such as ``0_3`` never need quoting.  Each
+        off-diagonal cell is formatted once: row i formats its cells (i, j)
+        for j >= i and queues each one, with its trailing comma, in column j's
+        pending bytes, from which row j reads its cells left of the diagonal.
+        Row i is written as its label, column i's pending bytes and its own
+        cells, and column i's bytes are then dropped, so about a quarter of
+        the cells are pending at most.  The mirror cells are exact because
+        ``raw_times`` is symmetric bit for bit (the constructor's min with
+        the transpose).
         """
         labels = ["_".join(map(str, p)) for p in self.points]
         assert all(lbl.replace("_", "").isdigit() for lbl in labels)  # no quoting needed
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["source"] + labels) + "\r\n")
-            for lbl, raw in zip(labels, self.raw_times):
-                fh.write(lbl + "," + ",".join(map(repr, (raw / self.n).tolist())) + "\r\n")
+        pending = [bytearray() for _ in labels]
+        with open(path, "wb") as fh:
+            fh.write((",".join(["source"] + labels) + "\r\n").encode())
+            for i, (lbl, raw) in enumerate(zip(labels, self.raw_times)):
+                upper = ",".join(map(repr, (raw[i:] / self.n).tolist())).encode()
+                fh.write(lbl.encode() + b"," + pending[i] + upper + b"\r\n")
+                pending[i] = None
+                for col, cell in zip(pending[i + 1:], upper.split(b",")[1:]):
+                    col += cell
+                    col += b","
+
+
+def _check_all_pairs(box: LatticeBox) -> None:
+    """Raise ``ValueError`` unless :func:`rescaled_metric` accepts the whole
+    of ``box`` as its grid (at most 4097 vertices)."""
+    if box.n_vertices > 4097:
+        raise ValueError(
+            "all-pairs on a box this large is not supported; pass an explicit grid subset"
+        )
 
 
 def rescaled_metric(field: WeightField, points=None) -> RescaledMetric:
     """Rescaled box pseudometric on a grid subset, one Dijkstra per source."""
     box = field.box
     if points is None:
-        if box.n_vertices > 4097:
-            raise ValueError(
-                "all-pairs on a box this large is not supported; pass an explicit grid subset"
-            )
+        _check_all_pairs(box)
         pts = box.all_vertex_coords()
     else:
         pts = np.asarray(points, dtype=np.int64)

@@ -211,6 +211,9 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message)
     ("rate", {"time_constant": {"n_ladder": [8, 4]}}, "time_constant"),
     ("ld-trend", {"method": "exact", "distribution": {"kind": "exponential", "rate": 1.0}},
      "method"),
+    # a box over the all-pairs cap with no explicit points, before any sampling
+    ("simulate", {"distribution": {"kind": "exponential", "rate": 1.0}, "dim": 2, "n": 64,
+                  "seed": 0}, "n"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

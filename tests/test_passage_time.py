@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,42 @@ def test_metric_csv_bytes_are_pinned(tmp_path, law, d, n, seed, points, sha256):
     out = tmp_path / "metric.csv"
     rm.write_csv(out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def _per_cell_csv(rm) -> bytes:
+    # the row-by-row writer that formats every cell, the reference for write_csv
+    labels = ["_".join(map(str, p)) for p in rm.points]
+    lines = [",".join(["source"] + labels) + "\r\n"]
+    for lbl, raw in zip(labels, rm.raw_times):
+        lines.append(lbl + "," + ",".join(map(repr, (raw / rm.n).tolist())) + "\r\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("law, d, n, seed, points", [
+    (EdgeDistribution.two_point(0, 1, Fraction(3, 4)), 2, 5, 1, None),
+    (EdgeDistribution.exponential(1.0), 3, 3, 2, None),
+    (EdgeDistribution.exponential(1.0), 2, 6, 3, [[5, 1], [0, 0], [3, 4], [5, 1], [2, 2]]),
+    (EdgeDistribution.exponential(1.0), 2, 6, 4, [[3, 2]]),
+    (EdgeDistribution.two_point(1, 2, Fraction(1, 2)), 2, 1, 5, None),
+], ids=["zero-atom", "exponential", "unsorted-repeated-points", "single-point", "n1"])
+def test_metric_csv_equals_per_cell_writer(tmp_path, law, d, n, seed, points):
+    rm = rescaled_metric(sample_weights(law, LatticeBox(d, n), seed), points=points)
+    out = tmp_path / "metric.csv"
+    rm.write_csv(out)
+    assert out.read_bytes() == _per_cell_csv(rm)
+
+
+def test_metric_csv_pending_cells_stay_compact(tmp_path):
+    # mirror cells wait as bytes, not one str object each (about 2.3 MB here)
+    rm = rescaled_metric(sample_weights(EdgeDistribution.exponential(1.0), LatticeBox(3, 6), 0))
+    assert len(rm.points) == 343
+    tracemalloc.start()
+    try:
+        rm.write_csv(tmp_path / "metric.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_200_000
 
 
 def test_rescaled_metric_explicit_points_guard():
