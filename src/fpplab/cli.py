@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
 import json
@@ -26,6 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+from fpplab._artifacts import write_csv, write_json
 
 SCHEMA_VERSION = 1
 
@@ -358,48 +359,6 @@ def _canonical(cfg) -> str:
     return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_manifest(outdir: Path, command: str, cfg: dict, artifacts: list) -> None:
     canon = _canonical(cfg)
     manifest = {
@@ -413,7 +372,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, artifacts: list) -> N
         "budget": cfg.get("budget"),
         "artifacts": sorted(artifacts),
     }
-    _write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest)
 
 
 def _metric_from(cfg_metric: dict, key: str):
@@ -436,7 +395,7 @@ def _rate_fn_from(rec: dict, outdir: Path, dim: int):
     path = Path(rec["file"])
     if not path.is_absolute():
         path = outdir / path
-    with open(path) as fh:
+    with _config_values("rate.file"), open(path) as fh:
         return SurfaceRate(RateSurface.from_json(json.load(fh)))
 
 
@@ -446,14 +405,14 @@ class _ConfigValueError(Exception):
 
 @contextlib.contextmanager
 def _config_values(key: str):
-    """Turn a ValueError or TypeError raised while building the law, event,
-    metric, points or path family at config key ``key`` (a dotted path such
-    as ``event.y``) into a config error (exit 2) instead of a crash; the
-    message ends with ``(in "<key>")``.  A ``GeometryError`` is a
-    ``ValueError``."""
+    """Turn a ValueError, TypeError or OSError raised while building the law,
+    event, metric, points, path family or rate surface at config key ``key``
+    (a dotted path such as ``event.y``) into a config error (exit 2) instead
+    of a crash; the message ends with ``(in "<key>")``.  A ``GeometryError``
+    is a ``ValueError``."""
     try:
         yield
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise _ConfigValueError(f'{exc} (in "{key}")') from exc
 
 
@@ -471,7 +430,7 @@ def _check_dim(key: str, got: int, want: int) -> None:
 
 
 def _cmd_simulate(cfg: dict, outdir: Path) -> list:
-    from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
+    from fpplab.model import EdgeDistribution, LatticeBox, sample_weights, truncate
     from fpplab.oracle import CapExceededError
     from fpplab.passage_time import (_check_all_pairs, geodesic_length_stats,
                                      rescaled_metric, uniform_gap)
@@ -486,6 +445,12 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
     else:
         with _config_values("n"):
             _check_all_pairs(box)
+    if "truncation" in cfg:
+        with _config_values("truncation"):
+            truncate(dist, cfg["truncation"])
+    if "geodesic_stats" in cfg:
+        with _config_values("geodesic_stats.b"):
+            truncate(dist, cfg["geodesic_stats"]["b"])
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget")
     if budget is not None and pts is None and box.n_vertices ** 2 > budget:
@@ -500,16 +465,13 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
         "max_rescaled_value": float(metric.raw_times.max()) / metric.n,
     }
     if "truncation" in cfg:
-        gap = uniform_gap(field, cfg["truncation"], seed=seed)
-        report["uniform_gap"] = {"gap": gap.gap, "bound": gap.bound,
-                                 "n_pairs": gap.n_pairs,
-                                 "within_bound": gap.within_bound}
+        report["uniform_gap"] = uniform_gap(field, cfg["truncation"], seed=seed)
     if "geodesic_stats" in cfg:
         gs = cfg["geodesic_stats"]
         report["geodesic_stats"] = geodesic_length_stats(
             field, gs["b"], gs["L_values"],
             n_random_pairs=gs.get("n_random_pairs", 8), seed=seed)
-    _write_json(outdir / "simulate.json", report)
+    write_json(outdir / "simulate.json", report)
     print(f"simulate: wrote metric.csv ({len(metric.points)} grid points), "
           f"simulate.json")
     return ["metric.csv", "simulate.json"]
@@ -517,7 +479,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
 
 def _cmd_oracle(cfg: dict, outdir: Path) -> list:
     from fpplab.model import EdgeDistribution, LatticeBox
-    from fpplab.oracle import (EventSpec, exact_event_probability,
+    from fpplab.oracle import (EventSpec, _fkg_endpoints, exact_event_probability,
                                fkg_supermultiplicativity_check,
                                monte_carlo_event_probability)
 
@@ -540,6 +502,9 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
         if key in ev:
             with _config_values(f"event.{key}"):
                 box.vertex_id(ev[key])
+    if "fkg" in cfg:
+        with _config_values("fkg"):
+            _fkg_endpoints(box, cfg["fkg"]["x1"], cfg["fkg"]["x2"])
 
     report = {"event": event.name, "dim": cfg["dim"], "n": cfg["n"],
               "distribution": dist.spec(), "p_exact": None, "p_mc": None,
@@ -561,7 +526,7 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
                                               fk["t1"], fk["t2"], cap=budget)
         report["fkg"] = {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
                          "slack_nonnegative": rep.slack >= 0}
-    _write_json(outdir / "oracle.json", report)
+    write_json(outdir / "oracle.json", report)
     bits = []
     if report["p_exact"] is not None:
         bits.append(f"p_exact = {report['p_exact']}")
@@ -618,17 +583,13 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
     surface = extend_surface(envelope)
     surface.check_invariants()
 
-    rows = [[
-        "_".join(str(v) for v in p.x), _fmt(p.zeta), p.n, _fmt(p.estimate),
-        _fmt(p.ci[0]), "inf" if math.isinf(p.ci[1]) else _fmt(p.ci[1]),
-        p.method, p.censored, _fmt(p.p_hat), p.samples or "", p.hits if p.hits is not None else "",
-        p.seed if p.seed is not None else "",
-    ] for p in points]
-    _write_csv(outdir / "rate_points.csv",
-               ["x", "zeta", "n", "estimate", "ci_lo", "ci_hi", "method",
-                "censored", "p_mc", "samples", "hits", "seed"], rows)
+    rows = [["_".join(str(v) for v in p.x), p.zeta, p.n, p.estimate, *p.ci, p.method,
+             p.censored, p.p_hat, p.samples or "", p.hits, p.seed] for p in points]
+    write_csv(outdir / "rate_points.csv",
+              ["x", "zeta", "n", "estimate", "ci_lo", "ci_hi", "method",
+               "censored", "p_mc", "samples", "hits", "seed"], rows)
     surface.write_csv(outdir / "surface.csv")
-    _write_json(outdir / "surface.json", surface.to_json())
+    write_json(outdir / "surface.json", surface.to_json())
     artifacts = ["rate_points.csv", "surface.csv", "surface.json"]
 
     report = {"x": list(x), "zeta_grid": [float(z) for z in zetas],
@@ -640,13 +601,13 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
                                     samples=tc_cfg.get("samples", 200),
                                     seed=seed)
         zs = zero_set_check(surface, tc, zero_tol=cfg.get("zero_tol", 0.05))
-        report["time_constant"] = tc.to_json()
+        report["time_constant"] = tc
         report["zero_set"] = {"zero_ok": zs.zero_ok,
                               "positive_ok": zs.positive_ok,
                               "trend_ok": zs.trend_ok,
                               "trend_slope": zs.trend_slope,
                               "passed": zs.passed()}
-    _write_json(outdir / "rate.json", report)
+    write_json(outdir / "rate.json", report)
     artifacts.append("rate.json")
     print(f"rate: {len(points)} points on {len(zetas)} speeds, surface "
           f"invariants ok; wrote rate_points.csv, surface.csv, surface.json, rate.json")
@@ -664,15 +625,18 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
     else:
         seed_pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
                       for a, b in cfg.get("seed_pairs", [])]
+        for pair in seed_pairs:
+            for point in pair:
+                _check_dim("seed_pairs", len(point), metric.dim)
         net = build_highway_network(
             metric, n_geodesics=cfg.get("n_geodesics", 12),
             tol=cfg.get("tol", 1e-6), seed=seed, seed_pairs=seed_pairs,
             initial_access=cfg.get("initial_access", 17))
-    _write_json(outdir / "network.json", net.to_json())
-    rows = [[d["k"], d["origin"], _fmt(d["sup_distance"]), d["n_pieces"], seed]
+    write_json(outdir / "network.json", net.to_json())
+    rows = [[d["k"], d["origin"], d["sup_distance"], d["n_pieces"], seed]
             for d in net.diagnostics]
-    _write_csv(outdir / "diagnostics.csv",
-               ["k", "origin", "sup_distance", "n_pieces", "seed"], rows)
+    write_csv(outdir / "diagnostics.csv",
+              ["k", "origin", "sup_distance", "n_pieces", "seed"], rows)
     last = net.diagnostics[-1]["sup_distance"] if net.diagnostics else 0.0
     print(f"highways: {len(net.paths)} pieces, converged = {net.converged}, "
           f"final sup distance = {last:.3g}")
@@ -703,7 +667,7 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
         probe = strict_monotonicity_probe(smaller, metric, J,
                                           seed=cfg.get("seed", 0))
         out["monotonicity_probe"] = probe.to_json()
-    _write_json(outdir / "functional.json", out)
+    write_json(outdir / "functional.json", out)
 
     width = max(len(f"{v:.12g}") for v in
                 (rep.geodesic_sum, rep.intrinsic, rep.sup_bound))
@@ -740,23 +704,16 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
         samples=cfg.get("samples", 200), seed=cfg.get("seed", 0),
         method=cfg.get("method", "auto"), enum_cap=cfg.get("budget", 1 << 13),
         functional_value=fv)
-    _write_json(outdir / "ld_trend.json", table.to_json())
-    rows = [[
-        r.n, r.method, _fmt(r.p),
-        "" if r.p_exact is None else r.p_exact.numerator,
-        "" if r.p_exact is None else r.p_exact.denominator,
-        "inf" if r.rate is not None and math.isinf(r.rate) else _fmt(r.rate),
-        "" if r.ci is None else _fmt(r.ci[0]),
-        "" if r.ci is None else ("inf" if math.isinf(r.ci[1]) else _fmt(r.ci[1])),
-        r.censored, r.samples, r.hits if r.hits is not None else "", r.seed,
-    ] for r in table.rows]
-    _write_csv(outdir / "ld_trend.csv",
-               ["n", "method", "p", "p_num", "p_den", "rate", "rate_ci_lo",
-                "rate_ci_hi", "censored", "samples", "hits", "seed"], rows)
-    shown = ", ".join(
-        f"n={r.n}: " + ("censored" if r.censored else
-                        ("inf" if math.isinf(r.rate) else f"{r.rate:.4f}"))
-        for r in table.rows)
+    write_json(outdir / "ld_trend.json", table.to_json())
+    rows = [[r.n, r.method, r.p,
+             getattr(r.p_exact, "numerator", None), getattr(r.p_exact, "denominator", None),
+             r.rate, *(r.ci or (None, None)), r.censored, r.samples, r.hits, r.seed]
+            for r in table.rows]
+    write_csv(outdir / "ld_trend.csv",
+              ["n", "method", "p", "p_num", "p_den", "rate", "rate_ci_lo",
+               "rate_ci_hi", "censored", "samples", "hits", "seed"], rows)
+    shown = ", ".join(f"n={r.n}: " + ("censored" if r.censored else f"{r.rate:.4f}")
+                      for r in table.rows)
     tail = f" (functional value {fv:.6g})" if fv is not None else ""
     print(f"ld-trend: rates {shown}{tail}")
     return ["ld_trend.json", "ld_trend.csv"]
@@ -955,9 +912,8 @@ def _cmd_selftest(cfg: dict, outdir: Path) -> tuple[list, int]:
         if not ok:
             failed += 1
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-    _write_json(outdir / "selftest.json",
-                {"results": results, "n_failed": failed,
-                 "n_checks": len(results)})
+    write_json(outdir / "selftest.json",
+               {"results": results, "n_failed": failed, "n_checks": len(results)})
     print(f"selftest: {len(results) - failed}/{len(results)} checks passed")
     return ["selftest.json"], failed
 

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._artifacts import jsonable, write_csv
 from .model import LatticeBox
 # not called here: perfbench/tests/test_tracing.py checks the tracer on this
 # from-import copy
@@ -87,23 +88,13 @@ class RatePoint:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "x": list(self.x),
-            "zeta": self.zeta,
-            "n": self.n,
-            "estimate": None if math.isinf(self.estimate) else self.estimate,
-            "ci": [self.ci[0], None if math.isinf(self.ci[1]) else self.ci[1]],
-            "method": self.method,
-            "censored": self.censored,
-        }
+        out = {"x": self.x, "zeta": self.zeta, "n": self.n, "estimate": self.estimate,
+               "ci": self.ci, "method": self.method, "censored": self.censored}
         if self.p_exact is not None:
-            out["p_exact"] = {"num": self.p_exact.numerator, "den": self.p_exact.denominator}
+            out["p_exact"] = self.p_exact
         if self.p_hat is not None:
-            out["p_mc"] = self.p_hat
-            out["samples"] = self.samples
-            out["hits"] = self.hits
-            out["seed"] = self.seed
-        return out
+            out.update(p_mc=self.p_hat, samples=self.samples, hits=self.hits, seed=self.seed)
+        return jsonable(out)
 
 
 def _domain_check(dist, x: np.ndarray, zeta: float) -> None:
@@ -193,18 +184,6 @@ class TimeConstantEstimate:
     ci: tuple[float, float]
     bracket: tuple[float, float]      # analytic [a |x|_1, E tau |x|_1]
     non_increasing_within_ci: bool
-
-    def to_json(self) -> dict:
-        return {
-            "x": list(self.x),
-            "ns": list(self.ns),
-            "means": list(self.means),
-            "half_widths": list(self.half_widths),
-            "mu_hat": self.mu_hat,
-            "ci": list(self.ci),
-            "bracket": list(self.bracket),
-            "non_increasing_within_ci": self.non_increasing_within_ci,
-        }
 
 
 def _scale_ladder(n_ladder) -> list[int]:
@@ -338,21 +317,7 @@ class RateSurface:
         return True
 
     def to_json(self) -> dict:
-        return {
-            "directions": [list(p) for p in self.directions()],
-            "cells": [
-                {
-                    "direction": list(c.direction),
-                    "zeta": c.zeta,
-                    "value": c.value,
-                    "ci": [c.ci[0], None if math.isinf(c.ci[1]) else c.ci[1]],
-                    "method": c.method,
-                    "modified": list(c.modified),
-                    "sources": c.sources,
-                }
-                for c in self.cells
-            ],
-        }
+        return jsonable({"cells": self.cells, "directions": self.directions()})
 
     @classmethod
     def from_json(cls, data: dict) -> "RateSurface":
@@ -372,20 +337,11 @@ class RateSurface:
         return cls(cells=cells)
 
     def write_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["direction", "zeta", "value", "ci_lo", "ci_hi",
-                        "method", "modified", "sources"])
-            for c in self.cells:
-                w.writerow([
-                    "_".join(str(v) for v in c.direction),
-                    repr(c.zeta), repr(c.value), repr(c.ci[0]),
-                    "inf" if math.isinf(c.ci[1]) else repr(c.ci[1]),
-                    c.method, ";".join(c.modified) or "none",
-                    ";".join(str(s) for s in c.sources),
-                ])
+        write_csv(path, ["direction", "zeta", "value", "ci_lo", "ci_hi", "method",
+                         "modified", "sources"],
+                  [["_".join(str(v) for v in c.direction), c.zeta, c.value, *c.ci, c.method,
+                    ";".join(c.modified) or "none", ";".join(str(s) for s in c.sources)]
+                   for c in self.cells])
 
 
 def extend_surface(points: Sequence[RatePoint]) -> RateSurface:

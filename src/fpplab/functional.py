@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from fpplab._artifacts import jsonable
 from fpplab._segments import fvec, segment_intersection
 from fpplab.geometry import (
     GeometryError,
@@ -28,10 +29,10 @@ from fpplab.geometry import (
     NormPlusHighways,
     _norm_factory,
     _pair_eval,
+    check_path_family,
     hausdorff_integrate,
     metric_derivative,
     network_from_highways,
-    paths_pairwise_disjoint,
 )
 from fpplab.model import EdgeDistribution, LatticeBox
 from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rate
@@ -67,13 +68,6 @@ class AnalyticRate:
 
     def __call__(self, u, zeta: float) -> float:
         return self.scale * max(float(self.gnorm(u)) - float(zeta), 0.0)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "analytic",
-            "weights": [float(w) for w in self.weights],
-            "scale": self.scale,
-        }
 
 
 class SurfaceRate:
@@ -141,9 +135,6 @@ class SurfaceRate:
         ]
         return self._ray_value(self._dirs[int(np.argmax(scores))], u_abs, zeta)
 
-    def to_json(self) -> dict:
-        return {"kind": "surface", "n_directions": len(self._dirs)}
-
 
 # ---------------------------------------------------------------------------
 # path families
@@ -167,17 +158,11 @@ class PathFamily:
         self.certificate = self.validate()
 
     def validate(self) -> dict:
-        for i, p in enumerate(self.paths):
-            if not p.is_injective():
-                raise GeometryError(f"family path {i} is not injective")
-        ok, touches = paths_pairwise_disjoint(self.paths, allow_touch=True)
-        if not ok:
-            raise GeometryError("family paths overlap on positive length")
         cert = {
             "n_paths": len(self.paths),
             "injective": True,
             "pairwise_disjoint": True,
-            "n_touch_points": touches,
+            "n_touch_points": check_path_family(self.paths, "family path"),
         }
         self.certificate = cert
         return cert
@@ -469,16 +454,14 @@ class MonotonicityReport:
     witness: tuple | None
 
     def to_json(self) -> dict:
-        return {
+        return jsonable({
             "value_smaller_metric": self.value_smaller,
             "value_larger_metric": self.value_larger,
             "margin": self.margin,
             "n_pairs": self.n_pairs,
             "max_order_violation": self.max_order_violation,
-            "witness": None if self.witness is None else
-                [[float(c) for c in self.witness[0]],
-                 [float(c) for c in self.witness[1]]],
-        }
+            "witness": self.witness,
+        })
 
 
 def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,

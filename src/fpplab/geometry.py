@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.sparse.csgraph import floyd_warshall as _floyd_warshall
 
+from ._artifacts import jsonable
 from ._segments import (
     complement_segments,
     fvec,
@@ -297,6 +298,25 @@ def paths_pairwise_disjoint(paths: Sequence[LipschitzPath], allow_touch: bool = 
     return True, len(touches)
 
 
+def check_path_family(paths: Sequence[LipschitzPath], name: str = "path",
+                      allow_touch: bool = True) -> int:
+    """The number of touch points of a family of injective, pairwise
+    disjoint paths (isolated common points, allowed with ``allow_touch``).
+
+    Raises ``GeometryError`` naming the first non-injective ``{name} k``, or
+    saying that the ``{name}s`` overlap on positive length (or, without
+    ``allow_touch``, that they must be pairwise disjoint).
+    """
+    for k, p in enumerate(paths):
+        if not p.is_injective():
+            raise GeometryError(f"{name} {k} is not injective")
+    ok, touches = paths_pairwise_disjoint(paths, allow_touch=allow_touch)
+    if not ok:
+        raise GeometryError(f"{name}s overlap on positive length" if allow_touch
+                            else f"{name}s must be pairwise disjoint")
+    return touches
+
+
 # ---------------------------------------------------------------------------
 # weighted l1 norm plus discounted highways
 # ---------------------------------------------------------------------------
@@ -441,12 +461,7 @@ class NormPlusHighways:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
-        for k, hw in enumerate(self.highways):
-            if not hw.path.is_injective():
-                raise GeometryError(f"highway {k} is not injective")
-        ok, _ = paths_pairwise_disjoint([hw.path for hw in self.highways], allow_touch=False)
-        if not ok:
-            raise GeometryError("highways must be pairwise disjoint")
+        check_path_family([hw.path for hw in self.highways], "highway", allow_touch=False)
         for k, hw in enumerate(self.highways):
             # necessary geodesy condition, checked exactly on breakpoint pairs:
             # riding between any two tabulated points must not lose to the
@@ -606,18 +621,13 @@ class NormPlusHighways:
         return LipschitzPath(poly), float(dist[1])
 
     def to_json(self) -> dict:
-        return {
+        return jsonable({
             "kind": "norm_plus_highways",
-            "weights": [float(w) for w in self.weights],
+            "weights": self.weights,
             "access_points": self.access_points,
-            "highways": [
-                {
-                    "points": [[float(c) for c in p] for p in hw.path.points],
-                    "profile": [[float(e), float(l)] for e, l in hw.profile],
-                }
-                for hw in self.highways
-            ],
-        }
+            "highways": [{"points": hw.path.points, "profile": hw.profile}
+                         for hw in self.highways],
+        })
 
     @classmethod
     def from_json(cls, data: dict) -> "NormPlusHighways":
@@ -889,13 +899,8 @@ class HighwayNetwork:
     chain: HWChain | None = None
 
     def validate(self) -> dict:
-        for k, p in enumerate(self.paths):
-            if not p.is_injective():
-                raise GeometryError(f"network path {k} is not injective")
-        ok, touches = paths_pairwise_disjoint(self.paths, allow_touch=True)
-        if not ok:
-            raise GeometryError("network paths overlap on positive length")
-        return {"n_paths": len(self.paths), "n_touch_points": touches}
+        return {"n_paths": len(self.paths),
+                "n_touch_points": check_path_family(self.paths, "network path")}
 
     def discount_profile(self, k: int):
         """Per linear piece of path k: (t0, t1, lam) with lam the ratio of
@@ -912,19 +917,13 @@ class HighwayNetwork:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "weights": [float(w) for w in self.weights],
-            "converged": bool(self.converged),
-            "paths": [
-                {
-                    "points": [[float(c) for c in p] for p in path.points],
-                    "params": [float(t) for t in ts],
-                    "cum": [float(c) for c in cum],
-                }
-                for path, (ts, cum) in zip(self.paths, self.cum_tables)
-            ],
+        return jsonable({
+            "weights": self.weights,
+            "converged": self.converged,
+            "paths": [{"points": path.points, "params": ts, "cum": cum}
+                      for path, (ts, cum) in zip(self.paths, self.cum_tables)],
             "diagnostics": self.diagnostics,
-        }
+        })
 
 
 def _default_probe_pairs(dim: int, extra: int = 3, seed: int = 0):
@@ -1211,12 +1210,7 @@ def hausdorff_integrate(paths: Sequence[LipschitzPath], integrand: Callable,
     degree and exact for integrands constant per piece, the case of interest.
     """
     if validate:
-        for i, p in enumerate(paths):
-            if not p.is_injective():
-                raise GeometryError(f"path {i} is not injective")
-        ok, _ = paths_pairwise_disjoint(paths, allow_touch=True)
-        if not ok:
-            raise GeometryError("paths overlap on positive length")
+        check_path_family(paths)
     xs, ws = np.polynomial.legendre.leggauss(order)
     total = 0.0
     for path in paths:

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from fpplab._artifacts import jsonable
 from fpplab.geometry import _pair_eval
 from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _edge_arrays,
                           sample_weight_rows)
@@ -258,10 +259,6 @@ class ExactProbability:
     def denominator(self) -> int:
         return self.p.denominator
 
-    def to_json(self) -> dict:
-        return {"num": self.p.numerator, "den": self.p.denominator,
-                "configs": self.n_configs}
-
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
@@ -325,10 +322,6 @@ class MCEstimate:
     ci_low: float
     ci_high: float
 
-    def to_json(self) -> dict:
-        return {"p_mc": self.p_hat, "successes": self.successes,
-                "samples": self.samples, "ci": [self.ci_low, self.ci_high]}
-
 
 def monte_carlo_event_probability(
     event: EventSpec,
@@ -385,22 +378,8 @@ class LDTrendRow:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "method": self.method,
-            "p": self.p,
-            "p_exact": None if self.p_exact is None else
-                {"num": self.p_exact.numerator, "den": self.p_exact.denominator},
-            "rate": None if self.rate is None or not math.isfinite(self.rate)
-                else self.rate,
-            "rate_is_infinite": self.rate is not None and math.isinf(self.rate),
-            "ci": None if self.ci is None else
-                [self.ci[0], None if math.isinf(self.ci[1]) else self.ci[1]],
-            "censored": self.censored,
-            "samples": self.samples,
-            "hits": self.hits,
-            "seed": self.seed,
-        }
+        return {**jsonable(self),
+                "rate_is_infinite": self.rate is not None and math.isinf(self.rate)}
 
 
 def _check_method(method: str, dist: EdgeDistribution) -> None:
@@ -489,6 +468,20 @@ def validate_decreasing(
 # supermultiplicativity (in-box surrogate)
 
 
+def _fkg_endpoints(box: LatticeBox, x1, x2) -> tuple[int, int, int]:
+    """Vertex ids of 0, x1 and x1 + x2; ``ValueError`` unless x1 and x1 + x2
+    are vertices of the box.  The step x2 itself may point backwards."""
+    x1 = np.asarray(x1, dtype=np.int64)
+    x2 = np.asarray(x2, dtype=np.int64)
+    if x1.shape != x2.shape:
+        raise ValueError("x1 and x2 have different lengths")
+    x12 = x1 + x2
+    if np.any(x12 < 0) or np.any(x12 > box.side):
+        raise ValueError("x1 + x2 must stay in the box")
+    return (box.vertex_id(np.zeros(box.dimension, dtype=np.int64)), box.vertex_id(x1),
+            box.vertex_id(x12))
+
+
 @dataclass(frozen=True)
 class FKGReport:
     lhs: Fraction
@@ -496,14 +489,6 @@ class FKGReport:
     factor_second: Fraction
     rhs: Fraction
     slack: Fraction
-
-    def to_json(self) -> dict:
-        def enc(q):
-            return {"num": q.numerator, "den": q.denominator}
-
-        return {"lhs": enc(self.lhs), "factor_first": enc(self.factor_first),
-                "factor_second": enc(self.factor_second), "rhs": enc(self.rhs),
-                "slack": enc(self.slack)}
 
 
 def fkg_supermultiplicativity_check(
@@ -525,22 +510,12 @@ def fkg_supermultiplicativity_check(
     """
     if not dist.is_finite_support:
         raise ValueError("the enumeration oracle needs a finite-support law")
-    d = box.dimension
-    x1 = np.asarray(x1, dtype=np.int64)
-    x2 = np.asarray(x2, dtype=np.int64)
-    origin = np.zeros(d, dtype=np.int64)
-    x12 = x1 + x2
-    if np.any(x12 < 0) or np.any(x12 > box.side):
-        raise ValueError("x1 + x2 must stay in the box")
-
+    id0, id1, id12 = _fkg_endpoints(box, x1, x2)
     values, probs = dist.atoms()
     required = len(values) ** box.n_edges
     if required > cap:
         raise CapExceededError(required, cap)
 
-    id0 = box.vertex_id(origin)
-    id1 = box.vertex_id(x1)
-    id12 = box.vertex_id(x12)
     sources = np.array([id0, id1])
     nbr, eid = _arc_table(box, None)
 

@@ -665,17 +665,6 @@ class HubReport:
     worst_hop_slack: int | None
     n_targets: int
 
-    def to_json(self) -> dict:
-        return {
-            "vertex": list(self.vertex),
-            "kappa": self.kappa,
-            "is_hub": self.is_hub,
-            "worst_time_slack": self.worst_time_slack,
-            "worst_time_slack_target": list(self.worst_time_slack_target),
-            "worst_hop_slack": self.worst_hop_slack,
-            "n_targets": self.n_targets,
-        }
-
 
 def _hub_budgets(box: LatticeBox, x, kappa: float) -> tuple[int, np.ndarray, np.ndarray]:
     """Source id, hop budgets 2 |x-y|_1 + 4 and time budgets kappa |x-y|_1 of

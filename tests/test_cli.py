@@ -21,6 +21,7 @@ def run(tmp_path, command, cfg=None, extra=()):
 
 _DIAGONAL = DEFAULT_CONFIGS["highways"]["metric"]
 _NORM_3D = {"kind": "norm_plus_highways", "weights": [1.0, 1.0, 1.0], "highways": []}
+_UNIFORM_1_2 = {"kind": "uniform", "a": 1, "b": 2}
 
 
 def read_json(tmp_path, name):
@@ -214,11 +215,21 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message)
     # a box over the all-pairs cap with no explicit points, before any sampling
     ("simulate", {"distribution": {"kind": "exponential", "rate": 1.0}, "dim": 2, "n": 64,
                   "seed": 0}, "n"),
+    # truncation levels below the law's support, before any sampling
+    ("simulate", {"distribution": _UNIFORM_1_2, "truncation": 0.5}, "truncation"),
+    ("simulate", {"distribution": _UNIFORM_1_2, "geodesic_stats": {"b": 0.5, "L_values": [1.0]}},
+     "geodesic_stats.b"),
+    # fkg points off the box, before the exact and Monte-Carlo work
+    ("oracle", {"fkg": {"x1": [1, 0], "x2": [1, 0], "t1": 1.5, "t2": 1.5}}, "fkg"),
+    ("oracle", {"fkg": {"x1": [1, 0, 0], "x2": [0, 1, 0], "t1": 1.5, "t2": 1.5}}, "fkg"),
+    ("highways", {"seed_pairs": [[[0, 0, 0], [1, 1, 1]]]}, "seed_pairs"),
+    ("functional", {"rate": {"kind": "surface", "file": "missing.json"}}, "rate.file"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
     assert run(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.rstrip("\n").endswith(f'(in "{key}")')
+    assert not (tmp_path / "metric.csv").exists()
 
 
 def test_every_command_has_a_schema_and_default():

@@ -23,6 +23,7 @@ from fpplab.geometry import (
     LipschitzPath,
     NormPlusHighways,
     build_highway_network,
+    check_path_family,
     cut_path_against,
     d_length,
     gradient_by_paths,
@@ -168,6 +169,23 @@ def test_pairwise_disjoint_touch_policy():
     c = LipschitzPath([[0.25, 0.25], [0.75, 0.75]])
     ok, _ = paths_pairwise_disjoint([a, c], allow_touch=True)
     assert not ok  # positive-length overlap is never allowed
+
+
+def test_check_path_family_counts_touches_and_names_the_paths():
+    a = LipschitzPath([[0, 0], [1, 1]])
+    b = LipschitzPath([[0, 1], [1, 0]])
+    c = LipschitzPath([[0.25, 0.25], [0.75, 0.75]])
+    loop = LipschitzPath([[0, 0], [1, 1], [1, 0], [0, 1]])
+    assert check_path_family([a, b]) == 1
+    assert check_path_family([a]) == 0
+    with pytest.raises(GeometryError, match="^family paths overlap on positive length$"):
+        check_path_family([a, c], "family path")
+    with pytest.raises(GeometryError, match="^highways must be pairwise disjoint$"):
+        check_path_family([a, b], "highway", allow_touch=False)
+    with pytest.raises(GeometryError, match="^network path 1 is not injective$"):
+        check_path_family([a, loop], "network path")
+    with pytest.raises(GeometryError, match="^highways must be pairwise disjoint$"):
+        NormPlusHighways([1.0, 1.0], [(a, 0.5), (b, 0.5)])
 
 
 # ---------------------------------------------------------------------------
