@@ -37,7 +37,6 @@ for row in net.diagnostics:
     print(f"  insert {row['k']}: sup distance to target {row['sup_distance']:.2e}")
 
 # speed along the diagonal highway is its discount
-diag = net.chain.paths[0] if net.chain.paths else metric.highways[0].path
 der = metric_derivative(metric, LipschitzPath([[0.0, 0.0], [1.0, 1.0]]), 0.5)
 print(f"\nmetric derivative mid-diagonal: {der.value:.4f} "
       f"(ladder spread {der.spread:.1e}, flagged: {der.flagged})")

@@ -124,7 +124,6 @@ _METRIC = {
         "kind": {"const": "norm_plus_highways"},
         "weights": {"type": "array", "minItems": 1,
                     "items": {"type": "number", "exclusiveMinimum": 0}},
-        "access_points": {"type": "integer", "minimum": 2},
         "highways": {
             "type": "array",
             "items": {

@@ -390,6 +390,25 @@ def _axis_projections(pts: np.ndarray, ts: np.ndarray, X: np.ndarray) -> np.ndar
     return params.reshape(len(X), -1)
 
 
+def _transfer_params(hw: _Highway, other: _Highway) -> np.ndarray:
+    """Parameters on ``hw`` of the vertices of the hop cost ``g(hw(s) - other(t))``:
+    per pair of pieces, in local coordinates (u, v) on the unit square, the
+    crossings of two lines where a piece ends or one coordinate of the two
+    points agrees, each one 2x2 solve (Cramer's rule)."""
+    da, db = np.diff(hw.pts, axis=0)[:, None], np.diff(other.pts, axis=0)[None]
+    # line rows (cu, cv, c) for cu * u + cv * v = c, per piece pair
+    coord = np.stack(np.broadcast_arrays(da, -db, other.pts[None, :-1] - hw.pts[:-1, None]), -1)
+    ends = [[1.0, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 1]]
+    lines = np.concatenate([np.broadcast_to(ends, coord.shape[:2] + (4, 3)), coord], axis=2)
+    p, q = (np.moveaxis(lines[:, :, k], -1, 0) for k in np.triu_indices(lines.shape[2], 1))
+    det = p[0] * q[1] - p[1] * q[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel lines: inf or nan
+        u = (p[2] * q[1] - p[1] * q[2]) / det
+        v = (p[0] * q[2] - p[2] * q[0]) / det
+    inside = (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
+    return (hw.ts[:-1, None, None] + u * np.diff(hw.ts)[:, None, None])[inside]
+
+
 def _ride_table(cum_a: np.ndarray, cum_b: np.ndarray) -> np.ndarray:
     """``|cum_a[:, i] - cum_b[..., j]|`` as a fresh ``(B, i, j)`` array; cum_b
     is one table or one table per row."""
@@ -418,27 +437,21 @@ class NormPlusHighways:
     injective Lipschitz path together with a discount in (0, 1] (a constant or
     a piecewise-constant profile given as (param_end, lam) pieces).  The access
     nodes form ``self.chain``, an :class:`HWChain` with one block per highway:
-    uniform grids plus all breakpoints, with the query points' axis
-    projections added per query.  Single-highway routes are exact because the
-    access objective is piecewise linear between candidates; multi-highway
-    routes go through the chain's min-plus closed table and converge under
-    access refinement.  A multi-highway value is therefore an upper bound
-    that never increases under :meth:`refined`, since the access grids
-    nest.  At the default ``access_points=17`` the bias is not negligible:
-    on 120000 random pairs over 400 random 1-3-highway families, values
-    exceeded those after one refinement by up to 0.016, and those after
-    four by up to 0.021.
+    its breakpoints and its transfer parameters to every other highway
+    (:func:`_transfer_params`), with the query points' axis projections added
+    per query.  Values are exact: a route's cost is piecewise linear in its
+    entry, transfer and exit parameters, so it is least at a vertex.  A ride
+    of length zero there is no cheaper than skipping that highway; otherwise
+    entry and exit sit at breakpoints or projections of the query points, and
+    each transfer pair at a vertex of its hop cost.
     """
 
-    def __init__(self, weights, highways, access_points: int = 17, validate: bool = True):
+    def __init__(self, weights, highways):
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.ndim != 1 or np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
             raise GeometryError("norm weights must be positive and finite")
         self.dim = self.weights.shape[0]
         self.gnorm = _norm_factory(self.weights)
-        self.access_points = int(access_points)
-        if self.access_points < 2:
-            raise GeometryError("need at least two access points per highway")
 
         self.highways: list[_Highway] = []
         for path, speed in highways:
@@ -450,12 +463,11 @@ class NormPlusHighways:
             hw.tabulate(self.gnorm)
             self.highways.append(hw)
 
-        if validate:
-            self._validate()
+        self._validate()
         self.chain = HWChain.base(self.weights)
         for hw in self.highways:
-            params = np.unique(np.concatenate([
-                hw.ts, np.linspace(0.0, hw.path.length_l1, self.access_points)]))
+            transfers = [_transfer_params(hw, o) for o in self.highways if o is not hw]
+            params = np.unique(np.concatenate([hw.ts, *transfers]))
             self.chain = self.chain.insert(hw.path, params, hw.cumd_at(params))
 
     # -- validation ----------------------------------------------------------
@@ -502,11 +514,6 @@ class NormPlusHighways:
                     f"vs ride {ride[m]:.12g}"
                 )
 
-    def refined(self) -> "NormPlusHighways":
-        """Same metric with the access grid spacing halved (grids nest)."""
-        return NormPlusHighways(self.weights, [(hw.path, hw.profile) for hw in self.highways],
-                                access_points=2 * self.access_points - 1, validate=False)
-
     # -- evaluation ------------------------------------------------------------
 
     def _batch_rows(self) -> int:
@@ -547,7 +554,7 @@ class NormPlusHighways:
             route += c[:B, :, None]
             route += c[B:, None, :]
             best = np.minimum(best, route.reshape(B, -1).min(axis=1))
-            # refined access costs into the block's nodes
+            # access costs into the block's nodes, through its entry candidates
             route = _ride_table(cum, block.cum)
             route += c[:, :, None]
             v[:, block.rows] = np.minimum(v[:, block.rows], route.min(axis=1))
@@ -558,7 +565,7 @@ class NormPlusHighways:
 
         Per row the route search is the single-pair one: the direct norm,
         exact rides on each highway between its entry candidates, and the
-        refined access costs through the chain's min-plus table.  Each step
+        access costs through the chain's min-plus table.  Each step
         is one array operation over a chunk of rows, and the chunks keep
         every temporary within a fixed element budget.
         """
@@ -624,7 +631,6 @@ class NormPlusHighways:
         return jsonable({
             "kind": "norm_plus_highways",
             "weights": self.weights,
-            "access_points": self.access_points,
             "highways": [{"points": hw.path.points, "profile": hw.profile}
                          for hw in self.highways],
         })
@@ -636,7 +642,7 @@ class NormPlusHighways:
              [(e, l) for e, l in h["profile"]])
             for h in data["highways"]
         ]
-        return cls(data["weights"], highways, access_points=data.get("access_points", 17))
+        return cls(data["weights"], highways)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from fpplab._artifacts import jsonable
 from fpplab.geometry import _pair_eval
@@ -580,6 +579,7 @@ def cramer_rate(dist: EdgeDistribution, zeta: float, tol: float = 1e-10) -> floa
     Zero at and above the mean; -log nu({a}) at the support infimum a when an
     atom sits there, infinite there otherwise; +inf below the support.
     """
+    from scipy.optimize import minimize_scalar  # slow to import; no CLI command needs it
     a = dist.support_infimum
     if zeta < a:
         return math.inf

@@ -1,5 +1,7 @@
-"""A plain shortest-path reference shared by the test modules."""
+"""Plain references shared by the test modules: a heap Dijkstra on the
+lattice and a uniform access grid for highway metrics."""
 
+import copy
 import heapq
 import math
 
@@ -28,3 +30,19 @@ def reference_dijkstra(box, w, source, mask=None):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return np.array(dist)
+
+
+def dense_grid_metric(metric, access_points=65):
+    """A copy of a NormPlusHighways metric whose node pool on each highway is
+    its breakpoints plus a uniform grid of ``access_points`` parameters.  Its
+    values are costs of real routes, so they bound the metric from above."""
+    from fpplab.geometry import HWChain
+
+    chain = HWChain.base(metric.weights)
+    for hw in metric.highways:
+        params = np.unique(np.concatenate([
+            hw.ts, np.linspace(0.0, hw.path.length_l1, access_points)]))
+        chain = chain.insert(hw.path, params, hw.cumd_at(params))
+    dense = copy.copy(metric)
+    dense.chain = chain
+    return dense

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpplab
 from fpplab.cli import DEFAULT_CONFIGS, SCHEMAS, main
 
 
@@ -183,6 +188,8 @@ def test_selftest_schema_rejects_junk(tmp_path):
         {"points": [[0.344, 0.43], [0.966, 0.562], [0.259, 0.242]],
          "profile": [[0.8905, 0.5], [1.781, 0.6]]}]}},
      "invalid config value: highway 0 is not a geodesic"),
+    # access nodes come from the geometry; the old grid size is no key
+    ("highways", {"metric": {**_DIAGONAL, "access_points": 17}}, "config schema violation"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
@@ -230,6 +237,24 @@ def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, ke
     assert run(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.rstrip("\n").endswith(f'(in "{key}")')
     assert not (tmp_path / "metric.csv").exists()
+
+
+def test_commands_do_not_import_scipy_optimize_or_stats():
+    """The five commands that need neither module leave both unimported,
+    which keeps them off every command's start-up time."""
+    code = (
+        "import sys, tempfile\n"
+        "from fpplab.cli import main\n"
+        "for cmd in ('simulate', 'oracle', 'rate', 'functional', 'ld-trend'):\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        assert main([cmd, '-o', out]) == 0, cmd\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fpplab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_every_command_has_a_schema_and_default():
