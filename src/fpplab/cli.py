@@ -280,7 +280,6 @@ SCHEMAS = {
             "mode": {"enum": ["own", "build"]},
             "n_geodesics": {"type": "integer", "minimum": 1},
             "tol": {"type": "number", "exclusiveMinimum": 0},
-            "initial_access": {"type": "integer", "minimum": 2},
             "seed_pairs": {"type": "array",
                            "items": {"type": "array", "minItems": 2,
                                      "maxItems": 2, "items": _POINT}},
@@ -624,13 +623,15 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
     else:
         seed_pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
                       for a, b in cfg.get("seed_pairs", [])]
-        for pair in seed_pairs:
-            for point in pair:
-                _check_dim("seed_pairs", len(point), metric.dim)
+        for a, b in seed_pairs:
+            _check_dim("seed_pairs", len(a), metric.dim)
+            _check_dim("seed_pairs", len(b), metric.dim)
+            if np.array_equal(a, b):
+                with _config_values("seed_pairs"):
+                    raise ValueError("a pair's endpoints coincide")
         net = build_highway_network(
             metric, n_geodesics=cfg.get("n_geodesics", 12),
-            tol=cfg.get("tol", 1e-6), seed=seed, seed_pairs=seed_pairs,
-            initial_access=cfg.get("initial_access", 17))
+            tol=cfg.get("tol", 1e-6), seed=seed, seed_pairs=seed_pairs)
     write_json(outdir / "network.json", net.to_json())
     rows = [[d["k"], d["origin"], d["sup_distance"], d["n_pieces"], seed]
             for d in net.diagnostics]

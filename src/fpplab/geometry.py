@@ -31,7 +31,7 @@ from ._segments import (
 )
 
 
-#: Element budget of one temporary array in :meth:`NormPlusHighways.evaluate_many`,
+#: Element budget of one temporary array in :meth:`HWChain.query_many`,
 #: which walks its pairs in chunks of as many rows as fit.
 _BATCH_ELEMENTS = 1 << 16
 
@@ -364,9 +364,6 @@ class _Highway:
         k = min(k, len(self.profile) - 1)
         return self.profile[k][1]
 
-    def cumd_at(self, t) -> np.ndarray:
-        return np.interp(np.asarray(t, dtype=float), self.ts, self.cumd)
-
 
 def _axis_projections(pts: np.ndarray, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Axis-aligned foot points of the rows of X on the interior of a polyline.
@@ -390,14 +387,16 @@ def _axis_projections(pts: np.ndarray, ts: np.ndarray, X: np.ndarray) -> np.ndar
     return params.reshape(len(X), -1)
 
 
-def _transfer_params(hw: _Highway, other: _Highway) -> np.ndarray:
-    """Parameters on ``hw`` of the vertices of the hop cost ``g(hw(s) - other(t))``:
-    per pair of pieces, in local coordinates (u, v) on the unit square, the
-    crossings of two lines where a piece ends or one coordinate of the two
-    points agrees, each one 2x2 solve (Cramer's rule)."""
-    da, db = np.diff(hw.pts, axis=0)[:, None], np.diff(other.pts, axis=0)[None]
+def _transfer_params(pts: np.ndarray, ts: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Parameters on the polyline ``sigma`` through ``pts`` (at parameters
+    ``ts``) of the vertices of the hop cost ``g(sigma(s) - tau(t))``, ``tau``
+    the polyline through the points ``other``: per pair of pieces, in local
+    coordinates (u, v) on the unit square, the crossings of two lines where a
+    piece ends or one coordinate of the two points agrees, each one 2x2 solve
+    (Cramer's rule)."""
+    da, db = np.diff(pts, axis=0)[:, None], np.diff(other, axis=0)[None]
     # line rows (cu, cv, c) for cu * u + cv * v = c, per piece pair
-    coord = np.stack(np.broadcast_arrays(da, -db, other.pts[None, :-1] - hw.pts[:-1, None]), -1)
+    coord = np.stack(np.broadcast_arrays(da, -db, other[None, :-1] - pts[:-1, None]), -1)
     ends = [[1.0, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 1]]
     lines = np.concatenate([np.broadcast_to(ends, coord.shape[:2] + (4, 3)), coord], axis=2)
     p, q = (np.moveaxis(lines[:, :, k], -1, 0) for k in np.triu_indices(lines.shape[2], 1))
@@ -406,7 +405,7 @@ def _transfer_params(hw: _Highway, other: _Highway) -> np.ndarray:
         u = (p[2] * q[1] - p[1] * q[2]) / det
         v = (p[0] * q[2] - p[2] * q[0]) / det
     inside = (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
-    return (hw.ts[:-1, None, None] + u * np.diff(hw.ts)[:, None, None])[inside]
+    return (ts[:-1, None, None] + u * np.diff(ts)[:, None, None])[inside]
 
 
 def _ride_table(cum_a: np.ndarray, cum_b: np.ndarray) -> np.ndarray:
@@ -435,15 +434,10 @@ class NormPlusHighways:
 
     ``weights`` are the positive per-axis norm weights, each highway is an
     injective Lipschitz path together with a discount in (0, 1] (a constant or
-    a piecewise-constant profile given as (param_end, lam) pieces).  The access
-    nodes form ``self.chain``, an :class:`HWChain` with one block per highway:
-    its breakpoints and its transfer parameters to every other highway
-    (:func:`_transfer_params`), with the query points' axis projections added
-    per query.  Values are exact: a route's cost is piecewise linear in its
-    entry, transfer and exit parameters, so it is least at a vertex.  A ride
-    of length zero there is no cheaper than skipping that highway; otherwise
-    entry and exit sit at breakpoints or projections of the query points, and
-    each transfer pair at a vertex of its hop cost.
+    a piecewise-constant profile given as (param_end, lam) pieces).  Each
+    highway is one ride of ``self.chain``, the :class:`HWChain` node pool that
+    answers every query, exactly: its rides are the highways' discounted
+    length tables, linear between the merged breakpoints.
     """
 
     def __init__(self, weights, highways):
@@ -464,11 +458,7 @@ class NormPlusHighways:
             self.highways.append(hw)
 
         self._validate()
-        self.chain = HWChain.base(self.weights)
-        for hw in self.highways:
-            transfers = [_transfer_params(hw, o) for o in self.highways if o is not hw]
-            params = np.unique(np.concatenate([hw.ts, *transfers]))
-            self.chain = self.chain.insert(hw.path, params, hw.cumd_at(params))
+        self.chain = HWChain(self.weights, [(hw.path, hw.ts, hw.cumd) for hw in self.highways])
 
     # -- validation ----------------------------------------------------------
 
@@ -498,12 +488,13 @@ class NormPlusHighways:
         if not self.highways:
             return
         i, j = np.triu_indices(samples, 1)
-        ts = [np.linspace(0.0, hw.path.length_l1, samples) for hw in self.highways]
-        pts = [hw.path.point_at(t) for hw, t in zip(self.highways, ts)]
+        blocks = self.chain.blocks
+        ts = [np.linspace(0.0, b.path.length_l1, samples) for b in blocks]
+        pts = [b.path.point_at(t) for b, t in zip(blocks, ts)]
         vals = self.evaluate_many(np.concatenate([p[i] for p in pts]),
                                   np.concatenate([p[j] for p in pts]))
-        for k, (hw, t, val) in enumerate(zip(self.highways, ts, np.split(vals, len(ts)))):
-            cum = hw.cumd_at(t)
+        for k, (block, t, val) in enumerate(zip(blocks, ts, np.split(vals, len(ts)))):
+            cum = block.cum_at(t)
             ride = np.abs(cum[j] - cum[i])
             bad = np.abs(val - ride) > tol * (1.0 + ride)
             if bad.any():
@@ -516,66 +507,10 @@ class NormPlusHighways:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _batch_rows(self) -> int:
-        """Pairs per chunk of :meth:`evaluate_many`.  Its largest temporaries
-        hold, per pair, each highway's candidate-by-candidate route table,
-        the candidate-by-node access tables of both points, and the pool's
-        node-by-node min-plus table."""
-        sizes = [1, self.chain.n_nodes ** 2]
-        for hw, block in zip(self.highways, self.chain.blocks):
-            n_cand = len(block.params) + (len(hw.ts) - 1) * self.dim
-            sizes += [n_cand ** 2, 2 * n_cand * len(block.params)]
-        return max(1, _BATCH_ELEMENTS // max(sizes))
-
-    def _entry_candidates(self, hw: _Highway, block: "_Block", g: np.ndarray, P: np.ndarray):
-        """Costs of reaching each entry candidate of a highway from each row
-        of P, with the candidates' ride values: the block's access nodes,
-        whose costs ``g`` the pool already has, then the rows' axis
-        projections."""
-        proj = _axis_projections(hw.pts, hw.ts, P)
-        cost = np.abs(P[:, None, :] - hw.path.point_at(proj)) @ self.weights
-        ride = np.broadcast_to(block.cum, (len(P), len(block.cum)))
-        return (np.concatenate([g[:, block.rows], cost], axis=1),
-                np.concatenate([ride, hw.cumd_at(proj)], axis=1))
-
-    def _evaluate_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        best = self.gnorm(X - Y)
-        if not self.highways:
-            return best
-        chain = self.chain
-        B = len(X)
-        P = np.concatenate([X, Y])  # x rows, then y rows
-        g = np.abs(P[:, None, :] - chain.nodes) @ self.weights
-        v = g.copy()
-        for hw, block in zip(self.highways, chain.blocks):
-            c, cum = self._entry_candidates(hw, block, g, P)
-            # enter at a, ride to b, leave: (ride[a, b] + c_x[a]) + c_y[b]
-            route = _ride_table(cum[:B], cum[B:])
-            route += c[:B, :, None]
-            route += c[B:, None, :]
-            best = np.minimum(best, route.reshape(B, -1).min(axis=1))
-            # access costs into the block's nodes, through its entry candidates
-            route = _ride_table(cum, block.cum)
-            route += c[:, :, None]
-            v[:, block.rows] = np.minimum(v[:, block.rows], route.min(axis=1))
-        return np.minimum(best, chain._min_plus(v[:B], v[B:]))
-
     def evaluate_many(self, X, Y) -> np.ndarray:
-        """Distances between the rows of X and Y, two ``(B, dim)`` arrays.
-
-        Per row the route search is the single-pair one: the direct norm,
-        exact rides on each highway between its entry candidates, and the
-        access costs through the chain's min-plus table.  Each step
-        is one array operation over a chunk of rows, and the chunks keep
-        every temporary within a fixed element budget.
-        """
-        X, Y = _point_rows(X, Y, self.dim)
-        rows = self._batch_rows()
-        out = np.empty(len(X))
-        for start in range(0, len(X), rows):
-            out[start:start + rows] = self._evaluate_rows(X[start:start + rows],
-                                                          Y[start:start + rows])
-        return out
+        """Distances between the rows of X and Y, two ``(B, dim)`` arrays
+        (:meth:`HWChain.query_many`)."""
+        return self.chain.query_many(X, Y)
 
     def evaluate(self, x, y) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None],
@@ -595,23 +530,23 @@ class NormPlusHighways:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if np.array_equal(x, y):
+            raise GeometryError("geodesic endpoints coincide")
         pts = [x, y]
         hw_params: list[list[tuple[float, int]]] = []
-        for hw, block in zip(self.highways, self.chain.blocks):
+        for block in self.chain.blocks:
             params = np.unique(np.concatenate([
-                block.params, _axis_projections(hw.pts, hw.ts, np.stack([x, y])).ravel()]))
+                block.params, _axis_projections(block.pts, block.ts, np.stack([x, y])).ravel()]))
             entries = []
             for t in params:
                 entries.append((float(t), len(pts)))
-                pts.append(hw.path.point_at(t))
+                pts.append(block.path.point_at(t))
             hw_params.append(entries)
         P = np.asarray(pts)
-        n = P.shape[0]
         E = np.abs(P[:, None, :] - P[None, :, :]) @ self.weights
-        for k, hw in enumerate(self.highways):
-            entries = hw_params[k]
+        for block, entries in zip(self.chain.blocks, hw_params):
             for (t0, i0), (t1, i1) in zip(entries[:-1], entries[1:]):
-                ride = float(hw.cumd_at(t1) - hw.cumd_at(t0))
+                ride = float(block.cum_at(t1) - block.cum_at(t0))
                 if ride < E[i0, i1]:
                     E[i0, i1] = ride
                     E[i1, i0] = ride
@@ -750,33 +685,63 @@ def _pair_eval(metric) -> Callable:
 
 @dataclass(frozen=True)
 class _Block:
-    """One inserted highway's share of an :class:`HWChain` node pool."""
+    """One ride's share of an :class:`HWChain` node pool."""
 
-    rows: slice          # its rows of ``HWChain.nodes`` and ``HWChain.M``
-    params: np.ndarray   # access parameters along the highway
-    cum: np.ndarray      # ride table: cumulative distance at ``params``
+    rows: slice             # its rows of ``HWChain.nodes`` and ``HWChain.M``
+    path: LipschitzPath
+    ts: np.ndarray          # the ride's breakpoint parameters
+    pts: np.ndarray         # its points at ``ts``
+    cum: np.ndarray         # its cumulative cost at ``ts``, linear in between
+    params: np.ndarray      # access parameters along the ride
+    access_cum: np.ndarray  # the cost at ``params``
+
+    def cum_at(self, t) -> np.ndarray:
+        return np.interp(np.asarray(t, dtype=float), self.ts, self.cum)
 
 
 class HWChain:
-    """The min-plus node pool of the insertion recursion, of
-    :class:`NormPlusHighways` and of highway networks.
+    """The one min-plus node pool: of :class:`NormPlusHighways`, of the
+    insertion recursion and of highway networks.
 
-    The metric after K insertions is represented by access nodes on the
-    inserted highways (one :class:`_Block` each) and the min-plus closed
-    matrix M of their pairwise values; a query routes straight from x into
-    the pool, through M, and straight out.  M only ever decreases under
-    insertion, and it stays at or above the insertion target as long as each
-    inserted curve is a target geodesic, since every graph edge then
-    dominates the target distance.
+    A pool is built from rides ``(path, ts, cum)``: a polyline, its breakpoint
+    parameters and the cumulative cost at them, linear in between.  Each ride
+    gets one :class:`_Block` of access nodes, its breakpoints and its transfer
+    parameters to every other ride (:func:`_transfer_params`), and M is the
+    min-plus closure of the nodes' pairwise costs, closed one ride at a time.
+    A query adds its points' axis projections onto each ride as entry
+    candidates.  Values are exact: a route's cost is piecewise linear in its
+    entry, transfer and exit parameters, so it is least at a vertex.  A ride
+    of length zero there is no cheaper than skipping that ride; otherwise
+    entry and exit sit at breakpoints or projections of the query points, and
+    each transfer pair at a vertex of its hop cost.
+
+    Inserting a target geodesic only ever lowers the values, and they stay at
+    or above the target, since every route's cost then dominates the target
+    distance.
     """
 
-    def __init__(self, weights, nodes=None, M=None, paths=(), blocks=()):
+    def __init__(self, weights, rides=()):
         self.weights = np.asarray(weights, dtype=float)
         self.gnorm = _norm_factory(self.weights)
         self.dim = self.weights.shape[0]
-        self.nodes = np.zeros((0, self.dim)) if nodes is None else nodes
-        self.M = np.zeros((0, 0)) if M is None else M
-        self.paths = tuple(paths)
+        self.rides = tuple(rides)
+        self.nodes = np.zeros((0, self.dim))
+        self.M = np.zeros((0, 0))
+        pts = [path.point_at(ts) for path, ts, _ in self.rides]
+        blocks = []
+        for k, (path, ts, cum) in enumerate(self.rides):
+            transfers = [_transfer_params(pts[k], ts, o) for j, o in enumerate(pts) if j != k]
+            params = np.unique(np.concatenate([ts, *transfers]))
+            access_cum = np.interp(params, ts, cum)
+            n_old = self.n_nodes
+            self.nodes = np.concatenate([self.nodes, path.point_at(params)], axis=0)
+            E = np.abs(self.nodes[:, None, :] - self.nodes[None, :, :]) @ self.weights
+            E[:n_old, :n_old] = np.minimum(E[:n_old, :n_old], self.M)
+            E[n_old:, n_old:] = np.minimum(E[n_old:, n_old:],
+                                           np.abs(access_cum[:, None] - access_cum[None, :]))
+            self.M = _floyd_warshall(_complete_csr(E), directed=False)
+            blocks.append(_Block(slice(n_old, self.n_nodes), path, ts, pts[k], cum,
+                                 params, access_cum))
         self.blocks = tuple(blocks)
 
     @classmethod
@@ -787,104 +752,110 @@ class HWChain:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    def insert(self, path: LipschitzPath, ts: np.ndarray, cum: np.ndarray) -> "HWChain":
+        """The pool with one more ride.  It is built anew, so the older rides
+        gain transfer nodes toward the new one."""
+        return HWChain(self.weights, self.rides + ((path, ts, cum),))
+
     def query_many(self, X, Y) -> np.ndarray:
-        """Distances between the rows of X and Y, two ``(B, dim)`` arrays:
-        per row the cheaper of the straight norm and the route through the
-        pool.  Rows are taken in chunks that keep the min-plus temporary
-        within a fixed element budget."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        best = self.gnorm(X - Y)
-        if self.n_nodes:
-            rows = max(1, _BATCH_ELEMENTS // self.n_nodes ** 2)
-            for start in range(0, len(X), rows):
-                part = slice(start, start + rows)
-                gx = np.abs(X[part, None, :] - self.nodes) @ self.weights
-                gy = np.abs(Y[part, None, :] - self.nodes) @ self.weights
-                best[part] = np.minimum(best[part], self._min_plus(gx, gy))
-        return best
+        """Distances between the rows of X and Y, two ``(B, dim)`` arrays.
+
+        Per row: the direct norm, exact rides on each ride between its entry
+        candidates, and the access costs through M.  Each step is one array
+        operation over a chunk of rows, and the chunks keep every temporary
+        within a fixed element budget.
+        """
+        X, Y = _point_rows(X, Y, self.dim)
+        rows = self._batch_rows()
+        out = np.empty(len(X))
+        for start in range(0, len(X), rows):
+            out[start:start + rows] = self._query_rows(X[start:start + rows],
+                                                       Y[start:start + rows])
+        return out
 
     def query(self, x, y) -> float:
         return float(self.query_many(np.asarray(x, dtype=float)[None],
                                      np.asarray(y, dtype=float)[None])[0])
 
-    def _min_plus(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        """Cheapest routes entering the pool at costs gx, crossing M, and
-        leaving at costs gy; one route per row of the ``(B, n_nodes)``
-        cost arrays."""
-        route = gx[:, :, None] + self.M
-        route += gy[:, None, :]
-        return route.reshape(len(route), -1).min(axis=1)
+    def _batch_rows(self) -> int:
+        """Pairs per chunk of :meth:`query_many`.  Its largest temporaries
+        hold, per pair, each ride's candidate-by-candidate route table, the
+        candidate-by-node access tables of both points, and the pool's
+        node-by-node min-plus table."""
+        sizes = [1, self.n_nodes ** 2]
+        for block in self.blocks:
+            n_cand = len(block.params) + (len(block.ts) - 1) * self.dim
+            sizes += [n_cand ** 2, 2 * n_cand * len(block.params)]
+        return max(1, _BATCH_ELEMENTS // max(sizes))
 
-    def insert(self, path: LipschitzPath, access_params: np.ndarray, cum: np.ndarray) -> "HWChain":
-        """Insert one highway given its access parameters and the cumulative
-        target distance along them; returns the next chain state, whose last
-        block records both."""
-        new_pts = path.point_at(access_params)
-        ride = np.abs(cum[:, None] - cum[None, :])
-        all_pts = np.concatenate([self.nodes, new_pts], axis=0)
-        E = np.abs(all_pts[:, None, :] - all_pts[None, :, :]) @ self.weights
-        n_old = self.n_nodes
-        if n_old:
-            E[:n_old, :n_old] = np.minimum(E[:n_old, :n_old], self.M)
-        E[n_old:, n_old:] = np.minimum(E[n_old:, n_old:], ride)
-        M = _floyd_warshall(_complete_csr(E), directed=False)
-        block = _Block(slice(n_old, n_old + len(new_pts)), access_params, cum)
-        return HWChain(self.weights, all_pts, M, self.paths + (path,), self.blocks + (block,))
+    def _entry_candidates(self, block: _Block, g: np.ndarray, P: np.ndarray):
+        """Costs of reaching each entry candidate of a ride from each row of
+        P, with the candidates' ride values: the block's access nodes, whose
+        costs ``g`` the pool already has, then the rows' axis projections."""
+        proj = _axis_projections(block.pts, block.ts, P)
+        cost = np.abs(P[:, None, :] - block.path.point_at(proj)) @ self.weights
+        ride = np.broadcast_to(block.access_cum, (len(P), len(block.access_cum)))
+        return (np.concatenate([g[:, block.rows], cost], axis=1),
+                np.concatenate([ride, block.cum_at(proj)], axis=1))
+
+    def _query_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        best = self.gnorm(X - Y)
+        if not self.blocks:
+            return best
+        B = len(X)
+        P = np.concatenate([X, Y])  # x rows, then y rows
+        g = np.abs(P[:, None, :] - self.nodes) @ self.weights
+        v = g.copy()
+        for block in self.blocks:
+            c, cum = self._entry_candidates(block, g, P)
+            # enter at a, ride to b, leave: (ride[a, b] + c_x[a]) + c_y[b]
+            route = _ride_table(cum[:B], cum[B:])
+            route += c[:B, :, None]
+            route += c[B:, None, :]
+            best = np.minimum(best, route.reshape(B, -1).min(axis=1))
+            # access costs into the block's nodes, through its entry candidates
+            route = _ride_table(cum, block.access_cum)
+            route += c[:, :, None]
+            v[:, block.rows] = np.minimum(v[:, block.rows], route.min(axis=1))
+        # enter the pool, cross M, leave
+        route = v[:B, :, None] + self.M
+        route += v[B:, None, :]
+        return np.minimum(best, route.reshape(B, -1).min(axis=1))
 
 
-def hw_insert(
-    chain: HWChain,
-    path: LipschitzPath,
-    target,
-    probe_pairs=None,
-    tol: float = 1e-9,
-    geodesy_tol: float = 1e-9,
-    initial_access: int = 17,
-    max_doublings: int = 5,
-) -> HWChain:
-    """One step of the insertion recursion with automatic access refinement.
+def hw_insert(chain: HWChain, path: LipschitzPath, target,
+              geodesy_tol: float = 1e-9) -> HWChain:
+    """One step of the insertion recursion: the curve joins the pool as a ride.
 
-    ``target`` supplies the distances along the inserted curve; the curve must
-    be a target geodesic, which is validated by comparing the accumulated
-    increments with the direct target distance between the endpoints.  The
-    access grid is doubled until the queried values at the probe pairs are
-    Cauchy at tolerance ``tol``.
+    ``target`` supplies the distances along the curve, tabulated at its
+    vertices.  The curve must be a target geodesic whose cost is linear on
+    each piece, as every polyline of :meth:`NormPlusHighways.geodesic` is: its
+    segments are norm hops or rides between consecutive access parameters,
+    which include every breakpoint.  Two necessary conditions are checked,
+    raising :class:`GeodesyError`: the increments add up to the direct target
+    distance between the endpoints, and each piece's midpoint splits its
+    increment in half.
     """
-    ev_many = _pair_eval(target)
-    total = path.length_l1
-    direct = float(ev_many(path.points[:1], path.points[-1:])[0])
-
-    if probe_pairs is None:
-        corners = [np.zeros(chain.dim), np.ones(chain.dim)]
-        anchors = corners + [np.full(chain.dim, 0.5), path.points[0], path.points[-1]]
-        probe_pairs = [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
-    probe_x, probe_y = _pair_rows(probe_pairs, chain.dim)
-    probe_points = np.concatenate([probe_x, probe_y])
-    base_params = np.concatenate([
-        path.cum, _axis_projections(path.points, path.cum, probe_points).ravel()])
-
-    prev_vals = None
-    prev_chain = None
-    count = initial_access
-    for _ in range(max_doublings + 1):
-        params = np.unique(np.concatenate([base_params, np.linspace(0.0, total, count)]))
-        pts = path.point_at(params)
-        incs = ev_many(pts[:-1], pts[1:])
-        cum = np.concatenate([[0.0], np.cumsum(incs)])
-        if abs(cum[-1] - direct) > geodesy_tol * (1.0 + abs(direct)):
-            raise GeodesyError(
-                f"inserted curve is not a target geodesic: accumulated "
-                f"{cum[-1]:.12g} vs direct {direct:.12g}"
-            )
-        nxt = chain.insert(path, params, cum)
-        vals = nxt.query_many(probe_x, probe_y)
-        if prev_vals is not None and np.max(np.abs(vals - prev_vals)) <= tol:
-            return nxt
-        prev_vals = vals
-        prev_chain = nxt
-        count = 2 * count - 1  # halve the grid spacing, keeping earlier points
-    return prev_chain
+    pts = path.points
+    n = path.n_pieces
+    # per piece its increment and its first half, then the chord, in one batch
+    vals = _pair_eval(target)(np.concatenate([pts[:-1], pts[:-1], pts[:1]]),
+                              np.concatenate([pts[1:], 0.5 * (pts[:-1] + pts[1:]), pts[-1:]]))
+    incs, halves, direct = vals[:n], vals[n:2 * n], float(vals[-1])
+    cum = np.concatenate([[0.0], np.cumsum(incs)])
+    if abs(cum[-1] - direct) > geodesy_tol * (1.0 + abs(direct)):
+        raise GeodesyError(
+            f"inserted curve is not a target geodesic: accumulated "
+            f"{cum[-1]:.12g} vs direct {direct:.12g}"
+        )
+    bent = np.abs(2.0 * halves - incs) > geodesy_tol * (1.0 + incs)
+    if bent.any():
+        i = int(np.argmax(bent))
+        raise GeodesyError(
+            f"target cost is not linear on piece {i} of the inserted curve: "
+            f"midpoint {halves[i]:.12g} vs half increment {0.5 * incs[i]:.12g}"
+        )
+    return chain.insert(path, path.cum, cum)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +870,7 @@ class HighwayNetwork:
 
     weights: np.ndarray
     paths: list[LipschitzPath]
-    cum_tables: list[tuple[np.ndarray, np.ndarray]]  # (params, cum target distance)
+    cum_tables: list[tuple[np.ndarray, np.ndarray]]  # (ts, cum target distance at ts)
     diagnostics: list[dict]
     converged: bool
     chain: HWChain | None = None
@@ -950,7 +921,6 @@ def build_highway_network(
     probe_pairs=None,
     seed: int = 0,
     seed_pairs: Sequence[tuple] = (),
-    initial_access: int = 17,
     min_length: float = 1e-9,
 ) -> HighwayNetwork:
     """Recover a highway network from a metric by repeated geodesic insertion.
@@ -958,9 +928,9 @@ def build_highway_network(
     Geodesics between low-discrepancy endpoint pairs (with any designated
     ``seed_pairs`` processed first) are de-looped, cut against the network
     built so far, so that only new material of positive length is kept, and
-    inserted.  After each geodesic the supremum distance between the
-    reconstruction and the metric over the probe pairs is recorded; the
-    sequence is nonincreasing because insertion only lowers the
+    inserted (:func:`hw_insert`).  After each geodesic the supremum distance
+    between the reconstruction and the metric over the probe pairs is
+    recorded; the sequence is nonincreasing because insertion only lowers the
     reconstruction, which stays at or above the metric.  The construction
     stops once the diagnostic reaches ``tol``; exhausting ``n_geodesics``
     first returns the partial network with ``converged`` False.
@@ -982,8 +952,6 @@ def build_highway_network(
     target_vals = metric.evaluate_many(probe_x, probe_y)
 
     chain = HWChain.base(weights)
-    paths: list[LipschitzPath] = []
-    cum_tables = []
     diagnostics = []
     converged = False
 
@@ -1006,27 +974,22 @@ def build_highway_network(
             break
         k += 1
         cand = remove_loops(cand)
-        pieces = cut_path_against(cand, paths) if paths else [cand]
-        for piece in pieces:
-            if piece.length_l1 <= min_length:
-                continue
-            chain = hw_insert(chain, piece, metric, probe_pairs=probe_pairs,
-                              tol=tol * 0.1, initial_access=initial_access)
-            # the target distances along the kept piece, as hw_insert tabulated them
-            block = chain.blocks[-1]
-            paths.append(piece)
-            cum_tables.append((block.params, block.cum))
+        for piece in cut_path_against(cand, [path for path, _, _ in chain.rides]):
+            if piece.length_l1 > min_length:
+                chain = hw_insert(chain, piece, metric)
         vals = chain.query_many(probe_x, probe_y)
         sup = float(np.max(np.abs(vals - target_vals))) if len(vals) else 0.0
         diagnostics.append({"k": k, "origin": origin, "sup_distance": sup,
-                            "n_pieces": len(paths)})
+                            "n_pieces": len(chain.rides)})
         if sup <= tol:
             converged = True
             break
 
-    return HighwayNetwork(weights=np.asarray(weights, dtype=float), paths=paths,
-                          cum_tables=cum_tables, diagnostics=diagnostics,
-                          converged=converged, chain=chain)
+    # each piece's target distances, as hw_insert tabulated them
+    return HighwayNetwork(weights=np.asarray(weights, dtype=float),
+                          paths=[path for path, _, _ in chain.rides],
+                          cum_tables=[(ts, cum) for _, ts, cum in chain.rides],
+                          diagnostics=diagnostics, converged=converged, chain=chain)
 
 
 def network_from_highways(metric: NormPlusHighways, geodesy_tol: float = 1e-9) -> HighwayNetwork:

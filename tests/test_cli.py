@@ -190,6 +190,8 @@ def test_selftest_schema_rejects_junk(tmp_path):
      "invalid config value: highway 0 is not a geodesic"),
     # access nodes come from the geometry; the old grid size is no key
     ("highways", {"metric": {**_DIAGONAL, "access_points": 17}}, "config schema violation"),
+    # nor is the old insertion grid's
+    ("highways", {"initial_access": 17}, "config schema violation"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
@@ -231,6 +233,8 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message)
     ("oracle", {"fkg": {"x1": [1, 0, 0], "x2": [0, 1, 0], "t1": 1.5, "t2": 1.5}}, "fkg"),
     ("highways", {"seed_pairs": [[[0, 0, 0], [1, 1, 1]]]}, "seed_pairs"),
     ("functional", {"rate": {"kind": "surface", "file": "missing.json"}}, "rate.file"),
+    # a pair with no geodesic to seed the network
+    ("highways", {"seed_pairs": [[[0.3, 0.7], [0.3, 0.7]]]}, "seed_pairs"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

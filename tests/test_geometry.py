@@ -36,7 +36,7 @@ from fpplab.geometry import (
 )
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
 from fpplab.passage_time import _BLOCK_VERTICES, ContinuousMetric
-from reference import dense_grid_metric
+from reference import DenseGridMetric
 
 F = Fraction
 
@@ -294,6 +294,11 @@ def test_geodesic_matches_evaluate_and_d_length():
         assert d_length(D, path) == pytest.approx(val, rel=1e-6)
 
 
+def test_geodesic_rejects_coincident_endpoints():
+    with pytest.raises(GeometryError, match="endpoints coincide"):
+        diag_metric().geodesic((0.25, 0.25), (0.25, 0.25))
+
+
 def test_d_length_needs_a_doubling():
     with pytest.raises(ValueError):
         d_length(diag_metric(), LipschitzPath([[0.0, 0.0], [1.0, 1.0]]), max_depth=0)
@@ -432,7 +437,7 @@ def test_evaluate_many_equals_per_pair_evaluate(make):
     D = make()
     X, Y = _boundary_pairs(D)
     want = np.array([D.evaluate(x, y) for x, y in zip(X, Y)])
-    rows = D._batch_rows()
+    rows = D.chain._batch_rows()
     assert 1 < rows < len(X) - 1 and len(X) % rows != 0  # the walk ends on a short chunk
     for n in (1, rows - 1, rows, rows + 1, len(X)):
         assert np.array_equal(D.evaluate_many(X[:n], Y[:n]), want[:n])
@@ -529,7 +534,7 @@ def test_values_never_exceed_a_dense_access_grid(dim, seed):
     X, Y = (np.concatenate([rng.random((100, dim))] + [pts[k] for pts in on])
             for k in (0, 1))
     vals = D.evaluate_many(X, Y)
-    assert np.all(vals <= dense_grid_metric(D).evaluate_many(X, Y) + 1e-12)
+    assert np.all(vals <= DenseGridMetric(D).evaluate_many(X, Y) + 1e-12)
     for x, y, val in zip(X[::20], Y[::20], vals[::20]):
         assert D.geodesic(x, y)[1] == pytest.approx(val, abs=1e-12)
 
@@ -566,18 +571,8 @@ def test_chain_base_is_the_norm():
     assert chain.query((0.25, 0), (0.5, 0.5)) == 0.75
 
 
-def _per_pair_query(chain, x, y):
-    """Reference chain query for one pair: 2-d access-cost products and a
-    scalar min, the rounding that query_many must reproduce."""
-    best = float(chain.gnorm(x - y))
-    if chain.n_nodes:
-        gx = np.abs(x[None, :] - chain.nodes) @ chain.weights
-        gy = np.abs(y[None, :] - chain.nodes) @ chain.weights
-        best = min(best, float((gx[:, None] + chain.M + gy[None, :]).min()))
-    return best
-
-
 def test_query_many_equals_per_pair_queries():
+    """A batch of pairs reads bit for bit what each pair reads alone."""
     chains = [HWChain.base(np.array([1.0, 2.0]))]
     for metric in (diag_metric(), piecewise_metric()):
         chains.append(metric.chain)
@@ -587,9 +582,8 @@ def test_query_many_equals_per_pair_queries():
     X[:40], Y[:40] = np.round(X[:40] * 4) / 4, np.round(Y[:40] * 4) / 4
     Y[-3:] = X[-3:]
     for chain in chains:
-        want = np.array([_per_pair_query(chain, x, y) for x, y in zip(X, Y)])
+        want = np.array([chain.query(x, y) for x, y in zip(X, Y)])
         assert chain.query_many(X, Y).tobytes() == want.tobytes()
-        assert [chain.query(x, y) for x, y in zip(X[:20], Y[:20])] == want[:20].tolist()
         assert chain.query_many(X[:0], Y[:0]).shape == (0,)
 
 
@@ -642,6 +636,66 @@ def test_build_highway_network_seeded_convergence():
     origins = {rec["origin"] for rec in net.diagnostics}
     assert "seed" in origins
     net.validate()
+
+
+def test_hw_insert_needs_cost_linear_on_each_piece():
+    """Fixture 2's highway changes discount at x = 1/2: inserted as one bare
+    segment its cost is not linear, split there it is, and the pool then
+    reads the metric."""
+    D = piecewise_metric()
+    chain = HWChain.base(D.weights)
+    with pytest.raises(GeodesyError, match="not linear on piece 0"):
+        hw_insert(chain, LipschitzPath([[0, 0], [1, 0]]), D)
+    nxt = hw_insert(chain, LipschitzPath([[0, 0], [0.5, 0], [1, 0]]), D)
+    rng = np.random.default_rng(8)
+    X, Y = rng.random((2000, 2)), rng.random((2000, 2))
+    assert np.array_equal(nxt.query_many(X, Y), D.evaluate_many(X, Y))
+
+
+def _random_segments(rng, k):
+    """k disjoint geodesic segments with random discounts and norm weights,
+    drawn as criterion 07 draws them."""
+    while True:
+        highways = []
+        for _ in range(k):
+            a, b = rng.uniform(0.05, 0.95, (2, 2))
+            if np.abs(a - b).sum() < 0.15:
+                break
+            highways.append((LipschitzPath([a, b]), float(rng.uniform(0.3, 0.95))))
+        else:
+            try:
+                D = NormPlusHighways(rng.uniform(0.5, 2.0, 2), highways)
+                D.validate_geodesics()
+                return D
+            except GeometryError:
+                continue
+
+
+_NETWORK_METRICS = {
+    **{name: _BATCH_METRICS[name] for name in ("diagonal", "profile", "two-rails", "elbow")},
+    **{f"random-{k}-{seed}": (lambda k=k, seed=seed: _random_segments(
+        np.random.default_rng(seed), k)) for k in (1, 2, 3) for seed in (0, 1)},
+    "d3-crossing": lambda: _metric([1.0, 1.2, 0.8], [
+        ([[0.1, 0.1, 0.2], [0.9, 0.4, 0.2]], 0.4), ([[0.2, 0.9, 0.8], [0.6, 0.1, 0.8]], 0.5)]),
+}
+
+
+@pytest.mark.parametrize("make", _NETWORK_METRICS.values(), ids=_NETWORK_METRICS.keys())
+def test_network_reconstruction_reads_the_metric(make):
+    """Criterion 06's builds on the fixtures, random segment families and a d=3
+    family: the rebuilt pool reads the metric everywhere, not only at the
+    probe pairs."""
+    D = make()
+    seeds = [(hw.path.points[0], hw.path.points[-1]) for hw in D.highways]
+    net = build_highway_network(D, n_geodesics=8, seed_pairs=seeds, seed=0)
+    assert net.converged
+    rng = np.random.default_rng(11)
+    # random pairs, then pairs on the highways, where transfers pay most
+    on = [hw.path.point_at(rng.uniform(0.0, hw.path.length_l1, (2, 100)))
+          for hw in D.highways]
+    X, Y = (np.concatenate([rng.random((400, D.dim))] + [pts[k] for pts in on])
+            for k in (0, 1))
+    assert np.max(np.abs(net.chain.query_many(X, Y) - D.evaluate_many(X, Y))) <= 1e-12
 
 
 def test_network_json_shape():
