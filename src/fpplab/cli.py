@@ -619,7 +619,8 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
     seed = cfg.get("seed", 0)
     mode = cfg.get("mode", "build")
     if mode == "own":
-        net = network_from_highways(metric)
+        with _config_values("metric"):
+            net = network_from_highways(metric)
     else:
         seed_pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
                       for a, b in cfg.get("seed_pairs", [])]
@@ -638,7 +639,7 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
     write_csv(outdir / "diagnostics.csv",
               ["k", "origin", "sup_distance", "n_pieces", "seed"], rows)
     last = net.diagnostics[-1]["sup_distance"] if net.diagnostics else 0.0
-    print(f"highways: {len(net.paths)} pieces, converged = {net.converged}, "
+    print(f"highways: {len(net.chain.rides)} pieces, converged = {net.converged}, "
           f"final sup distance = {last:.3g}")
     return ["network.json", "diagnostics.csv"]
 
@@ -650,7 +651,8 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
 
     metric = _metric_from(cfg["metric"], "metric")
     J = _rate_fn_from(cfg["rate"], outdir, metric.dim)
-    net = network_from_highways(metric)
+    with _config_values("metric"):
+        net = network_from_highways(metric)
     family = None
     if "family" in cfg:
         with _config_values("family"):
@@ -664,6 +666,8 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
     if "probe_metric" in cfg:
         smaller = _metric_from(cfg["probe_metric"], "probe_metric")
         _check_dim("probe_metric", smaller.dim, metric.dim)
+        with _config_values("probe_metric"):  # the probe integrates along its highways
+            smaller.validate_geodesics()
         probe = strict_monotonicity_probe(smaller, metric, J,
                                           seed=cfg.get("seed", 0))
         out["monotonicity_probe"] = probe.to_json()
@@ -698,7 +702,9 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
     fv = None
     if "rate" in cfg:
         J = _rate_fn_from(cfg["rate"], outdir, metric.dim)
-        fv = functional_geodesic_sum(metric, network_from_highways(metric), J)
+        with _config_values("metric"):
+            net = network_from_highways(metric)
+        fv = functional_geodesic_sum(metric, net, J)
     table = empirical_ld_trend(
         metric, dist, cfg["eps"], cfg["n_ladder"],
         samples=cfg.get("samples", 200), seed=cfg.get("seed", 0),

@@ -27,6 +27,7 @@ from fpplab.geometry import (
     HighwayNetwork,
     LipschitzPath,
     NormPlusHighways,
+    _discount_at,
     _norm_factory,
     _pair_eval,
     check_path_family,
@@ -40,6 +41,12 @@ from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rate
 
 class FunctionalError(ValueError):
     """A functional-level contract failed (ordering, consistency, domain)."""
+
+
+_NET_TOL = 1e-6        # relative slack of a network's distance tables (_check_network_of)
+_SUP_TOL = 1e-9        # relative excess of a path family over the geodesic sum
+_POINTS_PER_PIECE = 8  # metric-derivative samples per piece of a non-analytic metric
+_ORDER_TOL = 1e-12     # slack of D1 <= D2 in the probe, and least rise of a strict witness
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +176,7 @@ class PathFamily:
 
     @classmethod
     def from_network(cls, net: HighwayNetwork) -> "PathFamily":
-        return cls(paths=list(net.paths))
+        return cls(paths=[path for path, _, _ in net.chain.rides])
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,7 @@ class PathFamily:
 # ---------------------------------------------------------------------------
 
 
-def _check_network_of(D, net: HighwayNetwork, tol: float):
+def _check_network_of(D, net: HighwayNetwork):
     """Spot-check that the network's distance tables describe ``D``.
 
     Endpoint and quartile distances along every path must match the stored
@@ -185,17 +192,18 @@ def _check_network_of(D, net: HighwayNetwork, tol: float):
     All paths are checked in one batch; the first failing point is reported.
     """
     ev_many = _pair_eval(D)
-    if hasattr(D, "weights") and not np.allclose(np.asarray(D.weights, float), net.weights):
+    if hasattr(D, "weights") and not np.allclose(np.asarray(D.weights, float), net.chain.weights):
         raise GeometryError("network weights disagree with the metric's norm")
-    if not net.paths:
+    blocks = net.chain.blocks
+    if not blocks:
         return
     q = np.array([0.25, 0.5, 0.75, 1.0])
-    params = [q * path.length_l1 for path in net.paths]
-    starts = np.concatenate([path.point_at(np.zeros(len(q))) for path in net.paths])
-    ends = np.concatenate([path.point_at(t) for path, t in zip(net.paths, params)])
-    want = np.concatenate([np.interp(t, ts, cum) for t, (ts, cum) in zip(params, net.cum_tables)])
+    params = [q * b.path.length_l1 for b in blocks]
+    starts = np.concatenate([b.path.point_at(np.zeros(len(q))) for b in blocks])
+    ends = np.concatenate([b.path.point_at(t) for b, t in zip(blocks, params)])
+    want = np.concatenate([b.cum_at(t) for b, t in zip(blocks, params)])
     got = ev_many(starts, ends)
-    bad = np.abs(got - want) > tol * (1.0 + np.abs(want))
+    bad = np.abs(got - want) > _NET_TOL * (1.0 + np.abs(want))
     if bad.any():
         m = int(np.argmax(bad))
         raise GeometryError(
@@ -204,8 +212,7 @@ def _check_network_of(D, net: HighwayNetwork, tol: float):
         )
 
 
-def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True,
-                            net_tol: float = 1e-6) -> float:
+def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True) -> float:
     """Sum over network geodesics of the rate of their discounted speed.
 
     Each highway contributes the integral of J(tangent, D-speed) along
@@ -216,11 +223,11 @@ def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True,
     """
     if validate:
         net.validate()
-        _check_network_of(D, net, net_tol)
-    gnorm = _norm_factory(net.weights)
+        _check_network_of(D, net)
+    gnorm = net.chain.gnorm
 
     def one_highway(k: int) -> float:
-        path = net.paths[k]
+        path = net.chain.rides[k][0]
         total = 0.0
         for t0, t1, lam in net.discount_profile(k):
             if t1 <= t0:
@@ -229,11 +236,11 @@ def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True,
             total += float(J(v, lam * float(gnorm(v))))
         return total
 
-    return float(sum(one_highway(k) for k in range(len(net.paths))))
+    return float(sum(one_highway(k) for k in range(len(net.chain.rides))))
 
 
 def functional_intrinsic(D, net: HighwayNetwork, J, order: int = 8,
-                         validate: bool = True, net_tol: float = 1e-6) -> float:
+                         validate: bool = True) -> float:
     """Hausdorff-measure expression of the functional.
 
     The integrand at a point of a highway is J evaluated at the unit
@@ -247,11 +254,11 @@ def functional_intrinsic(D, net: HighwayNetwork, J, order: int = 8,
     """
     if validate:
         net.validate()
-        _check_network_of(D, net, net_tol)
-    gnorm = _norm_factory(net.weights)
+        _check_network_of(D, net)
+    gnorm = net.chain.gnorm
 
     def one_highway(k: int) -> float:
-        path = net.paths[k]
+        path = net.chain.rides[k][0]
         total = 0.0
         for t0, t1, lam in net.discount_profile(k):
             if t1 <= t0:
@@ -264,24 +271,26 @@ def functional_intrinsic(D, net: HighwayNetwork, J, order: int = 8,
             total += hausdorff_integrate([piece], f, order=order, validate=False)
         return total
 
-    return float(sum(one_highway(k) for k in range(len(net.paths))))
+    return float(sum(one_highway(k) for k in range(len(net.chain.rides))))
 
 
 def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
     """Collinear overlaps of the segment [p0, p1] with the metric's highways.
 
     Returns merged intervals in the segment's own l1 parameter together
-    with per-subinterval discounts: a list of (a, b, lam) with a, b exact
-    Fractions in [0, L1].  Point intersections carry no length and are
-    dropped; the highways are pairwise disjoint so overlap intervals from
-    different highways can only share endpoints.
+    with their discounts: a list of (a, b, lam) with a, b exact Fractions in
+    [0, L1].  Each interval lies within one piece of a highway's ride table,
+    whose breakpoints include every discount breakpoint, so its discount is
+    constant.  Point intersections carry no length and are dropped; the
+    highways are pairwise disjoint so overlap intervals from different
+    highways can only share endpoints.
     """
     fp0, fp1 = fvec(p0), fvec(p1)
     seg_l1 = sum(abs(x - y) for x, y in zip(fp0, fp1))
     out = []
-    for hw in D.highways:
-        for i in range(len(hw.ts) - 1):
-            q0, q1 = fvec(hw.pts[i]), fvec(hw.pts[i + 1])
+    for block, profile in zip(D.chain.blocks, D.profiles):
+        for i in range(len(block.ts) - 1):
+            q0, q1 = fvec(block.pts[i]), fvec(block.pts[i + 1])
             hit = segment_intersection(fp0, fp1, q0, q1)
             if hit is None or hit[0] != "overlap":
                 continue
@@ -290,32 +299,14 @@ def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
                 continue
             # both parameters are fractions of their segment's l1 length and
             # the segments are collinear, so l1 length is shared
-            t_lo = a0 * seg_l1
-            t_hi = a1 * seg_l1
-            h_len = Fraction(float(hw.ts[i + 1])) - Fraction(float(hw.ts[i]))
-            h_lo = Fraction(float(hw.ts[i])) + min(u0, u1) * h_len
-            h_hi = Fraction(float(hw.ts[i])) + max(u0, u1) * h_len
-            # split at discount breakpoints inside the highway range
-            cuts = [h_lo]
-            for end, _lam in hw.profile:
-                fe = Fraction(float(end))
-                if h_lo < fe < h_hi:
-                    cuts.append(fe)
-            cuts.append(h_hi)
-            for c0, c1 in zip(cuts[:-1], cuts[1:]):
-                if c1 <= c0:
-                    continue
-                lam = hw.lam_at(float((c0 + c1) / 2))
-                frac_lo = (c0 - h_lo) / (h_hi - h_lo)
-                frac_hi = (c1 - h_lo) / (h_hi - h_lo)
-                out.append((t_lo + frac_lo * (t_hi - t_lo),
-                            t_lo + frac_hi * (t_hi - t_lo), lam))
+            h_len = Fraction(float(block.ts[i + 1])) - Fraction(float(block.ts[i]))
+            h_mid = Fraction(float(block.ts[i])) + (u0 + u1) / 2 * h_len
+            out.append((a0 * seg_l1, a1 * seg_l1, _discount_at(profile, float(h_mid))))
     out.sort(key=lambda r: (r[0], r[1]))
     return out, seg_l1
 
 
-def functional_sup_lower_bound(D, J, family: PathFamily,
-                               points_per_piece: int = 8) -> float:
+def functional_sup_lower_bound(D, J, family: PathFamily) -> float:
     """Contribution of one admissible path family to the supremum formula.
 
     Each family member contributes the integral of J(tangent, metric speed)
@@ -324,7 +315,7 @@ def functional_sup_lower_bound(D, J, family: PathFamily,
     norm elsewhere (a transversal crossing has zero length and no
     contribution), so each linear piece reduces to exact segment terms.
     For other metrics the speed falls back to ``metric_derivative`` at
-    composite midpoints, ``points_per_piece`` per piece.
+    composite midpoints, ``_POINTS_PER_PIECE`` per piece.
 
     Any valid family yields at most the geodesic-sum value, with equality
     when the family is the highway network itself; that contract is
@@ -354,8 +345,8 @@ def functional_sup_lower_bound(D, J, family: PathFamily,
                     total += off * float(J(v, g_v))
             else:
                 u = v / l1
-                h = (t1 - t0) / points_per_piece
-                for j in range(points_per_piece):
+                h = (t1 - t0) / _POINTS_PER_PIECE
+                for j in range(_POINTS_PER_PIECE):
                     t = t0 + (j + 0.5) * h
                     speed = metric_derivative(D, path, t).value
                     total += h * float(J(u, speed))
@@ -380,7 +371,6 @@ class FunctionalReport:
     order: int
     n_highways: int
     cross_tol: float
-    sup_tol: float
 
     @property
     def delta_intrinsic(self) -> float:
@@ -401,22 +391,22 @@ class FunctionalReport:
             "quadrature_order": self.order,
             "n_highways": self.n_highways,
             "cross_tol": self.cross_tol,
-            "sup_tol": self.sup_tol,
+            "sup_tol": _SUP_TOL,
         }
 
 
 def functional_report(D, net: HighwayNetwork, J, family: PathFamily | None = None,
-                      order: int = 8, cross_tol: float = 1e-9,
-                      sup_tol: float = 1e-9, net_tol: float = 1e-6) -> FunctionalReport:
+                      order: int = 8, cross_tol: float = 1e-9) -> FunctionalReport:
     """Evaluate all three expressions and enforce their mutual contracts.
 
     The supremum expression is evaluated on ``family`` (default: the
     network itself, which attains the value).  Raises ``FunctionalError``
     if the intrinsic value drifts from the geodesic sum beyond the relative
-    cross-check tolerance, or if the family exceeds the geodesic sum.
+    cross-check tolerance, or if the family exceeds the geodesic sum by more
+    than ``_SUP_TOL`` relative.
     """
     net.validate()
-    _check_network_of(D, net, net_tol)
+    _check_network_of(D, net)
     if family is None:
         family = PathFamily.from_network(net)
     geo = functional_geodesic_sum(D, net, J, validate=False)
@@ -428,14 +418,14 @@ def functional_report(D, net: HighwayNetwork, J, family: PathFamily | None = Non
             f"intrinsic and geodesic-sum expressions disagree: "
             f"{intr:.15g} vs {geo:.15g}"
         )
-    if sup > geo + sup_tol * max(1.0, scale):
+    if sup > geo + _SUP_TOL * max(1.0, scale):
         raise FunctionalError(
             f"path family exceeds the geodesic-sum value: {sup:.15g} > {geo:.15g}"
         )
     return FunctionalReport(
         geodesic_sum=geo, intrinsic=intr, sup_bound=sup,
         family_size=len(family.paths), order=order,
-        n_highways=len(net.paths), cross_tol=cross_tol, sup_tol=sup_tol,
+        n_highways=len(net.chain.rides), cross_tol=cross_tol,
     )
 
 
@@ -466,8 +456,7 @@ class MonotonicityReport:
 
 def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
                               n_pairs: int = 48, seed: int = 0,
-                              margin: float = 1e-9,
-                              order_tol: float = 1e-12) -> MonotonicityReport:
+                              margin: float = 1e-9) -> MonotonicityReport:
     """Check that a strictly smaller metric has a strictly larger functional.
 
     ``D1 <= D2`` is verified on a sampled pair grid, evaluated in one batch
@@ -495,11 +484,11 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
     k = int(np.argmax(rise))  # the first pair attaining the largest rise
     gap = max(0.0, float(rise[k]))
     witness = (pts[i[k]], pts[j[k]]) if gap > 0.0 else None
-    if worst > order_tol:
+    if worst > _ORDER_TOL:
         raise FunctionalError(
             f"ordering violated on a sampled pair: D1 - D2 = {worst:.3g}"
         )
-    if witness is None or gap <= order_tol:
+    if witness is None or gap <= _ORDER_TOL:
         raise FunctionalError("metrics are not distinct on the sampled pairs")
 
     net1 = network_from_highways(D1)
@@ -544,10 +533,10 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
                        n_ladder: Sequence[int], dim: int | None = None,
                        samples: int = 200, seed: int = 0,
                        method: str = "auto", enum_cap: int = 1 << 13,
-                       grid=None, functional_value: float | None = None) -> LDTrendTable:
+                       functional_value: float | None = None) -> LDTrendTable:
     """Probability that the rescaled box metric sits below ``D + eps``.
 
-    Per ladder rung the event "every sampled vertex pair satisfies
+    Per ladder rung the event "every vertex pair of the box satisfies
     T-hat_n(x, y) <= D(x, y) + eps" is measured by
     :func:`~fpplab.oracle.estimate_event_rate`: exactly when the law has
     finite support and the configuration space fits under ``enum_cap``,
@@ -569,7 +558,7 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
     root = np.random.SeedSequence(seed)
     rows = []
     for n, seq in zip(rungs, root.spawn(max(len(rungs), 1))):
-        row = estimate_event_rate(EventSpec.ld_lower(D, eps, grid=grid), dist,
+        row = estimate_event_rate(EventSpec.ld_lower(D, eps), dist,
                                   LatticeBox(dimension=dim, side=n), n, samples,
                                   int(seq.generate_state(1)[0]), method, enum_cap)
         rows.append(row if row.p_exact is None else replace(row, seed=seed))

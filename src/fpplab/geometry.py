@@ -12,7 +12,7 @@ so these decisions carry no rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -34,6 +34,13 @@ from ._segments import (
 #: Element budget of one temporary array in :meth:`HWChain.query_many`,
 #: which walks its pairs in chunks of as many rows as fit.
 _BATCH_ELEMENTS = 1 << 16
+
+_GEODESY_TOL = 1e-9       # relative slack of the geodesic identity of a highway or inserted curve
+_GEODESIC_SAMPLES = 9     # points per highway whose pairs validate_geodesics checks
+_MIN_PIECE_LENGTH = 1e-9  # a network build skips pieces no longer than this (l1)
+_LOOP_ROUNDS = 128        # splices remove_loops makes before it gives up
+_DERIVATIVE_LEVELS = 6    # steps of metric_derivative's halving ladder
+_DERIVATIVE_TOL = 1e-6    # spread (or one-sided gap) above which metric_derivative flags
 
 
 class GeometryError(ValueError):
@@ -218,9 +225,10 @@ class LipschitzPath:
         return f"LipschitzPath({self.n_pieces} pieces, l1 length {self.length_l1:g})"
 
 
-def remove_loops(path: LipschitzPath, max_rounds: int = 128) -> LipschitzPath:
-    """Splice out self-intersections until the path is injective."""
-    for _ in range(max_rounds):
+def remove_loops(path: LipschitzPath) -> LipschitzPath:
+    """Splice out self-intersections until the path is injective, in at most
+    ``_LOOP_ROUNDS`` splices."""
+    for _ in range(_LOOP_ROUNDS):
         hit = path.first_self_intersection()
         if hit is None:
             return path
@@ -334,37 +342,6 @@ def _norm_factory(weights: np.ndarray) -> Callable:
     return g
 
 
-@dataclass
-class _Highway:
-    """Internal record: one highway with its discount profile tabulated on the
-    merged breakpoint grid (geometry breakpoints plus profile breakpoints)."""
-
-    path: LipschitzPath
-    profile: tuple[tuple[float, float], ...]  # (param_end, lam) pieces
-    ts: np.ndarray = field(init=False)        # merged params
-    pts: np.ndarray = field(init=False)       # points at ts
-    cumd: np.ndarray = field(init=False)      # discounted g-length at ts
-
-    def tabulate(self, gnorm: Callable):
-        total = self.path.length_l1
-        ts = set(float(c) for c in self.path.cum)
-        ts.update(min(float(end), total) for end, _ in self.profile)
-        self.ts = np.array(sorted(ts))
-        self.pts = self.path.point_at(self.ts)
-        cumd = [0.0]
-        for a, b in zip(self.ts[:-1], self.ts[1:]):
-            seg_g = gnorm(self.path.point_at(b) - self.path.point_at(a))
-            lam = self.lam_at(0.5 * (a + b))
-            cumd.append(cumd[-1] + lam * seg_g)
-        self.cumd = np.array(cumd)
-
-    def lam_at(self, t: float) -> float:
-        ends = [end for end, _ in self.profile]
-        k = int(np.searchsorted(ends, t))
-        k = min(k, len(self.profile) - 1)
-        return self.profile[k][1]
-
-
 def _axis_projections(pts: np.ndarray, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Axis-aligned foot points of the rows of X on the interior of a polyline.
 
@@ -416,17 +393,39 @@ def _ride_table(cum_a: np.ndarray, cum_b: np.ndarray) -> np.ndarray:
 
 
 def _normalize_profile(speed, total: float):
+    """A discount as (param_end, lam) pieces: a constant covers the whole
+    path; a profile needs positive, strictly increasing ends, the last at
+    the path's length."""
     if np.isscalar(speed):
         profile = ((float(total), float(speed)),)
     else:
         profile = tuple((float(end), float(lam)) for end, lam in speed)
         ends = [end for end, _ in profile]
-        if list(ends) != sorted(ends) or abs(ends[-1] - total) > 1e-9 * max(1.0, total):
-            raise GeometryError("speed profile must cover the path in increasing pieces")
+        if (not all(a < b for a, b in zip([0.0] + ends, ends))
+                or abs(ends[-1] - total) > 1e-9 * max(1.0, total)):
+            raise GeometryError("speed profile must cover the path in increasing pieces: "
+                                "positive, strictly increasing ends, the last at its length")
     for _, lam in profile:
         if not (0.0 < lam <= 1.0):
             raise GeometryError(f"discount factor {lam} outside (0, 1]")
     return profile
+
+
+def _discount_at(profile, t):
+    """The discount of a profile at parameter ``t`` (a scalar or an array):
+    that of the first piece ending at or after it, the last past its end."""
+    k = np.minimum(np.searchsorted([end for end, _ in profile], t), len(profile) - 1)
+    return np.array([lam for _, lam in profile])[k]
+
+
+def _highway_ride(path: LipschitzPath, profile, gnorm: Callable):
+    """A highway's ride ``(ts, cum)``: the path's breakpoints merged with the
+    profile's ends, and the discounted norm length up to each."""
+    ends = np.minimum([end for end, _ in profile], path.length_l1)
+    ts = np.unique(np.concatenate([path.cum, ends]))
+    steps = gnorm(np.diff(path.point_at(ts), axis=0))
+    lam = _discount_at(profile, 0.5 * (ts[:-1] + ts[1:]))
+    return ts, np.concatenate([[0.0], np.cumsum(lam * steps)])
 
 
 class NormPlusHighways:
@@ -434,10 +433,11 @@ class NormPlusHighways:
 
     ``weights`` are the positive per-axis norm weights, each highway is an
     injective Lipschitz path together with a discount in (0, 1] (a constant or
-    a piecewise-constant profile given as (param_end, lam) pieces).  Each
-    highway is one ride of ``self.chain``, the :class:`HWChain` node pool that
-    answers every query, exactly: its rides are the highways' discounted
-    length tables, linear between the merged breakpoints.
+    a piecewise-constant profile given as (param_end, lam) pieces, kept in
+    ``self.profiles``).  Highway k is ride k of ``self.chain``, the
+    :class:`HWChain` node pool that answers every query, exactly: its table
+    is the highway's discounted length, linear between the merged
+    breakpoints.
     """
 
     def __init__(self, weights, highways):
@@ -447,56 +447,56 @@ class NormPlusHighways:
         self.dim = self.weights.shape[0]
         self.gnorm = _norm_factory(self.weights)
 
-        self.highways: list[_Highway] = []
+        self.profiles = []
+        rides = []
         for path, speed in highways:
             if not isinstance(path, LipschitzPath):
                 path = LipschitzPath(path)
             if path.dim != self.dim:
                 raise GeometryError("highway dimension does not match the norm")
-            hw = _Highway(path, _normalize_profile(speed, path.length_l1))
-            hw.tabulate(self.gnorm)
-            self.highways.append(hw)
-
+            self.profiles.append(_normalize_profile(speed, path.length_l1))
+            rides.append((path, *_highway_ride(path, self.profiles[-1], self.gnorm)))
+        self.chain = HWChain(self.weights, rides)
         self._validate()
-        self.chain = HWChain(self.weights, [(hw.path, hw.ts, hw.cumd) for hw in self.highways])
 
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
-        check_path_family([hw.path for hw in self.highways], "highway", allow_touch=False)
-        for k, hw in enumerate(self.highways):
+        blocks = self.chain.blocks
+        check_path_family([b.path for b in blocks], "highway", allow_touch=False)
+        for k, b in enumerate(blocks):
             # necessary geodesy condition, checked exactly on breakpoint pairs:
             # riding between any two tabulated points must not lose to the
-            # straight norm path
-            m = len(hw.ts)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    ride = hw.cumd[j] - hw.cumd[i]
-                    chord = self.gnorm(hw.pts[j] - hw.pts[i])
-                    if ride > chord + 1e-12 * max(1.0, chord):
-                        raise GeodesyError(
-                            f"highway {k} is not a geodesic: riding {ride:.12g} "
-                            f"exceeds the direct norm cost {chord:.12g}"
-                        )
+            # straight norm path; the first failing pair (i, j), i < j, is reported
+            ride = b.cum[None, :] - b.cum[:, None]
+            chord = self.gnorm(b.pts[None, :] - b.pts[:, None])
+            bad = np.triu(ride > chord + 1e-12 * np.maximum(1.0, chord), 1)
+            if bad.any():
+                i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                raise GeodesyError(
+                    f"highway {k} is not a geodesic: riding {ride[i, j]:.12g} "
+                    f"exceeds the direct norm cost {chord[i, j]:.12g}"
+                )
 
-    def validate_geodesics(self, samples: int = 9, tol: float = 1e-9):
+    def validate_geodesics(self):
         """Full check that each highway realizes the metric between its points.
 
-        All sample pairs of all highways are evaluated in one batch; the
-        first failing pair, highway by highway, is reported.
+        All pairs of ``_GEODESIC_SAMPLES`` evenly spaced points on each
+        highway are evaluated in one batch; the first failing pair, highway
+        by highway, is reported.
         """
-        if not self.highways:
-            return
-        i, j = np.triu_indices(samples, 1)
         blocks = self.chain.blocks
-        ts = [np.linspace(0.0, b.path.length_l1, samples) for b in blocks]
+        if not blocks:
+            return
+        i, j = np.triu_indices(_GEODESIC_SAMPLES, 1)
+        ts = [np.linspace(0.0, b.path.length_l1, _GEODESIC_SAMPLES) for b in blocks]
         pts = [b.path.point_at(t) for b, t in zip(blocks, ts)]
         vals = self.evaluate_many(np.concatenate([p[i] for p in pts]),
                                   np.concatenate([p[j] for p in pts]))
         for k, (block, t, val) in enumerate(zip(blocks, ts, np.split(vals, len(ts)))):
             cum = block.cum_at(t)
             ride = np.abs(cum[j] - cum[i])
-            bad = np.abs(val - ride) > tol * (1.0 + ride)
+            bad = np.abs(val - ride) > _GEODESY_TOL * (1.0 + ride)
             if bad.any():
                 m = int(np.argmax(bad))
                 raise GeodesyError(
@@ -566,8 +566,8 @@ class NormPlusHighways:
         return jsonable({
             "kind": "norm_plus_highways",
             "weights": self.weights,
-            "highways": [{"points": hw.path.points, "profile": hw.profile}
-                         for hw in self.highways],
+            "highways": [{"points": b.path.points, "profile": profile}
+                         for b, profile in zip(self.chain.blocks, self.profiles)],
         })
 
     @classmethod
@@ -657,14 +657,6 @@ def _point_rows(X, Y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _pair_rows(pairs, dim: int):
-    """First and second points of a list of point pairs, as two (B, dim) arrays."""
-    if len(pairs) == 0:
-        return np.empty((0, dim)), np.empty((0, dim))
-    return (np.array([a for a, _ in pairs], dtype=float),
-            np.array([b for _, b in pairs], dtype=float))
-
-
 def _pair_eval(metric) -> Callable:
     """``(X, Y) -> distances`` between the rows of two point arrays.
 
@@ -744,10 +736,6 @@ class HWChain:
                                  params, access_cum))
         self.blocks = tuple(blocks)
 
-    @classmethod
-    def base(cls, weights) -> "HWChain":
-        return cls(weights)
-
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
@@ -823,8 +811,7 @@ class HWChain:
         return np.minimum(best, route.reshape(B, -1).min(axis=1))
 
 
-def hw_insert(chain: HWChain, path: LipschitzPath, target,
-              geodesy_tol: float = 1e-9) -> HWChain:
+def hw_insert(chain: HWChain, path: LipschitzPath, target) -> HWChain:
     """One step of the insertion recursion: the curve joins the pool as a ride.
 
     ``target`` supplies the distances along the curve, tabulated at its
@@ -843,12 +830,12 @@ def hw_insert(chain: HWChain, path: LipschitzPath, target,
                               np.concatenate([pts[1:], 0.5 * (pts[:-1] + pts[1:]), pts[-1:]]))
     incs, halves, direct = vals[:n], vals[n:2 * n], float(vals[-1])
     cum = np.concatenate([[0.0], np.cumsum(incs)])
-    if abs(cum[-1] - direct) > geodesy_tol * (1.0 + abs(direct)):
+    if abs(cum[-1] - direct) > _GEODESY_TOL * (1.0 + abs(direct)):
         raise GeodesyError(
             f"inserted curve is not a target geodesic: accumulated "
             f"{cum[-1]:.12g} vs direct {direct:.12g}"
         )
-    bent = np.abs(2.0 * halves - incs) > geodesy_tol * (1.0 + incs)
+    bent = np.abs(2.0 * halves - incs) > _GEODESY_TOL * (1.0 + incs)
     if bent.any():
         i = int(np.argmax(bent))
         raise GeodesyError(
@@ -866,28 +853,25 @@ def hw_insert(chain: HWChain, path: LipschitzPath, target,
 @dataclass
 class HighwayNetwork:
     """A family of injective, essentially disjoint geodesic pieces extracted
-    from a metric, with the distance table along each piece."""
+    from a metric: the rides of ``chain``, each with the metric's distance
+    along it."""
 
-    weights: np.ndarray
-    paths: list[LipschitzPath]
-    cum_tables: list[tuple[np.ndarray, np.ndarray]]  # (ts, cum target distance at ts)
+    chain: HWChain
     diagnostics: list[dict]
     converged: bool
-    chain: HWChain | None = None
 
     def validate(self) -> dict:
-        return {"n_paths": len(self.paths),
-                "n_touch_points": check_path_family(self.paths, "network path")}
+        paths = [path for path, _, _ in self.chain.rides]
+        return {"n_paths": len(paths),
+                "n_touch_points": check_path_family(paths, "network path")}
 
     def discount_profile(self, k: int):
         """Per linear piece of path k: (t0, t1, lam) with lam the ratio of
         target speed to norm speed."""
-        path = self.paths[k]
-        ts, cum = self.cum_tables[k]
-        gnorm = _norm_factory(self.weights)
+        path, ts, cum = self.chain.rides[k]
         out = []
         for i in range(len(ts) - 1):
-            seg_g = gnorm(path.point_at(ts[i + 1]) - path.point_at(ts[i]))
+            seg_g = self.chain.gnorm(path.point_at(ts[i + 1]) - path.point_at(ts[i]))
             dd = cum[i + 1] - cum[i]
             lam = dd / seg_g if seg_g > 0 else 1.0
             out.append((float(ts[i]), float(ts[i + 1]), float(lam)))
@@ -895,63 +879,52 @@ class HighwayNetwork:
 
     def to_json(self) -> dict:
         return jsonable({
-            "weights": self.weights,
+            "weights": self.chain.weights,
             "converged": self.converged,
             "paths": [{"points": path.points, "params": ts, "cum": cum}
-                      for path, (ts, cum) in zip(self.paths, self.cum_tables)],
+                      for path, ts, cum in self.chain.rides],
             "diagnostics": self.diagnostics,
         })
-
-
-def _default_probe_pairs(dim: int, extra: int = 3, seed: int = 0):
-    from scipy.stats import qmc
-
-    corners = [np.zeros(dim), np.ones(dim)]
-    pts = corners + [np.full(dim, 0.5)]
-    if extra > 0:
-        sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-        pts.extend(sampler.random(extra))
-    return [(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
 
 
 def build_highway_network(
     metric,
     n_geodesics: int = 12,
     tol: float = 1e-6,
-    probe_pairs=None,
     seed: int = 0,
     seed_pairs: Sequence[tuple] = (),
-    min_length: float = 1e-9,
 ) -> HighwayNetwork:
     """Recover a highway network from a metric by repeated geodesic insertion.
 
     Geodesics between low-discrepancy endpoint pairs (with any designated
     ``seed_pairs`` processed first) are de-looped, cut against the network
     built so far, so that only new material of positive length is kept, and
-    inserted (:func:`hw_insert`).  After each geodesic the supremum distance
-    between the reconstruction and the metric over the probe pairs is
-    recorded; the sequence is nonincreasing because insertion only lowers the
-    reconstruction, which stays at or above the metric.  The construction
-    stops once the diagnostic reaches ``tol``; exhausting ``n_geodesics``
-    first returns the partial network with ``converged`` False.
+    inserted (:func:`hw_insert`) when longer than ``_MIN_PIECE_LENGTH``.
+    After each geodesic the supremum distance between the reconstruction and
+    the metric over the probe pairs (corners, centre, Halton points and the
+    metric's own highway chords) is recorded; the sequence is nonincreasing
+    because insertion only lowers the reconstruction, which stays at or above
+    the metric.  The construction stops once the diagnostic reaches ``tol``;
+    exhausting ``n_geodesics`` first returns the partial network with
+    ``converged`` False.
     """
     from scipy.stats import qmc
 
-    if isinstance(metric, NormPlusHighways):
-        weights = metric.weights
-    else:
+    if not isinstance(metric, NormPlusHighways):
         raise TypeError("network construction needs a NormPlusHighways metric")
     dim = metric.dim
-    if probe_pairs is None:
-        # the metric's own highway chords are the pairs a reconstruction can
-        # least afford to miss, so they always join the default probe set
-        probe_pairs = _default_probe_pairs(dim, seed=seed) + [
-            (hw.path.points[0], hw.path.points[-1]) for hw in metric.highways
-        ]
-    probe_x, probe_y = _pair_rows(probe_pairs, dim)
+    # every pair of two corners, the centre and three Halton points, then the
+    # metric's own highway chords, the pairs a reconstruction can least
+    # afford to miss
+    pts = np.array([np.zeros(dim), np.ones(dim), np.full(dim, 0.5),
+                    *qmc.Halton(d=dim, scramble=True, seed=seed).random(3)])
+    i, j = np.triu_indices(len(pts), 1)
+    ends = [b.path.points[[0, -1]] for b in metric.chain.blocks]
+    probe_x = np.concatenate([pts[i], *(e[:1] for e in ends)])
+    probe_y = np.concatenate([pts[j], *(e[1:] for e in ends)])
     target_vals = metric.evaluate_many(probe_x, probe_y)
 
-    chain = HWChain.base(weights)
+    chain = HWChain(metric.weights)
     diagnostics = []
     converged = False
 
@@ -975,32 +948,24 @@ def build_highway_network(
         k += 1
         cand = remove_loops(cand)
         for piece in cut_path_against(cand, [path for path, _, _ in chain.rides]):
-            if piece.length_l1 > min_length:
+            if piece.length_l1 > _MIN_PIECE_LENGTH:
                 chain = hw_insert(chain, piece, metric)
         vals = chain.query_many(probe_x, probe_y)
-        sup = float(np.max(np.abs(vals - target_vals))) if len(vals) else 0.0
+        sup = float(np.max(np.abs(vals - target_vals)))
         diagnostics.append({"k": k, "origin": origin, "sup_distance": sup,
                             "n_pieces": len(chain.rides)})
         if sup <= tol:
             converged = True
             break
 
-    # each piece's target distances, as hw_insert tabulated them
-    return HighwayNetwork(weights=np.asarray(weights, dtype=float),
-                          paths=[path for path, _, _ in chain.rides],
-                          cum_tables=[(ts, cum) for _, ts, cum in chain.rides],
-                          diagnostics=diagnostics, converged=converged, chain=chain)
+    return HighwayNetwork(chain=chain, diagnostics=diagnostics, converged=converged)
 
 
-def network_from_highways(metric: NormPlusHighways, geodesy_tol: float = 1e-9) -> HighwayNetwork:
-    """Package a metric's own highways as a network, after verifying each one
-    actually realizes the metric along itself."""
-    metric.validate_geodesics(tol=geodesy_tol)
-    paths = [hw.path for hw in metric.highways]
-    cum_tables = [(hw.ts.copy(), hw.cumd.copy()) for hw in metric.highways]
-    return HighwayNetwork(weights=metric.weights.copy(), paths=paths,
-                          cum_tables=cum_tables, diagnostics=[], converged=True,
-                          chain=metric.chain)
+def network_from_highways(metric: NormPlusHighways) -> HighwayNetwork:
+    """A metric's own highways as a network: its own chain, after verifying
+    that each highway realizes the metric along itself."""
+    metric.validate_geodesics()
+    return HighwayNetwork(chain=metric.chain, diagnostics=[], converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +973,7 @@ def network_from_highways(metric: NormPlusHighways, geodesy_tol: float = 1e-9) -
 # ---------------------------------------------------------------------------
 
 
-def d_length(metric, path: LipschitzPath, tol: float = 1e-9, max_depth: int = 12,
-             return_details: bool = False):
+def d_length(metric, path: LipschitzPath, tol: float = 1e-9, max_depth: int = 12) -> float:
     """Length of a path in a pseudometric, by dyadic chain-sum refinement.
 
     The chain sums are nondecreasing under refinement by the triangle
@@ -1028,13 +992,11 @@ def d_length(metric, path: LipschitzPath, tol: float = 1e-9, max_depth: int = 12
 
     params = np.asarray(path.cum, dtype=float)
     val = chain_sum(params)
-    for depth in range(1, max_depth + 1):
+    for _ in range(max_depth):
         mids = 0.5 * (params[:-1] + params[1:])
         params = np.sort(np.concatenate([params, mids]))
         new = chain_sum(params)
         if new - val <= tol * max(1.0, abs(new)):
-            if return_details:
-                return new, {"depth": depth, "n_points": len(params)}
             return new
         val = new
     raise RefinementError(
@@ -1050,23 +1012,21 @@ class MetricDerivative:
     flagged: bool
 
 
-def metric_derivative(metric, path: LipschitzPath, t: float, h0: float | None = None,
-                      levels: int = 6, tol: float = 1e-6) -> MetricDerivative:
+def metric_derivative(metric, path: LipschitzPath, t: float) -> MetricDerivative:
     """Metric speed of a path at an interior parameter.
 
-    Symmetric difference quotients on a halving ladder, with one step of
-    Richardson extrapolation.  The result is flagged when the extrapolated
-    values have not settled at ``tol`` or when the one-sided quotients at the
-    smallest step disagree, which is what happens at a breakpoint of the path
-    or on a discount boundary.
+    Symmetric difference quotients on a halving ladder of
+    ``_DERIVATIVE_LEVELS`` steps from a quarter of the distance to the nearer
+    end, with one step of Richardson extrapolation.  The result is flagged
+    when the extrapolated values have not settled at ``_DERIVATIVE_TOL`` or
+    when the one-sided quotients at the smallest step disagree, which is what
+    happens at a breakpoint of the path or on a discount boundary.
     """
     total = path.length_l1
     if not (0.0 < t < total):
         raise GeometryError("parameter must be interior to the path")
-    if h0 is None:
-        h0 = min(t, total - t) / 4.0
-    h0 = min(h0, t, total - t)
-    hs = h0 / 2.0 ** np.arange(levels)
+    levels = _DERIVATIVE_LEVELS
+    hs = min(t, total - t) / 4.0 / 2.0 ** np.arange(levels)
     h = hs[-1]
     # the symmetric ladder, then the two one-sided quotients at the last step
     lo = path.point_at(np.append(t - hs, [t - h, t]))
@@ -1078,7 +1038,7 @@ def metric_derivative(metric, path: LipschitzPath, t: float, h0: float | None = 
     value = rich[-1]
     spread = abs(rich[-1] - rich[-2]) if len(rich) >= 2 else math.inf
     gap = abs(q_plus - q_minus)
-    flagged = spread > tol or gap > tol
+    flagged = spread > _DERIVATIVE_TOL or gap > _DERIVATIVE_TOL
     return MetricDerivative(value=float(value), quotients=tuple(qs),
                             spread=float(spread), one_sided_gap=float(gap),
                             flagged=bool(flagged))
@@ -1097,16 +1057,16 @@ def _locate_on_highways(metric: NormPlusHighways, z: np.ndarray):
     is False at highway endpoints, geometric breakpoints, and discount
     breakpoints, where the tangent or the discount is one-sided."""
     zf = fvec(z)
-    for k, hw in enumerate(metric.highways):
-        fpts, cum = hw.path._frac
+    for k, block in enumerate(metric.chain.blocks):
+        fpts, cum = block.path._frac
         for i in range(len(fpts) - 1):
             s = point_on_segment(zf, fpts[i], fpts[i + 1])
             if s is None:
                 continue
             param = float(cum[i] + s * (cum[i + 1] - cum[i]))
-            interior = 0 < param < hw.path.length_l1
+            interior = 0 < param < block.path.length_l1
             # breakpoints of the merged table carry direction or discount jumps
-            for tt in hw.ts[1:-1]:
+            for tt in block.ts[1:-1]:
                 if abs(param - tt) <= 1e-15:
                     interior = False
             return k, param, interior
@@ -1137,12 +1097,12 @@ def gradient_by_paths(metric, z, u, h_ladder=None) -> GradientEstimate:
             return GradientEstimate(value=float(metric.gnorm(u)), kind="analytic")
         k, param, interior = loc
         if interior:
-            hw = metric.highways[k]
-            i = int(np.searchsorted(hw.ts, param, side="right")) - 1
-            i = min(i, len(hw.ts) - 2)
-            direction = hw.pts[i + 1] - hw.pts[i]
+            block = metric.chain.blocks[k]
+            i = int(np.searchsorted(block.ts, param, side="right")) - 1
+            i = min(i, len(block.ts) - 2)
+            direction = block.pts[i + 1] - block.pts[i]
             if _parallel(fvec(u), fvec(direction)):
-                lam = hw.lam_at(param)
+                lam = _discount_at(metric.profiles[k], param)
                 return GradientEstimate(value=float(lam * metric.gnorm(u)), kind="analytic")
             return GradientEstimate(value=float(metric.gnorm(u)), kind="analytic")
         note = (f"z is an endpoint, junction, or discount breakpoint of highway {k}; "

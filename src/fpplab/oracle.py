@@ -87,15 +87,15 @@ class EventSpec:
         )
 
     @classmethod
-    def ld_lower(cls, metric, eps: float, grid=None) -> "EventSpec":
-        """All grid pairs satisfy T-hat(x, y) <= D(x, y) + eps.
+    def ld_lower(cls, metric, eps: float) -> "EventSpec":
+        """All vertex pairs of the box satisfy T-hat(x, y) <= D(x, y) + eps.
 
         ``metric`` is D: an object with ``evaluate_many(X, Y)`` or a bare
         ``(x, y) -> float`` callable.
         """
         return cls(
             kind="ld_lower",
-            params={"metric": metric, "eps": float(eps), "grid": grid},
+            params={"metric": metric, "eps": float(eps)},
             decreasing=True,
             name=f"LD-lower(eps={float(eps)})",
         )
@@ -157,10 +157,7 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
     if event.kind == "ld_lower":
         p = event.params
         n = box.side
-        grid = p["grid"]
-        if grid is None:
-            grid = box.all_vertex_coords()
-        grid = np.asarray(grid, dtype=np.int64)
+        grid = np.asarray(box.all_vertex_coords(), dtype=np.int64)
         gids = np.atleast_1d(box.vertex_id(grid))
         i, j = np.divmod(np.arange(len(grid) ** 2), len(grid))
         D = _pair_eval(p["metric"])(grid[i] / n, grid[j] / n).reshape(len(grid), len(grid))

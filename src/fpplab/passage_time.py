@@ -550,23 +550,20 @@ class GapReport:
     within_bound: bool
 
 
-def uniform_gap(field: WeightField, b: float, eval_points=None, seed: int = 0) -> GapReport:
+def uniform_gap(field: WeightField, b: float, seed: int = 0) -> GapReport:
     """Sup over sampled pairs of |T-hat^(b) - T-tilde|, with its 2bd/n bound.
 
-    The default evaluation set mixes the two main corners, grid-aligned
-    points, and seeded uniform points of X, so both exact-grid and strictly
-    interior behaviour are exercised.
+    The evaluation set mixes the two main corners, grid-aligned points, and
+    seeded uniform points of X, so both exact-grid and strictly interior
+    behaviour are exercised.
     """
     box = field.box
     n, d = box.side, box.dimension
-    if eval_points is None:
-        rng = np.random.default_rng(seed)
-        pts = [np.zeros(d), np.ones(d), np.full(d, 0.5)]
-        pts.append(np.minimum(1.0, np.floor(rng.uniform(0, n + 1, size=d)) / n))
-        pts.extend(rng.uniform(0, 1, size=(6, d)))
-        eval_points = np.clip(np.asarray(pts), 0.0, 1.0)
-    else:
-        eval_points = np.asarray(eval_points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    pts = [np.zeros(d), np.ones(d), np.full(d, 0.5)]
+    pts.append(np.minimum(1.0, np.floor(rng.uniform(0, n + 1, size=d)) / n))
+    pts.extend(rng.uniform(0, 1, size=(6, d)))
+    eval_points = np.clip(np.asarray(pts), 0.0, 1.0)
 
     tf = field.truncated(b)
     floors = np.minimum(np.floor(eval_points * n).astype(np.int64), n)

@@ -45,14 +45,15 @@ class DenseGridMetric:
 
     def __init__(self, metric, access_points=65):
         self.weights = metric.weights
-        self.highways = metric.highways
+        # each highway's ride: its path and its table (ts, pts, cum)
+        self.highways = metric.chain.blocks
         self.rows, nodes, self.cums = [], [], []
         n = 0
-        for hw in metric.highways:
+        for hw in self.highways:
             params = np.unique(np.concatenate([
                 hw.ts, np.linspace(0.0, hw.path.length_l1, access_points)]))
             nodes.append(hw.path.point_at(params))
-            self.cums.append(np.interp(params, hw.ts, hw.cumd))
+            self.cums.append(np.interp(params, hw.ts, hw.cum))
             self.rows.append(slice(n, n + len(params)))
             n += len(params)
         self.nodes = np.concatenate(nodes) if nodes else np.zeros((0, len(self.weights)))
@@ -87,7 +88,7 @@ class DenseGridMetric:
         for hw, rows, cum in zip(self.highways, self.rows, self.cums):
             foot = self._foot_params(hw, x)
             cost = np.concatenate([g[rows], self._g(x - hw.path.point_at(foot))])
-            ride = np.concatenate([cum, np.interp(foot, hw.ts, hw.cumd)])
+            ride = np.concatenate([cum, np.interp(foot, hw.ts, hw.cum)])
             through = cost[:, None] + np.abs(ride[:, None] - cum)
             v[rows] = np.minimum(v[rows], through.min(axis=0))
             entries.append((cost, ride))

@@ -242,10 +242,10 @@ def test_criterion_06_highway_machinery():
             (LipschitzPath([[0.55, 0.45], [1.0, 0.1]]), 0.7),
         ],
     )
-    chain = HWChain.base([1.0, 1.0])
+    chain = HWChain([1.0, 1.0])
     chains = [chain]
-    for hw in target.highways:
-        chain = hw_insert(chain, hw.path, target)
+    for path, _, _ in target.chain.rides:
+        chain = hw_insert(chain, path, target)
         chains.append(chain)
 
     rng = np.random.default_rng(61)

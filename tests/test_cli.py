@@ -27,6 +27,11 @@ def run(tmp_path, command, cfg=None, extra=()):
 _DIAGONAL = DEFAULT_CONFIGS["highways"]["metric"]
 _NORM_3D = {"kind": "norm_plus_highways", "weights": [1.0, 1.0, 1.0], "highways": []}
 _UNIFORM_1_2 = {"kind": "uniform", "a": 1, "b": 2}
+# each highway passes the construction checks, but hopping to the faster
+# one beats riding the slower, so the slower is not a geodesic of the metric
+_NON_GEODESIC = {"kind": "norm_plus_highways", "weights": [1.0, 1.0], "highways": [
+    {"points": [[0.0, 0.5], [1.0, 0.5]], "profile": [[1.0, 0.9]]},
+    {"points": [[0.1, 0.6], [0.9, 0.6]], "profile": [[0.8, 0.1]]}]}
 
 
 def read_json(tmp_path, name):
@@ -235,12 +240,31 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message)
     ("functional", {"rate": {"kind": "surface", "file": "missing.json"}}, "rate.file"),
     # a pair with no geodesic to seed the network
     ("highways", {"seed_pairs": [[[0.3, 0.7], [0.3, 0.7]]]}, "seed_pairs"),
+    # a highway that is not a geodesic, wherever the metric's own network is needed
+    ("highways", {"mode": "own", "metric": _NON_GEODESIC}, "metric"),
+    ("functional", {"metric": _NON_GEODESIC}, "metric"),
+    ("functional", {"probe_metric": _NON_GEODESIC}, "probe_metric"),
+    ("ld-trend", {"metric": _NON_GEODESIC}, "metric"),
+    # a profile piece ending at a negative parameter
+    ("functional", {"metric": {**_DIAGONAL, "highways": [
+        {"points": [[0.0, 0.0], [1.0, 1.0]], "profile": [[-1.0, 0.5], [2.0, 0.5]]}]}},
+     "metric"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
     assert run(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.rstrip("\n").endswith(f'(in "{key}")')
     assert not (tmp_path / "metric.csv").exists()
+
+
+@pytest.mark.parametrize("command, patch", [
+    ("highways", {"metric": _NON_GEODESIC, "n_geodesics": 2}),
+    ("oracle", {"event": {"kind": "ld_lower", "metric": _NON_GEODESIC, "eps": 1.0}}),
+])
+def test_non_geodesic_highways_where_no_network_of_their_own_is_needed(tmp_path, command, patch):
+    """A network build and the ld_lower event read the metric's values only."""
+    cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
+    assert run(tmp_path, command, cfg) == 0
 
 
 def test_commands_do_not_import_scipy_optimize_or_stats():

@@ -21,6 +21,8 @@ from fpplab.functional import (
 )
 from fpplab.geometry import (
     GeometryError,
+    HighwayNetwork,
+    HWChain,
     LipschitzPath,
     NormPlusHighways,
     network_from_highways,
@@ -243,13 +245,23 @@ def test_sup_bound_never_exceeds_geodesic_sum():
         assert functional_sup_lower_bound(D, J, fam) <= geo + 1e-12
 
 
+def test_sup_bound_straddling_the_discount_break():
+    """[1/4, 3/4] on the profile highway, either way round: one half at
+    discount 1/2, the other at 4/5, so J = (1 - lam) g over each half."""
+    D = piecewise_metric()
+    for ends in ([[0.25, 0.0], [0.75, 0.0]], [[0.75, 0.0], [0.25, 0.0]]):
+        fam = PathFamily(paths=[LipschitzPath(ends)])
+        assert functional_sup_lower_bound(D, J, fam) == pytest.approx(
+            0.25 * 0.5 + 0.25 * 0.2, abs=1e-15)
+
+
 def test_report_flags_tampered_network():
     D = diag_metric()
-    net = network_from_highways(D)
-    ts, cum = net.cum_tables[0]
-    net.cum_tables[0] = (ts, cum * 1.1)
+    path, ts, cum = D.chain.rides[0]
+    tampered = HighwayNetwork(chain=HWChain(D.weights, [(path, ts, cum * 1.1)]),
+                              diagnostics=[], converged=True)
     with pytest.raises(GeometryError):
-        functional_report(D, net, J)
+        functional_report(D, tampered, J)
 
 
 def test_report_cross_check_enforced():

@@ -280,6 +280,16 @@ def test_non_geodesic_highway_rejected():
         NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [1, 0]]), 1.2)])
 
 
+@pytest.mark.parametrize("profile", [
+    [[-1.0, 0.5], [2.0, 0.5]],              # a piece ending before the start
+    [[0.0, 0.5], [2.0, 0.5]],               # a piece of length zero at the start
+    [[1.0, 0.5], [1.0, 0.6], [2.0, 0.8]],   # a repeated end
+])
+def test_profile_ends_must_be_positive_and_strictly_increasing(profile):
+    with pytest.raises(GeometryError, match="strictly increasing"):
+        NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [1, 1]]), profile)])
+
+
 def test_validate_geodesics_passes_on_fixtures():
     diag_metric().validate_geodesics()
     piecewise_metric().validate_geodesics()
@@ -420,9 +430,9 @@ def _boundary_pairs(D, n=4851, seed=0):
     random pairs of the cube."""
     rng = np.random.default_rng(seed)
     special = [np.array(c, dtype=float) for c in np.ndindex(*([2] * D.dim))]
-    for hw in D.highways:
-        special.extend(hw.pts)
-        special.extend(hw.path.point_at(rng.uniform(0.0, hw.path.length_l1, 4)))
+    for b in D.chain.blocks:
+        special.extend(b.pts)
+        special.extend(b.path.point_at(rng.uniform(0.0, b.path.length_l1, 4)))
     X = [a for a in special for _ in special]
     Y = [b for _ in special for b in special]
     fill = n - len(X)
@@ -529,8 +539,8 @@ def test_values_never_exceed_a_dense_access_grid(dim, seed):
     rng = np.random.default_rng(seed)
     D = _random_family(rng, dim)
     # random points, then 50 on each highway, where transfers pay most
-    on = [hw.path.point_at(rng.uniform(0.0, hw.path.length_l1, (2, 50)))
-          for hw in D.highways]
+    on = [b.path.point_at(rng.uniform(0.0, b.path.length_l1, (2, 50)))
+          for b in D.chain.blocks]
     X, Y = (np.concatenate([rng.random((100, dim))] + [pts[k] for pts in on])
             for k in (0, 1))
     vals = D.evaluate_many(X, Y)
@@ -566,14 +576,14 @@ def test_grid_pseudometric_contract():
 
 
 def test_chain_base_is_the_norm():
-    chain = HWChain.base(np.array([1.0, 1.0]))
+    chain = HWChain(np.array([1.0, 1.0]))
     assert chain.query((0, 0), (1, 1)) == 2.0
     assert chain.query((0.25, 0), (0.5, 0.5)) == 0.75
 
 
 def test_query_many_equals_per_pair_queries():
     """A batch of pairs reads bit for bit what each pair reads alone."""
-    chains = [HWChain.base(np.array([1.0, 2.0]))]
+    chains = [HWChain(np.array([1.0, 2.0]))]
     for metric in (diag_metric(), piecewise_metric()):
         chains.append(metric.chain)
         chains.append(build_highway_network(metric, n_geodesics=3, seed=1).chain)
@@ -589,7 +599,7 @@ def test_query_many_equals_per_pair_queries():
 
 def test_hw_insert_reaches_target_and_stays_above():
     D = diag_metric()
-    chain = HWChain.base(D.weights)
+    chain = HWChain(D.weights)
     geo, val = D.geodesic((0, 0), (1, 1))
     assert val == 1.0
     nxt = hw_insert(chain, geo, D)
@@ -604,7 +614,7 @@ def test_hw_insert_reaches_target_and_stays_above():
 
 def test_hw_insert_rejects_non_geodesic():
     D = diag_metric()
-    chain = HWChain.base(D.weights)
+    chain = HWChain(D.weights)
     elbow = LipschitzPath([[0, 0], [1, 0], [1, 1]])
     with pytest.raises(GeodesyError):
         hw_insert(chain, elbow, D)
@@ -615,6 +625,7 @@ def test_network_from_highways_recovers_profile():
     net = network_from_highways(D)
     net.validate()
     assert net.converged
+    assert net.chain is D.chain
     profile = net.discount_profile(0)
     lams = {}
     for t0, t1, lam in profile:
@@ -643,7 +654,7 @@ def test_hw_insert_needs_cost_linear_on_each_piece():
     segment its cost is not linear, split there it is, and the pool then
     reads the metric."""
     D = piecewise_metric()
-    chain = HWChain.base(D.weights)
+    chain = HWChain(D.weights)
     with pytest.raises(GeodesyError, match="not linear on piece 0"):
         hw_insert(chain, LipschitzPath([[0, 0], [1, 0]]), D)
     nxt = hw_insert(chain, LipschitzPath([[0, 0], [0.5, 0], [1, 0]]), D)
@@ -686,13 +697,13 @@ def test_network_reconstruction_reads_the_metric(make):
     family: the rebuilt pool reads the metric everywhere, not only at the
     probe pairs."""
     D = make()
-    seeds = [(hw.path.points[0], hw.path.points[-1]) for hw in D.highways]
+    seeds = [(b.path.points[0], b.path.points[-1]) for b in D.chain.blocks]
     net = build_highway_network(D, n_geodesics=8, seed_pairs=seeds, seed=0)
     assert net.converged
     rng = np.random.default_rng(11)
     # random pairs, then pairs on the highways, where transfers pay most
-    on = [hw.path.point_at(rng.uniform(0.0, hw.path.length_l1, (2, 100)))
-          for hw in D.highways]
+    on = [b.path.point_at(rng.uniform(0.0, b.path.length_l1, (2, 100)))
+          for b in D.chain.blocks]
     X, Y = (np.concatenate([rng.random((400, D.dim))] + [pts[k] for pts in on])
             for k in (0, 1))
     assert np.max(np.abs(net.chain.query_many(X, Y) - D.evaluate_many(X, Y))) <= 1e-12
@@ -703,7 +714,7 @@ def test_network_json_shape():
     net = network_from_highways(D)
     j = net.to_json()
     assert j["converged"] is True
-    assert len(j["paths"]) == len(net.paths)
+    assert len(j["paths"]) == len(net.chain.rides)
     rec = j["paths"][0]
     assert len(rec["params"]) == len(rec["cum"])
 
@@ -743,6 +754,21 @@ def test_gradient_classification():
     assert end.kind == "upper-bound" and end.boundary
     zero = gradient_by_paths(D, (0.5, 0.5), (0, 0))
     assert zero.value == 0.0
+
+
+def test_gradient_along_a_two_piece_profile():
+    """Along the profile highway the speed is each half's discount; the
+    discount break at x = 1/2 is a boundary case."""
+    D = piecewise_metric()
+    for z, lam in (((0.25, 0.0), 0.5), ((0.75, 0.0), 0.8)):
+        for u in ((1, 0), (-2, 0)):
+            est = gradient_by_paths(D, z, u)
+            assert est.kind == "analytic" and not est.boundary
+            assert est.value == lam * abs(u[0])
+        across = gradient_by_paths(D, z, (0, 1))
+        assert across.kind == "analytic" and across.value == 1.0
+    mid = gradient_by_paths(D, (0.5, 0.0), (1, 0))
+    assert mid.kind == "upper-bound" and mid.boundary and mid.value == 1.0
 
 
 def test_gradient_generic_metric_upper_bound():
