@@ -14,16 +14,15 @@ from fpplab.functional import (
     functional_report,
     strict_monotonicity_probe,
 )
-from fpplab.geometry import LipschitzPath, NormPlusHighways, network_from_highways
+from fpplab.geometry import LipschitzPath, NormPlusHighways
 from fpplab.model import EdgeDistribution
 
 J = AnalyticRate([1.0, 1.0])
 metric = NormPlusHighways(
     [1.0, 1.0], [(LipschitzPath([[0.0, 0.0], [1.0, 1.0]]), 0.5)]
 )
-net = network_from_highways(metric)
 
-rep = functional_report(metric, net, J)
+rep = functional_report(metric, J)
 print("diagonal-highway fixture (discount 0.5):")
 print(f"  geodesic-sum formula: {rep.geodesic_sum:.6f}")
 print(f"  intrinsic formula:    {rep.intrinsic:.6f}")
@@ -50,10 +49,7 @@ table = empirical_ld_trend(
 )
 print("\nempirical trend for a slightly contracted norm target:")
 for row in table.rows:
-    if row.rate is None:
-        rate = "inf (event never hit)" if row.p == 0 and not row.censored else "censored"
-    else:
-        rate = f"{row.rate:.4f}"
+    rate = "censored" if row.rate is None else f"{row.rate:.4f}"
     print(f"  n={row.n}: p {row.p:.4f}, -log(p)/n {rate} [{row.method}]")
 print("the -log(p)/n column is a qualitative companion to the functional, "
       "not a convergence claim")

@@ -7,7 +7,8 @@ seed, and the package version.  Nothing time-dependent is written, so a
 rerun with the same manifest produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 invariant failure (or any uncaught error),
-2 config schema violation or a config value the model rejects,
+2 an unreadable config file (missing, not JSON, or holding a number that is
+not finite), a config schema violation or a config value the model rejects,
 3 enumeration budget exceeded.
 """
 
@@ -647,12 +648,12 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
 def _cmd_functional(cfg: dict, outdir: Path) -> list:
     from fpplab.functional import (PathFamily, functional_report,
                                    strict_monotonicity_probe)
-    from fpplab.geometry import LipschitzPath, network_from_highways
+    from fpplab.geometry import LipschitzPath
 
     metric = _metric_from(cfg["metric"], "metric")
     J = _rate_fn_from(cfg["rate"], outdir, metric.dim)
-    with _config_values("metric"):
-        net = network_from_highways(metric)
+    with _config_values("metric"):  # the functional integrates along its highways
+        metric.validate_geodesics()
     family = None
     if "family" in cfg:
         with _config_values("family"):
@@ -660,13 +661,12 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
             for path in paths:
                 _check_dim("family", path.dim, metric.dim)
             family = PathFamily(paths)
-    rep = functional_report(metric, net, J, family=family,
-                            order=cfg.get("order", 8))
+    rep = functional_report(metric, J, family=family, order=cfg.get("order", 8))
     out = rep.to_json()
     if "probe_metric" in cfg:
         smaller = _metric_from(cfg["probe_metric"], "probe_metric")
         _check_dim("probe_metric", smaller.dim, metric.dim)
-        with _config_values("probe_metric"):  # the probe integrates along its highways
+        with _config_values("probe_metric"):
             smaller.validate_geodesics()
         probe = strict_monotonicity_probe(smaller, metric, J,
                                           seed=cfg.get("seed", 0))
@@ -690,7 +690,6 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
 
 def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
     from fpplab.functional import empirical_ld_trend, functional_geodesic_sum
-    from fpplab.geometry import network_from_highways
     from fpplab.model import EdgeDistribution
     from fpplab.oracle import _check_method
 
@@ -703,8 +702,8 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
     if "rate" in cfg:
         J = _rate_fn_from(cfg["rate"], outdir, metric.dim)
         with _config_values("metric"):
-            net = network_from_highways(metric)
-        fv = functional_geodesic_sum(metric, net, J)
+            metric.validate_geodesics()
+        fv = functional_geodesic_sum(metric, J)
     table = empirical_ld_trend(
         metric, dist, cfg["eps"], cfg["n_ladder"],
         samples=cfg.get("samples", 200), seed=cfg.get("seed", 0),
@@ -735,8 +734,7 @@ def _selftest_checks():
     from fpplab.elementary_rate import (RatePoint, estimate_rate_point,
                                         extend_surface, fekete_envelope)
     from fpplab.functional import AnalyticRate, functional_report
-    from fpplab.geometry import (NormPlusHighways, build_highway_network,
-                                 network_from_highways)
+    from fpplab.geometry import NormPlusHighways, build_highway_network
     from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
     from fpplab.oracle import (EventSpec, chernoff_upper_tail, crude_lower_bound,
                                exact_event_probability,
@@ -825,8 +823,7 @@ def _selftest_checks():
         D = NormPlusHighways([1, 1], [([[0, 0], [1, 1]], 0.5)])
         if D.evaluate([0, 0], [1, 1]) != 1.0:
             return False, "diagonal distance is not 1.0"
-        net = network_from_highways(D)
-        rep = functional_report(D, net, AnalyticRate([1.0, 1.0]))
+        rep = functional_report(D, AnalyticRate([1.0, 1.0]))
         ok = (rep.geodesic_sum == 1.0 and abs(rep.intrinsic - 1.0) < 1e-9
               and abs(rep.sup_bound - 1.0) < 1e-9)
         return ok, (f"three expressions: {rep.geodesic_sum}, "
@@ -957,12 +954,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_number(token: str) -> float:
+    """A JSON number token as a float, rejected unless finite: Python's JSON
+    reader accepts ``NaN``, ``Infinity`` and ``-Infinity`` and reads
+    ``1e999`` as ``inf``."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def _effective_config(args) -> dict:
+    """The config file (or the command's default config) with the flags
+    applied.  Raises ``OSError`` for a file that cannot be read and
+    ``ValueError`` for one that is not JSON or holds a number that is not
+    finite."""
     import copy
 
     if args.config is not None:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     else:
         cfg = copy.deepcopy(DEFAULT_CONFIGS[args.command])
     for key in ("seed", "budget"):
@@ -988,7 +999,11 @@ def main(argv=None) -> int:
     from fpplab.oracle import CapExceededError
 
     args = _build_parser().parse_args(argv)
-    cfg = _effective_config(args)
+    try:
+        cfg = _effective_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"invalid config file: {exc}", file=sys.stderr)
+        return 2
     error = best_match(_validator(args.command).iter_errors(cfg))
     if error is not None:
         print(f"config schema violation: {error.message}", file=sys.stderr)

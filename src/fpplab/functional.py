@@ -1,14 +1,15 @@
 """Lower-tail rate functional of a norm-plus-highways metric.
 
 The functional admits three expressions: a sum of integrals along the
-highway network's geodesics, an intrinsic integral against one-dimensional
-Hausdorff measure over the union of the highways, and a supremum over
-injective pairwise-disjoint path families.  For piecewise-linear highways
-with piecewise-constant discounts all three reduce to finite sums of
-segment terms, so they can be cross-checked at tight tolerances.  The
-module also provides the strict-monotonicity probe (slower metrics have
-strictly larger functionals) and an empirical large-deviation trend table
-for qualitative comparison against the functional value.
+metric's highways, which must be its geodesics, an intrinsic integral
+against one-dimensional Hausdorff measure over the union of the highways,
+and a supremum over injective pairwise-disjoint path families.  For
+piecewise-linear highways with piecewise-constant discounts all three
+reduce to finite sums of segment terms, so they can be cross-checked at
+tight tolerances.  The module also provides the strict-monotonicity probe
+(slower metrics have strictly larger functionals) and an empirical
+large-deviation trend table for qualitative comparison against the
+functional value.
 """
 
 from __future__ import annotations
@@ -16,24 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from fpplab._artifacts import jsonable
 from fpplab._segments import fvec, segment_intersection
 from fpplab.geometry import (
-    GeometryError,
-    HighwayNetwork,
     LipschitzPath,
     NormPlusHighways,
     _discount_at,
     _norm_factory,
-    _pair_eval,
+    _path_integrals,
     check_path_family,
-    hausdorff_integrate,
     metric_derivative,
-    network_from_highways,
 )
 from fpplab.model import EdgeDistribution, LatticeBox
 from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rate
@@ -43,10 +40,12 @@ class FunctionalError(ValueError):
     """A functional-level contract failed (ordering, consistency, domain)."""
 
 
-_NET_TOL = 1e-6        # relative slack of a network's distance tables (_check_network_of)
+_CROSS_TOL = 1e-9      # relative gap allowed between the intrinsic value and the geodesic sum
 _SUP_TOL = 1e-9        # relative excess of a path family over the geodesic sum
 _POINTS_PER_PIECE = 8  # metric-derivative samples per piece of a non-analytic metric
 _ORDER_TOL = 1e-12     # slack of D1 <= D2 in the probe, and least rise of a strict witness
+_PROBE_PAIRS = 48      # Halton point pairs the probe adds to the corners and the centre
+_PROBE_MARGIN = 1e-9   # least amount by which the smaller metric's functional must win
 
 
 # ---------------------------------------------------------------------------
@@ -148,35 +147,21 @@ class SurfaceRate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathFamily:
     """A finite family of injective, pairwise essentially disjoint paths.
 
-    The validity certificate is recomputed from the paths at construction
-    and again by ``validate``; a caller-supplied certificate is never
-    trusted.
+    The family is checked once, at construction, and is frozen, so the check
+    stays true; ``n_touch_points`` counts the isolated points the paths share.
     """
 
-    paths: list[LipschitzPath]
-    certificate: dict = field(init=False)
+    paths: tuple[LipschitzPath, ...]
+    n_touch_points: int = field(init=False)
 
     def __post_init__(self):
-        self.paths = list(self.paths)
-        self.certificate = self.validate()
-
-    def validate(self) -> dict:
-        cert = {
-            "n_paths": len(self.paths),
-            "injective": True,
-            "pairwise_disjoint": True,
-            "n_touch_points": check_path_family(self.paths, "family path"),
-        }
-        self.certificate = cert
-        return cert
-
-    @classmethod
-    def from_network(cls, net: HighwayNetwork) -> "PathFamily":
-        return cls(paths=[path for path, _, _ in net.chain.rides])
+        object.__setattr__(self, "paths", tuple(self.paths))
+        object.__setattr__(self, "n_touch_points",
+                           check_path_family(self.paths, "family path"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,36 +169,17 @@ class PathFamily:
 # ---------------------------------------------------------------------------
 
 
-def _check_network_of(D, net: HighwayNetwork):
-    """Spot-check that the network's distance tables describe ``D``.
-
-    Endpoint and quartile distances along every path must match the stored
-    cumulative table, which is what makes the stored discounts meaningful.
-    All paths are checked in one batch; the first failing point is reported.
-    """
-    ev_many = _pair_eval(D)
-    if hasattr(D, "weights") and not np.allclose(np.asarray(D.weights, float), net.chain.weights):
-        raise GeometryError("network weights disagree with the metric's norm")
-    blocks = net.chain.blocks
-    if not blocks:
-        return
-    q = np.array([0.25, 0.5, 0.75, 1.0])
-    params = [q * b.path.length_l1 for b in blocks]
-    starts = np.concatenate([b.path.point_at(np.zeros(len(q))) for b in blocks])
-    ends = np.concatenate([b.path.point_at(t) for b, t in zip(blocks, params)])
-    want = np.concatenate([b.cum_at(t) for b, t in zip(blocks, params)])
-    got = ev_many(starts, ends)
-    bad = np.abs(got - want) > _NET_TOL * (1.0 + np.abs(want))
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise GeometryError(
-            f"network path {m // len(q)} distance table disagrees with the metric "
-            f"at parameter {np.concatenate(params)[m]:.6g}: {got[m]:.12g} vs {want[m]:.12g}"
-        )
+def _highway_pieces(D: NormPlusHighways):
+    """Per highway of ``D``: its path and its (t0, t1, lam) pieces of positive
+    length, lam constant on each.  The highways must be geodesics of ``D``
+    (:meth:`NormPlusHighways.validate_geodesics`), or ``GeodesyError``."""
+    D.validate_geodesics()
+    for k, (path, _, _) in enumerate(D.chain.rides):
+        yield path, [(t0, t1, lam) for t0, t1, lam in D.chain.discount_profile(k) if t1 > t0]
 
 
-def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True) -> float:
-    """Sum over network geodesics of the rate of their discounted speed.
+def functional_geodesic_sum(D: NormPlusHighways, J) -> float:
+    """Sum over the metric's highways of the rate of their discounted speed.
 
     Each highway contributes the integral of J(tangent, D-speed) along
     itself.  With piecewise-linear geometry and piecewise-constant
@@ -221,26 +187,17 @@ def functional_geodesic_sum(D, net: HighwayNetwork, J, validate: bool = True) ->
     is an exact finite sum: by joint homogeneity the interval term is
     J(increment vector, lam * g(increment vector)).
     """
-    if validate:
-        net.validate()
-        _check_network_of(D, net)
-    gnorm = net.chain.gnorm
-
-    def one_highway(k: int) -> float:
-        path = net.chain.rides[k][0]
+    def one_highway(path, pieces) -> float:
         total = 0.0
-        for t0, t1, lam in net.discount_profile(k):
-            if t1 <= t0:
-                continue
+        for t0, t1, lam in pieces:
             v = path.point_at(t1) - path.point_at(t0)
-            total += float(J(v, lam * float(gnorm(v))))
+            total += float(J(v, lam * float(D.gnorm(v))))
         return total
 
-    return float(sum(one_highway(k) for k in range(len(net.chain.rides))))
+    return float(sum(one_highway(*hw) for hw in _highway_pieces(D)))
 
 
-def functional_intrinsic(D, net: HighwayNetwork, J, order: int = 8,
-                         validate: bool = True) -> float:
+def functional_intrinsic(D: NormPlusHighways, J, order: int = 8) -> float:
     """Hausdorff-measure expression of the functional.
 
     The integrand at a point of a highway is J evaluated at the unit
@@ -252,26 +209,18 @@ def functional_intrinsic(D, net: HighwayNetwork, J, order: int = 8,
     constant-discount piece is Gauss-Legendre, exact for the piecewise
     constant integrand.
     """
-    if validate:
-        net.validate()
-        _check_network_of(D, net)
-    gnorm = net.chain.gnorm
-
-    def one_highway(k: int) -> float:
-        path = net.chain.rides[k][0]
+    def one_highway(path, pieces) -> float:
         total = 0.0
-        for t0, t1, lam in net.discount_profile(k):
-            if t1 <= t0:
-                continue
+        for t0, t1, lam in pieces:
             piece = path.subpath(Fraction(t0), Fraction(t1))
 
             def f(_x, u2, lam=lam):
-                return J(u2, lam * float(gnorm(u2)))
+                return J(u2, lam * float(D.gnorm(u2)))
 
-            total += hausdorff_integrate([piece], f, order=order, validate=False)
+            total += _path_integrals([piece], f, order)
         return total
 
-    return float(sum(one_highway(k) for k in range(len(net.chain.rides))))
+    return float(sum(one_highway(*hw) for hw in _highway_pieces(D)))
 
 
 def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
@@ -318,11 +267,9 @@ def functional_sup_lower_bound(D, J, family: PathFamily) -> float:
     composite midpoints, ``_POINTS_PER_PIECE`` per piece.
 
     Any valid family yields at most the geodesic-sum value, with equality
-    when the family is the highway network itself; that contract is
+    when the family is the metric's own highways; that contract is
     enforced by ``functional_report``, not here.
     """
-    family.validate()
-
     analytic = isinstance(D, NormPlusHighways)
     gnorm = D.gnorm if analytic else None
 
@@ -370,7 +317,6 @@ class FunctionalReport:
     family_size: int
     order: int
     n_highways: int
-    cross_tol: float
 
     @property
     def delta_intrinsic(self) -> float:
@@ -390,30 +336,28 @@ class FunctionalReport:
             "family_size": self.family_size,
             "quadrature_order": self.order,
             "n_highways": self.n_highways,
-            "cross_tol": self.cross_tol,
+            "cross_tol": _CROSS_TOL,
             "sup_tol": _SUP_TOL,
         }
 
 
-def functional_report(D, net: HighwayNetwork, J, family: PathFamily | None = None,
-                      order: int = 8, cross_tol: float = 1e-9) -> FunctionalReport:
+def functional_report(D: NormPlusHighways, J, family: PathFamily | None = None,
+                      order: int = 8) -> FunctionalReport:
     """Evaluate all three expressions and enforce their mutual contracts.
 
     The supremum expression is evaluated on ``family`` (default: the
-    network itself, which attains the value).  Raises ``FunctionalError``
-    if the intrinsic value drifts from the geodesic sum beyond the relative
-    cross-check tolerance, or if the family exceeds the geodesic sum by more
-    than ``_SUP_TOL`` relative.
+    metric's own highways, which attain the value).  Raises
+    ``FunctionalError`` if the intrinsic value drifts from the geodesic sum
+    beyond ``_CROSS_TOL`` relative, or if the family exceeds the geodesic
+    sum by more than ``_SUP_TOL`` relative.
     """
-    net.validate()
-    _check_network_of(D, net)
+    geo = functional_geodesic_sum(D, J)
+    intr = functional_intrinsic(D, J, order=order)
     if family is None:
-        family = PathFamily.from_network(net)
-    geo = functional_geodesic_sum(D, net, J, validate=False)
-    intr = functional_intrinsic(D, net, J, order=order, validate=False)
+        family = PathFamily([path for path, _, _ in D.chain.rides])
     sup = functional_sup_lower_bound(D, J, family)
     scale = max(abs(geo), abs(intr), 1e-300)
-    if abs(intr - geo) > cross_tol * max(1.0, scale):
+    if abs(intr - geo) > _CROSS_TOL * max(1.0, scale):
         raise FunctionalError(
             f"intrinsic and geodesic-sum expressions disagree: "
             f"{intr:.15g} vs {geo:.15g}"
@@ -425,7 +369,7 @@ def functional_report(D, net: HighwayNetwork, J, family: PathFamily | None = Non
     return FunctionalReport(
         geodesic_sum=geo, intrinsic=intr, sup_bound=sup,
         family_size=len(family.paths), order=order,
-        n_highways=len(net.chain.rides), cross_tol=cross_tol,
+        n_highways=len(D.chain.rides),
     )
 
 
@@ -438,7 +382,6 @@ def functional_report(D, net: HighwayNetwork, J, family: PathFamily | None = Non
 class MonotonicityReport:
     value_smaller: float     # functional of the smaller metric
     value_larger: float      # functional of the larger metric
-    margin: float
     n_pairs: int
     max_order_violation: float
     witness: tuple | None
@@ -447,7 +390,7 @@ class MonotonicityReport:
         return jsonable({
             "value_smaller_metric": self.value_smaller,
             "value_larger_metric": self.value_larger,
-            "margin": self.margin,
+            "margin": _PROBE_MARGIN,
             "n_pairs": self.n_pairs,
             "max_order_violation": self.max_order_violation,
             "witness": self.witness,
@@ -455,26 +398,28 @@ class MonotonicityReport:
 
 
 def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
-                              n_pairs: int = 48, seed: int = 0,
-                              margin: float = 1e-9) -> MonotonicityReport:
+                              seed: int = 0) -> MonotonicityReport:
     """Check that a strictly smaller metric has a strictly larger functional.
 
-    ``D1 <= D2`` is verified on a sampled pair grid, evaluated in one batch
-    per metric, and a strict witness pair is required (equal metrics are
-    rejected, the claim is about distinct ones).  Both functionals are evaluated through each metric's
-    own highways; the smaller metric must win by more than ``margin``.
+    ``D1 <= D2`` is verified on a sampled pair grid (the corners, the centre
+    and ``_PROBE_PAIRS`` Halton pairs), evaluated in one batch per metric,
+    and a strict witness pair is required (equal metrics are rejected, the
+    claim is about distinct ones).  Both functionals are evaluated through
+    each metric's own highways, which must be its geodesics, or
+    ``GeodesyError``; the smaller metric must win by more than
+    ``_PROBE_MARGIN``.
     """
     from scipy.stats import qmc
 
+    D1.validate_geodesics()
+    D2.validate_geodesics()
     if D1.dim != D2.dim:
         raise FunctionalError("metrics live in different dimensions")
     dim = D1.dim
     pts = [np.zeros(dim), np.ones(dim), np.full(dim, 0.5)]
-    if n_pairs > 0:
-        sampler = qmc.Halton(d=2 * dim, scramble=True, seed=seed)
-        for row in sampler.random(n_pairs):
-            pts.append(row[:dim])
-            pts.append(row[dim:])
+    for row in qmc.Halton(d=2 * dim, scramble=True, seed=seed).random(_PROBE_PAIRS):
+        pts.append(row[:dim])
+        pts.append(row[dim:])
     pts = np.asarray(pts)
     i, j = np.triu_indices(len(pts), 1)
     v1 = D1.evaluate_many(pts[i], pts[j])
@@ -491,19 +436,17 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
     if witness is None or gap <= _ORDER_TOL:
         raise FunctionalError("metrics are not distinct on the sampled pairs")
 
-    net1 = network_from_highways(D1)
-    net2 = network_from_highways(D2)
-    val1 = functional_geodesic_sum(D1, net1, J, validate=False)
-    val2 = functional_geodesic_sum(D2, net2, J, validate=False)
+    val1 = functional_geodesic_sum(D1, J)
+    val2 = functional_geodesic_sum(D2, J)
     if not math.isfinite(val2):
         raise FunctionalError("functional of the larger metric is not finite")
-    if not val1 > val2 + margin:
+    if not val1 > val2 + _PROBE_MARGIN:
         raise FunctionalError(
             f"strict monotonicity failed: {val1:.15g} vs {val2:.15g} "
-            f"(margin {margin:g})"
+            f"(margin {_PROBE_MARGIN:g})"
         )
     return MonotonicityReport(
-        value_smaller=val1, value_larger=val2, margin=margin,
+        value_smaller=val1, value_larger=val2,
         n_pairs=len(i), max_order_violation=worst, witness=witness,
     )
 

@@ -479,15 +479,22 @@ class NormPlusHighways:
                 )
 
     def validate_geodesics(self):
-        """Full check that each highway realizes the metric between its points.
+        """Full check that each highway realizes the metric between its points,
+        raising :class:`GeodesyError`.  The metric has no mutators, so the
+        verdict of the first call is kept and later calls repeat it."""
+        if not hasattr(self, "_geodesy"):
+            self._geodesy = self._geodesy_failure()
+        if self._geodesy is not None:
+            raise GeodesyError(self._geodesy)
 
-        All pairs of ``_GEODESIC_SAMPLES`` evenly spaced points on each
-        highway are evaluated in one batch; the first failing pair, highway
-        by highway, is reported.
-        """
+    def _geodesy_failure(self) -> str | None:
+        """The first failure of the geodesic identity, or None.  All pairs of
+        ``_GEODESIC_SAMPLES`` evenly spaced points on each highway are
+        evaluated in one batch; the first failing pair, highway by highway,
+        is reported."""
         blocks = self.chain.blocks
         if not blocks:
-            return
+            return None
         i, j = np.triu_indices(_GEODESIC_SAMPLES, 1)
         ts = [np.linspace(0.0, b.path.length_l1, _GEODESIC_SAMPLES) for b in blocks]
         pts = [b.path.point_at(t) for b, t in zip(blocks, ts)]
@@ -499,11 +506,12 @@ class NormPlusHighways:
             bad = np.abs(val - ride) > _GEODESY_TOL * (1.0 + ride)
             if bad.any():
                 m = int(np.argmax(bad))
-                raise GeodesyError(
+                return (
                     f"highway {k} fails the geodesic identity at "
                     f"params ({t[i[m]]:.6g}, {t[j[m]]:.6g}): metric {val[m]:.12g} "
                     f"vs ride {ride[m]:.12g}"
                 )
+        return None
 
     # -- evaluation ------------------------------------------------------------
 
@@ -597,6 +605,8 @@ class GridPseudometric:
 
     def __init__(self, values: np.ndarray, m: int, dim: int):
         values = np.asarray(values, dtype=float)
+        if m < 1 or dim < 1:
+            raise GeometryError(f"a grid needs m >= 1 and dim >= 1, not m={m}, d={dim}")
         n_nodes = (m + 1) ** dim
         if values.shape != (n_nodes, n_nodes):
             raise GeometryError(f"need a {n_nodes} x {n_nodes} table for m={m}, d={dim}")
@@ -608,13 +618,13 @@ class GridPseudometric:
     def from_function(cls, metric, m: int, dim: int) -> "GridPseudometric":
         """Tabulate ``metric`` (see :func:`_pair_eval`) on the grid nodes, all
         pairs above the diagonal in one batch."""
+        n = (m + 1) ** dim
+        grid = cls(np.zeros((n, n)), m, dim)
         coords = np.stack(np.meshgrid(*([np.arange(m + 1)] * dim), indexing="ij"), axis=-1)
         nodes = coords.reshape(-1, dim) / m
-        n = nodes.shape[0]
         i, j = np.triu_indices(n, 1)
-        vals = np.zeros((n, n))
-        vals[i, j] = vals[j, i] = _pair_eval(metric)(nodes[i], nodes[j])
-        return cls(vals, m, dim)
+        grid.values[i, j] = grid.values[j, i] = _pair_eval(metric)(nodes[i], nodes[j])
+        return grid
 
     def _corners(self, Z: np.ndarray):
         """Flat node ids and multilinear weights of the 2^d corners of the
@@ -745,6 +755,18 @@ class HWChain:
         gain transfer nodes toward the new one."""
         return HWChain(self.weights, self.rides + ((path, ts, cum),))
 
+    def discount_profile(self, k: int):
+        """Per linear piece of ride k: (t0, t1, lam) with lam the ratio of
+        its cost speed to norm speed."""
+        path, ts, cum = self.rides[k]
+        out = []
+        for i in range(len(ts) - 1):
+            seg_g = self.gnorm(path.point_at(ts[i + 1]) - path.point_at(ts[i]))
+            dd = cum[i + 1] - cum[i]
+            lam = dd / seg_g if seg_g > 0 else 1.0
+            out.append((float(ts[i]), float(ts[i + 1]), float(lam)))
+        return out
+
     def query_many(self, X, Y) -> np.ndarray:
         """Distances between the rows of X and Y, two ``(B, dim)`` arrays.
 
@@ -859,23 +881,6 @@ class HighwayNetwork:
     chain: HWChain
     diagnostics: list[dict]
     converged: bool
-
-    def validate(self) -> dict:
-        paths = [path for path, _, _ in self.chain.rides]
-        return {"n_paths": len(paths),
-                "n_touch_points": check_path_family(paths, "network path")}
-
-    def discount_profile(self, k: int):
-        """Per linear piece of path k: (t0, t1, lam) with lam the ratio of
-        target speed to norm speed."""
-        path, ts, cum = self.chain.rides[k]
-        out = []
-        for i in range(len(ts) - 1):
-            seg_g = self.chain.gnorm(path.point_at(ts[i + 1]) - path.point_at(ts[i]))
-            dd = cum[i + 1] - cum[i]
-            lam = dd / seg_g if seg_g > 0 else 1.0
-            out.append((float(ts[i]), float(ts[i + 1]), float(lam)))
-        return out
 
     def to_json(self) -> dict:
         return jsonable({
@@ -1129,17 +1134,23 @@ def _straight_probe(metric, z, u, h_ladder=None) -> float:
 
 
 def hausdorff_integrate(paths: Sequence[LipschitzPath], integrand: Callable,
-                        order: int = 8, validate: bool = True) -> float:
+                        order: int = 8) -> float:
     """Integral of ``integrand(point, unit_euclidean_tangent)`` over the union
     of the paths with respect to one-dimensional Hausdorff measure.
 
-    The paths must be injective and may share at most isolated points, so the
-    union integral is the sum of the path integrals; Gauss-Legendre quadrature
-    on each linear piece is exact for polynomial integrands up to the rule
-    degree and exact for integrands constant per piece, the case of interest.
+    The paths must be injective and may share at most isolated points
+    (:func:`check_path_family`), so the union integral is the sum of the path
+    integrals (:func:`_path_integrals`).
     """
-    if validate:
-        check_path_family(paths)
+    check_path_family(paths)
+    return _path_integrals(paths, integrand, order)
+
+
+def _path_integrals(paths: Sequence[LipschitzPath], integrand: Callable, order: int) -> float:
+    """The sum of the integrals of ``integrand(point, unit_euclidean_tangent)``
+    along the paths.  Gauss-Legendre quadrature on each linear piece is exact
+    for polynomial integrands up to the rule degree and exact for integrands
+    constant per piece, the case of interest."""
     xs, ws = np.polynomial.legendre.leggauss(order)
     total = 0.0
     for path in paths:

@@ -40,7 +40,6 @@ from fpplab.geometry import (
     NormPlusHighways,
     build_highway_network,
     hw_insert,
-    network_from_highways,
 )
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
 from fpplab.oracle import (
@@ -298,10 +297,10 @@ def _random_highway_configs(count, seed):
             j_weights = rng.uniform(0.5, 2.0, 2)
             try:
                 D = NormPlusHighways(weights, highways)
-                net = network_from_highways(D)
+                D.validate_geodesics()
             except GeometryError:
                 continue
-            out.append((D, net, AnalyticRate(j_weights)))
+            out.append((D, AnalyticRate(j_weights)))
     return out
 
 
@@ -309,17 +308,17 @@ def test_criterion_07_three_formula_consistency():
     """Geodesic-sum, intrinsic, and sup formulas agree on random configurations."""
     configs = _random_highway_configs(25, 2024)
     worst_rel = 0.0
-    for D, net, J in configs:
-        geo = functional_geodesic_sum(D, net, J)
-        intr = functional_intrinsic(D, net, J)
+    for D, J in configs:
+        geo = functional_geodesic_sum(D, J)
+        intr = functional_intrinsic(D, J)
         scale = max(1.0, abs(geo))
         assert abs(geo - intr) <= 1e-9 * scale
         worst_rel = max(worst_rel, abs(geo - intr) / scale)
 
-        full = PathFamily.from_network(net)
+        full = PathFamily([path for path, _, _ in D.chain.rides])
         sup_full = functional_sup_lower_bound(D, J, full)
         assert sup_full <= geo + 1e-9 * scale
-        assert abs(sup_full - geo) <= 1e-9 * scale  # network family attains it
+        assert abs(sup_full - geo) <= 1e-9 * scale  # the highways themselves attain it
         sub = PathFamily(full.paths[:1])
         sup_sub = functional_sup_lower_bound(D, J, sub)
         assert sup_sub <= geo + 1e-9 * scale
@@ -328,12 +327,12 @@ def test_criterion_07_three_formula_consistency():
         assert sup_half <= geo + 1e-9 * scale
 
     diag = NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0.0, 0.0], [1.0, 1.0]]), 0.5)])
-    dnet = network_from_highways(diag)
     J = AnalyticRate([1.0, 1.0])
-    geo = functional_geodesic_sum(diag, dnet, J)
+    geo = functional_geodesic_sum(diag, J)
     assert geo == 1.0
-    assert functional_sup_lower_bound(diag, J, PathFamily.from_network(dnet)) == 1.0
-    assert abs(functional_intrinsic(diag, dnet, J) - 1.0) <= 1e-12
+    own = PathFamily([path for path, _, _ in diag.chain.rides])
+    assert functional_sup_lower_bound(diag, J, own) == 1.0
+    assert abs(functional_intrinsic(diag, J) - 1.0) <= 1e-12
     _passed(
         7,
         f"25 random configs agree to {worst_rel:.1e} rel; sup families never exceed; "
@@ -372,7 +371,7 @@ def test_criterion_08_strict_monotonicity():
     ]
     margins = []
     for fast, slow in probes:
-        rep = strict_monotonicity_probe(fast, slow, J, margin=1e-9)
+        rep = strict_monotonicity_probe(fast, slow, J)
         assert rep.max_order_violation == 0.0
         gap = rep.value_smaller - rep.value_larger
         assert gap > 1e-9

@@ -197,10 +197,39 @@ def test_selftest_schema_rejects_junk(tmp_path):
     ("highways", {"metric": {**_DIAGONAL, "access_points": 17}}, "config schema violation"),
     # nor is the old insertion grid's
     ("highways", {"initial_access": 17}, "config schema violation"),
+    # every config number is finite: json.dumps writes these as the NaN,
+    # Infinity and -Infinity tokens, which Python's JSON reader accepts
+    ("functional", {"rate": {"kind": "analytic", "weights": [1.0, 1.0], "scale": math.inf}},
+     "invalid config file: Infinity is not a finite number"),
+    ("functional", {"rate": {"kind": "analytic", "weights": [math.nan, 1.0]}},
+     "invalid config file: NaN is not a finite number"),
+    ("oracle", {"event": {"kind": "passage_time_at_most", "x": [0, 0], "y": [1, 1],
+                          "t": math.nan}},
+     "invalid config file: NaN is not a finite number"),
+    ("ld-trend", {"eps": math.nan}, "invalid config file: NaN is not a finite number"),
+    ("simulate", {"distribution": {"kind": "exponential", "rate": math.inf}},
+     "invalid config file: Infinity is not a finite number"),
+    ("oracle", {"fkg": {"x1": [1, 0], "x2": [0, 1], "t1": -math.inf, "t2": 1.0}},
+     "invalid config file: -Infinity is not a finite number"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
     assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 1e999}', "invalid config file: 1e999 is not a finite number"),
+    ('{"seed": ', "invalid config file: Expecting value: line 1 column 10"),
+    (None, "invalid config file: [Errno 2] No such file or directory"),
+])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
+    """A number that overflows to inf, a JSON syntax error and a missing file."""
+    cfg_path = tmp_path / "config.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert main(["selftest", "-o", str(tmp_path), "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "manifest.json").exists()
 
@@ -265,6 +294,32 @@ def test_non_geodesic_highways_where_no_network_of_their_own_is_needed(tmp_path,
     """A network build and the ld_lower event read the metric's values only."""
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
     assert run(tmp_path, command, cfg) == 0
+
+
+def test_functional_checks_each_metric_once(tmp_path, monkeypatch):
+    """With a probe metric, the geodesy check runs once per metric and the
+    path-family check once per highway family and once for the default
+    sup family."""
+    from fpplab import functional, geometry
+
+    geodesy, families = [], []
+    check = geometry.NormPlusHighways._geodesy_failure
+    monkeypatch.setattr(geometry.NormPlusHighways, "_geodesy_failure",
+                        lambda self: geodesy.append(self) or check(self))
+    family_check = geometry.check_path_family
+
+    def counted(*args, **kwargs):
+        families.append(args[1:])
+        return family_check(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "check_path_family", counted)
+    monkeypatch.setattr(functional, "check_path_family", counted)
+    probe = {**_DIAGONAL, "highways": [{**_DIAGONAL["highways"][0], "profile": [[2.0, 0.4]]}]}
+    assert run(tmp_path, "functional", {**DEFAULT_CONFIGS["functional"],
+                                        "probe_metric": probe}) == 0
+    assert "monotonicity_probe" in read_json(tmp_path, "functional.json")
+    assert len(geodesy) == 2 and geodesy[0] is not geodesy[1]
+    assert families == [("highway",), ("family path",), ("highway",)]
 
 
 def test_commands_do_not_import_scipy_optimize_or_stats():

@@ -1,5 +1,6 @@
 """The three functional expressions, monotonicity probe, and the LD trend table."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,10 +20,10 @@ from fpplab.functional import (
     functional_sup_lower_bound,
     strict_monotonicity_probe,
 )
+from fpplab import functional
 from fpplab.geometry import (
+    GeodesyError,
     GeometryError,
-    HighwayNetwork,
-    HWChain,
     LipschitzPath,
     NormPlusHighways,
     network_from_highways,
@@ -40,6 +41,18 @@ def diag_metric(lam=0.5):
 def piecewise_metric():
     hw = LipschitzPath([[0.0, 0.0], [1.0, 0.0]])
     return NormPlusHighways([1.0, 1.0], [(hw, [[0.5, 0.5], [1.0, 0.8]])])
+
+
+def non_geodesic_metric():
+    """Each highway passes the construction checks, but hopping to the faster
+    one beats riding the slower, so the slower is not a geodesic of the metric."""
+    return NormPlusHighways([1.0, 1.0], [
+        (LipschitzPath([[0.0, 0.5], [1.0, 0.5]]), 0.9),
+        (LipschitzPath([[0.1, 0.6], [0.9, 0.6]]), 0.1)])
+
+
+def highway_family(D):
+    return PathFamily([path for path, _, _ in D.chain.rides])
 
 
 def l1_metric(x, y):
@@ -120,12 +133,16 @@ def test_surface_rate_flags_below_range_queries():
 # ---------------------------------------------------------------------------
 
 
-def test_path_family_certificate_recomputed():
-    fam = PathFamily(paths=[LipschitzPath([[0, 0], [1, 1]])])
-    assert fam.certificate["n_paths"] == 1
-    assert fam.certificate["pairwise_disjoint"]
-    fam.certificate = {"forged": True}
-    assert fam.validate()["n_paths"] == 1
+def test_path_family_is_frozen():
+    """The family is checked once, at construction, and cannot change after."""
+    fam = PathFamily(paths=[LipschitzPath([[0, 0], [0.5, 0.5]]),
+                            LipschitzPath([[0.5, 0.5], [1, 0]])])
+    assert isinstance(fam.paths, tuple) and len(fam.paths) == 2
+    assert fam.n_touch_points == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.paths = (LipschitzPath([[0, 0], [1, 1]]),) * 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.n_touch_points = 0
 
 
 def test_path_family_rejects_overlap():
@@ -138,8 +155,8 @@ def test_path_family_rejects_overlap():
 
 def test_path_family_from_network():
     D = diag_metric()
-    fam = PathFamily.from_network(network_from_highways(D))
-    assert fam.certificate["n_paths"] == 1
+    fam = PathFamily([path for path, _, _ in network_from_highways(D).chain.rides])
+    assert len(fam.paths) == 1 and fam.n_touch_points == 0
 
 
 # ---------------------------------------------------------------------------
@@ -149,33 +166,30 @@ def test_path_family_from_network():
 
 def test_diagonal_fixture_exact():
     D = diag_metric()
-    net = network_from_highways(D)
-    assert functional_geodesic_sum(D, net, J) == 1.0
-    assert functional_intrinsic(D, net, J) == pytest.approx(1.0, abs=1e-12)
-    assert functional_sup_lower_bound(D, J, PathFamily.from_network(net)) == 1.0
+    assert functional_geodesic_sum(D, J) == 1.0
+    assert functional_intrinsic(D, J) == pytest.approx(1.0, abs=1e-12)
+    assert functional_sup_lower_bound(D, J, highway_family(D)) == 1.0
 
 
 def test_no_highways_means_zero():
     D = NormPlusHighways([1.0, 1.0], [])
-    net = network_from_highways(D)
-    assert functional_geodesic_sum(D, net, J) == 0.0
-    assert functional_intrinsic(D, net, J) == 0.0
+    assert functional_geodesic_sum(D, J) == 0.0
+    assert functional_intrinsic(D, J) == 0.0
     assert functional_sup_lower_bound(D, J, PathFamily(paths=[])) == 0.0
 
 
 def test_halving_the_discount_raises_the_value():
     lo = diag_metric(0.25)
     hi = diag_metric(0.5)
-    v_lo = functional_geodesic_sum(lo, network_from_highways(lo), J)
-    v_hi = functional_geodesic_sum(hi, network_from_highways(hi), J)
+    v_lo = functional_geodesic_sum(lo, J)
+    v_hi = functional_geodesic_sum(hi, J)
     assert v_lo == 1.5 and v_hi == 1.0
     assert v_lo > v_hi
 
 
 def test_piecewise_profile_all_three_expressions():
     D = piecewise_metric()
-    net = network_from_highways(D)
-    rep = functional_report(D, net, J)
+    rep = functional_report(D, J)
     # (1 - 0.5) * 0.5 + (1 - 0.8) * 0.5
     assert rep.geodesic_sum == pytest.approx(0.35, abs=1e-12)
     assert rep.intrinsic == pytest.approx(0.35, abs=1e-12)
@@ -190,8 +204,8 @@ def test_contribution_additive_over_highways():
     parts = []
     for hw, lam in [([[0, 0], [1, 0]], 0.6), ([[0, 1], [1, 1]], 0.9)]:
         one = NormPlusHighways([1.0, 1.0], [(LipschitzPath(hw), lam)])
-        parts.append(functional_geodesic_sum(one, network_from_highways(one), J))
-    total = functional_geodesic_sum(two, network_from_highways(two), J)
+        parts.append(functional_geodesic_sum(one, J))
+    total = functional_geodesic_sum(two, J)
     assert parts[0] == pytest.approx(0.4, abs=1e-12)
     assert parts[1] == pytest.approx(0.1, abs=1e-12)
     assert total == parts[0] + parts[1]
@@ -199,8 +213,7 @@ def test_contribution_additive_over_highways():
 
 def test_intrinsic_additive_under_subdivision():
     D = piecewise_metric()
-    net = network_from_highways(D)
-    whole = functional_intrinsic(D, net, J)
+    whole = functional_intrinsic(D, J)
     halves = [
         functional_sup_lower_bound(
             D, J, PathFamily(paths=[LipschitzPath([[a, 0], [b, 0]])]))
@@ -211,11 +224,10 @@ def test_intrinsic_additive_under_subdivision():
 
 def test_scaling_rate_by_two_is_exact_everywhere():
     D = piecewise_metric()
-    net = network_from_highways(D)
-    fam = PathFamily.from_network(net)
+    fam = highway_family(D)
     J2 = AnalyticRate([1.0, 1.0], scale=2.0)
-    assert functional_geodesic_sum(D, net, J2) == 2 * functional_geodesic_sum(D, net, J)
-    assert functional_intrinsic(D, net, J2) == 2 * functional_intrinsic(D, net, J)
+    assert functional_geodesic_sum(D, J2) == 2 * functional_geodesic_sum(D, J)
+    assert functional_intrinsic(D, J2) == 2 * functional_intrinsic(D, J)
     assert functional_sup_lower_bound(D, J2, fam) == 2 * functional_sup_lower_bound(D, J, fam)
 
 
@@ -233,8 +245,7 @@ def test_sup_bound_off_highway_is_zero():
 
 def test_sup_bound_never_exceeds_geodesic_sum():
     D = piecewise_metric()
-    net = network_from_highways(D)
-    geo = functional_geodesic_sum(D, net, J)
+    geo = functional_geodesic_sum(D, J)
     families = [
         PathFamily(paths=[LipschitzPath([[0.1, 0], [0.6, 0]])]),
         PathFamily(paths=[LipschitzPath([[0, 0], [0.5, 0]]),
@@ -255,27 +266,33 @@ def test_sup_bound_straddling_the_discount_break():
             0.25 * 0.5 + 0.25 * 0.2, abs=1e-15)
 
 
-def test_report_flags_tampered_network():
-    D = diag_metric()
-    path, ts, cum = D.chain.rides[0]
-    tampered = HighwayNetwork(chain=HWChain(D.weights, [(path, ts, cum * 1.1)]),
-                              diagnostics=[], converged=True)
-    with pytest.raises(GeometryError):
-        functional_report(D, tampered, J)
+@pytest.mark.parametrize("evaluate", [
+    lambda D: functional_geodesic_sum(D, J),
+    lambda D: functional_intrinsic(D, J),
+    lambda D: functional_report(D, J),
+    lambda D: strict_monotonicity_probe(D, NormPlusHighways([1.0, 1.0], []), J),
+    lambda D: strict_monotonicity_probe(diag_metric(0.5), D, J),
+], ids=["geodesic-sum", "intrinsic", "report", "probe-smaller", "probe-larger"])
+def test_non_geodesic_metric_raises(evaluate):
+    """The functional integrates along the metric's highways, so each entry
+    point refuses a metric whose highways are not its geodesics."""
+    with pytest.raises(GeodesyError, match="highway 0 fails the geodesic identity"):
+        evaluate(non_geodesic_metric())
 
 
-def test_report_cross_check_enforced():
+def test_report_cross_check_enforced(monkeypatch):
     D = diag_metric()
-    net = network_from_highways(D)
-    # the intrinsic value drifts from the geodesic sum by one quadrature ulp,
-    # so a zero cross tolerance must trip
-    with pytest.raises(FunctionalError):
-        functional_report(D, net, J, cross_tol=0.0)
-    rep = functional_report(D, net, J)
+    rep = functional_report(D, J)
     assert abs(rep.delta_intrinsic) <= 1e-12
     j = rep.to_json()
     assert j["geodesic_sum"] == 1.0
     assert j["family_size"] == 1
+    assert j["cross_tol"] == 1e-9
+    # the intrinsic value drifts from the geodesic sum by one quadrature ulp,
+    # so a zero cross tolerance must trip
+    monkeypatch.setattr(functional, "_CROSS_TOL", 0.0)
+    with pytest.raises(FunctionalError):
+        functional_report(D, J)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +311,8 @@ def test_probe_smaller_metric_wins():
 def test_probe_report_matches_parent():
     """Criterion 08's first slowdown pair at seed 0, pinned from the
     per-pair probe that preceded the batched one."""
-    rep = strict_monotonicity_probe(diag_metric(0.5), diag_metric(0.6), J, margin=1e-9)
+    rep = strict_monotonicity_probe(diag_metric(0.5), diag_metric(0.6), J)
+    assert rep.to_json()["margin"] == 1e-9
     assert rep.n_pairs == 4851
     assert rep.max_order_violation == 0.0
     assert [w.tolist() for w in rep.witness] == [[0.0, 0.0], [1.0, 1.0]]
@@ -302,7 +320,7 @@ def test_probe_report_matches_parent():
     assert rep.value_larger == 0.8
 
 
-def test_probe_witness_is_the_first_largest_rise():
+def test_probe_witness_is_the_first_largest_rise(monkeypatch):
     """Witness and order violation are those a loop over the pair list
     finds, on a pair grid where several pairs share the largest rise."""
     from scipy.stats import qmc
@@ -310,7 +328,8 @@ def test_probe_witness_is_the_first_largest_rise():
     mid = [[0.3, 0.7], [0.7, 0.3]]  # useless between the corners
     fast = NormPlusHighways([1.0, 1.0], [(LipschitzPath(mid), 0.5)])
     slow = NormPlusHighways([1.0, 1.0], [(LipschitzPath(mid), 0.6)])
-    rep = strict_monotonicity_probe(fast, slow, J, n_pairs=10, seed=3)
+    monkeypatch.setattr(functional, "_PROBE_PAIRS", 10)
+    rep = strict_monotonicity_probe(fast, slow, J, seed=3)
     pts = [np.zeros(2), np.ones(2), np.full(2, 0.5)]
     for row in qmc.Halton(d=4, scramble=True, seed=3).random(10):
         pts.extend([row[:2], row[2:]])

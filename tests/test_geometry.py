@@ -295,6 +295,28 @@ def test_validate_geodesics_passes_on_fixtures():
     piecewise_metric().validate_geodesics()
 
 
+def test_validate_geodesics_checks_once_and_repeats_its_verdict(monkeypatch):
+    """The metric has no mutators, so the first verdict stands: later calls
+    repeat it, a failure with the same message, without evaluating again."""
+    calls = []
+    check = NormPlusHighways._geodesy_failure
+    monkeypatch.setattr(NormPlusHighways, "_geodesy_failure",
+                        lambda self: calls.append(self) or check(self))
+    D = diag_metric()
+    bad = NormPlusHighways([1.0, 1.0], [
+        (LipschitzPath([[0.0, 0.5], [1.0, 0.5]]), 0.9),
+        (LipschitzPath([[0.1, 0.6], [0.9, 0.6]]), 0.1)])
+    messages = []
+    for _ in range(3):
+        D.validate_geodesics()
+        with pytest.raises(GeodesyError) as info:
+            bad.validate_geodesics()
+        messages.append(str(info.value))
+    assert calls == [D, bad]
+    assert messages[0].startswith("highway 0 fails the geodesic identity")
+    assert messages == messages[:1] * 3
+
+
 def test_geodesic_matches_evaluate_and_d_length():
     D = diag_metric()
     for x, y in [((0, 0), (1, 1)), ((0.25, 0.0), (0.75, 1.0)), ((0.1, 0.8), (0.9, 0.3))]:
@@ -570,6 +592,16 @@ def test_grid_pseudometric_contract():
         GridPseudometric(np.zeros((4, 4)), m=4, dim=2)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_grid_pseudometric_needs_a_cell(m):
+    """A grid of m < 1 cells per side has no cell to interpolate in, and
+    from_function would divide by m."""
+    with pytest.raises(GeometryError, match="m >= 1"):
+        GridPseudometric(np.zeros((1, 1)), m, 2)
+    with pytest.raises(GeometryError, match="m >= 1"):
+        GridPseudometric.from_function(lambda x, y: 0.0, m, 2)
+
+
 # ---------------------------------------------------------------------------
 # min-plus chains and insertion
 # ---------------------------------------------------------------------------
@@ -623,10 +655,9 @@ def test_hw_insert_rejects_non_geodesic():
 def test_network_from_highways_recovers_profile():
     D = piecewise_metric()
     net = network_from_highways(D)
-    net.validate()
     assert net.converged
     assert net.chain is D.chain
-    profile = net.discount_profile(0)
+    profile = net.chain.discount_profile(0)
     lams = {}
     for t0, t1, lam in profile:
         mid = 0.5 * (t0 + t1)
@@ -646,7 +677,7 @@ def test_build_highway_network_seeded_convergence():
     assert sups[-1] <= 1e-6
     origins = {rec["origin"] for rec in net.diagnostics}
     assert "seed" in origins
-    net.validate()
+    check_path_family([path for path, _, _ in net.chain.rides], "network path")
 
 
 def test_hw_insert_needs_cost_linear_on_each_piece():
