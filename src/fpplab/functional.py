@@ -30,7 +30,6 @@ from fpplab.geometry import (
     _norm_factory,
     _path_integrals,
     check_path_family,
-    metric_derivative,
 )
 from fpplab.model import EdgeDistribution, LatticeBox
 from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rate
@@ -42,7 +41,6 @@ class FunctionalError(ValueError):
 
 _CROSS_TOL = 1e-9      # relative gap allowed between the intrinsic value and the geodesic sum
 _SUP_TOL = 1e-9        # relative excess of a path family over the geodesic sum
-_POINTS_PER_PIECE = 8  # metric-derivative samples per piece of a non-analytic metric
 _ORDER_TOL = 1e-12     # slack of D1 <= D2 in the probe, and least rise of a strict witness
 _PROBE_PAIRS = 48      # Halton point pairs the probe adds to the corners and the centre
 _PROBE_MARGIN = 1e-9   # least amount by which the smaller metric's functional must win
@@ -255,48 +253,32 @@ def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
     return out, seg_l1
 
 
-def functional_sup_lower_bound(D, J, family: PathFamily) -> float:
+def functional_sup_lower_bound(D: NormPlusHighways, J, family: PathFamily) -> float:
     """Contribution of one admissible path family to the supremum formula.
 
     Each family member contributes the integral of J(tangent, metric speed)
-    along itself.  For a norm-plus-highways metric the speed is analytic:
+    along itself.  The speed of a norm-plus-highways metric is analytic:
     the discounted norm on collinear overlaps with a highway, the plain
     norm elsewhere (a transversal crossing has zero length and no
     contribution), so each linear piece reduces to exact segment terms.
-    For other metrics the speed falls back to ``metric_derivative`` at
-    composite midpoints, ``_POINTS_PER_PIECE`` per piece.
 
     Any valid family yields at most the geodesic-sum value, with equality
     when the family is the metric's own highways; that contract is
     enforced by ``functional_report``, not here.
     """
-    analytic = isinstance(D, NormPlusHighways)
-    gnorm = D.gnorm if analytic else None
-
     def one_path(path: LipschitzPath) -> float:
         total = 0.0
-        for p0, p1, t0, t1 in path.pieces():
+        for p0, p1, _, _ in path.pieces():
             v = p1 - p0
-            l1 = float(np.abs(v).sum())
-            if l1 == 0.0:
-                continue
-            if analytic:
-                overlaps, seg_l1 = _piece_overlaps(D, p0, p1)
-                g_v = float(gnorm(v))
-                for a, b, lam in overlaps:
-                    frac = float(b - a) / float(seg_l1)
-                    total += frac * float(J(v, lam * g_v))
-                covered = sum((b - a for a, b, _ in overlaps), Fraction(0))
-                off = float(seg_l1 - covered) / float(seg_l1)
-                if off > 0:
-                    total += off * float(J(v, g_v))
-            else:
-                u = v / l1
-                h = (t1 - t0) / _POINTS_PER_PIECE
-                for j in range(_POINTS_PER_PIECE):
-                    t = t0 + (j + 0.5) * h
-                    speed = metric_derivative(D, path, t).value
-                    total += h * float(J(u, speed))
+            overlaps, seg_l1 = _piece_overlaps(D, p0, p1)
+            g_v = float(D.gnorm(v))
+            for a, b, lam in overlaps:
+                frac = float(b - a) / float(seg_l1)
+                total += frac * float(J(v, lam * g_v))
+            covered = sum((b - a for a, b, _ in overlaps), Fraction(0))
+            off = float(seg_l1 - covered) / float(seg_l1)
+            if off > 0:
+                total += off * float(J(v, g_v))
         return total
 
     return float(sum(one_path(path) for path in family.paths))

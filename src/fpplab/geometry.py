@@ -36,7 +36,6 @@ from ._segments import (
 _BATCH_ELEMENTS = 1 << 16
 
 _GEODESY_TOL = 1e-9       # relative slack of the geodesic identity of a highway or inserted curve
-_GEODESIC_SAMPLES = 9     # points per highway whose pairs validate_geodesics checks
 _MIN_PIECE_LENGTH = 1e-9  # a network build skips pieces no longer than this (l1)
 _LOOP_ROUNDS = 128        # splices remove_loops makes before it gives up
 _DERIVATIVE_LEVELS = 6    # steps of metric_derivative's halving ladder
@@ -479,7 +478,7 @@ class NormPlusHighways:
                 )
 
     def validate_geodesics(self):
-        """Full check that each highway realizes the metric between its points,
+        """Exact check that each highway realizes the metric between its points,
         raising :class:`GeodesyError`.  The metric has no mutators, so the
         verdict of the first call is kept and later calls repeat it."""
         if not hasattr(self, "_geodesy"):
@@ -488,28 +487,21 @@ class NormPlusHighways:
             raise GeodesyError(self._geodesy)
 
     def _geodesy_failure(self) -> str | None:
-        """The first failure of the geodesic identity, or None.  All pairs of
-        ``_GEODESIC_SAMPLES`` evenly spaced points on each highway are
-        evaluated in one batch; the first failing pair, highway by highway,
-        is reported."""
-        blocks = self.chain.blocks
-        if not blocks:
-            return None
-        i, j = np.triu_indices(_GEODESIC_SAMPLES, 1)
-        ts = [np.linspace(0.0, b.path.length_l1, _GEODESIC_SAMPLES) for b in blocks]
-        pts = [b.path.point_at(t) for b, t in zip(blocks, ts)]
-        vals = self.evaluate_many(np.concatenate([p[i] for p in pts]),
-                                  np.concatenate([p[j] for p in pts]))
-        for k, (block, t, val) in enumerate(zip(blocks, ts, np.split(vals, len(ts)))):
-            cum = block.cum_at(t)
-            ride = np.abs(cum[j] - cum[i])
-            bad = np.abs(val - ride) > _GEODESY_TOL * (1.0 + ride)
-            if bad.any():
-                m = int(np.argmax(bad))
+        """The first highway whose chord fails the geodesic identity, or None.
+
+        One check per highway is exact: no ride is shorter than the metric,
+        and the metric obeys the triangle inequality, so a shortcut between
+        any two points of a highway would also shorten the metric between
+        its ends below the whole ride.  The K chords are one batch."""
+        ends = np.array([b.pts[[0, -1]] for b in self.chain.blocks]).reshape(-1, 2, self.dim)
+        vals = self.evaluate_many(ends[:, 0], ends[:, 1])
+        for k, (block, val) in enumerate(zip(self.chain.blocks, vals)):
+            ride = block.cum[-1] - block.cum[0]
+            if abs(val - ride) > _GEODESY_TOL * (1.0 + ride):
                 return (
                     f"highway {k} fails the geodesic identity at "
-                    f"params ({t[i[m]]:.6g}, {t[j[m]]:.6g}): metric {val[m]:.12g} "
-                    f"vs ride {ride[m]:.12g}"
+                    f"params (0, {block.ts[-1]:.6g}): metric {val:.12g} "
+                    f"vs ride {ride:.12g}"
                 )
         return None
 
@@ -708,14 +700,16 @@ class HWChain:
     A pool is built from rides ``(path, ts, cum)``: a polyline, its breakpoint
     parameters and the cumulative cost at them, linear in between.  Each ride
     gets one :class:`_Block` of access nodes, its breakpoints and its transfer
-    parameters to every other ride (:func:`_transfer_params`), and M is the
-    min-plus closure of the nodes' pairwise costs, closed one ride at a time.
-    A query adds its points' axis projections onto each ride as entry
-    candidates.  Values are exact: a route's cost is piecewise linear in its
-    entry, transfer and exit parameters, so it is least at a vertex.  A ride
-    of length zero there is no cheaper than skipping that ride; otherwise
-    entry and exit sit at breakpoints or projections of the query points, and
-    each transfer pair at a vertex of its hop cost.
+    parameters to every ride, itself included (:func:`_transfer_params`), and
+    M is the min-plus closure of the nodes' pairwise costs, closed one ride
+    at a time.  A query adds its points' axis projections onto each ride as
+    entry candidates.  Values are exact, so they form a metric: a route's
+    cost is piecewise linear in its entry, transfer and exit parameters, so
+    it is least at a vertex.  A ride of length zero there is no cheaper than
+    skipping that ride; otherwise entry and exit sit at breakpoints or
+    projections of the query points, and each transfer pair at a vertex of
+    its hop cost, a hop that leaves a ride and re-enters it across a bend
+    included.
 
     Inserting a target geodesic only ever lowers the values, and they stay at
     or above the target, since every route's cost then dominates the target
@@ -732,7 +726,7 @@ class HWChain:
         pts = [path.point_at(ts) for path, ts, _ in self.rides]
         blocks = []
         for k, (path, ts, cum) in enumerate(self.rides):
-            transfers = [_transfer_params(pts[k], ts, o) for j, o in enumerate(pts) if j != k]
+            transfers = [_transfer_params(pts[k], ts, o) for o in pts]
             params = np.unique(np.concatenate([ts, *transfers]))
             access_cum = np.interp(params, ts, cum)
             n_old = self.n_nodes
@@ -838,13 +832,22 @@ def hw_insert(chain: HWChain, path: LipschitzPath, target) -> HWChain:
 
     ``target`` supplies the distances along the curve, tabulated at its
     vertices.  The curve must be a target geodesic whose cost is linear on
-    each piece, as every polyline of :meth:`NormPlusHighways.geodesic` is: its
-    segments are norm hops or rides between consecutive access parameters,
-    which include every breakpoint.  Two necessary conditions are checked,
-    raising :class:`GeodesyError`: the increments add up to the direct target
-    distance between the endpoints, and each piece's midpoint splits its
-    increment in half.
+    each piece.  A :class:`NormPlusHighways` target first refines the curve
+    at its transfer parameters to the target's highways, where alone that
+    cost can bend; a bare callable's curve is taken as given.  Two necessary
+    conditions are checked, raising :class:`GeodesyError`: the increments add
+    up to the direct target distance between the endpoints, and each piece's
+    midpoint splits its increment in half.
     """
+    if isinstance(target, NormPlusHighways):
+        # the target's cost along the curve bends only at its transfer
+        # parameters to the highways; one within _MIN_PIECE_LENGTH of a
+        # vertex, or of a smaller one, is taken for that point's rounding
+        extra = np.unique(np.concatenate([np.empty(0), *(
+            _transfer_params(path.points, path.cum, b.pts) for b in target.chain.blocks)]))
+        extra = extra[np.diff(extra, prepend=-np.inf) > _MIN_PIECE_LENGTH]
+        extra = extra[np.abs(extra[:, None] - path.cum).min(axis=1) > _MIN_PIECE_LENGTH]
+        path = LipschitzPath(path.point_at(np.union1d(path.cum, extra)))
     pts = path.points
     n = path.n_pieces
     # per piece its increment and its first half, then the chord, in one batch

@@ -317,6 +317,31 @@ def test_validate_geodesics_checks_once_and_repeats_its_verdict(monkeypatch):
     assert messages == messages[:1] * 3
 
 
+#: a bent highway whose ends are closer through one of its points than
+#: along the whole ride
+BENT_WEIGHTS = [0.8743689283901803, 0.572940647216373]
+BENT_HIGHWAY = [[0.4495834022497391, 0.28039231371241397],
+                [0.3873036173603971, 0.8458800940288905],
+                [0.8371759559643198, 0.8342921299556982],
+                [0.0717978619016061, 0.8582430760734917]]
+
+
+def test_a_route_may_reenter_its_highway_across_a_bend():
+    """Leaving the highway and re-entering it across a bend beats the whole
+    ride between its ends; the pool has transfer nodes from each ride to
+    itself, so evaluate finds that route, and the chord check fails."""
+    D = NormPlusHighways(BENT_WEIGHTS, [(LipschitzPath(BENT_HIGHWAY), 0.22752897302439162)])
+    a, b = np.array(BENT_HIGHWAY[0]), np.array(BENT_HIGHWAY[-1])
+    val = D.evaluate(a, b)
+    assert val == pytest.approx(0.15158920492856542, abs=1e-15)
+    assert D.geodesic(a, b)[1] == pytest.approx(val, abs=1e-15)
+    assert val <= DenseGridMetric(D).evaluate(a, b) < D.chain.blocks[0].cum[-1]
+    length = D.chain.blocks[0].path.length_l1
+    with pytest.raises(GeodesyError, match=rf"highway 0 fails the geodesic identity "
+                                           rf"at params \(0, {length:.6g}\)"):
+        D.validate_geodesics()
+
+
 def test_geodesic_matches_evaluate_and_d_length():
     D = diag_metric()
     for x, y in [((0, 0), (1, 1)), ((0.25, 0.0), (0.75, 1.0)), ((0.1, 0.8), (0.9, 0.3))]:
@@ -571,6 +596,57 @@ def test_values_never_exceed_a_dense_access_grid(dim, seed):
         assert D.geodesic(x, y)[1] == pytest.approx(val, abs=1e-12)
 
 
+def _random_bent_family(rng, dim):
+    """1-3 disjoint highways through 2-5 unsorted points, so that each may
+    bend back in any coordinate, each with a constant discount, low enough
+    that a shortcut across a bend often pays."""
+    while True:
+        try:
+            return NormPlusHighways(rng.uniform(0.5, 2.0, dim), [
+                (LipschitzPath(rng.uniform(0.05, 0.95, (int(rng.integers(2, 6)), dim))),
+                 float(rng.uniform(0.05, 0.5)))
+                for _ in range(int(rng.integers(1, 4)))])
+        except GeometryError:
+            continue
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_bent_highways_make_a_metric(dim, seed):
+    """On non-monotone highways the values obey the triangle inequality, stay
+    at most the dense-grid bound and are realized by geodesic; a family that
+    passes validate_geodesics rides each highway between any two of its
+    points."""
+    rng = np.random.default_rng(seed)
+    D = _random_bent_family(rng, dim)
+    blocks = D.chain.blocks
+    # pairs on each highway, through a grid along it, where shortcuts across
+    # its bends land
+    for b in blocks:
+        X, Y = b.path.point_at(rng.uniform(0.0, b.path.length_l1, (2, 8)))
+        V = b.path.point_at(np.linspace(0.0, b.path.length_l1, 17))
+        Xv, Yv, Vv = np.repeat(X, len(V), 0), np.repeat(Y, len(V), 0), np.tile(V, (len(X), 1))
+        via = (D.evaluate_many(Xv, Vv) + D.evaluate_many(Vv, Yv)).reshape(len(X), -1)
+        assert np.all(D.evaluate_many(X, Y) <= via.min(axis=1) + 1e-12)
+    # random pairs, then pairs on each highway
+    on = [b.path.point_at(rng.uniform(0.0, b.path.length_l1, (2, 5))) for b in blocks]
+    X, Y = (np.concatenate([rng.random((5, dim))] + [pts[k] for pts in on]) for k in (0, 1))
+    vals = D.evaluate_many(X, Y)
+    assert np.all(vals <= DenseGridMetric(D).evaluate_many(X, Y) + 1e-12)
+    for x, y, val in zip(X[::5], Y[::5], vals[::5]):
+        assert D.geodesic(x, y)[1] == pytest.approx(val, abs=1e-12)
+    try:
+        D.validate_geodesics()
+    except GeodesyError:
+        return
+    for b in blocks:
+        s, t = rng.uniform(0.0, b.path.length_l1, (2, 20))
+        ride = np.abs(b.cum_at(t) - b.cum_at(s))
+        assert D.evaluate_many(b.path.point_at(s), b.path.point_at(t)) == pytest.approx(
+            ride, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # grid pseudometric
 # ---------------------------------------------------------------------------
@@ -682,16 +758,23 @@ def test_build_highway_network_seeded_convergence():
 
 def test_hw_insert_needs_cost_linear_on_each_piece():
     """Fixture 2's highway changes discount at x = 1/2: inserted as one bare
-    segment its cost is not linear, split there it is, and the pool then
-    reads the metric."""
+    segment under a bare callable its cost is not linear, split there it is,
+    and the pool then reads the metric.  A NormPlusHighways target splits a
+    bare segment itself, at its transfer parameters, also over a symmetric
+    profile, whose midpoint reads half the increment though the cost bends
+    twice."""
     D = piecewise_metric()
     chain = HWChain(D.weights)
     with pytest.raises(GeodesyError, match="not linear on piece 0"):
-        hw_insert(chain, LipschitzPath([[0, 0], [1, 0]]), D)
-    nxt = hw_insert(chain, LipschitzPath([[0, 0], [0.5, 0], [1, 0]]), D)
+        hw_insert(chain, LipschitzPath([[0, 0], [1, 0]]), D.evaluate)
+    symmetric = NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [0.75, 0]]),
+                                               [[0.25, 0.5], [0.5, 0.8], [0.75, 0.5]])])
     rng = np.random.default_rng(8)
     X, Y = rng.random((2000, 2)), rng.random((2000, 2))
-    assert np.array_equal(nxt.query_many(X, Y), D.evaluate_many(X, Y))
+    for target, points in [(D, [[0, 0], [0.5, 0], [1, 0]]), (D, [[0, 0], [1, 0]]),
+                           (symmetric, [[0, 0], [0.75, 0]])]:
+        nxt = hw_insert(chain, LipschitzPath(points), target)
+        assert np.array_equal(nxt.query_many(X, Y), target.evaluate_many(X, Y))
 
 
 def _random_segments(rng, k):
