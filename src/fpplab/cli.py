@@ -395,7 +395,9 @@ def _rate_fn_from(rec: dict, outdir: Path, dim: int):
     if not path.is_absolute():
         path = outdir / path
     with _config_values("rate.file"), open(path) as fh:
-        return SurfaceRate(RateSurface.from_json(json.load(fh)))
+        J = SurfaceRate(RateSurface.from_json(json.load(fh)))
+    _check_dim("rate.file", J.dim, dim)
+    return J
 
 
 class _ConfigValueError(Exception):
@@ -404,13 +406,15 @@ class _ConfigValueError(Exception):
 
 @contextlib.contextmanager
 def _config_values(key: str):
-    """Turn a ValueError, TypeError or OSError raised while building the law,
-    event, metric, points, path family or rate surface at config key ``key``
-    (a dotted path such as ``event.y``) into a config error (exit 2) instead
-    of a crash; the message ends with ``(in "<key>")``.  A ``GeometryError``
-    is a ``ValueError``."""
+    """Turn a ValueError, TypeError, OSError or KeyError raised while
+    building the law, event, metric, points, path family or rate surface at
+    config key ``key`` (a dotted path such as ``event.y``) into a config
+    error (exit 2) instead of a crash; the message ends with
+    ``(in "<key>")``.  A ``GeometryError`` is a ``ValueError``."""
     try:
         yield
+    except KeyError as exc:
+        raise _ConfigValueError(f'missing key {exc} (in "{key}")') from exc
     except (ValueError, TypeError, OSError) as exc:
         raise _ConfigValueError(f'{exc} (in "{key}")') from exc
 
@@ -504,6 +508,8 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
     if "fkg" in cfg:
         with _config_values("fkg"):
             _fkg_endpoints(box, cfg["fkg"]["x1"], cfg["fkg"]["x2"])
+            if not dist.is_finite_support:
+                raise ValueError("the fkg check enumerates, so it needs a finite-support law")
 
     report = {"event": event.name, "dim": cfg["dim"], "n": cfg["n"],
               "distribution": dist.spec(), "p_exact": None, "p_mc": None,

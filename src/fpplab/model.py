@@ -597,9 +597,6 @@ class WeightField:
     master_seed: int
     weights: np.ndarray = field(repr=False, compare=False)
 
-    def weight_of_edge(self, u, v) -> float:
-        return float(self.weights[self.box.edge_id(u, v)])
-
     def truncated(self, b: float) -> "WeightField":
         """Field of min(weight, b); shares the seed, couples edgewise."""
         return WeightField(

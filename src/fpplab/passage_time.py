@@ -29,7 +29,6 @@ __all__ = [
     "RescaledMetric",
     "rescaled_metric",
     "ContinuousMetric",
-    "continuous_metric",
     "uniform_gap",
     "GapReport",
     "disjoint_paths",
@@ -536,10 +535,6 @@ class ContinuousMetric:
         """Value at continuum points x, y of X = [0, 1]^d (rescaled by 1/n)."""
         return float(self.evaluate_many(np.asarray(x, dtype=np.float64)[None],
                                         np.asarray(y, dtype=np.float64)[None])[0])
-
-
-def continuous_metric(field: WeightField, b: float) -> ContinuousMetric:
-    return ContinuousMetric(field, b)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,11 @@ _UNIFORM_1_2 = {"kind": "uniform", "a": 1, "b": 2}
 _NON_GEODESIC = {"kind": "norm_plus_highways", "weights": [1.0, 1.0], "highways": [
     {"points": [[0.0, 0.5], [1.0, 0.5]], "profile": [[1.0, 0.9]]},
     {"points": [[0.1, 0.6], [0.9, 0.6]], "profile": [[0.8, 0.1]]}]}
+# one highway that doubles back, with a profile ending just below its l1
+# length 1.7810000000000001: the straight chord beats riding it
+_DOUBLED_BACK = {**_DIAGONAL, "highways": [
+    {"points": [[0.344, 0.43], [0.966, 0.562], [0.259, 0.242]],
+     "profile": [[0.8905, 0.5], [1.781, 0.6]]}]}
 
 
 def read_json(tmp_path, name):
@@ -187,12 +192,8 @@ def test_selftest_schema_rejects_junk(tmp_path):
      "invalid config value: path is a single point after removing duplicates"),
     ("functional", {"family": [[[0.1, 0.0], [0.5, 0.0]], [[0.3, 0.0], [0.7, 0.0]]]},
      "invalid config value: family paths overlap on positive length"),
-    # a profile ending just below the l1 length 1.7810000000000001, on a
-    # path that doubles back, so not a geodesic of its metric
-    ("highways", {"mode": "own", "metric": {**_DIAGONAL, "highways": [
-        {"points": [[0.344, 0.43], [0.966, 0.562], [0.259, 0.242]],
-         "profile": [[0.8905, 0.5], [1.781, 0.6]]}]}},
-     "invalid config value: highway 0 is not a geodesic"),
+    ("highways", {"mode": "own", "metric": _DOUBLED_BACK},
+     "invalid config value: highway 0 fails the geodesic identity"),
     # access nodes come from the geometry; the old grid size is no key
     ("highways", {"metric": {**_DIAGONAL, "access_points": 17}}, "config schema violation"),
     # nor is the old insertion grid's
@@ -278,6 +279,13 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
     ("functional", {"metric": {**_DIAGONAL, "highways": [
         {"points": [[0.0, 0.0], [1.0, 1.0]], "profile": [[-1.0, 0.5], [2.0, 0.5]]}]}},
      "metric"),
+    # an fkg check needs a law it can enumerate, before the Monte-Carlo work
+    ("oracle", {"distribution": {"kind": "exponential", "rate": 1.0}, "mc_samples": 50,
+                "fkg": {"x1": [1, 0], "x2": [0, 1], "t1": 1.5, "t2": 1.5}}, "fkg"),
+    # a bent highway, in the commands that integrate along the highways
+    ("highways", {"mode": "own", "metric": _DOUBLED_BACK}, "metric"),
+    ("functional", {"metric": _DOUBLED_BACK}, "metric"),
+    ("ld-trend", {"metric": _DOUBLED_BACK}, "metric"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
@@ -289,11 +297,29 @@ def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, ke
 @pytest.mark.parametrize("command, patch", [
     ("highways", {"metric": _NON_GEODESIC, "n_geodesics": 2}),
     ("oracle", {"event": {"kind": "ld_lower", "metric": _NON_GEODESIC, "eps": 1.0}}),
+    ("highways", {"metric": _DOUBLED_BACK, "n_geodesics": 2}),
+    ("oracle", {"event": {"kind": "ld_lower", "metric": _DOUBLED_BACK, "eps": 1.0}}),
+    ("ld-trend", {"metric": _DOUBLED_BACK, "rate": None}),
 ])
 def test_non_geodesic_highways_where_no_network_of_their_own_is_needed(tmp_path, command, patch):
-    """A network build and the ld_lower event read the metric's values only."""
+    """A network build, the ld_lower event and ld-trend without a rate read
+    the metric's values only.  A patch value None drops its key."""
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     assert run(tmp_path, command, cfg) == 0
+
+
+@pytest.mark.parametrize("surface", [
+    {},
+    {"cells": [{"direction": [1, 0, 0], "zeta": 1.0, "value": 0.5, "ci": [0.4, 0.6],
+                "method": "exact"}]},
+])
+def test_bad_surface_rate_file_names_its_key(tmp_path, capsys, surface):
+    """A surface file without cells, or of another dimension than the metric."""
+    (tmp_path / "surface.json").write_text(json.dumps(surface))
+    cfg = {**DEFAULT_CONFIGS["functional"], "rate": {"kind": "surface", "file": "surface.json"}}
+    assert run(tmp_path, "functional", cfg) == 2
+    assert capsys.readouterr().err.rstrip("\n").endswith('(in "rate.file")')
 
 
 def test_functional_checks_each_metric_once(tmp_path, monkeypatch):

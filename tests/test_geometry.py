@@ -31,9 +31,9 @@ from fpplab.geometry import (
     hw_insert,
     metric_derivative,
     network_from_highways,
-    paths_pairwise_disjoint,
     remove_loops,
 )
+from fpplab.geometry import _MIN_PIECE_LENGTH
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
 from fpplab.passage_time import _BLOCK_VERTICES, ContinuousMetric
 from reference import DenseGridMetric
@@ -160,18 +160,6 @@ def test_cut_path_against_collinear_overlap():
     assert lens == [0.25, 0.5]
 
 
-def test_pairwise_disjoint_touch_policy():
-    a = LipschitzPath([[0, 0], [1, 1]])
-    b = LipschitzPath([[0, 1], [1, 0]])
-    ok, touches = paths_pairwise_disjoint([a, b], allow_touch=True)
-    assert ok and touches == 1
-    ok, _ = paths_pairwise_disjoint([a, b], allow_touch=False)
-    assert not ok
-    c = LipschitzPath([[0.25, 0.25], [0.75, 0.75]])
-    ok, _ = paths_pairwise_disjoint([a, c], allow_touch=True)
-    assert not ok  # positive-length overlap is never allowed
-
-
 def test_check_path_family_counts_touches_and_names_the_paths():
     a = LipschitzPath([[0, 0], [1, 1]])
     b = LipschitzPath([[0, 1], [1, 0]])
@@ -271,10 +259,11 @@ def test_crossing_highways_rejected():
 
 
 def test_non_geodesic_highway_rejected():
-    # a bulging path at full speed rides longer than the straight norm cost
-    with pytest.raises(GeodesyError):
-        NormPlusHighways([1.0, 1.0], [
-            (LipschitzPath([[0, 0], [0.5, 0.4], [1, 0]]), 1.0)])
+    # a bulging path at full speed rides longer than the straight norm cost:
+    # a well-formed metric, whose geodesy check fails
+    D = NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [0.5, 0.4], [1, 0]]), 1.0)])
+    with pytest.raises(GeodesyError, match="^highway 0 fails the geodesic identity"):
+        D.validate_geodesics()
     # discounts outside (0, 1] are rejected outright
     with pytest.raises(GeometryError):
         NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [1, 0]]), 1.2)])
@@ -753,6 +742,19 @@ def test_build_highway_network_seeded_convergence():
     assert sups[-1] <= 1e-6
     origins = {rec["origin"] for rec in net.diagnostics}
     assert "seed" in origins
+    check_path_family([path for path, _, _ in net.chain.rides], "network path")
+
+
+def test_build_highway_network_drops_pieces_that_round_to_a_point():
+    """On this bent highway one cut of a geodesic leaves an exact piece of
+    l1 length 1.3e-17, whose two ends round to one float point; the cut
+    drops it instead of failing to build it."""
+    D = NormPlusHighways([1.4976615081667115, 1.5944673176621542], [(LipschitzPath(
+        [[0.33477895219135867, 0.8931941214111336], [0.561067765116948, 0.3420746201683626],
+         [0.798897989971258, 0.4276857175308544]]), [[1.100849636385162, 0.7574048153984829]])])
+    net = build_highway_network(D, n_geodesics=4, tol=1e-6, seed=176)
+    assert len(net.diagnostics) == 4
+    assert all(path.length_l1 > _MIN_PIECE_LENGTH for path, _, _ in net.chain.rides)
     check_path_family([path for path, _, _ in net.chain.rides], "network path")
 
 

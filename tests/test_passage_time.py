@@ -17,7 +17,6 @@ from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, sample_weig
 from fpplab.passage_time import (
     ContinuousMetric,
     DiscretePath,
-    continuous_metric,
     disjoint_paths,
     geodesic_length_stats,
     hub_check,
@@ -302,8 +301,7 @@ def test_rescaled_metric_explicit_points_guard():
 def test_continuous_metric_agrees_on_grid_nodes():
     tp = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
     field = sample_weights(tp, LatticeBox(2, 6), 1)
-    cm = continuous_metric(field, b=2.0)
-    assert isinstance(cm, ContinuousMetric)
+    cm = ContinuousMetric(field, b=2.0)
     tf = field.truncated(2.0)
     for u, v in [((0, 0), (6, 6)), ((2, 1), (5, 4))]:
         want = restricted_passage_time(tf, u, v) / 6.0
