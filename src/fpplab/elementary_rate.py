@@ -28,6 +28,7 @@ from .oracle import CapExceededError, EventSpec, estimate_event_rate
 from .passage_time import _seeded_passage_times
 
 _Z95 = 1.959963984540054
+_ZETA_LIFT = 0.05  # default_zeta_grid starts this far (relative) above the trivial threshold
 
 #: Largest box, in edges, that a rate point or a time-constant rung builds;
 #: a larger one (from config input) raises :class:`CapExceededError`.
@@ -427,12 +428,12 @@ def extend_surface(points: Sequence[RatePoint]) -> RateSurface:
     return surface
 
 
-def default_zeta_grid(dist, x, count: int = 6, delta: float = 0.05) -> np.ndarray:
+def default_zeta_grid(dist, x, count: int = 6) -> np.ndarray:
     """Geometric speed grid between just above the trivial threshold and the
     mean-speed ceiling."""
     xv = _canonical_direction(x)
     l1 = int(np.abs(xv).sum())
-    lo = float(dist.support_infimum) * l1 * (1.0 + delta)
+    lo = float(dist.support_infimum) * l1 * (1.0 + _ZETA_LIFT)
     hi = float(dist.mean()) * l1
     if lo <= 0:
         lo = min(1e-3, hi * 0.1)
@@ -462,11 +463,12 @@ class ZeroSetReport:
 
 
 def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate,
-                   zero_tol: float = 0.05, margin: float | None = None) -> ZeroSetReport:
+                   zero_tol: float = 0.05) -> ZeroSetReport:
     """Compare the surface's zero set with the estimated time constant.
 
     Cells at speeds two CIs above the time constant must carry (near) zero
-    rate; cells below it by ``margin`` must be positive beyond their own CI;
+    rate; cells below it by a margin (two CI half-widths, at least 5% of the
+    time constant) must be positive beyond their own CI;
     and a linear fit over the positive range must slope downward.
     """
     p, k = _primitive(tc.x)
@@ -475,8 +477,7 @@ def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate,
         raise ValueError(f"surface has no ray for direction {p}")
     mu_n = tc.mu_hat / k
     half_n = (tc.ci[1] - tc.ci[0]) / 2.0 / k
-    if margin is None:
-        margin = max(2.0 * half_n, 0.05 * mu_n)
+    margin = max(2.0 * half_n, 0.05 * mu_n)
 
     zero_cells = [c for c in ray if c.zeta >= mu_n + 2.0 * half_n]
     pos_cells = [c for c in ray if c.zeta <= mu_n - margin]

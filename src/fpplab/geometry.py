@@ -40,6 +40,8 @@ _MIN_PIECE_LENGTH = 1e-9  # cut_path_against drops pieces no longer than this (l
 _LOOP_ROUNDS = 128        # splices remove_loops makes before it gives up
 _DERIVATIVE_LEVELS = 6    # steps of metric_derivative's halving ladder
 _DERIVATIVE_TOL = 1e-6    # spread (or one-sided gap) above which metric_derivative flags
+_LENGTH_TOL = 1e-9        # relative move of one doubling at which d_length stops
+_PROBE_STEPS = 2.0 ** -np.arange(3.0, 11.0)  # step ladder of gradient_by_paths' straight probe
 
 
 class GeometryError(ValueError):
@@ -88,7 +90,8 @@ class LipschitzPath:
     The path is stored as its breakpoint polyline.  The canonical parameter
     of a point is the cumulative l1 length from the start, so ``point_at(t)``
     moves at l1 speed one and the parameter domain is ``[0, length_l1]``.
-    Consecutive duplicate breakpoints are dropped at construction.
+    A breakpoint whose l1 step leaves the cumulative parameter unchanged (a
+    duplicate or a sub-ulp step) is dropped, so the parameters increase.
     """
 
     def __init__(self, points):
@@ -97,17 +100,17 @@ class LipschitzPath:
             raise GeometryError("path needs at least two points of dimension >= 1")
         if not np.all(np.isfinite(pts)):
             raise GeometryError("path breakpoints must be finite")
-        keep = [0]
+        keep, cum = [0], [0.0]
         for i in range(1, pts.shape[0]):
-            if not np.array_equal(pts[i], pts[keep[-1]]):
+            nxt = cum[-1] + np.abs(pts[i] - pts[keep[-1]]).sum()
+            if nxt != cum[-1]:
                 keep.append(i)
-        pts = pts[keep]
-        if pts.shape[0] < 2:
+                cum.append(nxt)
+        if len(keep) < 2:
             raise GeometryError("path is a single point after removing duplicates")
-        self.points = pts
+        self.points = pts[keep]
         self.dim = pts.shape[1]
-        steps = np.abs(np.diff(pts, axis=0)).sum(axis=1)
-        self.cum = np.concatenate([[0.0], np.cumsum(steps)])
+        self.cum = np.array(cum)
         self._frac_cache = None
 
     # -- exact views --------------------------------------------------------
@@ -666,11 +669,12 @@ class HWChain:
     parameters and the cumulative cost at them, linear in between.  Each ride
     gets one :class:`_Block` of access nodes, its breakpoints and its transfer
     parameters to every ride, itself included (:func:`_transfer_params`), and
-    M is the min-plus closure of the nodes' pairwise costs, closed one ride
-    at a time.  A query adds its points' axis projections onto each ride as
-    entry candidates.  Values are exact, so they form a metric: a route's
-    cost is piecewise linear in its entry, transfer and exit parameters, so
-    it is least at a vertex.  A ride of length zero there is no cheaper than
+    M is the min-plus closure of the nodes' pairwise costs (norm hops between
+    all nodes, rides within a block), closed once, by one Floyd-Warshall.  A
+    query adds its points' axis projections onto each ride as entry
+    candidates.  Values are exact, so they form a metric: a route's cost is
+    piecewise linear in its entry, transfer and exit parameters, so it is
+    least at a vertex.  A ride of length zero there is no cheaper than
     skipping that ride; otherwise entry and exit sit at breakpoints or
     projections of the query points, and each transfer pair at a vertex of
     its hop cost, a hop that leaves a ride and re-enters it across a bend
@@ -686,33 +690,28 @@ class HWChain:
         self.gnorm = _norm_factory(self.weights)
         self.dim = self.weights.shape[0]
         self.rides = tuple(rides)
-        self.nodes = np.zeros((0, self.dim))
-        self.M = np.zeros((0, 0))
         pts = [path.point_at(ts) for path, ts, _ in self.rides]
-        blocks = []
+        blocks, start = [], 0
         for k, (path, ts, cum) in enumerate(self.rides):
             transfers = [_transfer_params(pts[k], ts, o) for o in pts]
             params = np.unique(np.concatenate([ts, *transfers]))
-            access_cum = np.interp(params, ts, cum)
-            n_old = self.n_nodes
-            self.nodes = np.concatenate([self.nodes, path.point_at(params)], axis=0)
-            E = np.abs(self.nodes[:, None, :] - self.nodes[None, :, :]) @ self.weights
-            E[:n_old, :n_old] = np.minimum(E[:n_old, :n_old], self.M)
-            E[n_old:, n_old:] = np.minimum(E[n_old:, n_old:],
-                                           np.abs(access_cum[:, None] - access_cum[None, :]))
-            self.M = _floyd_warshall(_complete_csr(E), directed=False)
-            blocks.append(_Block(slice(n_old, self.n_nodes), path, ts, pts[k], cum,
-                                 params, access_cum))
+            blocks.append(_Block(slice(start, start + len(params)), path, ts, pts[k], cum,
+                                 params, np.interp(params, ts, cum)))
+            start += len(params)
         self.blocks = tuple(blocks)
+        self.nodes = np.concatenate([np.zeros((0, self.dim)),
+                                     *(b.path.point_at(b.params) for b in blocks)])
+        # norm hops between all nodes, rides within each block, one closure
+        E = np.abs(self.nodes[:, None, :] - self.nodes[None, :, :]) @ self.weights
+        for b in blocks:
+            E[b.rows, b.rows] = np.minimum(E[b.rows, b.rows],
+                                           np.abs(b.access_cum[:, None] - b.access_cum))
+        self.M = _floyd_warshall(_complete_csr(E), directed=False) if blocks else E
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    def insert(self, path: LipschitzPath, ts: np.ndarray, cum: np.ndarray) -> "HWChain":
-        """The pool with one more ride.  It is built anew, so the older rides
-        gain transfer nodes toward the new one."""
-        return HWChain(self.weights, self.rides + ((path, ts, cum),))
+    def insert(self, *rides) -> "HWChain":
+        """The pool with more rides (this pool if none), built anew, so the
+        older rides gain transfer nodes toward the new ones."""
+        return HWChain(self.weights, self.rides + rides) if rides else self
 
     def discount_profile(self, k: int):
         """Per linear piece of ride k: (t0, t1, lam) with lam the ratio of
@@ -751,7 +750,7 @@ class HWChain:
         hold, per pair, each ride's candidate-by-candidate route table, the
         candidate-by-node access tables of both points, and the pool's
         node-by-node min-plus table."""
-        sizes = [1, self.n_nodes ** 2]
+        sizes = [1, self.M.size]
         for block in self.blocks:
             n_cand = len(block.params) + (len(block.ts) - 1) * self.dim
             sizes += [n_cand ** 2, 2 * n_cand * len(block.params)]
@@ -792,47 +791,52 @@ class HWChain:
         return np.minimum(best, route.reshape(B, -1).min(axis=1))
 
 
-def hw_insert(chain: HWChain, path: LipschitzPath, target) -> HWChain:
-    """One step of the insertion recursion: the curve joins the pool as a ride.
+def hw_insert(chain: HWChain, paths: Sequence[LipschitzPath], target) -> HWChain:
+    """One step of the insertion recursion: the curves of one geodesic (the
+    pieces its cut left) join the pool as rides, in one pool build.
 
-    ``target`` supplies the distances along the curve, tabulated at its
-    vertices.  The curve must be a target geodesic whose cost is linear on
-    each piece.  A :class:`NormPlusHighways` target first refines the curve
-    at its transfer parameters to the target's highways, where alone that
-    cost can bend; a bare callable's curve is taken as given.  Two necessary
-    conditions are checked, raising :class:`GeodesyError`: the increments add
-    up to the direct target distance between the endpoints, and each piece's
-    midpoint splits its increment in half.
+    ``target`` supplies the distances along each curve, tabulated at its
+    vertices.  A curve must be a target geodesic whose cost is linear on each
+    piece.  A :class:`NormPlusHighways` target first refines a curve at its
+    transfer parameters to the target's highways, where alone that cost can
+    bend; a bare callable's curve is taken as given.  Every curve is checked
+    for two necessary conditions before the pool is built, raising
+    :class:`GeodesyError`: the increments add up to the direct target
+    distance between its endpoints, and each piece's midpoint splits its
+    increment in half.  No curves give back ``chain`` itself.
     """
-    if isinstance(target, NormPlusHighways):
-        # the target's cost along the curve bends only at its transfer
-        # parameters to the highways; one within _MIN_PIECE_LENGTH of a
-        # vertex, or of a smaller one, is taken for that point's rounding
-        extra = np.unique(np.concatenate([np.empty(0), *(
-            _transfer_params(path.points, path.cum, b.pts) for b in target.chain.blocks)]))
-        extra = extra[np.diff(extra, prepend=-np.inf) > _MIN_PIECE_LENGTH]
-        extra = extra[np.abs(extra[:, None] - path.cum).min(axis=1) > _MIN_PIECE_LENGTH]
-        path = LipschitzPath(path.point_at(np.union1d(path.cum, extra)))
-    pts = path.points
-    n = path.n_pieces
-    # per piece its increment and its first half, then the chord, in one batch
-    vals = _pair_eval(target)(np.concatenate([pts[:-1], pts[:-1], pts[:1]]),
-                              np.concatenate([pts[1:], 0.5 * (pts[:-1] + pts[1:]), pts[-1:]]))
-    incs, halves, direct = vals[:n], vals[n:2 * n], float(vals[-1])
-    cum = np.concatenate([[0.0], np.cumsum(incs)])
-    if abs(cum[-1] - direct) > _GEODESY_TOL * (1.0 + abs(direct)):
-        raise GeodesyError(
-            f"inserted curve is not a target geodesic: accumulated "
-            f"{cum[-1]:.12g} vs direct {direct:.12g}"
-        )
-    bent = np.abs(2.0 * halves - incs) > _GEODESY_TOL * (1.0 + incs)
-    if bent.any():
-        i = int(np.argmax(bent))
-        raise GeodesyError(
-            f"target cost is not linear on piece {i} of the inserted curve: "
-            f"midpoint {halves[i]:.12g} vs half increment {0.5 * incs[i]:.12g}"
-        )
-    return chain.insert(path, path.cum, cum)
+    rides = []
+    for path in paths:
+        if isinstance(target, NormPlusHighways):
+            # the target's cost along the curve bends only at its transfer
+            # parameters to the highways; one within _MIN_PIECE_LENGTH of a
+            # vertex, or of a smaller one, is taken for that point's rounding
+            extra = np.unique(np.concatenate([np.empty(0), *(
+                _transfer_params(path.points, path.cum, b.pts) for b in target.chain.blocks)]))
+            extra = extra[np.diff(extra, prepend=-np.inf) > _MIN_PIECE_LENGTH]
+            extra = extra[np.abs(extra[:, None] - path.cum).min(axis=1) > _MIN_PIECE_LENGTH]
+            path = LipschitzPath(path.point_at(np.union1d(path.cum, extra)))
+        pts = path.points
+        n = path.n_pieces
+        # per piece its increment and its first half, then the chord, in one batch
+        vals = _pair_eval(target)(np.concatenate([pts[:-1], pts[:-1], pts[:1]]),
+                                  np.concatenate([pts[1:], 0.5 * (pts[:-1] + pts[1:]), pts[-1:]]))
+        incs, halves, direct = vals[:n], vals[n:2 * n], float(vals[-1])
+        cum = np.concatenate([[0.0], np.cumsum(incs)])
+        if abs(cum[-1] - direct) > _GEODESY_TOL * (1.0 + abs(direct)):
+            raise GeodesyError(
+                f"inserted curve is not a target geodesic: accumulated "
+                f"{cum[-1]:.12g} vs direct {direct:.12g}"
+            )
+        bent = np.abs(2.0 * halves - incs) > _GEODESY_TOL * (1.0 + incs)
+        if bent.any():
+            i = int(np.argmax(bent))
+            raise GeodesyError(
+                f"target cost is not linear on piece {i} of the inserted curve: "
+                f"midpoint {halves[i]:.12g} vs half increment {0.5 * incs[i]:.12g}"
+            )
+        rides.append((path, path.cum, cum))
+    return chain.insert(*rides)
 
 
 # ---------------------------------------------------------------------------
@@ -872,14 +876,14 @@ def build_highway_network(
     Geodesics between low-discrepancy endpoint pairs (with any designated
     ``seed_pairs`` processed first) are de-looped, cut against the network
     built so far, so that only new material longer than ``_MIN_PIECE_LENGTH``
-    is kept (:func:`cut_path_against`), and inserted (:func:`hw_insert`).
-    After each geodesic the supremum distance between the reconstruction and
-    the metric over the probe pairs (corners, centre, Halton points and the
-    metric's own highway chords) is recorded; the sequence is nonincreasing
-    because insertion only lowers the reconstruction, which stays at or above
-    the metric.  The construction stops once the diagnostic reaches ``tol``;
-    exhausting ``n_geodesics`` first returns the partial network with
-    ``converged`` False.
+    is kept (:func:`cut_path_against`), and inserted together, one pool build
+    per geodesic (:func:`hw_insert`).  After each geodesic the supremum
+    distance between the reconstruction and the metric over the probe pairs
+    (corners, centre, Halton points and the metric's own highway chords) is
+    recorded; the sequence is nonincreasing because insertion only lowers the
+    reconstruction, which stays at or above the metric.  The construction stops
+    once the diagnostic reaches ``tol``; exhausting ``n_geodesics`` first
+    returns the partial network with ``converged`` False.
     """
     from scipy.stats import qmc
 
@@ -915,9 +919,8 @@ def build_highway_network(
             yield geo, "halton"
 
     for k, (cand, origin) in enumerate(candidates(), 1):
-        cand = remove_loops(cand)
-        for piece in cut_path_against(cand, [path for path, _, _ in chain.rides]):
-            chain = hw_insert(chain, piece, metric)
+        pieces = cut_path_against(remove_loops(cand), [path for path, _, _ in chain.rides])
+        chain = hw_insert(chain, pieces, metric)
         vals = chain.query_many(probe_x, probe_y)
         sup = float(np.max(np.abs(vals - target_vals)))
         diagnostics.append({"k": k, "origin": origin, "sup_distance": sup,
@@ -941,12 +944,12 @@ def network_from_highways(metric: NormPlusHighways) -> HighwayNetwork:
 # ---------------------------------------------------------------------------
 
 
-def d_length(metric, path: LipschitzPath, tol: float = 1e-9, max_depth: int = 12) -> float:
+def d_length(metric, path: LipschitzPath, max_depth: int = 12) -> float:
     """Length of a path in a pseudometric, by dyadic chain-sum refinement.
 
     The chain sums are nondecreasing under refinement by the triangle
     inequality, so the limit exists; refinement stops when one doubling moves
-    the sum by at most ``tol`` relative to its size.  Raises
+    the sum by at most ``_LENGTH_TOL`` relative to its size.  Raises
     :class:`RefinementError` when the budget is exhausted before that.
     """
     if max_depth < 1:
@@ -964,7 +967,7 @@ def d_length(metric, path: LipschitzPath, tol: float = 1e-9, max_depth: int = 12
         mids = 0.5 * (params[:-1] + params[1:])
         params = np.sort(np.concatenate([params, mids]))
         new = chain_sum(params)
-        if new - val <= tol * max(1.0, abs(new)):
+        if new - val <= _LENGTH_TOL * max(1.0, abs(new)):
             return new
         val = new
     raise RefinementError(
@@ -1041,7 +1044,7 @@ def _locate_on_highways(metric: NormPlusHighways, z: np.ndarray):
     return None
 
 
-def gradient_by_paths(metric, z, u, h_ladder=None) -> GradientEstimate:
+def gradient_by_paths(metric, z, u) -> GradientEstimate:
     """Smallest initial metric speed over paths leaving z with velocity u.
 
     For a norm-plus-highways metric the value is analytic: a point off the
@@ -1078,22 +1081,13 @@ def gradient_by_paths(metric, z, u, h_ladder=None) -> GradientEstimate:
         return GradientEstimate(value=float(metric.gnorm(u)), kind="upper-bound",
                                 boundary=True, note=note)
 
-    return GradientEstimate(value=_straight_probe(metric, z, u, h_ladder), kind="upper-bound")
-
-
-def _straight_probe(metric, z, u, h_ladder=None) -> float:
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if h_ladder is None:
-        h_ladder = [2.0 ** (-j) for j in range(3, 11)]
-    hs = np.asarray(h_ladder, dtype=float)
-    W = z + hs[:, None] * u
+    # the straight probe: difference quotients along z + h u
+    W = z + _PROBE_STEPS[:, None] * u
     inside = np.all((W >= 0.0) & (W <= 1.0), axis=1)
     if not inside.any():
         raise GeometryError("no probe step keeps z + h u inside the cube")
-    hs, W = hs[inside], W[inside]
-    vals = _pair_eval(metric)(np.broadcast_to(z, W.shape), W)
-    return float(np.min(vals / hs))
+    vals = _pair_eval(metric)(np.broadcast_to(z, W[inside].shape), W[inside])
+    return GradientEstimate(value=float(np.min(vals / _PROBE_STEPS[inside])), kind="upper-bound")
 
 
 def hausdorff_integrate(paths: Sequence[LipschitzPath], integrand: Callable,

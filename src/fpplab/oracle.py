@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _edge_array
                           sample_weight_rows)
 from fpplab.passage_time import (_arc_table, _batch_rows, _batched_distances, _hub_budgets,
                                  _hub_times, _pair_ids, _region_mask, _seeded_passage_times)
+
+_CRAMER_TOL = 1e-10  # tolerance of cramer_rate's bounded maximisation
+_CHERNOFF_LAMBDAS = np.geomspace(1e-3, 64.0, 121)  # the grid chernoff_best_lambda searches
 
 __all__ = [
     "EventSpec",
@@ -569,7 +572,7 @@ def iid_sum_lower_tail_rate(dist: EdgeDistribution, zeta: float, n: int) -> floa
     return -math.log(float(p_tail)) / n
 
 
-def cramer_rate(dist: EdgeDistribution, zeta: float, tol: float = 1e-10) -> float:
+def cramer_rate(dist: EdgeDistribution, zeta: float) -> float:
     """Lower-tail large-deviation rate of an i.i.d. sum at level zeta.
 
     The Legendre transform sup over lam <= 0 of lam zeta - log E[exp(lam tau)].
@@ -594,10 +597,10 @@ def cramer_rate(dist: EdgeDistribution, zeta: float, tol: float = 1e-10) -> floa
     L = 1.0
     while True:
         res = minimize_scalar(neg_obj, bounds=(-L, 0.0), method="bounded",
-                              options={"xatol": tol * 1e-3})
+                              options={"xatol": _CRAMER_TOL * 1e-3})
         val = -res.fun
         hugging = res.x < -0.99 * L
-        improved = val > best + tol * 0.1
+        improved = val > best + _CRAMER_TOL * 0.1
         best = max(best, val)
         if L >= 1e8 or (not hugging and not improved):
             break
@@ -622,13 +625,10 @@ def chernoff_best_lambda(
     eps: float,
     n: int,
     hops: int,
-    lam_grid: Sequence[float] | None = None,
 ) -> tuple[float, float]:
-    """Grid-optimised Chernoff bound; returns (best lam, best bound)."""
-    if lam_grid is None:
-        lam_grid = np.geomspace(1e-3, 64.0, 121)
+    """Chernoff bound minimised over ``_CHERNOFF_LAMBDAS``; returns (best lam, best bound)."""
     best_lam, best_bound = None, math.inf
-    for lam in lam_grid:
+    for lam in _CHERNOFF_LAMBDAS:
         try:
             bnd = chernoff_upper_tail(dist, float(lam), eps, n, hops)
         except ValueError:

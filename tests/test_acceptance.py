@@ -244,7 +244,7 @@ def test_criterion_06_highway_machinery():
     chain = HWChain([1.0, 1.0])
     chains = [chain]
     for path, _, _ in target.chain.rides:
-        chain = hw_insert(chain, path, target)
+        chain = hw_insert(chain, [path], target)
         chains.append(chain)
 
     rng = np.random.default_rng(61)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from fpplab.geometry import (
     GeometryError,
     LipschitzPath,
     NormPlusHighways,
+    _transfer_params,
     network_from_highways,
 )
 from fpplab.model import EdgeDistribution
@@ -264,6 +266,23 @@ def test_sup_bound_straddling_the_discount_break():
         fam = PathFamily(paths=[LipschitzPath(ends)])
         assert functional_sup_lower_bound(D, J, fam) == pytest.approx(
             0.25 * 0.5 + 0.25 * 0.2, abs=1e-15)
+
+
+def test_sub_ulp_breakpoint_leaves_the_highway():
+    """(0.5, 1e-17) lies a sub-ulp l1 step past (0.5, 0), so the path drops
+    it: the ride keeps the corner at (0.5, 0), transfer parameters are
+    computed without an invalid product, and the metric's own highway bounds
+    the sup by the whole geodesic sum (it read 0.75 of 1.0 when the ride
+    skipped the corner)."""
+    path = LipschitzPath([[0, 0], [0.5, 0], [0.5, 1e-17], [1, 1]])
+    assert path.points.tolist() == [[0, 0], [0.5, 0], [1, 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _transfer_params(path.points, path.cum, path.points)
+    D = NormPlusHighways([1.0, 1.0], [(path, 0.5)])
+    assert D.chain.blocks[0].pts.tolist() == [[0, 0], [0.5, 0], [1, 1]]
+    rep = functional_report(D, AnalyticRate([1, 1]))
+    assert (rep.geodesic_sum, rep.delta_sup) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("evaluate", [

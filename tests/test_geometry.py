@@ -699,7 +699,7 @@ def test_hw_insert_reaches_target_and_stays_above():
     chain = HWChain(D.weights)
     geo, val = D.geodesic((0, 0), (1, 1))
     assert val == 1.0
-    nxt = hw_insert(chain, geo, D)
+    nxt = hw_insert(chain, [geo], D)
     assert nxt.query((0, 0), (1, 1)) == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -714,7 +714,7 @@ def test_hw_insert_rejects_non_geodesic():
     chain = HWChain(D.weights)
     elbow = LipschitzPath([[0, 0], [1, 0], [1, 1]])
     with pytest.raises(GeodesyError):
-        hw_insert(chain, elbow, D)
+        hw_insert(chain, [elbow], D)
 
 
 def test_network_from_highways_recovers_profile():
@@ -758,6 +758,27 @@ def test_build_highway_network_drops_pieces_that_round_to_a_point():
     check_path_family([path for path, _, _ in net.chain.rides], "network path")
 
 
+def test_network_build_closes_one_pool_per_geodesic(monkeypatch):
+    """The pieces of one geodesic join the network in one pool build, and a
+    pool closes its costs with one Floyd-Warshall: the empty pool first,
+    then one pool per geodesic that adds pieces, one of which adds four."""
+    from fpplab import geometry
+
+    D = diag_metric()
+    pools, closures = [], []
+    init, closure = geometry.HWChain.__init__, geometry._floyd_warshall
+    monkeypatch.setattr(geometry.HWChain, "__init__",
+                        lambda self, *a, **k: pools.append(self) or init(self, *a, **k))
+    monkeypatch.setattr(geometry, "_floyd_warshall",
+                        lambda *a, **k: closures.append(a) or closure(*a, **k))
+    net = build_highway_network(D, n_geodesics=6, seed=0)
+    counts = [0] + [rec["n_pieces"] for rec in net.diagnostics]
+    assert counts == [0, 1, 2, 4, 5, 7, 11]
+    assert len(pools) == 1 + 6 and len(closures) == 6
+    assert len(pools[-1].rides) == 11
+    assert hw_insert(pools[-1], [], D) is pools[-1]
+
+
 def test_hw_insert_needs_cost_linear_on_each_piece():
     """Fixture 2's highway changes discount at x = 1/2: inserted as one bare
     segment under a bare callable its cost is not linear, split there it is,
@@ -768,14 +789,14 @@ def test_hw_insert_needs_cost_linear_on_each_piece():
     D = piecewise_metric()
     chain = HWChain(D.weights)
     with pytest.raises(GeodesyError, match="not linear on piece 0"):
-        hw_insert(chain, LipschitzPath([[0, 0], [1, 0]]), D.evaluate)
+        hw_insert(chain, [LipschitzPath([[0, 0], [1, 0]])], D.evaluate)
     symmetric = NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [0.75, 0]]),
                                                [[0.25, 0.5], [0.5, 0.8], [0.75, 0.5]])])
     rng = np.random.default_rng(8)
     X, Y = rng.random((2000, 2)), rng.random((2000, 2))
     for target, points in [(D, [[0, 0], [0.5, 0], [1, 0]]), (D, [[0, 0], [1, 0]]),
                            (symmetric, [[0, 0], [0.75, 0]])]:
-        nxt = hw_insert(chain, LipschitzPath(points), target)
+        nxt = hw_insert(chain, [LipschitzPath(points)], target)
         assert np.array_equal(nxt.query_many(X, Y), target.evaluate_many(X, Y))
 
 
