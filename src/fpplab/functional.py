@@ -473,12 +473,9 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if dim is None:
-        if hasattr(D, "dim"):
-            dim = int(D.dim)
-        elif hasattr(D, "weights"):
-            dim = int(len(D.weights))
-        else:
+        if not hasattr(D, "dim"):
             raise ValueError("pass dim explicitly for a bare metric callable")
+        dim = int(D.dim)
     rungs = [int(n) for n in n_ladder]
     root = np.random.SeedSequence(seed)
     rows = []

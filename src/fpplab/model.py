@@ -82,7 +82,7 @@ class EdgeDistribution:
         c = float(c)
         if c < 0:
             raise ValueError("edge weights must be nonnegative")
-        return cls("deterministic", (c,), c, MomentClass.BOUNDED)
+        return cls("deterministic", ((c,), (Fraction(1),)), c, MomentClass.BOUNDED)
 
     @classmethod
     def two_point(cls, lo: float, hi: float, p_lo) -> "EdgeDistribution":
@@ -99,7 +99,7 @@ class EdgeDistribution:
         p = _as_fraction(p_lo)
         if not 0 < p < 1:
             raise ValueError("p_lo must lie strictly between 0 and 1")
-        return cls("two_point", (lo, hi, p), lo, MomentClass.BOUNDED)
+        return cls("two_point", ((lo, hi), (p, 1 - p)), lo, MomentClass.BOUNDED)
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "EdgeDistribution":
@@ -154,22 +154,16 @@ class EdgeDistribution:
         return self.kind in ("deterministic", "two_point", "finite_support")
 
     def atoms(self) -> tuple[tuple[float, ...], tuple[Fraction, ...]]:
-        """Support values and exact probabilities of a finite-support law."""
-        if self.kind == "deterministic":
-            return (self.params[0],), (Fraction(1),)
-        if self.kind == "two_point":
-            lo, hi, p = self.params
-            return (lo, hi), (p, 1 - p)
-        if self.kind == "finite_support":
-            return self.params[0], self.params[1]
+        """Support values and exact probabilities of a finite-support law.
+
+        Every finite law (deterministic, two-point, finite support) keeps this
+        sorted ``(values, probs)`` table as its ``params``."""
+        if self.is_finite_support:
+            return self.params
         raise ValueError(f"{self.kind} law has no finite atom table")
 
     def support_supremum(self) -> float:
-        if self.kind == "deterministic":
-            return self.params[0]
-        if self.kind == "two_point":
-            return self.params[1]
-        if self.kind == "finite_support":
+        if self.is_finite_support:
             return self.params[0][-1]
         if self.kind == "uniform":
             return self.params[1]
@@ -265,13 +259,7 @@ class EdgeDistribution:
             a, b = self.params
             if lam == 0.0:
                 return 0.0
-            z = lam * (b - a)
-            # log((exp(z) - 1) / z), computed on whichever side is stable
-            if z > 0:
-                core = z + math.log(-math.expm1(-z)) - math.log(z)
-            else:
-                core = math.log(-math.expm1(z)) - math.log(-z)
-            return lam * a + core
+            return lam * a + _log_expm1_over(lam * (b - a))
         if self.kind == "exponential":
             rate, shift = self.params
             if lam >= rate:
@@ -286,12 +274,7 @@ class EdgeDistribution:
                     return 0.0
                 if hi == a:  # all mass at the cap
                     return lam * cap
-                z = lam * (hi - a)
-                if z > 0:
-                    core = z + math.log(-math.expm1(-z)) - math.log(z)
-                else:
-                    core = math.log(-math.expm1(z)) - math.log(-z)
-                cont = lam * a + math.log((hi - a) / (b - a)) + core
+                cont = lam * a + math.log((hi - a) / (b - a)) + _log_expm1_over(lam * (hi - a))
                 tail_mass = (b - hi) / (b - a)
                 if tail_mass == 0.0:
                     return cont
@@ -326,23 +309,18 @@ class EdgeDistribution:
         of the base law exactly.
         """
         u = np.asarray(u, dtype=np.float64)
-        if self.kind == "deterministic":
-            return np.full(u.shape, self.params[0])
-        if self.kind == "two_point":
-            lo, hi, p = self.params
-            return np.where(u < float(p), lo, hi)
+        if self.is_finite_support:
+            values, probs = self.params
+            cuts = np.cumsum(np.asarray([float(p) for p in probs]))
+            idx = np.searchsorted(cuts, u, side="right")
+            idx = np.minimum(idx, len(values) - 1)
+            return np.asarray(values, dtype=np.float64)[idx]
         if self.kind == "uniform":
             a, b = self.params
             return a + u * (b - a)
         if self.kind == "exponential":
             rate, shift = self.params
             return shift - np.log1p(-u) / rate
-        if self.kind == "finite_support":
-            values, probs = self.params
-            cuts = np.cumsum(np.asarray([float(p) for p in probs]))
-            idx = np.searchsorted(cuts, u, side="right")
-            idx = np.minimum(idx, len(values) - 1)
-            return np.asarray(values, dtype=np.float64)[idx]
         if self.kind == "truncated":
             base, cap = self.params
             return np.minimum(base.sample_from_uniforms(u), cap)
@@ -351,9 +329,9 @@ class EdgeDistribution:
     def spec(self) -> dict:
         """Tagged record for config files and manifests."""
         if self.kind == "deterministic":
-            return {"kind": "deterministic", "c": self.params[0]}
+            return {"kind": "deterministic", "c": self.params[0][0]}
         if self.kind == "two_point":
-            lo, hi, p = self.params
+            (lo, hi), (p, _) = self.params
             return {"kind": "two_point", "lo": lo, "hi": hi,
                     "p_lo": {"num": p.numerator, "den": p.denominator}}
         if self.kind == "uniform":
@@ -389,6 +367,14 @@ class EdgeDistribution:
         raise ValueError(f"unknown distribution kind {kind!r}")
 
 
+def _log_expm1_over(z: float) -> float:
+    """log((exp(z) - 1) / z) for z != 0, computed on whichever side is stable:
+    the log-mgf of Uniform(0, 1) at z."""
+    if z > 0:
+        return z + math.log(-math.expm1(-z)) - math.log(z)
+    return math.log(-math.expm1(z)) - math.log(-z)
+
+
 def _frac_of(rec) -> Fraction:
     if isinstance(rec, dict):
         return Fraction(rec["num"], rec["den"])
@@ -408,8 +394,6 @@ def truncate(dist: EdgeDistribution, b: float) -> EdgeDistribution:
         )
     if b >= dist.support_supremum():
         return dist
-    if dist.kind == "deterministic":
-        return EdgeDistribution.deterministic(min(dist.params[0], b))
     if dist.is_finite_support:
         values, probs = dist.atoms()
         return EdgeDistribution.finite_support([min(v, b) for v in values], list(probs))
@@ -477,43 +461,17 @@ class LatticeBox:
 
     def edge_id(self, u, v) -> int:
         """Canonical edge index of the edge joining neighbouring vertices u, v."""
-        uu = np.asarray(u, dtype=np.int64)
-        vv = np.asarray(v, dtype=np.int64)
-        diff = vv - uu
-        nz = np.nonzero(diff)[0]
-        if len(nz) != 1 or abs(diff[nz[0]]) != 1:
-            raise ValueError(f"{tuple(uu)} and {tuple(vv)} are not lattice neighbours")
-        axis = int(nz[0])
-        base = np.minimum(uu, vv)
-        if np.any(base < 0) or np.any(vv > self.side) or np.any(uu > self.side):
-            raise ValueError("edge outside box")
-        blocks = _edge_layout(self.dimension, self.side)
-        offset, strides = blocks[axis]
-        return offset + int(np.dot(base, strides))
+        i, j = self.vertex_id(u), self.vertex_id(v)
+        nbr, eid = _neighbours(self.dimension, self.side)
+        hit = eid[i][(nbr[i] == j) & (eid[i] < self.n_edges)]
+        if len(hit) != 1:
+            raise ValueError(f"{u} and {v} are not lattice neighbours")
+        return int(hit[0])
 
-    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(base coords, axis, tip flat ids) for every edge, canonical order."""
-        return _edge_arrays(self.dimension, self.side)[:3]
-
-
-@lru_cache(maxsize=64)
-def _edge_layout(d: int, n: int):
-    """Per-axis (offset, strides) of the canonical edge index.
-
-    Edges parallel to axis k are indexed row-major over base-vertex grids of
-    shape (n+1, .., n, .., n+1) with the k-th extent reduced to n.
-    """
-    blocks = []
-    offset = 0
-    for axis in range(d):
-        shape = [n + 1] * d
-        shape[axis] = n
-        strides = np.ones(d, dtype=np.int64)
-        for i in range(d - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        blocks.append((offset, strides))
-        offset += int(np.prod(shape))
-    return blocks
+    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """(base coords, axis, (base flat ids, tip flat ids)) for every edge,
+        canonical order."""
+        return _edge_arrays(self.dimension, self.side)
 
 
 @lru_cache(maxsize=32)
@@ -543,23 +501,36 @@ def _edge_arrays(d: int, n: int):
 
 
 @lru_cache(maxsize=32)
+def _neighbours(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box's neighbour table: (V, 2d) arrays of neighbour ids and edge ids.
+
+    Slot ``2a`` of a vertex holds the step along ``+e_a``, slot ``2a + 1``
+    the step along ``-e_a``.  A step that leaves the box points at the
+    vertex itself through the padding edge id ``n_edges``.  Read-only like
+    :func:`_edge_arrays`.
+    """
+    _, axis, (u_flat, v_flat) = _edge_arrays(d, n)
+    edges = np.arange(len(axis))
+    nbr = np.repeat(np.arange((n + 1) ** d)[:, None], 2 * d, axis=1)
+    eid = np.full(nbr.shape, len(axis))
+    nbr[u_flat, 2 * axis], eid[u_flat, 2 * axis] = v_flat, edges
+    nbr[v_flat, 2 * axis + 1], eid[v_flat, 2 * axis + 1] = u_flat, edges
+    nbr.setflags(write=False)
+    eid.setflags(write=False)
+    return nbr, eid
+
+
+@lru_cache(maxsize=32)
 def _adjacency(d: int, n: int):
     """CSR adjacency over flat vertex ids: (indptr, neighbour ids, edge ids),
-    read-only like :func:`_edge_arrays`."""
-    _, _, (u_flat, v_flat) = _edge_arrays(d, n)
-    n_vert = (n + 1) ** d
-    eids = np.arange(len(u_flat), dtype=np.int64)
-    src = np.concatenate([u_flat, v_flat])
-    dst = np.concatenate([v_flat, u_flat])
-    eid2 = np.concatenate([eids, eids])
-    order = np.argsort(src, kind="stable")
-    src, dst, eid2 = src[order], dst[order], eid2[order]
-    indptr = np.zeros(n_vert + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    for a in (indptr, dst, eid2):
+    the real slots of :func:`_neighbours`, read-only like it."""
+    nbr, eid = _neighbours(d, n)
+    real = nbr != np.arange(len(nbr))[:, None]
+    indptr = np.concatenate([[0], np.cumsum(real.sum(axis=1))])
+    out = (indptr, nbr[real], eid[real])
+    for a in out:
         a.setflags(write=False)
-    return indptr, dst, eid2
+    return out
 
 
 # ---------------------------------------------------------------------------

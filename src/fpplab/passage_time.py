@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from fpplab.model import (LatticeBox, WeightField, _adjacency, _edge_arrays,
-                          sample_weight_rows)
+from fpplab.model import LatticeBox, WeightField, _adjacency, _neighbours, sample_weight_rows
 
 __all__ = [
     "DiscretePath",
@@ -203,31 +201,12 @@ def _pair_ids(box: LatticeBox, x, y, mask) -> tuple[int, int]:
 _BATCH_ELEMENTS = 1 << 16
 
 
-@lru_cache(maxsize=32)
-def _neighbour_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (V, 2d) tables of neighbour ids and edge ids.
-
-    A boundary vertex has fewer than 2d neighbours; its spare slots point at
-    the vertex itself through edge id ``n_edges``, the padding column that
-    :func:`_bellman_ford_rounds` fills with ``inf``.
-    """
-    indptr, nbrs, eids = _adjacency(d, n)
-    n_vert = len(indptr) - 1
-    row = np.repeat(np.arange(n_vert), np.diff(indptr))
-    slot = np.arange(len(nbrs)) - indptr[row]
-    nbr = np.repeat(np.arange(n_vert)[:, None], 2 * d, axis=1)
-    eid = np.full((n_vert, 2 * d), len(eids) // 2)
-    nbr[row, slot] = nbrs
-    eid[row, slot] = eids
-    nbr.setflags(write=False)
-    eid.setflags(write=False)
-    return nbr, eid
-
-
 def _arc_table(box: LatticeBox, mask) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbour table of a box, with every arc touching a vertex outside the
-    region mask sent to the padding edge, so it never relaxes."""
-    nbr, eid = _neighbour_table(box.dimension, box.side)
+    """The box's neighbour table (:func:`fpplab.model._neighbours`), with
+    every arc touching a vertex outside the region mask sent to the padding
+    edge ``n_edges``, which :func:`_bellman_ford_rounds` fills with ``inf``,
+    so it never relaxes."""
+    nbr, eid = _neighbours(box.dimension, box.side)
     if mask is not None:
         eid = np.where(mask[:, None] & mask[nbr], eid, box.n_edges)
     return nbr, eid
@@ -447,8 +426,8 @@ class ContinuousMetric:
     over the entry candidates {endpoints, coordinate projection} is exact.
     Values coincide with the truncated rescaled metric on grid points, and
     deviate from it by at most 2bd/n uniformly.  The edge weights at each
-    vertex are read from two (d, V) tables, ``wplus`` and ``wminus``, filled
-    once from the box's shared edge tables.
+    vertex, ``wplus`` and ``wminus``, are gathered once through the even and
+    odd slots of the box's neighbour table.
     """
 
     def __init__(self, field: WeightField, b: float):
@@ -462,12 +441,10 @@ class ContinuousMetric:
         self.d = box.dimension
         self.coords = box.all_vertex_coords().astype(np.float64)
         # wplus[a, u] / wminus[a, u]: weight of the edge from u to u + e_a /
-        # u - e_a, inf where it leaves the box
-        _, axis, (u_flat, v_flat) = _edge_arrays(self.d, self.n)
-        self.wplus = np.full((self.d, box.n_vertices), math.inf)
-        self.wminus = np.full((self.d, box.n_vertices), math.inf)
-        self.wplus[axis, u_flat] = self.field.weights
-        self.wminus[axis, v_flat] = self.field.weights
+        # u - e_a, inf where it leaves the box (the padding edge)
+        _, eid = _neighbours(self.d, self.n)
+        padded = np.append(self.field.weights, math.inf)
+        self.wplus, self.wminus = padded[eid[:, 0::2].T], padded[eid[:, 1::2].T]
 
     def access_costs(self, X: np.ndarray) -> np.ndarray:
         """c_X(u): cheapest way to reach vertex u from continuum point X

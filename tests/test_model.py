@@ -14,6 +14,7 @@ from fpplab.model import (
     WeightField,
     _adjacency,
     _edge_arrays,
+    _neighbours,
     sample_weight_rows,
     sample_weights,
     subcritical_atom_check,
@@ -133,6 +134,21 @@ def test_sample_from_uniforms_two_point_split():
     assert out.tolist() == [1.0, 1.0, 2.0, 2.0]
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), 0.1])
+def test_two_point_and_deterministic_are_finite_support_tables(p):
+    q = Fraction(p)
+    pairs = [(EdgeDistribution.two_point(1, 2.5, p),
+              EdgeDistribution.finite_support([1, 2.5], [q, 1 - q])),
+             (EdgeDistribution.deterministic(1.5), EdgeDistribution.finite_support([1.5], [1]))]
+    # at float(p), on both sides of it, and at the ends of [0, 1)
+    u = np.array([0.0, np.nextafter(float(p), 0.0), float(p), np.nextafter(float(p), 1.0),
+                  1.0 - 2.0 ** -53])
+    for law, table in pairs:
+        assert law.atoms() == table.atoms()
+        assert law.sample_from_uniforms(u).tobytes() == table.sample_from_uniforms(u).tobytes()
+    assert pairs[0][0].sample_from_uniforms(u).tolist() == np.where(u < float(p), 1.0, 2.5).tolist()
+
+
 @given(st.floats(min_value=0.0, max_value=0.999), st.integers(0, 2))
 @settings(max_examples=60, deadline=None)
 def test_inverse_cdf_monotone(u, which):
@@ -163,6 +179,24 @@ def test_vertex_id_round_trip():
     coords = box.all_vertex_coords()
     ids = box.vertex_id(coords)
     assert sorted(ids.tolist()) == list(range(box.n_vertices))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 2), (3, 5)])
+def test_edge_id_round_trips_every_edge(d, n):
+    box = LatticeBox(dimension=d, side=n)
+    _, _, (u, v) = _edge_arrays(d, n)
+    coords = box.all_vertex_coords()
+    for e in range(box.n_edges):
+        assert box.edge_id(coords[u[e]], coords[v[e]]) == e
+        assert box.edge_id(coords[v[e]], coords[u[e]]) == e
+    corner, step = np.zeros(d, dtype=int), np.eye(d, dtype=int)[0]
+    far = np.full(d, n)
+    bad = [(corner, corner), (far, far),  # u == v, where the padding slots point
+           (corner, np.ones(d, dtype=int)), (corner, 2 * step),  # not neighbours
+           (corner, -step), (far, far + step)]  # a vertex outside the box
+    for x, y in bad:
+        with pytest.raises(ValueError):
+            box.edge_id(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +242,7 @@ def test_sample_weight_rows_equal_sample_weights(law, d, n):
 
 def test_cached_edge_tables_are_read_only():
     base, axis, (u, v) = _edge_arrays(2, 3)
-    for arr in (base, axis, u, v, *_adjacency(2, 3)):
+    for arr in (base, axis, u, v, *_adjacency(2, 3), *_neighbours(2, 3)):
         assert not arr.flags.writeable
 
 
