@@ -441,16 +441,21 @@ class LatticeBox:
         return d * n * (n + 1) ** (d - 1)
 
     def vertex_id(self, coords) -> int:
+        """Flat id of one vertex, or an array of ids of a (..., d) array of
+        vertices.  ``ValueError`` on a coordinate that is not an integer
+        (integral floats such as 1.0 are) or lies outside the box."""
         c = np.asarray(coords)
         if c.shape[-1:] != (self.dimension,):
             raise ValueError(f"vertex coordinates need length {self.dimension}")
+        if np.any(c != np.round(c)):
+            raise ValueError(f"vertex coordinates must be integers, got {c.tolist()}")
         if c.ndim == 1:
             if np.any(c < 0) or np.any(c > self.side):
                 raise ValueError(f"vertex {tuple(c.tolist())} outside box [0, {self.side}]^{self.dimension}")
             return int(np.ravel_multi_index(tuple(int(v) for v in c), self.shape))
         if np.any(c < 0) or np.any(c > self.side):
             raise ValueError("vertex outside box")
-        return np.ravel_multi_index(tuple(c.T), self.shape)
+        return np.ravel_multi_index(tuple(c.T.astype(np.int64)), self.shape)
 
     def vertex_coords(self, vid) -> np.ndarray:
         return np.array(np.unravel_index(vid, self.shape)).T

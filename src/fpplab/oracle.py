@@ -1,7 +1,8 @@
 """Exact small-instance probabilities and analytic bounds.
 
-The enumeration oracle walks every weight configuration of a finite-support
-law on the edges of a small box and reports event probabilities as exact
+The enumeration oracle sums over every weight configuration of a
+finite-support law on the edges of a small box, settling whole subtrees of
+configurations by monotone bounds, and reports event probabilities as exact
 rationals.  It is the ground truth that the simulators are audited against.
 Analytic companions: the crude per-edge lower bound, the lower-tail rate of
 an i.i.d. sum (a Legendre transform of the log moment generating function),
@@ -126,11 +127,19 @@ class _CompiledEvent:
     """An event compiled for one box and law.
 
     ``test`` maps a (B, n_edges) block of weight rows with B <= ``rows`` to
-    a (B,) boolean array.
+    a (B,) boolean array, or (B, C) for C outcome columns.  ``anchors``
+    holds the (P, 2, d) end points of the segments the event's paths join,
+    which order the edges of the exact walk (:func:`_edge_order`).
+    ``bounded`` says the test decreases in every weight by construction, so
+    the walk may settle a subtree by its bounds.  A custom event is never
+    bounded: its ``decreasing`` flag is a claim, which
+    :func:`validate_decreasing` exists to refute.
     """
 
     test: Callable[[np.ndarray], np.ndarray]
     rows: int
+    anchors: np.ndarray
+    bounded: bool
 
 
 def _live_edges(event: EventSpec, box: LatticeBox) -> np.ndarray:
@@ -155,7 +164,8 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
         def test(W):
             return _batched_distances(W, sources, nbr, eid)[:, 0, tid] <= t
 
-        return _CompiledEvent(test, _batch_rows(box, 1))
+        return _CompiledEvent(test, _batch_rows(box, 1),
+                              np.array([(p["x"], p["y"])], dtype=float), True)
 
     if event.kind == "ld_lower":
         p = event.params
@@ -171,17 +181,19 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
             dist_arr = _batched_distances(W, gids, nbr, eid)[:, :, gids]
             return ~np.any(dist_arr / n > budget, axis=(1, 2))
 
-        return _CompiledEvent(test, _batch_rows(box, len(gids)))
+        centre = np.full(box.dimension, n / 2)
+        return _CompiledEvent(test, _batch_rows(box, len(gids)), np.array([(centre, centre)]),
+                              True)
 
     if event.kind == "hub":
-        sid, hop_budget, time_budget = _hub_budgets(box, event.params["x"],
-                                                    event.params["kappa"])
+        x = event.params["x"]
+        sid, hop_budget, time_budget = _hub_budgets(box, x, event.params["kappa"])
 
         def test(W):
             vals, _ = _hub_times(W, box, sid, hop_budget, time_budget)
             return np.all(vals <= time_budget, axis=1)
 
-        return _CompiledEvent(test, _batch_rows(box, 1))
+        return _CompiledEvent(test, _batch_rows(box, 1), np.array([(x, x)], dtype=float), True)
 
     if event.kind != "custom":
         raise ValueError(f"unknown event kind {event.kind!r}")
@@ -198,49 +210,116 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
             out[i] = bool(fn(shared_field))
         return out
 
-    return _CompiledEvent(test, _batch_rows(box, 1))
+    return _CompiledEvent(test, _batch_rows(box, 1), np.empty((0, 2, box.dimension)), False)
 
 
-def _enumerate(test, values, probs, live: np.ndarray, n_edges: int,
-               rows: int) -> tuple[list[Fraction], list[int | None]]:
-    """Exact probabilities of the outcome columns of ``test`` over every
+def _edge_order(box: LatticeBox, live: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """The live edges in walk order: by l1 distance from the edge's midpoint
+    to the nearest anchor segment, ties by edge id.  No anchors: id order."""
+    if not len(anchors):
+        return live
+    base, axis, _ = _edge_arrays(box.dimension, box.side)
+    mid = base[live] + 0.5 * np.eye(box.dimension)[axis[live]]
+    start, step = anchors[:, 0], anchors[:, 1] - anchors[:, 0]
+    off = mid[:, None, :] - start                                  # (E, P, d)
+    # |off - u step|_1 is convex and piecewise linear in u, so its least
+    # value on [0, 1] sits at an end or where one coordinate vanishes
+    u = np.divide(off, step, out=np.zeros_like(off), where=step != 0)
+    u = np.concatenate([u, np.zeros_like(off[..., :1]), np.ones_like(off[..., :1])], axis=2)
+    u = np.clip(u, 0.0, 1.0)                                        # (E, P, d + 2)
+    gap = np.abs(off[:, :, None, :] - u[..., None] * step[:, None, :]).sum(axis=3)
+    return live[np.lexsort((live, gap.min(axis=(1, 2))))]
+
+
+def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
+               live: np.ndarray) -> tuple[list[Fraction], list[int | None]]:
+    """Exact probabilities of the outcome columns of ``event.test`` over every
     configuration of the ``live`` edges; the other edges hold ``values[0]``.
 
-    Configurations are walked as mixed-radix indices (base ``len(values)``,
-    first live edge most significant) in batches of ``rows``.  Hits are
-    counted per atom-multiplicity class, keyed by the index of the sorted
-    digits, and the exact sum of count times atom-probability product is
+    One depth-first factoring walk over the tree of partial configurations.
+    A node at depth k fixes the atoms of the first k live edges in
+    :func:`_edge_order`.  Its bounds are the outcomes with every free edge
+    at the largest atom and at the smallest.  A bounded event's test
+    decreases in every weight (float addition is monotone, so a float
+    passage time and ``T <= t`` are too), so when both bounds agree in
+    every column, every completion of the node agrees with them: the node
+    is settled.  An unsettled node splits into one child per atom of its
+    next edge; the child with the largest atom keeps its parent's upper
+    bound, the one with the smallest its lower bound.  A leaf (k = m) is
+    one configuration, and the only node an unbounded event tests.
+
+    Nodes wait on a stack of blocks, one per depth, with the deepest on
+    top, and are taken ``event.rows`` at a time, so at most (m + 1) s
+    ``event.rows`` nodes wait.  A settled node adds its outcome to the
+    atom-multiplicity class of its fixed edges, since its free edges'
+    probabilities sum to 1.  When all atoms are equally likely, it adds its
+    s^(m - k) configurations to the hit count of one class instead, of
+    probability s^-m.  The exact sum of count times class probability is
     taken once per class.  Returns the probabilities and the hit counts,
     which are ``None`` unless all atoms are equally likely.
     """
-    s, m = len(values), len(live)
-    required = s ** m
-    place = s ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    s, m, rows = len(values), len(live), event.rows
     vals = np.asarray(values, dtype=float)
+    order = _edge_order(box, live, event.anchors)
+    top = s ** m  # class keys: k * top + the rank of the sorted fixed atoms
+    place = s ** np.arange(m - 1, -1, -1, dtype=np.int64)
     uniform = all(q == probs[0] for q in probs)
-    block = np.full((min(rows, required), n_edges), vals[0])
+    lo_fill = np.full(box.n_edges, vals[0])
+    hi_fill = lo_fill.copy()
+    hi_fill[order] = vals[-1]  # the atoms are sorted
+    n_cols = 0
     per_class: dict[int, np.ndarray] = {}
-    for start in range(0, required, rows):
-        idx = np.arange(start, min(start + rows, required), dtype=np.int64)
-        digits = idx[:, None] // place % s
-        w = block[:len(idx)]
-        w[:, live] = vals[digits]
-        hits = test(w).reshape(len(idx), -1).astype(np.int64)
-        if uniform:  # every configuration has the same probability
-            keys, inverse = np.zeros(1, dtype=np.int64), np.zeros(len(idx), dtype=np.int64)
+    # a block: depth k, fixed atoms (N, k), and the bounds' outcome columns as
+    # bit codes, -1 while untested
+    stack = [(0, np.zeros((1, 0), np.min_scalar_type(s - 1)), np.full(1, -1), np.full(1, -1))]
+    while stack:
+        k, fixed, hi, lo = stack.pop()
+        if len(fixed) > rows:  # take the block's tail now, its head later
+            stack.append((k, fixed[:-rows], hi[:-rows], lo[:-rows]))
+            fixed, hi, lo = fixed[-rows:], hi[-rows:], lo[-rows:]
+        if k == m:  # a leaf's two bounds are its one configuration
+            hi = lo = np.maximum(hi, lo)
+            bounds = [(hi, hi_fill)]
         else:
-            keys, inverse = np.unique(np.sort(digits, axis=1) @ place, return_inverse=True)
-        sums = np.zeros((len(keys), hits.shape[1]), dtype=np.int64)
-        np.add.at(sums, inverse, hits)
-        for key, row in zip(keys.tolist(), sums):
-            per_class[key] = per_class.get(key, 0) + row
+            bounds = [(hi, hi_fill), (lo, lo_fill)] if event.bounded else []
+        need = [np.flatnonzero(codes < 0) for codes, _ in bounds]
+        if sum(map(len, need)):
+            W = np.concatenate([np.broadcast_to(fill, (len(i), box.n_edges))
+                                for (_, fill), i in zip(bounds, need)])
+            W[:, order[:k]] = vals[fixed[np.concatenate(need)]]
+            hits = [event.test(W[a:a + rows]) for a in range(0, len(W), rows)]
+            hits = np.concatenate([h.reshape(len(h), -1) for h in hits])
+            n_cols = hits.shape[1]
+            codes = hits @ (1 << np.arange(n_cols))
+            for (dst, _), i in zip(bounds, need):
+                dst[i], codes = codes[:len(i)], codes[len(i):]
+        settled = (hi == lo) & (hi >= 0)
+        if settled.any():
+            if uniform:
+                keys, weight = np.full(int(settled.sum()), m * top), s ** (m - k)
+            else:
+                keys = k * top + np.sort(fixed[settled], axis=1).astype(np.int64) @ place[m - k:]
+                weight = 1
+            keys, inverse = np.unique(keys, return_inverse=True)
+            sums = np.zeros((len(keys), n_cols), dtype=np.int64)
+            np.add.at(sums, inverse, (hi[settled, None] >> np.arange(n_cols) & 1) * weight)
+            for key, row in zip(keys.tolist(), sums):
+                per_class[key] = per_class.get(key, 0) + row
+        if not settled.all():
+            split = ~settled
+            atom = np.tile(np.arange(s, dtype=fixed.dtype), int(split.sum()))
+            stack.append((k + 1,
+                          np.column_stack([np.repeat(fixed[split], s, axis=0), atom]),
+                          np.where(atom == s - 1, np.repeat(hi[split], s), -1),
+                          np.where(atom == 0, np.repeat(lo[split], s), -1)))
 
     def class_probability(key: int) -> Fraction:
-        mult = np.bincount(np.asarray(key) // place % s, minlength=s)
-        return math.prod((q ** int(k) for q, k in zip(probs, mult)), start=Fraction(1))
+        k, rank = divmod(key, top)
+        mult = np.bincount(rank // place[m - k:] % s, minlength=s)
+        return math.prod((q ** int(c) for q, c in zip(probs, mult)), start=Fraction(1))
 
     total = sum(row.astype(object) * class_probability(key) for key, row in per_class.items())
-    counts = [int(c) for c in per_class[0]] if uniform else [None] * len(total)
+    counts = [int(c) for c in per_class[m * top]] if uniform else [None] * len(total)
     return list(total), counts
 
 
@@ -273,15 +352,20 @@ def exact_event_probability(
     Only edges the event can see are enumerated (for region-restricted
     passage events the rest of the box is marginalised away exactly), and
     the cap is checked before the event is compiled.  The event is compiled
-    once; configurations are walked in batches of weight
-    rows, each batch tested at once by a vectorised shortest-path solve.
-    Hits are counted per atom-multiplicity class, so the exact rational is
-    one sum of count times atom-probability product per class.  A passage
-    event holds when the float passage time satisfies ``T <= t``, the rule
-    Monte Carlo applies too.
+    once into a batched test, a vectorised shortest-path solve over blocks
+    of weight rows, and walked by :func:`_enumerate`.  That walk fixes the
+    edges one at a time, nearest the event's end points first, and settles
+    a whole subtree of configurations as soon as the free edges at the
+    largest and at the smallest atom give the same outcome; a custom event
+    is tested on every configuration.  Hits are counted per
+    atom-multiplicity class, so the exact rational is one sum of count
+    times atom-probability product per class.  A passage event holds when
+    the float passage time satisfies ``T <= t``, the rule Monte Carlo
+    applies too.
 
-    ``n_configs`` is the number of configurations enumerated;
-    ``n_satisfying`` counts the hits when all atoms are equally likely and
+    ``n_configs`` is the number of configurations of the live edges, s^m,
+    tested or settled in a subtree; ``n_satisfying`` counts the hits among
+    them when all atoms are equally likely and
     is ``None`` otherwise.
     """
     if not dist.is_finite_support:
@@ -292,9 +376,7 @@ def exact_event_probability(
     if required > cap:
         raise CapExceededError(required, cap)
 
-    compiled = _predicate(event, box, dist)
-    (p,), (count,) = _enumerate(compiled.test, values, probs, live, box.n_edges,
-                                compiled.rows)
+    (p,), (count,) = _enumerate(_predicate(event, box, dist), values, probs, box, live)
     return ExactProbability(p=p, n_configs=required, n_satisfying=count)
 
 
@@ -523,8 +605,10 @@ def fkg_supermultiplicativity_check(
         return np.stack([dist_arr[:, 0, id12] <= t1 + t2, dist_arr[:, 0, id1] <= t1,
                          dist_arr[:, 1, id12] <= t2], axis=1)
 
-    (lhs, f1, f2), _ = _enumerate(test, values, probs, np.arange(box.n_edges),
-                                  box.n_edges, _batch_rows(box, 2))
+    x0, x1, x12 = (box.vertex_coords(i) for i in (id0, id1, id12))
+    compiled = _CompiledEvent(test, _batch_rows(box, 2),
+                              np.array([(x0, x12), (x0, x1), (x1, x12)], dtype=float), True)
+    (lhs, f1, f2), _ = _enumerate(compiled, values, probs, box, np.arange(box.n_edges))
     rhs = f1 * f2
     return FKGReport(lhs=lhs, factor_first=f1, factor_second=f2, rhs=rhs, slack=lhs - rhs)
 

@@ -199,6 +199,28 @@ def test_edge_id_round_trips_every_edge(d, n):
             box.edge_id(x, y)
 
 
+def test_non_integer_coordinates_are_rejected():
+    # truncation used to name another vertex: (2.9, 0) read as (2, 0), and
+    # (0.7, 0)-(1.2, 0) as edge 0
+    from fpplab.passage_time import restricted_passage_time
+
+    box = LatticeBox(2, 3)
+    for bad in ([2.9, 0], [[1, 1], [2.9, 0]], [np.nan, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            box.vertex_id(bad)
+    with pytest.raises(ValueError, match="integers"):
+        box.edge_id([0.7, 0], [1.2, 0])
+    field = sample_weights(EdgeDistribution.two_point(1, 2, 0.5), box, 0)
+    with pytest.raises(ValueError, match="integers"):
+        restricted_passage_time(field, (0, 0), (2.5, 1))
+    # integral floats keep their ids, one point or many
+    assert box.vertex_id([1.0, 2.0]) == box.vertex_id([1, 2]) == 6
+    assert box.vertex_id(np.array([[1.0, 2.0], [0.0, 0.0]])).tolist() == [6, 0]
+    assert box.edge_id([0.0, 0.0], [1.0, 0.0]) == 0
+    assert restricted_passage_time(field, (0.0, 0.0), (2.0, 1.0)) == \
+        restricted_passage_time(field, (0, 0), (2, 1))
+
+
 # ---------------------------------------------------------------------------
 # weight sampling
 # ---------------------------------------------------------------------------

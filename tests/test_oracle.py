@@ -23,7 +23,8 @@ from fpplab.oracle import (
     validate_decreasing,
     wilson_interval,
 )
-from fpplab.oracle import _predicate
+from fpplab.geometry import NormPlusHighways
+from fpplab.oracle import _live_edges, _predicate
 from fpplab.passage_time import _BLOCK_VERTICES, _arc_table, _batched_distances
 from reference import reference_dijkstra
 
@@ -316,24 +317,31 @@ def test_three_atom_law_matches_per_configuration_product():
 
 @pytest.mark.parametrize("p_lo", [Fraction(1, 2), Fraction(1, 3)])
 def test_partial_last_batch_is_enumerated(p_lo):
+    # the same event as a custom test, which the walk never settles early: it
+    # tests all 4096 leaves, and its two deepest blocks (2^11 and 2^12 nodes)
+    # exceed a batch, so each is taken in parts, the last one short
+    from fpplab.passage_time import restricted_passage_time
+
     law = EdgeDistribution.two_point(1, 2, p_lo)
     box = LatticeBox(2, 2)
     ev = EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0)
-    rows = _predicate(ev, box, law).rows
-    assert rows < 4096 and 4096 % rows != 0  # the walk ends on a short batch
+    opaque = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (2, 1)) <= 4.0,
+                              decreasing=True, name="T<=4")
+    rows = _predicate(opaque, box, law).rows
+    assert rows < 2 ** 11 and 2 ** 12 % rows != 0
     W = _all_configs((1.0, 2.0), box.n_edges)
     target = box.vertex_id((2, 1))
     hits = [reference_dijkstra(box, w, 0)[target] <= 4.0 for w in W]
-    res = exact_event_probability(ev, law, box)
-    assert res.n_configs == 4096
-    if p_lo == Fraction(1, 2):
-        assert res.n_satisfying == sum(hits)
-        assert res.p == Fraction(sum(hits), 4096)
-    else:
-        assert res.n_satisfying is None
-        want = sum((p_lo ** int((w == 1.0).sum()) * (1 - p_lo) ** int((w == 2.0).sum())
-                    for w, hit in zip(W, hits) if hit), Fraction(0))
-        assert res.p == want
+    for res in (exact_event_probability(ev, law, box), exact_event_probability(opaque, law, box)):
+        assert res.n_configs == 4096
+        if p_lo == Fraction(1, 2):
+            assert res.n_satisfying == sum(hits)
+            assert res.p == Fraction(sum(hits), 4096)
+        else:
+            assert res.n_satisfying is None
+            want = sum((p_lo ** int((w == 1.0).sum()) * (1 - p_lo) ** int((w == 2.0).sum())
+                        for w, hit in zip(W, hits) if hit), Fraction(0))
+            assert res.p == want
 
 
 def test_region_event_counts_only_live_configurations():
@@ -406,3 +414,137 @@ def test_hub_event_values_are_pinned():
     ]:
         assert monte_carlo_event_probability(event, law, box, samples, seed).successes == hits
     assert validate_decreasing(EventSpec.hub((2, 2), 1.6), TP, LatticeBox(2, 4), 40, 4) == 0
+
+
+# ---------------------------------------------------------------------------
+# the factoring walk against a brute-force walk
+# ---------------------------------------------------------------------------
+
+
+def _brute_force(event, law, box):
+    """(p, n_configs, n_satisfying) of an event by testing every configuration
+    of its live edges and adding its exact atom-probability product."""
+    values, probs = law.atoms()
+    live = _live_edges(event, box)
+    compiled = _predicate(event, box, law)
+    idx = np.array(list(itertools.product(range(len(values)), repeat=len(live))),
+                   dtype=np.int64).reshape(-1, len(live))
+    W = np.full((len(idx), box.n_edges), values[0])
+    W[:, live] = np.asarray(values)[idx]
+    hits = np.concatenate([compiled.test(W[a:a + compiled.rows])
+                           for a in range(0, len(W), compiled.rows)])
+    product = {}
+    p = Fraction(0)
+    for row in idx[hits]:
+        mult = tuple(np.bincount(row, minlength=len(values)).tolist())
+        if mult not in product:
+            product[mult] = math.prod((q ** c for q, c in zip(probs, mult)), start=Fraction(1))
+        p += product[mult]
+    uniform = len(set(probs)) == 1
+    return p, len(idx), int(hits.sum()) if uniform else None
+
+
+_LAWS = {
+    "half": TP,
+    "third": EdgeDistribution.two_point(1, 2, Fraction(1, 3)),
+    "three-atom": EdgeDistribution.finite_support([1.0, 1.5, 2.0],
+                                                  [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]),
+    "zero-atom": EdgeDistribution.two_point(0, 3, Fraction(1, 3)),
+    "tenths": EdgeDistribution.two_point(0.1, 0.2, Fraction(1, 2)),
+    "non-dyadic-three": EdgeDistribution.finite_support(
+        [0.0, 0.3, 0.7], [Fraction(1, 5), Fraction(1, 3), Fraction(7, 15)]),
+}
+
+# three-atom laws on the 12-edge boxes would need 3^12 brute-force tests per event
+_CELLS = [(law, d, n) for law in ("half", "third", "zero-atom", "tenths")
+          for d, n in ((2, 1), (2, 2), (3, 1))]
+_CELLS += [(law, 2, 1) for law in ("three-atom", "non-dyadic-three")]
+
+
+def _battery_events(law, d, n):
+    """Passage (whole box and a region), ld_lower and hub events of one cell,
+    with thresholds on float sums of atoms, where a path's time can tie them."""
+    values, _ = law.atoms()
+    lo, hi = values[0], values[-1]
+    origin, far, axis_end = (0,) * d, (n,) * d, (n,) + (0,) * (d - 1)
+    hops = d * n
+    ties = {hops * lo, (hops - 1) * lo + hi, sum([lo, hi] * (hops // 2)) + lo * (hops % 2)}
+    events = [EventSpec.passage_time_at_most(origin, far, t) for t in sorted(ties)]
+    events.append(EventSpec.passage_time_at_most(origin, axis_end, n * lo + (n - 1) * (hi - lo)))
+    strip = ((0, n),) + ((0, 0),) * (d - 2) + ((0, 1),)
+    events.append(EventSpec.passage_time_at_most(origin, (n,) + (0,) * (d - 2) + (1,),
+                                                 n * lo + hi, region=strip))
+    metric = NormPlusHighways(weights=[(lo + hi) / 2] * d, highways=[])
+    events += [EventSpec.ld_lower(metric, eps) for eps in ((hi - lo) / 2, (hi - lo) / 4)]
+    events += [EventSpec.hub(origin, kappa) for kappa in ((lo + hi) / 2, (3 * lo + hi) / 4)]
+    return events
+
+
+@pytest.mark.parametrize("law, d, n", _CELLS)
+def test_factoring_walk_equals_brute_force(law, d, n):
+    dist, box = _LAWS[law], LatticeBox(d, n)
+    for event in _battery_events(dist, d, n):
+        res = exact_event_probability(event, dist, box)
+        assert (res.p, res.n_configs, res.n_satisfying) == _brute_force(event, dist, box), \
+            event.name
+
+
+@pytest.mark.parametrize("law, d, n", _CELLS)
+def test_factoring_walk_equals_brute_force_on_fkg_terms(law, d, n):
+    dist, box = _LAWS[law], LatticeBox(d, n)
+    values, _ = dist.atoms()
+    x0, x1 = (0,) * d, (1,) + (0,) * (d - 1)
+    x2 = (n - 1,) + (1,) * (d - 1)
+    x12 = tuple(a + b for a, b in zip(x1, x2))
+    t1, t2 = values[0], sum(values[:1] * (sum(x2) - 1), values[-1])
+    rep = fkg_supermultiplicativity_check(dist, box, x1, x2, t1, t2)
+    want = [_brute_force(EventSpec.passage_time_at_most(a, b, t), dist, box)[0]
+            for a, b, t in ((x0, x12, t1 + t2), (x0, x1, t1), (x1, x12, t2))]
+    assert [rep.lhs, rep.factor_first, rep.factor_second] == want
+
+
+def test_pinned_tie_of_non_dyadic_atoms():
+    # 0.1 + 0.2 = 0.30000000000000004 > 0.3: at t = 0.3 only an all-0.1 path
+    # meets the threshold, at the next float up any light edge does
+    box = LatticeBox(2, 1)
+    law = _LAWS["tenths"]
+    for t, want in ((0.3, Fraction(7, 16)), (0.30000000000000004, Fraction(15, 16))):
+        event = EventSpec.passage_time_at_most((0, 0), (1, 1), t)
+        res = exact_event_probability(event, law, box)
+        assert res.p == want
+        assert (res.p, res.n_configs, res.n_satisfying) == _brute_force(event, law, box)
+
+
+def test_walk_of_a_large_axis_cell_stays_small_and_fast():
+    # 2^24 configurations; the walk settles them after a few dozen bound tests
+    import time
+    import tracemalloc
+
+    event = EventSpec.passage_time_at_most((0, 0), (3, 0), 4.0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        res = exact_event_probability(event, TP, LatticeBox(2, 3))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.p, res.n_configs, res.n_satisfying) == (Fraction(1, 2), 16777216, 8388608)
+    assert elapsed < 1.0
+    assert peak <= 32 * 2 ** 20
+
+
+def test_a_falsely_decreasing_custom_event_gets_its_exact_probability():
+    # the event of test_validate_decreasing_flags_an_increasing_event, whose
+    # flag says decreasing, and one that is not monotone at all: T = 3 fails
+    # with every edge at 1 and with every edge at 2, so a walk that trusted
+    # the flag would settle it at 0 from the root
+    from fpplab.passage_time import restricted_passage_time
+
+    box = LatticeBox(2, 1)
+    for cmp, want in ((float.__ge__, Fraction(9, 16)), (float.__eq__, Fraction(1, 2))):
+        event = EventSpec.custom(lambda f: cmp(restricted_passage_time(f, (0, 0), (1, 1)), 3.0),
+                                 decreasing=True, name="T vs 3")
+        res = exact_event_probability(event, TP, box)
+        assert (res.p, res.n_configs, res.n_satisfying) == _brute_force(event, TP, box)
+        assert res.p == want
