@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import orjson
 
 
 def jsonable(obj):
@@ -53,9 +54,24 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
+
+
+def float_cells(values: np.ndarray) -> bytes:
+    """``repr`` of each value of a 1-d float array, comma-joined: orjson's
+    shortest round-trip digits, with ``repr`` for the cells it writes
+    otherwise (nonzero ones outside [1e-4, 1e16), where ``repr`` takes
+    exponent form, and inf and nan, which orjson writes as ``null``)."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    cells = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    a = np.abs(v)
+    odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (v != 0))
+    if not len(odd):
+        return cells
+    split = cells.split(b",")
+    for i in odd.tolist():
+        split[i] = repr(float(v[i])).encode()
+    return b",".join(split)
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -407,6 +407,14 @@ def truncate(dist: EdgeDistribution, b: float) -> EdgeDistribution:
 # lattice boxes
 
 
+def _integral(coords) -> np.ndarray:
+    """``coords`` as an array; ``ValueError`` unless each is an integer (1.0 is)."""
+    c = np.asarray(coords)
+    if np.any(c != np.round(c)):
+        raise ValueError(f"vertex coordinates must be integers, got {c.tolist()}")
+    return c
+
+
 @dataclass(frozen=True)
 class LatticeBox:
     """The box [0, n]^d of the nearest-neighbour lattice Z^d.
@@ -444,18 +452,13 @@ class LatticeBox:
         """Flat id of one vertex, or an array of ids of a (..., d) array of
         vertices.  ``ValueError`` on a coordinate that is not an integer
         (integral floats such as 1.0 are) or lies outside the box."""
-        c = np.asarray(coords)
+        c = _integral(coords)
         if c.shape[-1:] != (self.dimension,):
             raise ValueError(f"vertex coordinates need length {self.dimension}")
-        if np.any(c != np.round(c)):
-            raise ValueError(f"vertex coordinates must be integers, got {c.tolist()}")
-        if c.ndim == 1:
-            if np.any(c < 0) or np.any(c > self.side):
-                raise ValueError(f"vertex {tuple(c.tolist())} outside box [0, {self.side}]^{self.dimension}")
-            return int(np.ravel_multi_index(tuple(int(v) for v in c), self.shape))
         if np.any(c < 0) or np.any(c > self.side):
-            raise ValueError("vertex outside box")
-        return np.ravel_multi_index(tuple(c.T.astype(np.int64)), self.shape)
+            raise ValueError(f"vertex outside box [0, {self.side}]^{self.dimension}: {c.tolist()}")
+        ids = np.ravel_multi_index(tuple(c.T.astype(np.int64)), self.shape)
+        return int(ids) if c.ndim == 1 else ids
 
     def vertex_coords(self, vid) -> np.ndarray:
         return np.array(np.unravel_index(vid, self.shape)).T

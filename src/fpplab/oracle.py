@@ -20,7 +20,7 @@ import numpy as np
 
 from fpplab._artifacts import jsonable
 from fpplab.geometry import _pair_eval
-from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _edge_arrays,
+from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _edge_arrays, _integral,
                           sample_weight_rows)
 from fpplab.passage_time import (_arc_table, _batch_rows, _batched_distances, _hub_budgets,
                                  _hub_times, _pair_ids, _region_mask, _seeded_passage_times)
@@ -82,12 +82,12 @@ class EventSpec:
         test the same event; with non-dyadic atoms such as 0.1 and 0.2 that
         event is the one on the binary values, where 0.1 + 0.2 > 0.3.
         """
+        x, y = (tuple(int(c) for c in _integral(v)) for v in (x, y))
         return cls(
             kind="passage_time_at_most",
-            params={"x": tuple(int(c) for c in x), "y": tuple(int(c) for c in y),
-                    "t": float(t), "region": region},
+            params={"x": x, "y": y, "t": float(t), "region": region},
             decreasing=True,
-            name=f"T({tuple(int(c) for c in x)},{tuple(int(c) for c in y)})<={float(t)}",
+            name=f"T({x},{y})<={float(t)}",
         )
 
     @classmethod
@@ -106,11 +106,12 @@ class EventSpec:
 
     @classmethod
     def hub(cls, x, kappa: float) -> "EventSpec":
+        x = tuple(int(c) for c in _integral(x))
         return cls(
             kind="hub",
-            params={"x": tuple(int(c) for c in x), "kappa": float(kappa)},
+            params={"x": x, "kappa": float(kappa)},
             decreasing=True,
-            name=f"hub({tuple(int(c) for c in x)},kappa={float(kappa)})",
+            name=f"hub({x},kappa={float(kappa)})",
         )
 
     @classmethod
@@ -250,25 +251,25 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
 
     Nodes wait on a stack of blocks, one per depth, with the deepest on
     top, and are taken ``event.rows`` at a time, so at most (m + 1) s
-    ``event.rows`` nodes wait.  A settled node adds its outcome to the
-    atom-multiplicity class of its fixed edges, since its free edges'
-    probabilities sum to 1.  When all atoms are equally likely, it adds its
-    s^(m - k) configurations to the hit count of one class instead, of
-    probability s^-m.  The exact sum of count times class probability is
-    taken once per class.  Returns the probabilities and the hit counts,
-    which are ``None`` unless all atoms are equally likely.
+    ``event.rows`` nodes wait.  A settled node adds its outcome to an int64
+    node count of its class: its depth k and the multiplicities of its
+    fixed atoms, or k alone when all atoms are equally likely.  Its free
+    edges' probabilities sum to 1, so the class probability is the product
+    of its fixed atoms' probabilities; with equally likely atoms the node
+    also stands for s^(m - k) configurations.  Both are exact Python
+    numbers, taken once per class, so no sum overflows however large s^m
+    is.  Returns the probabilities and the hit counts, which are ``None``
+    unless all atoms are equally likely.
     """
     s, m, rows = len(values), len(live), event.rows
     vals = np.asarray(values, dtype=float)
     order = _edge_order(box, live, event.anchors)
-    top = s ** m  # class keys: k * top + the rank of the sorted fixed atoms
-    place = s ** np.arange(m - 1, -1, -1, dtype=np.int64)
     uniform = all(q == probs[0] for q in probs)
     lo_fill = np.full(box.n_edges, vals[0])
     hi_fill = lo_fill.copy()
     hi_fill[order] = vals[-1]  # the atoms are sorted
     n_cols = 0
-    per_class: dict[int, np.ndarray] = {}
+    per_class: dict[tuple, np.ndarray] = {}  # (k, multiplicities) -> settled node hits
     # a block: depth k, fixed atoms (N, k), and the bounds' outcome columns as
     # bit codes, -1 while untested
     stack = [(0, np.zeros((1, 0), np.min_scalar_type(s - 1)), np.full(1, -1), np.full(1, -1))]
@@ -295,16 +296,16 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
                 dst[i], codes = codes[:len(i)], codes[len(i):]
         settled = (hi == lo) & (hi >= 0)
         if settled.any():
-            if uniform:
-                keys, weight = np.full(int(settled.sum()), m * top), s ** (m - k)
+            if uniform:  # one class per depth, its atoms all counted as the first
+                mult, inverse = [(k,)], np.zeros(int(settled.sum()), dtype=np.intp)
             else:
-                keys = k * top + np.sort(fixed[settled], axis=1).astype(np.int64) @ place[m - k:]
-                weight = 1
-            keys, inverse = np.unique(keys, return_inverse=True)
-            sums = np.zeros((len(keys), n_cols), dtype=np.int64)
-            np.add.at(sums, inverse, (hi[settled, None] >> np.arange(n_cols) & 1) * weight)
-            for key, row in zip(keys.tolist(), sums):
-                per_class[key] = per_class.get(key, 0) + row
+                mult, inverse = np.unique((fixed[settled, :, None] == np.arange(s)).sum(axis=1),
+                                          axis=0, return_inverse=True)
+                mult = list(map(tuple, mult.tolist()))
+            sums = np.zeros((len(mult), n_cols), dtype=np.int64)
+            np.add.at(sums, inverse.ravel(), hi[settled, None] >> np.arange(n_cols) & 1)
+            for key, row in zip(mult, sums):
+                per_class[k, key] = per_class.get((k, key), 0) + row
         if not settled.all():
             split = ~settled
             atom = np.tile(np.arange(s, dtype=fixed.dtype), int(split.sum()))
@@ -313,14 +314,10 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
                           np.where(atom == s - 1, np.repeat(hi[split], s), -1),
                           np.where(atom == 0, np.repeat(lo[split], s), -1)))
 
-    def class_probability(key: int) -> Fraction:
-        k, rank = divmod(key, top)
-        mult = np.bincount(rank // place[m - k:] % s, minlength=s)
-        return math.prod((q ** int(c) for q, c in zip(probs, mult)), start=Fraction(1))
-
-    total = sum(row.astype(object) * class_probability(key) for key, row in per_class.items())
-    counts = [int(c) for c in per_class[m * top]] if uniform else [None] * len(total)
-    return list(total), counts
+    total = sum(row.astype(object) * math.prod(map(pow, probs, mult), start=Fraction(1))
+                for (_, mult), row in per_class.items())
+    counts = sum(row.astype(object) * s ** (m - k) for (k, _), row in per_class.items())
+    return list(total), list(counts) if uniform else [None] * n_cols
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from fpplab.model import LatticeBox, WeightField, _adjacency, _neighbours, sample_weight_rows
+from fpplab._artifacts import float_cells
+from fpplab.model import (LatticeBox, WeightField, _adjacency, _integral, _neighbours,
+                          sample_weight_rows)
 
 __all__ = [
     "DiscretePath",
@@ -47,10 +49,8 @@ class DiscretePath:
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or len(v) < 1:
             raise ValueError("a path needs at least one vertex")
-        if len(v) > 1:
-            steps = np.abs(np.diff(v, axis=0)).sum(axis=1)
-            if np.any(steps != 1):
-                raise ValueError("consecutive path vertices must be lattice neighbours")
+        if np.any(np.abs(np.diff(v, axis=0)).sum(axis=1) != 1):
+            raise ValueError("consecutive path vertices must be lattice neighbours")
 
     @property
     def hops(self) -> int:
@@ -344,46 +344,30 @@ class RescaledMetric:
         return self.raw_times / self.n
 
     def vertex_value(self, u, v) -> float:
-        iu = self._index.get(tuple(int(c) for c in u))
-        iv = self._index.get(tuple(int(c) for c in v))
+        iu = self._index.get(tuple(_integral(u).astype(np.int64).tolist()))
+        iv = self._index.get(tuple(_integral(v).astype(np.int64).tolist()))
         if iu is None or iv is None:
             raise KeyError("vertex not among the stored grid points")
         return float(self.raw_times[iu, iv]) / self.n
 
     def value(self, x, y) -> float:
         """T-hat at continuum points of X, through the floor map."""
-        u = np.floor(np.asarray(x, dtype=float) * self.n).astype(np.int64)
-        v = np.floor(np.asarray(y, dtype=float) * self.n).astype(np.int64)
-        u = np.minimum(u, self.n)
-        v = np.minimum(v, self.n)
+        u, v = (np.minimum(np.floor(np.asarray(p, dtype=float) * self.n), self.n) for p in (x, y))
         return self.vertex_value(u, v)
 
     def write_csv(self, path) -> None:
         """RFC 4180 CSV; one row per source point, row-major vertex labels.
 
-        Cells are ``repr`` of the rescaled values ``raw_times / n``, ``\r\n``
-        ends each line, and labels such as ``0_3`` never need quoting.  Each
-        off-diagonal cell is formatted once: row i formats its cells (i, j)
-        for j >= i and queues each one, with its trailing comma, in column j's
-        pending bytes, from which row j reads its cells left of the diagonal.
-        Row i is written as its label, column i's pending bytes and its own
-        cells, and column i's bytes are then dropped, so about a quarter of
-        the cells are pending at most.  The mirror cells are exact because
-        ``raw_times`` is symmetric bit for bit (the constructor's min with
-        the transpose).
+        Cells are ``repr`` of the rescaled values ``raw_times / n``, a row at
+        a time by :func:`~fpplab._artifacts.float_cells`; ``\r\n`` ends each
+        line, and labels such as ``0_3`` never need quoting.
         """
         labels = ["_".join(map(str, p)) for p in self.points]
         assert all(lbl.replace("_", "").isdigit() for lbl in labels)  # no quoting needed
-        pending = [bytearray() for _ in labels]
         with open(path, "wb") as fh:
             fh.write((",".join(["source"] + labels) + "\r\n").encode())
-            for i, (lbl, raw) in enumerate(zip(labels, self.raw_times)):
-                upper = ",".join(map(repr, (raw[i:] / self.n).tolist())).encode()
-                fh.write(lbl.encode() + b"," + pending[i] + upper + b"\r\n")
-                pending[i] = None
-                for col, cell in zip(pending[i + 1:], upper.split(b",")[1:]):
-                    col += cell
-                    col += b","
+            for lbl, raw in zip(labels, self.raw_times):
+                fh.write(lbl.encode() + b"," + float_cells(raw / self.n) + b"\r\n")
 
 
 def _check_all_pairs(box: LatticeBox) -> None:

@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpplab._artifacts import jsonable, write_csv
+from fpplab._artifacts import float_cells, jsonable, write_csv
 from fpplab.cli import main
 
 
@@ -55,6 +57,51 @@ def test_csv_cells_and_line_ends(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c", "d", "e"], [[0.1, math.inf, Fraction(2), None, True]])
     assert path.read_bytes() == b"a,b,c,d,e\r\n0.1,inf,2/1,,True\r\n"
+
+
+def _repr_cells(v: np.ndarray) -> bytes:
+    return ",".join(map(repr, v.tolist())).encode()
+
+
+def _neighbourhood(x: float, steps: int = 64) -> np.ndarray:
+    """The ``steps`` floats on each side of ``x``, and ``x``, with their negatives."""
+    up, down = [x], [x]
+    with np.errstate(over="ignore"):  # past the largest float, up reaches inf
+        for _ in range(steps):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], -np.inf))
+    v = np.array(down[::-1] + up[1:])
+    return np.concatenate([v, -v])
+
+
+def test_float_cells_equal_repr_on_random_bit_patterns():
+    # every class of float64 bit pattern: normals of every exponent,
+    # subnormals, +-0.0, +-inf and nan (an all-ones exponent)
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
+    v = bits.view(np.float64)
+    sub = rng.integers(1, 2 ** 52, size=1000, dtype=np.uint64).view(np.float64)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny])
+    logu = 10.0 ** rng.uniform(-6, 18, size=20_000)
+    for chunk in (v, sub, -sub, special, logu, v[:0]):
+        assert float_cells(chunk) == _repr_cells(chunk)
+    assert np.isnan(v).any()  # inf, two patterns of 2^64, is among the specials
+    assert ((v != 0) & (np.abs(v) < np.finfo(float).tiny)).any()  # subnormals
+
+
+@pytest.mark.parametrize("edge", [1e-4, 1e16, 5e-324, np.finfo(float).max])
+def test_float_cells_equal_repr_where_repr_switches_form(edge):
+    v = _neighbourhood(edge)
+    assert float_cells(v) == _repr_cells(v)
+    assert float_cells(v[::-3]) == _repr_cells(v[::-3])  # a strided view
+
+
+@given(st.lists(st.floats(width=64), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_float_cells_equal_repr_on_any_floats(xs):
+    v = np.array(xs, dtype=np.float64)
+    assert float_cells(v) == _repr_cells(v)
 
 
 # sha256 of artifacts of the default configs; their numbers come from exact

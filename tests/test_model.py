@@ -201,8 +201,8 @@ def test_edge_id_round_trips_every_edge(d, n):
 
 def test_non_integer_coordinates_are_rejected():
     # truncation used to name another vertex: (2.9, 0) read as (2, 0), and
-    # (0.7, 0)-(1.2, 0) as edge 0
-    from fpplab.passage_time import restricted_passage_time
+    # (0.7, 0)-(1.2, 0) as edge 0; a rescaled metric read (2.5, 1) as (2, 1)
+    from fpplab.passage_time import rescaled_metric, restricted_passage_time
 
     box = LatticeBox(2, 3)
     for bad in ([2.9, 0], [[1, 1], [2.9, 0]], [np.nan, 0]):
@@ -219,6 +219,10 @@ def test_non_integer_coordinates_are_rejected():
     assert box.edge_id([0.0, 0.0], [1.0, 0.0]) == 0
     assert restricted_passage_time(field, (0.0, 0.0), (2.0, 1.0)) == \
         restricted_passage_time(field, (0, 0), (2, 1))
+    rm = rescaled_metric(field)
+    with pytest.raises(ValueError, match="integers"):
+        rm.vertex_value((0, 0), (2.5, 1))
+    assert rm.vertex_value((0.0, 0.0), (2.0, 1.0)) == rm.vertex_value((0, 0), (2, 1))
 
 
 # ---------------------------------------------------------------------------

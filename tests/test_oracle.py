@@ -548,3 +548,34 @@ def test_a_falsely_decreasing_custom_event_gets_its_exact_probability():
         res = exact_event_probability(event, TP, box)
         assert (res.p, res.n_configs, res.n_satisfying) == _brute_force(event, TP, box)
         assert res.p == want
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("p_lo", [Fraction(1, 2), Fraction(1, 3)])
+def test_axis_cell_beyond_int64_is_the_closed_form(n, p_lo):
+    # T((0,0),(n,0)) <= n under {1, 2}: only the straight path of n light
+    # edges meets it, so p = p_lo^n.  2^(2n(n+1)) configurations, far past
+    # int64, which the class counts once overflowed
+    box = LatticeBox(2, n)
+    event = EventSpec.passage_time_at_most((0, 0), (n, 0), n)
+    res = exact_event_probability(event, EdgeDistribution.two_point(1, 2, p_lo), box,
+                                  cap=1 << 300)
+    assert res.p == p_lo ** n
+    assert res.n_configs == 2 ** box.n_edges
+    if p_lo == Fraction(1, 2):
+        assert res.n_satisfying == 2 ** (box.n_edges - n)
+    else:
+        assert res.n_satisfying is None
+
+
+def test_library_events_reject_non_integer_vertices():
+    # int() used to truncate them: (2.9, 0) named (2, 0) and (0.5, 1) named (0, 1)
+    with pytest.raises(ValueError, match="integers"):
+        EventSpec.passage_time_at_most((0, 0), (2.9, 0), 3)
+    with pytest.raises(ValueError, match="integers"):
+        EventSpec.passage_time_at_most((0.5, 0), (2, 0), 3)
+    with pytest.raises(ValueError, match="integers"):
+        EventSpec.hub((0.5, 1), 2)
+    # integral floats name their vertex
+    assert EventSpec.passage_time_at_most((0.0, 0), (2.0, 0), 3).params["y"] == (2, 0)
+    assert EventSpec.hub((1.0, 1), 2).params["x"] == (1, 1)

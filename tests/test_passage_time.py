@@ -262,7 +262,11 @@ def _per_cell_csv(rm) -> bytes:
     (EdgeDistribution.exponential(1.0), 2, 6, 3, [[5, 1], [0, 0], [3, 4], [5, 1], [2, 2]]),
     (EdgeDistribution.exponential(1.0), 2, 6, 4, [[3, 2]]),
     (EdgeDistribution.two_point(1, 2, Fraction(1, 2)), 2, 1, 5, None),
-], ids=["zero-atom", "exponential", "unsorted-repeated-points", "single-point", "n1"])
+    # cells below 1e-4 and from 1e16 up, where repr takes exponent form
+    (EdgeDistribution.two_point(1e-6, 1, Fraction(1, 2)), 2, 3, 6, None),
+    (EdgeDistribution.two_point(1e17, 3e17, Fraction(1, 2)), 2, 3, 7, None),
+], ids=["zero-atom", "exponential", "unsorted-repeated-points", "single-point", "n1",
+        "tiny", "huge"])
 def test_metric_csv_equals_per_cell_writer(tmp_path, law, d, n, seed, points):
     rm = rescaled_metric(sample_weights(law, LatticeBox(d, n), seed), points=points)
     out = tmp_path / "metric.csv"
@@ -271,7 +275,7 @@ def test_metric_csv_equals_per_cell_writer(tmp_path, law, d, n, seed, points):
 
 
 def test_metric_csv_pending_cells_stay_compact(tmp_path):
-    # mirror cells wait as bytes, not one str object each (about 2.3 MB here)
+    # the writer holds one row's cells at a time, as one bytes object
     rm = rescaled_metric(sample_weights(EdgeDistribution.exponential(1.0), LatticeBox(3, 6), 0))
     assert len(rm.points) == 343
     tracemalloc.start()
