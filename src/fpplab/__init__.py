@@ -3,7 +3,6 @@
 from fpplab.model import (
     EdgeDistribution,
     LatticeBox,
-    MomentClass,
     WeightField,
     sample_weights,
     subcritical_atom_check,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -21,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "MomentClass",
     "EdgeDistribution",
     "truncate",
     "LatticeBox",
@@ -31,20 +29,6 @@ __all__ = [
     "subcritical_atom_check",
     "BOND_PERCOLATION_THRESHOLD",
 ]
-
-
-class MomentClass(str, Enum):
-    """Best integrability class a law is known to satisfy.
-
-    ``BOUNDED`` implies ``ALL_EXPONENTIAL`` implies ``MIN_MOMENT`` (the
-    finite (d + xi)-th moment of the minimum of d independent copies); the
-    enum records the strongest one.
-    """
-
-    BOUNDED = "bounded"
-    ALL_EXPONENTIAL = "all-exponential-moments"
-    MIN_MOMENT = "min-moment-d-plus-xi"
-    NONE = "none"
 
 
 def _as_fraction(x) -> Fraction:
@@ -65,15 +49,14 @@ class EdgeDistribution:
     """Law of a single nonnegative edge weight.
 
     Construct through the classmethods rather than directly; they normalise
-    parameters and record the support infimum and moment class.  Atom-bearing
-    laws keep their probabilities as exact rationals so that enumeration
-    oracles can report exact event probabilities.
+    parameters and record the support infimum.  Atom-bearing laws keep
+    their probabilities as exact rationals so that enumeration oracles can
+    report exact event probabilities.
     """
 
     kind: str
     params: tuple
     support_infimum: float
-    moment_class: MomentClass
 
     # -- constructors -----------------------------------------------------
 
@@ -82,7 +65,7 @@ class EdgeDistribution:
         c = float(c)
         if c < 0:
             raise ValueError("edge weights must be nonnegative")
-        return cls("deterministic", ((c,), (Fraction(1),)), c, MomentClass.BOUNDED)
+        return cls("deterministic", ((c,), (Fraction(1),)), c)
 
     @classmethod
     def two_point(cls, lo: float, hi: float, p_lo) -> "EdgeDistribution":
@@ -99,7 +82,7 @@ class EdgeDistribution:
         p = _as_fraction(p_lo)
         if not 0 < p < 1:
             raise ValueError("p_lo must lie strictly between 0 and 1")
-        return cls("two_point", ((lo, hi), (p, 1 - p)), lo, MomentClass.BOUNDED)
+        return cls("two_point", ((lo, hi), (p, 1 - p)), lo)
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "EdgeDistribution":
@@ -108,7 +91,7 @@ class EdgeDistribution:
             raise ValueError("edge weights must be nonnegative")
         if not a < b:
             raise ValueError("uniform law needs a < b")
-        return cls("uniform", (a, b), a, MomentClass.BOUNDED)
+        return cls("uniform", (a, b), a)
 
     @classmethod
     def exponential(cls, rate: float, shift: float = 0.0) -> "EdgeDistribution":
@@ -117,7 +100,7 @@ class EdgeDistribution:
             raise ValueError("rate must be positive")
         if shift < 0:
             raise ValueError("shift must be nonnegative")
-        return cls("exponential", (rate, shift), shift, MomentClass.ALL_EXPONENTIAL)
+        return cls("exponential", (rate, shift), shift)
 
     @classmethod
     def finite_support(cls, values: Sequence[float], probs: Sequence) -> "EdgeDistribution":
@@ -136,16 +119,12 @@ class EdgeDistribution:
             if p > 0:
                 merged[v] = merged.get(v, Fraction(0)) + p
         items = sorted(merged.items())
-        return cls(
-            "finite_support",
-            (tuple(v for v, _ in items), tuple(p for _, p in items)),
-            items[0][0],
-            MomentClass.BOUNDED,
-        )
+        return cls("finite_support", (tuple(v for v, _ in items), tuple(p for _, p in items)),
+                   items[0][0])
 
     @classmethod
     def _truncated(cls, base: "EdgeDistribution", cap: float) -> "EdgeDistribution":
-        return cls("truncated", (base, float(cap)), base.support_infimum, MomentClass.BOUNDED)
+        return cls("truncated", (base, float(cap)), base.support_infimum)
 
     # -- basic structure ---------------------------------------------------
 

@@ -64,12 +64,13 @@ class EventSpec:
 
     ``kind`` is one of ``passage_time_at_most``, ``ld_lower``, ``hub`` or
     ``custom``.  All built-in kinds are decreasing: raising any edge weight
-    can only destroy the event, never create it.
+    can only destroy the event, never create it.  Their constructors reject
+    a NaN threshold, against which every comparison is false, so the
+    probability would be silently wrong, and a ``kappa`` that is not positive.
     """
 
     kind: str
     params: dict
-    decreasing: bool
     name: str
 
     @classmethod
@@ -83,12 +84,9 @@ class EventSpec:
         event is the one on the binary values, where 0.1 + 0.2 > 0.3.
         """
         x, y = (tuple(int(c) for c in _integral(v)) for v in (x, y))
-        return cls(
-            kind="passage_time_at_most",
-            params={"x": x, "y": y, "t": float(t), "region": region},
-            decreasing=True,
-            name=f"T({x},{y})<={float(t)}",
-        )
+        t = _not_nan(t, "t")
+        return cls(kind="passage_time_at_most", params={"x": x, "y": y, "t": t, "region": region},
+                   name=f"T({x},{y})<={t}")
 
     @classmethod
     def ld_lower(cls, metric, eps: float) -> "EventSpec":
@@ -97,26 +95,28 @@ class EventSpec:
         ``metric`` is D: an object with ``evaluate_many(X, Y)`` or a bare
         ``(x, y) -> float`` callable.
         """
-        return cls(
-            kind="ld_lower",
-            params={"metric": metric, "eps": float(eps)},
-            decreasing=True,
-            name=f"LD-lower(eps={float(eps)})",
-        )
+        eps = _not_nan(eps, "eps")
+        return cls(kind="ld_lower", params={"metric": metric, "eps": eps},
+                   name=f"LD-lower(eps={eps})")
 
     @classmethod
     def hub(cls, x, kappa: float) -> "EventSpec":
         x = tuple(int(c) for c in _integral(x))
-        return cls(
-            kind="hub",
-            params={"x": x, "kappa": float(kappa)},
-            decreasing=True,
-            name=f"hub({x},kappa={float(kappa)})",
-        )
+        kappa = float(kappa)
+        if not kappa > 0:
+            raise ValueError(f"kappa must be positive, got {kappa}")
+        return cls(kind="hub", params={"x": x, "kappa": kappa}, name=f"hub({x},kappa={kappa})")
 
     @classmethod
-    def custom(cls, fn: Callable[[WeightField], bool], decreasing: bool, name: str) -> "EventSpec":
-        return cls(kind="custom", params={"fn": fn}, decreasing=decreasing, name=name)
+    def custom(cls, fn: Callable[[WeightField], bool], name: str) -> "EventSpec":
+        return cls(kind="custom", params={"fn": fn}, name=name)
+
+
+def _not_nan(value, what: str) -> float:
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"{what} must be a number, got NaN")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +128,12 @@ class _CompiledEvent:
     """An event compiled for one box and law.
 
     ``test`` maps a (B, n_edges) block of weight rows with B <= ``rows`` to
-    a (B,) boolean array, or (B, C) for C outcome columns.  ``anchors``
-    holds the (P, 2, d) end points of the segments the event's paths join,
-    which order the edges of the exact walk (:func:`_edge_order`).
-    ``bounded`` says the test decreases in every weight by construction, so
-    the walk may settle a subtree by its bounds.  A custom event is never
-    bounded: its ``decreasing`` flag is a claim, which
-    :func:`validate_decreasing` exists to refute.
+    a (B,) boolean array.  ``anchors`` holds the (P, 2, d) end points of the
+    segments the event's paths join, which order the edges of the exact walk
+    (:func:`_edge_order`).  ``bounded`` says the test decreases in every
+    weight by construction, so the walk may settle a subtree by its bounds.
+    A custom event is opaque code and never bounded; whether it decreases is
+    for :func:`validate_decreasing` to refute.
     """
 
     test: Callable[[np.ndarray], np.ndarray]
@@ -233,33 +232,33 @@ def _edge_order(box: LatticeBox, live: np.ndarray, anchors: np.ndarray) -> np.nd
 
 
 def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
-               live: np.ndarray) -> tuple[list[Fraction], list[int | None]]:
-    """Exact probabilities of the outcome columns of ``event.test`` over every
-    configuration of the ``live`` edges; the other edges hold ``values[0]``.
+               live: np.ndarray) -> tuple[Fraction, int | None]:
+    """Exact probability of ``event.test`` over every configuration of the
+    ``live`` edges; the other edges hold ``values[0]``.
 
     One depth-first factoring walk over the tree of partial configurations.
     A node at depth k fixes the atoms of the first k live edges in
     :func:`_edge_order`.  Its bounds are the outcomes with every free edge
     at the largest atom and at the smallest.  A bounded event's test
     decreases in every weight (float addition is monotone, so a float
-    passage time and ``T <= t`` are too), so when both bounds agree in
-    every column, every completion of the node agrees with them: the node
-    is settled.  An unsettled node splits into one child per atom of its
-    next edge; the child with the largest atom keeps its parent's upper
-    bound, the one with the smallest its lower bound.  A leaf (k = m) is
-    one configuration, and the only node an unbounded event tests.
+    passage time and ``T <= t`` are too), so when both bounds agree, every
+    completion of the node agrees with them: the node is settled.  An
+    unsettled node splits into one child per atom of its next edge; the
+    child with the largest atom keeps its parent's upper bound, the one with
+    the smallest its lower bound.  A leaf (k = m) is one configuration, and
+    the only node an unbounded event tests.
 
     Nodes wait on a stack of blocks, one per depth, with the deepest on
     top, and are taken ``event.rows`` at a time, so at most (m + 1) s
-    ``event.rows`` nodes wait.  A settled node adds its outcome to an int64
-    node count of its class: its depth k and the multiplicities of its
-    fixed atoms, or k alone when all atoms are equally likely.  Its free
+    ``event.rows`` nodes wait.  A settled node that holds the event adds one
+    to an integer count of its class: its depth k and the multiplicities of
+    its fixed atoms, or k alone when all atoms are equally likely.  Its free
     edges' probabilities sum to 1, so the class probability is the product
     of its fixed atoms' probabilities; with equally likely atoms the node
     also stands for s^(m - k) configurations.  Both are exact Python
     numbers, taken once per class, so no sum overflows however large s^m
-    is.  Returns the probabilities and the hit counts, which are ``None``
-    unless all atoms are equally likely.
+    is.  Returns ``(p, n_satisfying)``; the hit count is ``None`` unless all
+    atoms are equally likely.
     """
     s, m, rows = len(values), len(live), event.rows
     vals = np.asarray(values, dtype=float)
@@ -268,10 +267,8 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
     lo_fill = np.full(box.n_edges, vals[0])
     hi_fill = lo_fill.copy()
     hi_fill[order] = vals[-1]  # the atoms are sorted
-    n_cols = 0
-    per_class: dict[tuple, np.ndarray] = {}  # (k, multiplicities) -> settled node hits
-    # a block: depth k, fixed atoms (N, k), and the bounds' outcome columns as
-    # bit codes, -1 while untested
+    per_class: dict[tuple, int] = {}  # (k, multiplicities) -> settled nodes that hold the event
+    # a block: depth k, fixed atoms (N, k), and the bounds' outcomes, -1 while untested
     stack = [(0, np.zeros((1, 0), np.min_scalar_type(s - 1)), np.full(1, -1), np.full(1, -1))]
     while stack:
         k, fixed, hi, lo = stack.pop()
@@ -283,29 +280,24 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
             bounds = [(hi, hi_fill)]
         else:
             bounds = [(hi, hi_fill), (lo, lo_fill)] if event.bounded else []
-        need = [np.flatnonzero(codes < 0) for codes, _ in bounds]
+        need = [np.flatnonzero(out < 0) for out, _ in bounds]
         if sum(map(len, need)):
             W = np.concatenate([np.broadcast_to(fill, (len(i), box.n_edges))
                                 for (_, fill), i in zip(bounds, need)])
             W[:, order[:k]] = vals[fixed[np.concatenate(need)]]
-            hits = [event.test(W[a:a + rows]) for a in range(0, len(W), rows)]
-            hits = np.concatenate([h.reshape(len(h), -1) for h in hits])
-            n_cols = hits.shape[1]
-            codes = hits @ (1 << np.arange(n_cols))
+            hits = np.concatenate([event.test(W[a:a + rows]) for a in range(0, len(W), rows)])
             for (dst, _), i in zip(bounds, need):
-                dst[i], codes = codes[:len(i)], codes[len(i):]
+                dst[i], hits = hits[:len(i)], hits[len(i):]
         settled = (hi == lo) & (hi >= 0)
-        if settled.any():
+        held = settled & (hi == 1)
+        if held.any():
             if uniform:  # one class per depth, its atoms all counted as the first
-                mult, inverse = [(k,)], np.zeros(int(settled.sum()), dtype=np.intp)
+                per_class[k, (k,)] = per_class.get((k, (k,)), 0) + int(held.sum())
             else:
-                mult, inverse = np.unique((fixed[settled, :, None] == np.arange(s)).sum(axis=1),
-                                          axis=0, return_inverse=True)
-                mult = list(map(tuple, mult.tolist()))
-            sums = np.zeros((len(mult), n_cols), dtype=np.int64)
-            np.add.at(sums, inverse.ravel(), hi[settled, None] >> np.arange(n_cols) & 1)
-            for key, row in zip(mult, sums):
-                per_class[k, key] = per_class.get((k, key), 0) + row
+                mult, counts = np.unique((fixed[held, :, None] == np.arange(s)).sum(axis=1),
+                                         axis=0, return_counts=True)
+                for key, c in zip(map(tuple, mult.tolist()), counts.tolist()):
+                    per_class[k, key] = per_class.get((k, key), 0) + c
         if not settled.all():
             split = ~settled
             atom = np.tile(np.arange(s, dtype=fixed.dtype), int(split.sum()))
@@ -314,10 +306,10 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
                           np.where(atom == s - 1, np.repeat(hi[split], s), -1),
                           np.where(atom == 0, np.repeat(lo[split], s), -1)))
 
-    total = sum(row.astype(object) * math.prod(map(pow, probs, mult), start=Fraction(1))
-                for (_, mult), row in per_class.items())
-    counts = sum(row.astype(object) * s ** (m - k) for (k, _), row in per_class.items())
-    return list(total), list(counts) if uniform else [None] * n_cols
+    p = sum((c * math.prod(map(pow, probs, mult), start=Fraction(1))
+             for (_, mult), c in per_class.items()), Fraction(0))
+    count = sum(c * s ** (m - k) for (k, _), c in per_class.items())
+    return p, count if uniform else None
 
 
 @dataclass(frozen=True)
@@ -373,7 +365,7 @@ def exact_event_probability(
     if required > cap:
         raise CapExceededError(required, cap)
 
-    (p,), (count,) = _enumerate(_predicate(event, box, dist), values, probs, box, live)
+    p, count = _enumerate(_predicate(event, box, dist), values, probs, box, live)
     return ExactProbability(p=p, n_configs=required, n_satisfying=count)
 
 
@@ -584,28 +576,15 @@ def fkg_supermultiplicativity_check(
     keeps the translated endpoints instead of invoking stationarity, because
     a finite box is not translation invariant.  Both factor events are
     decreasing in the weights and their intersection forces the left event
-    through the triangle inequality, so the slack is provably nonnegative.
+    through the triangle inequality, so the slack is provably nonnegative
+    (Harris-FKG).  Each term is one :func:`exact_event_probability` of a
+    passage event, so the law and the cap are checked there.
     """
-    if not dist.is_finite_support:
-        raise ValueError("the enumeration oracle needs a finite-support law")
-    id0, id1, id12 = _fkg_endpoints(box, x1, x2)
-    values, probs = dist.atoms()
-    required = len(values) ** box.n_edges
-    if required > cap:
-        raise CapExceededError(required, cap)
-
-    sources = np.array([id0, id1])
-    nbr, eid = _arc_table(box, None)
-
-    def test(W):
-        dist_arr = _batched_distances(W, sources, nbr, eid)
-        return np.stack([dist_arr[:, 0, id12] <= t1 + t2, dist_arr[:, 0, id1] <= t1,
-                         dist_arr[:, 1, id12] <= t2], axis=1)
-
-    x0, x1, x12 = (box.vertex_coords(i) for i in (id0, id1, id12))
-    compiled = _CompiledEvent(test, _batch_rows(box, 2),
-                              np.array([(x0, x12), (x0, x1), (x1, x12)], dtype=float), True)
-    (lhs, f1, f2), _ = _enumerate(compiled, values, probs, box, np.arange(box.n_edges))
+    x0, x1, x12 = (box.vertex_coords(i) for i in _fkg_endpoints(box, x1, x2))
+    events = (EventSpec.passage_time_at_most(x0, x12, t1 + t2),
+              EventSpec.passage_time_at_most(x0, x1, t1),
+              EventSpec.passage_time_at_most(x1, x12, t2))
+    lhs, f1, f2 = (exact_event_probability(ev, dist, box, cap).p for ev in events)
     rhs = f1 * f2
     return FKGReport(lhs=lhs, factor_first=f1, factor_second=f2, rhs=rhs, slack=lhs - rhs)
 

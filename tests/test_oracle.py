@@ -164,6 +164,23 @@ def test_fkg_slack_known_value():
     assert rep.slack == Fraction(1, 2)
 
 
+def test_fkg_checks_law_and_cap_before_any_walk(monkeypatch):
+    import fpplab.oracle
+
+    def no_walk(*args):
+        pytest.fail("the factoring walk ran past a failed precondition")
+
+    monkeypatch.setattr(fpplab.oracle, "_enumerate", no_walk)
+    box = LatticeBox(2, 2)
+    with pytest.raises(CapExceededError) as ei:
+        fkg_supermultiplicativity_check(TP, box, (1, 0), (1, 0), 1.5, 1.5,
+                                        cap=2 ** box.n_edges - 1)
+    assert (ei.value.required, ei.value.cap) == (2 ** box.n_edges, 2 ** box.n_edges - 1)
+    with pytest.raises(ValueError, match="finite-support"):
+        fkg_supermultiplicativity_check(EdgeDistribution.uniform(1, 2), box,
+                                        (1, 0), (1, 0), 1.5, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # crude bound, Cramer chain, Chernoff
 # ---------------------------------------------------------------------------
@@ -325,8 +342,7 @@ def test_partial_last_batch_is_enumerated(p_lo):
     law = EdgeDistribution.two_point(1, 2, p_lo)
     box = LatticeBox(2, 2)
     ev = EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0)
-    opaque = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (2, 1)) <= 4.0,
-                              decreasing=True, name="T<=4")
+    opaque = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (2, 1)) <= 4.0, "T<=4")
     rows = _predicate(opaque, box, law).rows
     assert rows < 2 ** 11 and 2 ** 12 % rows != 0
     W = _all_configs((1.0, 2.0), box.n_edges)
@@ -387,8 +403,7 @@ def test_event_rate_enumerates_or_falls_back_to_monte_carlo():
 def test_validate_decreasing_flags_an_increasing_event():
     from fpplab.passage_time import restricted_passage_time
 
-    slow = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (1, 1)) >= 3.0,
-                            decreasing=True, name="T>=3")
+    slow = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (1, 1)) >= 3.0, "T>=3")
     assert validate_decreasing(slow, TP, LatticeBox(2, 1), trials=40, seed=4) > 0
 
 
@@ -535,16 +550,16 @@ def test_walk_of_a_large_axis_cell_stays_small_and_fast():
 
 
 def test_a_falsely_decreasing_custom_event_gets_its_exact_probability():
-    # the event of test_validate_decreasing_flags_an_increasing_event, whose
-    # flag says decreasing, and one that is not monotone at all: T = 3 fails
-    # with every edge at 1 and with every edge at 2, so a walk that trusted
-    # the flag would settle it at 0 from the root
+    # the increasing event of test_validate_decreasing_flags_an_increasing_event,
+    # and one that is not monotone at all: T = 3 fails with every edge at 1
+    # and with every edge at 2, so a walk that took a custom event for
+    # decreasing would settle it at 0 from the root
     from fpplab.passage_time import restricted_passage_time
 
     box = LatticeBox(2, 1)
     for cmp, want in ((float.__ge__, Fraction(9, 16)), (float.__eq__, Fraction(1, 2))):
         event = EventSpec.custom(lambda f: cmp(restricted_passage_time(f, (0, 0), (1, 1)), 3.0),
-                                 decreasing=True, name="T vs 3")
+                                 "T vs 3")
         res = exact_event_probability(event, TP, box)
         assert (res.p, res.n_configs, res.n_satisfying) == _brute_force(event, TP, box)
         assert res.p == want
@@ -579,3 +594,23 @@ def test_library_events_reject_non_integer_vertices():
     # integral floats name their vertex
     assert EventSpec.passage_time_at_most((0.0, 0), (2.0, 0), 3).params["y"] == (2, 0)
     assert EventSpec.hub((1.0, 1), 2).params["x"] == (1, 1)
+
+
+def test_passage_event_rejects_nan_threshold():
+    # a NaN t made every comparison false: p = 0, exact and sampled
+    with pytest.raises(ValueError, match="NaN"):
+        EventSpec.passage_time_at_most((0, 0), (1, 1), math.nan)
+
+
+def test_ld_lower_event_rejects_nan_eps():
+    # a NaN eps made the budget test pass everywhere: p = 1
+    metric = NormPlusHighways(weights=[1.5, 1.5], highways=[])
+    with pytest.raises(ValueError, match="NaN"):
+        EventSpec.ld_lower(metric, math.nan)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, 0.0, -1.0])
+def test_hub_event_rejects_non_positive_kappa(kappa):
+    # a NaN kappa got past the compile-time kappa <= 0 check and gave p = 0
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        EventSpec.hub((0, 0), kappa)
