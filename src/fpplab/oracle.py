@@ -20,8 +20,7 @@ import numpy as np
 
 from fpplab._artifacts import jsonable
 from fpplab.geometry import _pair_eval
-from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _edge_arrays, _integral,
-                          sample_weight_rows)
+from fpplab.model import EdgeDistribution, LatticeBox, _edge_arrays, _integral, sample_weight_rows
 from fpplab.passage_time import (_arc_table, _batch_rows, _batched_distances, _hub_budgets,
                                  _hub_times, _pair_ids, _region_mask, _seeded_passage_times)
 
@@ -38,7 +37,6 @@ __all__ = [
     "wilson_interval",
     "LDTrendRow",
     "estimate_event_rate",
-    "validate_decreasing",
     "FKGReport",
     "fkg_supermultiplicativity_check",
     "crude_lower_bound",
@@ -60,13 +58,15 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A weight-field event.
+    """A weight-field event, one of the paper's three kinds.
 
-    ``kind`` is one of ``passage_time_at_most``, ``ld_lower``, ``hub`` or
-    ``custom``.  All built-in kinds are decreasing: raising any edge weight
-    can only destroy the event, never create it.  Their constructors reject
-    a NaN threshold, against which every comparison is false, so the
-    probability would be silently wrong, and a ``kappa`` that is not positive.
+    ``kind`` is ``passage_time_at_most`` (T(0, nx) <= n zeta, which defines
+    J), ``ld_lower`` (the lower-tail event T-hat_n <= D + eps) or ``hub``.
+    Each is decreasing: raising any edge weight can only destroy the event,
+    never create it, which is what lets the exact walk settle a subtree by
+    its bounds.  The constructors reject a NaN threshold, against which every
+    comparison is false, so the probability would be silently wrong, and a
+    ``kappa`` that is not finite and positive.
     """
 
     kind: str
@@ -103,13 +103,9 @@ class EventSpec:
     def hub(cls, x, kappa: float) -> "EventSpec":
         x = tuple(int(c) for c in _integral(x))
         kappa = float(kappa)
-        if not kappa > 0:
-            raise ValueError(f"kappa must be positive, got {kappa}")
+        if not 0 < kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa}")
         return cls(kind="hub", params={"x": x, "kappa": kappa}, name=f"hub({x},kappa={kappa})")
-
-    @classmethod
-    def custom(cls, fn: Callable[[WeightField], bool], name: str) -> "EventSpec":
-        return cls(kind="custom", params={"fn": fn}, name=name)
 
 
 def _not_nan(value, what: str) -> float:
@@ -130,16 +126,13 @@ class _CompiledEvent:
     ``test`` maps a (B, n_edges) block of weight rows with B <= ``rows`` to
     a (B,) boolean array.  ``anchors`` holds the (P, 2, d) end points of the
     segments the event's paths join, which order the edges of the exact walk
-    (:func:`_edge_order`).  ``bounded`` says the test decreases in every
-    weight by construction, so the walk may settle a subtree by its bounds.
-    A custom event is opaque code and never bounded; whether it decreases is
-    for :func:`validate_decreasing` to refute.
+    (:func:`_edge_order`).  The test decreases in every weight, so the walk
+    may settle a subtree by its bounds.
     """
 
     test: Callable[[np.ndarray], np.ndarray]
     rows: int
     anchors: np.ndarray
-    bounded: bool
 
 
 def _live_edges(event: EventSpec, box: LatticeBox) -> np.ndarray:
@@ -151,7 +144,7 @@ def _live_edges(event: EventSpec, box: LatticeBox) -> np.ndarray:
     return np.nonzero(mask[u_flat] & mask[v_flat])[0]
 
 
-def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _CompiledEvent:
+def _predicate(event: EventSpec, box: LatticeBox) -> _CompiledEvent:
     """Compile an event once into a batched test over weight rows."""
     if event.kind == "passage_time_at_most":
         p = event.params
@@ -164,8 +157,7 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
         def test(W):
             return _batched_distances(W, sources, nbr, eid)[:, 0, tid] <= t
 
-        return _CompiledEvent(test, _batch_rows(box, 1),
-                              np.array([(p["x"], p["y"])], dtype=float), True)
+        return _CompiledEvent(test, _batch_rows(box, 1), np.array([(p["x"], p["y"])], dtype=float))
 
     if event.kind == "ld_lower":
         p = event.params
@@ -182,42 +174,23 @@ def _predicate(event: EventSpec, box: LatticeBox, dist: EdgeDistribution) -> _Co
             return ~np.any(dist_arr / n > budget, axis=(1, 2))
 
         centre = np.full(box.dimension, n / 2)
-        return _CompiledEvent(test, _batch_rows(box, len(gids)), np.array([(centre, centre)]),
-                              True)
+        return _CompiledEvent(test, _batch_rows(box, len(gids)), np.array([(centre, centre)]))
 
-    if event.kind == "hub":
-        x = event.params["x"]
-        sid, hop_budget, time_budget = _hub_budgets(box, x, event.params["kappa"])
-
-        def test(W):
-            vals, _ = _hub_times(W, box, sid, hop_budget, time_budget)
-            return np.all(vals <= time_budget, axis=1)
-
-        return _CompiledEvent(test, _batch_rows(box, 1), np.array([(x, x)], dtype=float), True)
-
-    if event.kind != "custom":
+    if event.kind != "hub":
         raise ValueError(f"unknown event kind {event.kind!r}")
-    # a custom event sees a whole field through opaque code: one row at a time
-    # through a shared buffer
-    buf = np.empty(box.n_edges)
-    shared_field = WeightField(box=box, distribution=dist, master_seed=0, weights=buf)
-    fn = event.params["fn"]
+    x = event.params["x"]
+    sid, hop_budget, time_budget = _hub_budgets(box, x, event.params["kappa"])
 
     def test(W):
-        out = np.empty(len(W), dtype=bool)
-        for i, row in enumerate(W):
-            buf[:] = row
-            out[i] = bool(fn(shared_field))
-        return out
+        vals, _ = _hub_times(W, box, sid, hop_budget, time_budget)
+        return np.all(vals <= time_budget, axis=1)
 
-    return _CompiledEvent(test, _batch_rows(box, 1), np.empty((0, 2, box.dimension)), False)
+    return _CompiledEvent(test, _batch_rows(box, 1), np.array([(x, x)], dtype=float))
 
 
 def _edge_order(box: LatticeBox, live: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """The live edges in walk order: by l1 distance from the edge's midpoint
-    to the nearest anchor segment, ties by edge id.  No anchors: id order."""
-    if not len(anchors):
-        return live
+    to the nearest anchor segment, ties by edge id."""
     base, axis, _ = _edge_arrays(box.dimension, box.side)
     mid = base[live] + 0.5 * np.eye(box.dimension)[axis[live]]
     start, step = anchors[:, 0], anchors[:, 1] - anchors[:, 0]
@@ -232,21 +205,20 @@ def _edge_order(box: LatticeBox, live: np.ndarray, anchors: np.ndarray) -> np.nd
 
 
 def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
-               live: np.ndarray) -> tuple[Fraction, int | None]:
+               live: np.ndarray) -> tuple[Fraction, int]:
     """Exact probability of ``event.test`` over every configuration of the
     ``live`` edges; the other edges hold ``values[0]``.
 
     One depth-first factoring walk over the tree of partial configurations.
     A node at depth k fixes the atoms of the first k live edges in
     :func:`_edge_order`.  Its bounds are the outcomes with every free edge
-    at the largest atom and at the smallest.  A bounded event's test
-    decreases in every weight (float addition is monotone, so a float
-    passage time and ``T <= t`` are too), so when both bounds agree, every
-    completion of the node agrees with them: the node is settled.  An
-    unsettled node splits into one child per atom of its next edge; the
-    child with the largest atom keeps its parent's upper bound, the one with
-    the smallest its lower bound.  A leaf (k = m) is one configuration, and
-    the only node an unbounded event tests.
+    at the largest atom and at the smallest.  The event's test decreases in
+    every weight (float addition is monotone, so a float passage time and
+    ``T <= t`` are too), so when both bounds agree, every completion of the
+    node agrees with them: the node is settled.  An unsettled node splits
+    into one child per atom of its next edge; the child with the largest
+    atom keeps its parent's upper bound, the one with the smallest its lower
+    bound.  A leaf (k = m) is one configuration, so its two bounds are one.
 
     Nodes wait on a stack of blocks, one per depth, with the deepest on
     top, and are taken ``event.rows`` at a time, so at most (m + 1) s
@@ -254,11 +226,9 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
     to an integer count of its class: its depth k and the multiplicities of
     its fixed atoms, or k alone when all atoms are equally likely.  Its free
     edges' probabilities sum to 1, so the class probability is the product
-    of its fixed atoms' probabilities; with equally likely atoms the node
-    also stands for s^(m - k) configurations.  Both are exact Python
-    numbers, taken once per class, so no sum overflows however large s^m
-    is.  Returns ``(p, n_satisfying)``; the hit count is ``None`` unless all
-    atoms are equally likely.
+    of its fixed atoms' probabilities, and the node stands for s^(m - k)
+    configurations.  Both are exact Python numbers, taken once per class, so
+    no sum overflows however large s^m is.  Returns ``(p, n_satisfying)``.
     """
     s, m, rows = len(values), len(live), event.rows
     vals = np.asarray(values, dtype=float)
@@ -279,7 +249,7 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
             hi = lo = np.maximum(hi, lo)
             bounds = [(hi, hi_fill)]
         else:
-            bounds = [(hi, hi_fill), (lo, lo_fill)] if event.bounded else []
+            bounds = [(hi, hi_fill), (lo, lo_fill)]
         need = [np.flatnonzero(out < 0) for out, _ in bounds]
         if sum(map(len, need)):
             W = np.concatenate([np.broadcast_to(fill, (len(i), box.n_edges))
@@ -309,14 +279,14 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
     p = sum((c * math.prod(map(pow, probs, mult), start=Fraction(1))
              for (_, mult), c in per_class.items()), Fraction(0))
     count = sum(c * s ** (m - k) for (k, _), c in per_class.items())
-    return p, count if uniform else None
+    return p, count
 
 
 @dataclass(frozen=True)
 class ExactProbability:
     p: Fraction
     n_configs: int
-    n_satisfying: int | None
+    n_satisfying: int
 
     @property
     def numerator(self) -> int:
@@ -345,17 +315,15 @@ def exact_event_probability(
     of weight rows, and walked by :func:`_enumerate`.  That walk fixes the
     edges one at a time, nearest the event's end points first, and settles
     a whole subtree of configurations as soon as the free edges at the
-    largest and at the smallest atom give the same outcome; a custom event
-    is tested on every configuration.  Hits are counted per
-    atom-multiplicity class, so the exact rational is one sum of count
-    times atom-probability product per class.  A passage event holds when
-    the float passage time satisfies ``T <= t``, the rule Monte Carlo
+    largest and at the smallest atom give the same outcome.  Hits are
+    counted per atom-multiplicity class, so the exact rational is one sum of
+    count times atom-probability product per class.  A passage event holds
+    when the float passage time satisfies ``T <= t``, the rule Monte Carlo
     applies too.
 
     ``n_configs`` is the number of configurations of the live edges, s^m,
     tested or settled in a subtree; ``n_satisfying`` counts the hits among
-    them when all atoms are equally likely and
-    is ``None`` otherwise.
+    them, whatever the atoms' probabilities.
     """
     if not dist.is_finite_support:
         raise ValueError("the enumeration oracle needs a finite-support law")
@@ -365,7 +333,7 @@ def exact_event_probability(
     if required > cap:
         raise CapExceededError(required, cap)
 
-    p, count = _enumerate(_predicate(event, box, dist), values, probs, box, live)
+    p, count = _enumerate(_predicate(event, box), values, probs, box, live)
     return ExactProbability(p=p, n_configs=required, n_satisfying=count)
 
 
@@ -406,7 +374,7 @@ def monte_carlo_event_probability(
     rows by :func:`~fpplab.model.sample_weight_rows`.  A passage event goes
     through :func:`~fpplab.passage_time._seeded_passage_times` (block-diagonal
     csgraph, faster than Bellman-Ford on boxes too big to enumerate); every
-    other event through the compiled test of the exact oracle.
+    ``ld_lower`` or hub event through the compiled test of the exact oracle.
     """
     rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
     if event.kind == "passage_time_at_most":
@@ -414,7 +382,7 @@ def monte_carlo_event_probability(
         times = _seeded_passage_times(dist, box, rep_seeds, p["x"], p["y"], p["region"])
         k = int(np.count_nonzero(times <= p["t"]))
     else:
-        compiled = _predicate(event, box, dist)
+        compiled = _predicate(event, box)
         k = 0
         for start in range(0, samples, compiled.rows):
             W = sample_weight_rows(dist, box, rep_seeds[start:start + compiled.rows])
@@ -503,46 +471,15 @@ def estimate_event_rate(
                       censored=censored, samples=samples, hits=mc.successes, seed=seed)
 
 
-def validate_decreasing(
-    event: EventSpec,
-    dist: EdgeDistribution,
-    box: LatticeBox,
-    trials: int = 32,
-    seed: int = 0,
-) -> int:
-    """Count monotone-perturbation violations of a claimed decreasing event.
-
-    Samples a field, bumps one random edge weight upward, and checks the
-    indicator never flips from false to true.  Returns the violation count
-    (zero for genuinely decreasing events).
-    """
-    compiled = _predicate(event, box, dist)
-    rng = np.random.default_rng(seed)
-    sup = dist.support_supremum()
-    violations = 0
-    for start in range(0, trials, compiled.rows):
-        seeds, edges = [], []
-        for _ in range(start, min(start + compiled.rows, trials)):
-            seeds.append(int(rng.integers(0, 2**63)))  # per trial: field seed, then edge
-            edges.append(int(rng.integers(0, box.n_edges)))
-        before = sample_weight_rows(dist, box, seeds)
-        after = before.copy()
-        rows = np.arange(len(seeds))
-        after[rows, edges] = sup if math.isfinite(sup) else before[rows, edges] + 1.0
-        flipped = compiled.test(after) & ~compiled.test(before)
-        violations += int(np.count_nonzero(flipped))
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # supermultiplicativity (in-box surrogate)
 
 
 def _fkg_endpoints(box: LatticeBox, x1, x2) -> tuple[int, int, int]:
-    """Vertex ids of 0, x1 and x1 + x2; ``ValueError`` unless x1 and x1 + x2
-    are vertices of the box.  The step x2 itself may point backwards."""
-    x1 = np.asarray(x1, dtype=np.int64)
-    x2 = np.asarray(x2, dtype=np.int64)
+    """Vertex ids of 0, x1 and x1 + x2; ``ValueError`` unless x1 and x2 are
+    integer vectors and x1 and x1 + x2 are vertices of the box.  The step x2
+    itself may point backwards."""
+    x1, x2 = (_integral(x).astype(np.int64) for x in (x1, x2))
     if x1.shape != x2.shape:
         raise ValueError("x1 and x2 have different lengths")
     x12 = x1 + x2
@@ -597,11 +534,12 @@ def crude_lower_bound(dist: EdgeDistribution, u, v, t: float):
     """nu([a, t]) ** |u - v|_1, a lower bound for P(T(u, v) <= t |u - v|_1).
 
     Exact rational when the law's CDF is rational at t; float otherwise.
-    Requires t >= the support infimum (below it the bound is void).
+    Requires integer vertices u and v and t >= the support infimum (below it
+    the bound is void).
     """
     if t < dist.support_infimum:
         raise ValueError("t must be at least the support infimum")
-    hops = int(np.abs(np.asarray(u, dtype=np.int64) - np.asarray(v, dtype=np.int64)).sum())
+    hops = int(np.abs(_integral(u).astype(np.int64) - _integral(v).astype(np.int64)).sum())
     q = dist.cdf_fraction(t)
     if q is not None:
         return q ** hops

@@ -386,7 +386,7 @@ def rescaled_metric(field: WeightField, points=None) -> RescaledMetric:
         _check_all_pairs(box)
         pts = box.all_vertex_coords()
     else:
-        pts = np.asarray(points, dtype=np.int64)
+        pts = _integral(points).astype(np.int64)
         if pts.ndim == 1:
             pts = pts[None, :]
     ids = box.vertex_id(pts) if pts.ndim == 2 else np.array([box.vertex_id(pts)])
@@ -546,8 +546,7 @@ def disjoint_paths(box: LatticeBox, x, y) -> list[DiscretePath]:
     order (length |x-y|_1).  Works for any distinct pair of box vertices.
     """
     d, n = box.dimension, box.side
-    x0 = np.asarray(x, dtype=np.int64)
-    y0 = np.asarray(y, dtype=np.int64)
+    x0, y0 = (_integral(p).astype(np.int64) for p in (x, y))
     if x0.shape != (d,) or y0.shape != (d,):
         raise ValueError("endpoints must be length-d coordinate vectors")
     if np.any(x0 < 0) or np.any(x0 > n) or np.any(y0 < 0) or np.any(y0 > n):
@@ -622,8 +621,8 @@ class HubReport:
 def _hub_budgets(box: LatticeBox, x, kappa: float) -> tuple[int, np.ndarray, np.ndarray]:
     """Source id, hop budgets 2 |x-y|_1 + 4 and time budgets kappa |x-y|_1 of
     every target y."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     sid = box.vertex_id(x)
     l1 = np.abs(box.all_vertex_coords() - np.asarray(x, dtype=np.int64)[None, :]).sum(axis=1)
     return sid, 2 * l1 + 4, kappa * l1.astype(np.float64)

@@ -137,7 +137,7 @@ def test_mc_hits_agree_across_samplers():
     pt = estimate_rate_point(law, (2, 0), 1.2, 3, samples=90, seed=5, region=region)
     mc = monte_carlo_event_probability(event, law, box, 90, seed=5)
     W = sample_weight_rows(law, box, np.random.SeedSequence(5).generate_state(90, np.uint64))
-    compiled = _predicate(event, box, law)
+    compiled = _predicate(event, box)
     bellman_ford = sum(int(np.count_nonzero(compiled.test(W[i:i + compiled.rows])))
                        for i in range(0, 90, compiled.rows))
     assert 0 < pt.hits == mc.successes == bellman_ford < 90

@@ -201,8 +201,10 @@ def test_edge_id_round_trips_every_edge(d, n):
 
 def test_non_integer_coordinates_are_rejected():
     # truncation used to name another vertex: (2.9, 0) read as (2, 0), and
-    # (0.7, 0)-(1.2, 0) as edge 0; a rescaled metric read (2.5, 1) as (2, 1)
-    from fpplab.passage_time import rescaled_metric, restricted_passage_time
+    # (0.7, 0)-(1.2, 0) as edge 0; a rescaled metric read (2.5, 1) as (2, 1),
+    # stored the point (2, 2.9) as (2, 2), and disjoint paths from (0.5, 0)
+    # started at (0, 0)
+    from fpplab.passage_time import disjoint_paths, rescaled_metric, restricted_passage_time
 
     box = LatticeBox(2, 3)
     for bad in ([2.9, 0], [[1, 1], [2.9, 0]], [np.nan, 0]):
@@ -223,6 +225,13 @@ def test_non_integer_coordinates_are_rejected():
     with pytest.raises(ValueError, match="integers"):
         rm.vertex_value((0, 0), (2.5, 1))
     assert rm.vertex_value((0.0, 0.0), (2.0, 1.0)) == rm.vertex_value((0, 0), (2, 1))
+    with pytest.raises(ValueError, match="integers"):
+        rescaled_metric(field, points=[(0.5, 0), (2, 2.9)])
+    with pytest.raises(ValueError, match="integers"):
+        disjoint_paths(box, (0.5, 0), (2, 2))
+    assert rescaled_metric(field, points=[(0.0, 0), (2, 2.0)]).points.tolist() == [[0, 0], [2, 2]]
+    assert [p.vertices.tolist() for p in disjoint_paths(box, (0.0, 0), (2.0, 2))] == \
+        [p.vertices.tolist() for p in disjoint_paths(box, (0, 0), (2, 2))]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpplab.model import EdgeDistribution, LatticeBox, sample_weights, truncate
+from fpplab.model import EdgeDistribution, LatticeBox, sample_weight_rows, sample_weights, truncate
 from fpplab.oracle import (
     CapExceededError,
     EventSpec,
@@ -20,12 +20,11 @@ from fpplab.oracle import (
     fkg_supermultiplicativity_check,
     iid_sum_lower_tail_rate,
     monte_carlo_event_probability,
-    validate_decreasing,
     wilson_interval,
 )
 from fpplab.geometry import NormPlusHighways
 from fpplab.oracle import _live_edges, _predicate
-from fpplab.passage_time import _BLOCK_VERTICES, _arc_table, _batched_distances
+from fpplab.passage_time import _BLOCK_VERTICES, _arc_table, _batched_distances, hub_check
 from reference import reference_dijkstra
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
@@ -79,7 +78,7 @@ def test_nonuniform_law_exact_probability():
     ev = EventSpec.passage_time_at_most((0, 0), (1, 0), 1.0)
     res = exact_event_probability(ev, skew, box)
     assert res.p == Fraction(1, 3)
-    assert res.n_satisfying is None
+    assert res.n_satisfying == 8  # the edge from (0, 0) to (1, 0) is light
 
 
 def test_cap_exceeded_carries_counts():
@@ -134,10 +133,34 @@ def test_wilson_interval_basics():
         wilson_interval(1, 0)
 
 
+def _test_rows(compiled, W):
+    """The compiled test of every row of W, a batch at a time."""
+    return np.concatenate([compiled.test(W[a:a + compiled.rows])
+                           for a in range(0, len(W), compiled.rows)])
+
+
 def test_threshold_events_are_decreasing():
+    # the factoring walk settles a subtree from its two bounds, which is exact
+    # only because raising an edge weight never creates an event of any kind
+    law = EdgeDistribution.finite_support([1.0, 1.5, 2.0],
+                                          [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
     box = LatticeBox(2, 2)
-    ev = EventSpec.passage_time_at_most((0, 0), (2, 2), 5.0)
-    assert validate_decreasing(ev, TP, box, trials=24, seed=1) == 0
+    W = sample_weight_rows(law, box, np.random.SeedSequence(1).generate_state(64, np.uint64))
+    top = law.atoms()[0][-1]
+    metric = NormPlusHighways(weights=[1.5, 1.5], highways=[])
+    for event in (EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0, region=((0, 2), (0, 1))),
+                  EventSpec.ld_lower(metric, 0.25), EventSpec.hub((1, 1), 1.5)):
+        compiled = _predicate(event, box)
+        before = _test_rows(compiled, W)
+        assert 0 < before.sum() < len(W), event.name
+        destroyed = 0
+        for e in range(box.n_edges):
+            raised = W.copy()
+            raised[:, e] = top
+            after = _test_rows(compiled, raised)
+            assert not np.any(after & ~before), (event.name, e)
+            destroyed += int(np.count_nonzero(before & ~after))
+        assert destroyed > 0, event.name
 
 
 # ---------------------------------------------------------------------------
@@ -314,50 +337,46 @@ def test_three_atom_law_matches_per_configuration_product():
     values, probs = law.atoms()
     box = LatticeBox(2, 1)
     want = {"event": Fraction(0), "lhs": Fraction(0), "f1": Fraction(0), "f2": Fraction(0)}
+    hits = 0
     for combo in itertools.product(range(3), repeat=box.n_edges):
         w = np.array([values[i] for i in combo])
         cp = math.prod((probs[i] for i in combo), start=Fraction(1))
         d0 = reference_dijkstra(box, w, box.vertex_id((0, 0)))
         d1 = reference_dijkstra(box, w, box.vertex_id((1, 0)))
         want["event"] += cp * bool(d0[box.vertex_id((1, 1))] <= 0.7)
+        hits += bool(d0[box.vertex_id((1, 1))] <= 0.7)
         want["lhs"] += cp * bool(d0[box.vertex_id((1, 1))] <= 0.3 + 0.7)
         want["f1"] += cp * bool(d0[box.vertex_id((1, 0))] <= 0.3)
         want["f2"] += cp * bool(d1[box.vertex_id((1, 1))] <= 0.7)
     res = exact_event_probability(EventSpec.passage_time_at_most((0, 0), (1, 1), 0.7),
                                   law, box)
     assert res.p == want["event"]
-    assert res.n_configs == 81 and res.n_satisfying is None
+    assert res.n_configs == 81 and res.n_satisfying == hits
     rep = fkg_supermultiplicativity_check(law, box, (1, 0), (0, 1), 0.3, 0.7)
     assert (rep.lhs, rep.factor_first, rep.factor_second) == (
         want["lhs"], want["f1"], want["f2"])
 
 
 @pytest.mark.parametrize("p_lo", [Fraction(1, 2), Fraction(1, 3)])
-def test_partial_last_batch_is_enumerated(p_lo):
-    # the same event as a custom test, which the walk never settles early: it
-    # tests all 4096 leaves, and its two deepest blocks (2^11 and 2^12 nodes)
-    # exceed a batch, so each is taken in parts, the last one short
-    from fpplab.passage_time import restricted_passage_time
+def test_partial_last_batch_is_enumerated(p_lo, monkeypatch):
+    # three rows a batch: every block of more than three nodes is taken in
+    # parts, the last one often short, and so are the bound tests of a part
+    import fpplab.oracle
 
+    monkeypatch.setattr(fpplab.oracle, "_batch_rows", lambda box, n_sources: 3)
     law = EdgeDistribution.two_point(1, 2, p_lo)
     box = LatticeBox(2, 2)
     ev = EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0)
-    opaque = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (2, 1)) <= 4.0, "T<=4")
-    rows = _predicate(opaque, box, law).rows
-    assert rows < 2 ** 11 and 2 ** 12 % rows != 0
+    assert _predicate(ev, box).rows == 3
     W = _all_configs((1.0, 2.0), box.n_edges)
     target = box.vertex_id((2, 1))
     hits = [reference_dijkstra(box, w, 0)[target] <= 4.0 for w in W]
-    for res in (exact_event_probability(ev, law, box), exact_event_probability(opaque, law, box)):
-        assert res.n_configs == 4096
-        if p_lo == Fraction(1, 2):
-            assert res.n_satisfying == sum(hits)
-            assert res.p == Fraction(sum(hits), 4096)
-        else:
-            assert res.n_satisfying is None
-            want = sum((p_lo ** int((w == 1.0).sum()) * (1 - p_lo) ** int((w == 2.0).sum())
-                        for w, hit in zip(W, hits) if hit), Fraction(0))
-            assert res.p == want
+    res = exact_event_probability(ev, law, box)
+    assert res.n_configs == 4096
+    assert res.n_satisfying == sum(hits)
+    want = sum((p_lo ** int((w == 1.0).sum()) * (1 - p_lo) ** int((w == 2.0).sum())
+                for w, hit in zip(W, hits) if hit), Fraction(0))
+    assert res.p == want
 
 
 def test_region_event_counts_only_live_configurations():
@@ -400,13 +419,6 @@ def test_event_rate_enumerates_or_falls_back_to_monte_carlo():
         estimate_event_rate(ev, TP, box, 2, 10, 0, "fast")
 
 
-def test_validate_decreasing_flags_an_increasing_event():
-    from fpplab.passage_time import restricted_passage_time
-
-    slow = EventSpec.custom(lambda f: restricted_passage_time(f, (0, 0), (1, 1)) >= 3.0, "T>=3")
-    assert validate_decreasing(slow, TP, LatticeBox(2, 1), trials=40, seed=4) > 0
-
-
 def test_hub_event_values_are_pinned():
     # exact Fractions and frozen-seed Monte-Carlo hits of hub events, pinned
     # from the per-field hub check the batched hub test replaced
@@ -428,7 +440,6 @@ def test_hub_event_values_are_pinned():
          9, 151),
     ]:
         assert monte_carlo_event_probability(event, law, box, samples, seed).successes == hits
-    assert validate_decreasing(EventSpec.hub((2, 2), 1.6), TP, LatticeBox(2, 4), 40, 4) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +452,11 @@ def _brute_force(event, law, box):
     of its live edges and adding its exact atom-probability product."""
     values, probs = law.atoms()
     live = _live_edges(event, box)
-    compiled = _predicate(event, box, law)
     idx = np.array(list(itertools.product(range(len(values)), repeat=len(live))),
                    dtype=np.int64).reshape(-1, len(live))
     W = np.full((len(idx), box.n_edges), values[0])
     W[:, live] = np.asarray(values)[idx]
-    hits = np.concatenate([compiled.test(W[a:a + compiled.rows])
-                           for a in range(0, len(W), compiled.rows)])
+    hits = _test_rows(_predicate(event, box), W)
     product = {}
     p = Fraction(0)
     for row in idx[hits]:
@@ -455,8 +464,7 @@ def _brute_force(event, law, box):
         if mult not in product:
             product[mult] = math.prod((q ** c for q, c in zip(probs, mult)), start=Fraction(1))
         p += product[mult]
-    uniform = len(set(probs)) == 1
-    return p, len(idx), int(hits.sum()) if uniform else None
+    return p, len(idx), int(hits.sum())
 
 
 _LAWS = {
@@ -549,22 +557,6 @@ def test_walk_of_a_large_axis_cell_stays_small_and_fast():
     assert peak <= 32 * 2 ** 20
 
 
-def test_a_falsely_decreasing_custom_event_gets_its_exact_probability():
-    # the increasing event of test_validate_decreasing_flags_an_increasing_event,
-    # and one that is not monotone at all: T = 3 fails with every edge at 1
-    # and with every edge at 2, so a walk that took a custom event for
-    # decreasing would settle it at 0 from the root
-    from fpplab.passage_time import restricted_passage_time
-
-    box = LatticeBox(2, 1)
-    for cmp, want in ((float.__ge__, Fraction(9, 16)), (float.__eq__, Fraction(1, 2))):
-        event = EventSpec.custom(lambda f: cmp(restricted_passage_time(f, (0, 0), (1, 1)), 3.0),
-                                 "T vs 3")
-        res = exact_event_probability(event, TP, box)
-        assert (res.p, res.n_configs, res.n_satisfying) == _brute_force(event, TP, box)
-        assert res.p == want
-
-
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("p_lo", [Fraction(1, 2), Fraction(1, 3)])
 def test_axis_cell_beyond_int64_is_the_closed_form(n, p_lo):
@@ -577,10 +569,7 @@ def test_axis_cell_beyond_int64_is_the_closed_form(n, p_lo):
                                   cap=1 << 300)
     assert res.p == p_lo ** n
     assert res.n_configs == 2 ** box.n_edges
-    if p_lo == Fraction(1, 2):
-        assert res.n_satisfying == 2 ** (box.n_edges - n)
-    else:
-        assert res.n_satisfying is None
+    assert res.n_satisfying == 2 ** (box.n_edges - n)
 
 
 def test_library_events_reject_non_integer_vertices():
@@ -591,9 +580,20 @@ def test_library_events_reject_non_integer_vertices():
         EventSpec.passage_time_at_most((0.5, 0), (2, 0), 3)
     with pytest.raises(ValueError, match="integers"):
         EventSpec.hub((0.5, 1), 2)
+    # nor do the FKG check and the crude bound: x1 = (1.5, 0) was checked as
+    # (1, 0) with slack 1/2, and (0.5, 0) bounded as the point (0, 0)
+    with pytest.raises(ValueError, match="integers"):
+        fkg_supermultiplicativity_check(TP, LatticeBox(2, 2), (1.5, 0), (0.5, 0), 1.5, 1.5)
+    with pytest.raises(ValueError, match="integers"):
+        fkg_supermultiplicativity_check(TP, LatticeBox(2, 2), (1, 0), (0.5, 0), 1.5, 1.5)
+    with pytest.raises(ValueError, match="integers"):
+        crude_lower_bound(TP, (0.5, 0), (2, 0), 1.25)
     # integral floats name their vertex
     assert EventSpec.passage_time_at_most((0.0, 0), (2.0, 0), 3).params["y"] == (2, 0)
     assert EventSpec.hub((1.0, 1), 2).params["x"] == (1, 1)
+    assert crude_lower_bound(TP, (0.0, 0), (2.0, 0), 1.25) == Fraction(1, 4)
+    assert fkg_supermultiplicativity_check(TP, LatticeBox(2, 2), (1.0, 0), (1.0, 0), 1.5,
+                                           1.5).slack == Fraction(1, 2)
 
 
 def test_passage_event_rejects_nan_threshold():
@@ -609,8 +609,12 @@ def test_ld_lower_event_rejects_nan_eps():
         EventSpec.ld_lower(metric, math.nan)
 
 
-@pytest.mark.parametrize("kappa", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("kappa", [math.nan, 0.0, -1.0, math.inf])
 def test_hub_event_rejects_non_positive_kappa(kappa):
-    # a NaN kappa got past the compile-time kappa <= 0 check and gave p = 0
+    # a NaN kappa got past the compile-time kappa <= 0 check and gave p = 0;
+    # an infinite one gave the source the budget inf * 0 = nan, and p = 0
     with pytest.raises(ValueError, match="kappa must be positive"):
         EventSpec.hub((0, 0), kappa)
+    field = sample_weights(TP, LatticeBox(2, 2), 0)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        hub_check(field, (1, 1), kappa)

@@ -487,7 +487,7 @@ def test_hub_check_equals_hop_layered_reference(law, d, n):
             event_rows.append(field.weights)
             want_hub.append(rep.is_hub)
     # the compiled hub event tests a block of rows at once, with the same answers
-    test = _predicate(EventSpec.hub((0,) * d, 1.3), box, law).test
+    test = _predicate(EventSpec.hub((0,) * d, 1.3), box).test
     assert test(np.array(event_rows)).tolist() == want_hub
 
 
