@@ -6,8 +6,6 @@ empirical trend table connects the functional to sampled lattice
 frequencies at small n.
 """
 
-import numpy as np
-
 from fpplab.functional import (
     AnalyticRate,
     empirical_ld_trend,
@@ -39,11 +37,10 @@ print(f"\nslowing the highway 0.5 -> 0.7 drops the functional "
 
 dist = EdgeDistribution.two_point(1.0, 2.0, 0.5)
 table = empirical_ld_trend(
-    lambda x, y: 0.9 * np.abs(np.asarray(x) - np.asarray(y)).sum(),
+    NormPlusHighways([0.9, 0.9], []),
     dist,
     eps=2.0,
     n_ladder=(1, 2),
-    dim=2,
     samples=400,
     seed=0,
 )

@@ -455,14 +455,14 @@ class LDTrendTable:
 
 
 def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
-                       n_ladder: Sequence[int], dim: int | None = None,
-                       samples: int = 200, seed: int = 0,
+                       n_ladder: Sequence[int], samples: int = 200, seed: int = 0,
                        method: str = "auto", enum_cap: int = 1 << 13,
                        functional_value: float | None = None) -> LDTrendTable:
     """Probability that the rescaled box metric sits below ``D + eps``.
 
-    Per ladder rung the event "every vertex pair of the box satisfies
-    T-hat_n(x, y) <= D(x, y) + eps" is measured by
+    ``D`` is a metric with ``dim`` and ``evaluate_many(X, Y)``; each rung's
+    box has its dimension.  Per ladder rung the event "every vertex pair of
+    the box satisfies T-hat_n(x, y) <= D(x, y) + eps" is measured by
     :func:`~fpplab.oracle.estimate_event_rate`: exactly when the law has
     finite support and the configuration space fits under ``enum_cap``,
     and by Monte Carlo from the rung's sub-seed otherwise.  Exact rows
@@ -472,16 +472,12 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if dim is None:
-        if not hasattr(D, "dim"):
-            raise ValueError("pass dim explicitly for a bare metric callable")
-        dim = int(D.dim)
     rungs = [int(n) for n in n_ladder]
     root = np.random.SeedSequence(seed)
     rows = []
     for n, seq in zip(rungs, root.spawn(max(len(rungs), 1))):
         row = estimate_event_rate(EventSpec.ld_lower(D, eps), dist,
-                                  LatticeBox(dimension=dim, side=n), n, samples,
+                                  LatticeBox(dimension=D.dim, side=n), n, samples,
                                   int(seq.generate_state(1)[0]), method, enum_cap)
         rows.append(row if row.p_exact is None else replace(row, seed=seed))
     return LDTrendTable(rows=rows, eps=float(eps),

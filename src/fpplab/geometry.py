@@ -575,15 +575,16 @@ class GridPseudometric:
         self.dim = int(dim)
 
     @classmethod
-    def from_function(cls, metric, m: int, dim: int) -> "GridPseudometric":
-        """Tabulate ``metric`` (see :func:`_pair_eval`) on the grid nodes, all
-        pairs above the diagonal in one batch."""
+    def from_function(cls, metric, m: int) -> "GridPseudometric":
+        """Tabulate ``metric`` (its ``dim`` and ``evaluate_many``) on the grid
+        nodes, all pairs above the diagonal in one batch."""
+        dim = metric.dim
         n = (m + 1) ** dim
         grid = cls(np.zeros((n, n)), m, dim)
         coords = np.stack(np.meshgrid(*([np.arange(m + 1)] * dim), indexing="ij"), axis=-1)
         nodes = coords.reshape(-1, dim) / m
         i, j = np.triu_indices(n, 1)
-        grid.values[i, j] = grid.values[j, i] = _pair_eval(metric)(nodes[i], nodes[j])
+        grid.values[i, j] = grid.values[j, i] = metric.evaluate_many(nodes[i], nodes[j])
         return grid
 
     def _corners(self, Z: np.ndarray):
@@ -625,19 +626,6 @@ def _point_rows(X, Y, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != dim:
         raise GeometryError(f"points must be two arrays of shape (B, {dim})")
     return X, Y
-
-
-def _pair_eval(metric) -> Callable:
-    """``(X, Y) -> distances`` between the rows of two point arrays.
-
-    A metric object answers with its own ``evaluate_many``; a bare
-    ``(x, y) -> float`` callable is called once per pair.
-    """
-    if hasattr(metric, "evaluate_many"):
-        return metric.evaluate_many
-    if callable(metric):
-        return lambda X, Y: np.array([float(metric(a, b)) for a, b in zip(X, Y)])
-    raise TypeError("metric must expose evaluate_many(X, Y) or be a callable (x, y)")
 
 
 # ---------------------------------------------------------------------------
@@ -791,36 +779,35 @@ class HWChain:
         return np.minimum(best, route.reshape(B, -1).min(axis=1))
 
 
-def hw_insert(chain: HWChain, paths: Sequence[LipschitzPath], target) -> HWChain:
+def hw_insert(chain: HWChain, paths: Sequence[LipschitzPath], target: NormPlusHighways) -> HWChain:
     """One step of the insertion recursion: the curves of one geodesic (the
     pieces its cut left) join the pool as rides, in one pool build.
 
-    ``target`` supplies the distances along each curve, tabulated at its
-    vertices.  A curve must be a target geodesic whose cost is linear on each
-    piece.  A :class:`NormPlusHighways` target first refines a curve at its
+    The :class:`NormPlusHighways` ``target`` supplies the distances along
+    each curve, tabulated at its vertices.  A curve must be a target geodesic
+    whose cost is linear on each piece, so it is first refined at its
     transfer parameters to the target's highways, where alone that cost can
-    bend; a bare callable's curve is taken as given.  Every curve is checked
-    for two necessary conditions before the pool is built, raising
-    :class:`GeodesyError`: the increments add up to the direct target
-    distance between its endpoints, and each piece's midpoint splits its
-    increment in half.  No curves give back ``chain`` itself.
+    bend.  Every curve is checked for two necessary conditions before the
+    pool is built, raising :class:`GeodesyError`: the increments add up to
+    the direct target distance between its endpoints, and each piece's
+    midpoint splits its increment in half.  No curves give back ``chain``
+    itself.
     """
     rides = []
     for path in paths:
-        if isinstance(target, NormPlusHighways):
-            # the target's cost along the curve bends only at its transfer
-            # parameters to the highways; one within _MIN_PIECE_LENGTH of a
-            # vertex, or of a smaller one, is taken for that point's rounding
-            extra = np.unique(np.concatenate([np.empty(0), *(
-                _transfer_params(path.points, path.cum, b.pts) for b in target.chain.blocks)]))
-            extra = extra[np.diff(extra, prepend=-np.inf) > _MIN_PIECE_LENGTH]
-            extra = extra[np.abs(extra[:, None] - path.cum).min(axis=1) > _MIN_PIECE_LENGTH]
-            path = LipschitzPath(path.point_at(np.union1d(path.cum, extra)))
+        # the target's cost along the curve bends only at its transfer
+        # parameters to the highways; one within _MIN_PIECE_LENGTH of a
+        # vertex, or of a smaller one, is taken for that point's rounding
+        extra = np.unique(np.concatenate([np.empty(0), *(
+            _transfer_params(path.points, path.cum, b.pts) for b in target.chain.blocks)]))
+        extra = extra[np.diff(extra, prepend=-np.inf) > _MIN_PIECE_LENGTH]
+        extra = extra[np.abs(extra[:, None] - path.cum).min(axis=1) > _MIN_PIECE_LENGTH]
+        path = LipschitzPath(path.point_at(np.union1d(path.cum, extra)))
         pts = path.points
         n = path.n_pieces
         # per piece its increment and its first half, then the chord, in one batch
-        vals = _pair_eval(target)(np.concatenate([pts[:-1], pts[:-1], pts[:1]]),
-                                  np.concatenate([pts[1:], 0.5 * (pts[:-1] + pts[1:]), pts[-1:]]))
+        vals = target.evaluate_many(np.concatenate([pts[:-1], pts[:-1], pts[:1]]),
+                                    np.concatenate([pts[1:], 0.5 * (pts[:-1] + pts[1:]), pts[-1:]]))
         incs, halves, direct = vals[:n], vals[n:2 * n], float(vals[-1])
         cum = np.concatenate([[0.0], np.cumsum(incs)])
         if abs(cum[-1] - direct) > _GEODESY_TOL * (1.0 + abs(direct)):
@@ -954,12 +941,11 @@ def d_length(metric, path: LipschitzPath, max_depth: int = 12) -> float:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    ev_many = _pair_eval(metric)
 
     def chain_sum(params):
         pts = path.point_at(params)
         # summed left to right, as the chain is walked
-        return float(sum(ev_many(pts[:-1], pts[1:]).tolist()))
+        return float(sum(metric.evaluate_many(pts[:-1], pts[1:]).tolist()))
 
     params = np.asarray(path.cum, dtype=float)
     val = chain_sum(params)
@@ -1002,7 +988,7 @@ def metric_derivative(metric, path: LipschitzPath, t: float) -> MetricDerivative
     # the symmetric ladder, then the two one-sided quotients at the last step
     lo = path.point_at(np.append(t - hs, [t - h, t]))
     hi = path.point_at(np.append(t + hs, [t, t + h]))
-    vals = _pair_eval(metric)(lo, hi)
+    vals = metric.evaluate_many(lo, hi)
     qs = (vals[:levels] / (2.0 * hs)).tolist()
     q_minus, q_plus = (vals[levels:] / h).tolist()
     rich = [2.0 * qs[j + 1] - qs[j] for j in range(len(qs) - 1)]
@@ -1086,7 +1072,7 @@ def gradient_by_paths(metric, z, u) -> GradientEstimate:
     inside = np.all((W >= 0.0) & (W <= 1.0), axis=1)
     if not inside.any():
         raise GeometryError("no probe step keeps z + h u inside the cube")
-    vals = _pair_eval(metric)(np.broadcast_to(z, W[inside].shape), W[inside])
+    vals = metric.evaluate_many(np.broadcast_to(z, W[inside].shape), W[inside])
     return GradientEstimate(value=float(np.min(vals / _PROBE_STEPS[inside])), kind="upper-bound")
 
 

@@ -38,10 +38,16 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("probability must be finite")
-        return Fraction(x)
+        return Fraction(_finite(x, "probability"))
     raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
+
+
+def _finite(x, what: str) -> float:
+    """``x`` as a float; ``ValueError`` unless it is finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class EdgeDistribution:
 
     @classmethod
     def deterministic(cls, c: float) -> "EdgeDistribution":
-        c = float(c)
+        c = _finite(c, "c")
         if c < 0:
             raise ValueError("edge weights must be nonnegative")
         return cls("deterministic", ((c,), (Fraction(1),)), c)
@@ -74,7 +80,7 @@ class EdgeDistribution:
         ``p_lo`` may be a :class:`~fractions.Fraction` for exact decimal
         probabilities; floats are taken at their exact binary value.
         """
-        lo, hi = float(lo), float(hi)
+        lo, hi = _finite(lo, "lo"), _finite(hi, "hi")
         if lo < 0:
             raise ValueError("edge weights must be nonnegative")
         if not lo < hi:
@@ -86,7 +92,7 @@ class EdgeDistribution:
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "EdgeDistribution":
-        a, b = float(a), float(b)
+        a, b = _finite(a, "a"), _finite(b, "b")
         if a < 0:
             raise ValueError("edge weights must be nonnegative")
         if not a < b:
@@ -95,7 +101,7 @@ class EdgeDistribution:
 
     @classmethod
     def exponential(cls, rate: float, shift: float = 0.0) -> "EdgeDistribution":
-        rate, shift = float(rate), float(shift)
+        rate, shift = _finite(rate, "rate"), _finite(shift, "shift")
         if rate <= 0:
             raise ValueError("rate must be positive")
         if shift < 0:
@@ -104,7 +110,7 @@ class EdgeDistribution:
 
     @classmethod
     def finite_support(cls, values: Sequence[float], probs: Sequence) -> "EdgeDistribution":
-        vals = [float(v) for v in values]
+        vals = [_finite(v, "values") for v in values]
         ps = [_as_fraction(p) for p in probs]
         if len(vals) != len(ps) or not vals:
             raise ValueError("values and probs must be equal-length and nonempty")
@@ -365,8 +371,11 @@ def truncate(dist: EdgeDistribution, b: float) -> EdgeDistribution:
 
     Finite-support laws stay finite-support with merged atoms; continuous
     laws become a mixed law with an atom at ``b`` carried by a wrapper kind.
+    ``b = inf`` leaves the law as it is, since min(tau, inf) = tau.
     """
     b = float(b)
+    if math.isnan(b):
+        raise ValueError("truncation level must be a number, got NaN")
     if b < dist.support_infimum:
         raise ValueError(
             f"truncation level {b} lies below the support infimum {dist.support_infimum}"

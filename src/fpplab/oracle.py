@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from fpplab._artifacts import jsonable
-from fpplab.geometry import _pair_eval
 from fpplab.model import EdgeDistribution, LatticeBox, _edge_arrays, _integral, sample_weight_rows
 from fpplab.passage_time import (_arc_table, _batch_rows, _batched_distances, _hub_budgets,
                                  _hub_times, _pair_ids, _region_mask, _seeded_passage_times)
@@ -92,8 +91,8 @@ class EventSpec:
     def ld_lower(cls, metric, eps: float) -> "EventSpec":
         """All vertex pairs of the box satisfy T-hat(x, y) <= D(x, y) + eps.
 
-        ``metric`` is D: an object with ``evaluate_many(X, Y)`` or a bare
-        ``(x, y) -> float`` callable.
+        ``metric`` is D, read at the rescaled vertices through its
+        ``evaluate_many(X, Y)``.
         """
         eps = _not_nan(eps, "eps")
         return cls(kind="ld_lower", params={"metric": metric, "eps": eps},
@@ -165,7 +164,7 @@ def _predicate(event: EventSpec, box: LatticeBox) -> _CompiledEvent:
         grid = np.asarray(box.all_vertex_coords(), dtype=np.int64)
         gids = np.atleast_1d(box.vertex_id(grid))
         i, j = np.divmod(np.arange(len(grid) ** 2), len(grid))
-        D = _pair_eval(p["metric"])(grid[i] / n, grid[j] / n).reshape(len(grid), len(grid))
+        D = p["metric"].evaluate_many(grid[i] / n, grid[j] / n).reshape(len(grid), len(grid))
         budget = D + p["eps"]
         nbr, eid = _arc_table(box, None)
 
@@ -343,8 +342,8 @@ def exact_event_probability(
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        raise ValueError("need at least one sample")
+    if n < 1 or not 0 <= k <= n:
+        raise ValueError(f"need at least one sample and k in 0..n, got k={k}, n={n}")
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -537,7 +536,7 @@ def crude_lower_bound(dist: EdgeDistribution, u, v, t: float):
     Requires integer vertices u and v and t >= the support infimum (below it
     the bound is void).
     """
-    if t < dist.support_infimum:
+    if _not_nan(t, "t") < dist.support_infimum:
         raise ValueError("t must be at least the support infimum")
     hops = int(np.abs(_integral(u).astype(np.int64) - _integral(v).astype(np.int64)).sum())
     q = dist.cdf_fraction(t)
@@ -554,6 +553,9 @@ def iid_sum_lower_tail_rate(dist: EdgeDistribution, zeta: float, n: int) -> floa
     """
     if not dist.is_finite_support:
         raise ValueError("exact lower-tail sums need a finite-support law")
+    zeta = _not_nan(zeta, "zeta")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     values, probs = dist.atoms()
     # dynamic programming over exact (value, probability) pairs
     layer: dict[float, Fraction] = {0.0: Fraction(1)}
@@ -579,7 +581,7 @@ def cramer_rate(dist: EdgeDistribution, zeta: float) -> float:
     """
     from scipy.optimize import minimize_scalar  # slow to import; no CLI command needs it
     a = dist.support_infimum
-    if zeta < a:
+    if _not_nan(zeta, "zeta") < a:
         return math.inf
     mean = dist.mean()
     if zeta >= mean:
@@ -610,10 +612,10 @@ def chernoff_upper_tail(dist: EdgeDistribution, lam: float, eps: float, n: int, 
     """Chernoff bound exp(-lam eps n) E[exp(lam tau)]^hops for the upper tail
     of the passage time: any fixed path with the given hop count witnesses
     P(T >= eps n) <= P(path sum >= eps n) <= this bound."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     log_bound = -lam * eps * n + hops * dist.log_mgf(lam)
     return math.exp(min(log_bound, 700.0))
 
@@ -625,6 +627,8 @@ def chernoff_best_lambda(
     hops: int,
 ) -> tuple[float, float]:
     """Chernoff bound minimised over ``_CHERNOFF_LAMBDAS``; returns (best lam, best bound)."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     best_lam, best_bound = None, math.inf
     for lam in _CHERNOFF_LAMBDAS:
         try:

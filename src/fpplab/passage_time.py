@@ -416,17 +416,17 @@ class ContinuousMetric:
 
     def __init__(self, field: WeightField, b: float):
         self.b = float(b)
-        if self.b <= 0:
-            raise ValueError("truncation level b must be positive")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"truncation level b must be positive and finite, got {b}")
         self.field = field.truncated(self.b)
         box = field.box
         self.box = box
         self.n = box.side
-        self.d = box.dimension
+        self.dim = box.dimension
         self.coords = box.all_vertex_coords().astype(np.float64)
         # wplus[a, u] / wminus[a, u]: weight of the edge from u to u + e_a /
         # u - e_a, inf where it leaves the box (the padding edge)
-        _, eid = _neighbours(self.d, self.n)
+        _, eid = _neighbours(self.dim, self.n)
         padded = np.append(self.field.weights, math.inf)
         self.wplus, self.wminus = padded[eid[:, 0::2].T], padded[eid[:, 1::2].T]
 
@@ -442,7 +442,7 @@ class ContinuousMetric:
         absd = np.abs(delta)
         s1 = absd.sum(axis=-1)
         best = self.b * s1  # entry at the vertex itself
-        for axis in range(self.d):
+        for axis in range(self.dim):
             base_wo = s1 - absd[..., axis]
             da = delta[..., axis]
             wplus, wminus = self.wplus[axis], self.wminus[axis]
@@ -471,8 +471,8 @@ class ContinuousMetric:
         """
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
-        if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.d:
-            raise ValueError(f"points must be two arrays of shape (B, {self.d})")
+        if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
+            raise ValueError(f"points must be two arrays of shape (B, {self.dim})")
         if np.any(X < 0) or np.any(X > 1) or np.any(Y < 0) or np.any(Y > 1):
             raise ValueError("points must lie in [0, 1]^d")
         X, Y = self.n * X, self.n * Y
@@ -521,13 +521,13 @@ def uniform_gap(field: WeightField, b: float, seed: int = 0) -> GapReport:
     pts.extend(rng.uniform(0, 1, size=(6, d)))
     eval_points = np.clip(np.asarray(pts), 0.0, 1.0)
 
-    tf = field.truncated(b)
+    cm = ContinuousMetric(field, b)
     floors = np.minimum(np.floor(eval_points * n).astype(np.int64), n)
     ids = np.atleast_1d(box.vertex_id(floors))
-    disc = _solve(tf, ids)[0][:, ids] / n
+    disc = _solve(cm.field, ids)[0][:, ids] / n
 
     i, j = np.triu_indices(len(eval_points), 1)
-    tv = ContinuousMetric(field, b).evaluate_many(eval_points[i], eval_points[j])
+    tv = cm.evaluate_many(eval_points[i], eval_points[j])
     worst = max([0.0] + np.abs(disc[i, j] - tv).tolist())
     bound = 2.0 * b * d / n
     return GapReport(gap=worst, bound=bound, n_pairs=len(i), within_bound=worst <= bound + 1e-12)

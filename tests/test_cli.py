@@ -366,6 +366,24 @@ def test_commands_do_not_import_scipy_optimize_or_stats():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_lattice_commands_do_not_import_geometry():
+    """simulate, oracle and rate read no continuum metric, so neither the
+    highway geometry nor its exact segment arithmetic is loaded."""
+    code = (
+        "import sys, tempfile\n"
+        "from fpplab.cli import main\n"
+        "for cmd in ('simulate', 'oracle', 'rate'):\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        assert main([cmd, '-o', out]) == 0, cmd\n"
+        "print(sorted(m for m in ('fpplab.geometry', 'fpplab._segments') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fpplab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_every_command_has_a_schema_and_default():
     assert set(SCHEMAS) == set(DEFAULT_CONFIGS)
     for cmd, schema in SCHEMAS.items():

@@ -57,8 +57,7 @@ def highway_family(D):
     return PathFamily([path for path, _, _ in D.chain.rides])
 
 
-def l1_metric(x, y):
-    return float(np.abs(np.asarray(x) - np.asarray(y)).sum())
+l1_metric = NormPlusHighways([1.0, 1.0], [])
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +384,11 @@ def test_probe_rejects_wrong_order():
 # ---------------------------------------------------------------------------
 
 
-def scaled_l1(x, y):
-    return 0.9 * l1_metric(x, y)
+scaled_l1 = NormPlusHighways([0.9, 0.9], [])
 
 
 def test_ld_trend_impossible_event_has_infinite_rate():
-    tab = empirical_ld_trend(scaled_l1, TP, 0.05, [1], dim=2)
+    tab = empirical_ld_trend(scaled_l1, TP, 0.05, [1])
     row = tab.rows[0]
     assert row.method == "exact-oracle"
     assert row.p_exact == 0
@@ -402,14 +400,14 @@ def test_ld_trend_impossible_event_has_infinite_rate():
 
 
 def test_ld_trend_sure_event_has_zero_rate():
-    tab = empirical_ld_trend(l1_metric, TP, 2.0, [1], dim=2)
+    tab = empirical_ld_trend(l1_metric, TP, 2.0, [1])
     row = tab.rows[0]
     assert row.p_exact == 1
     assert row.rate == 0.0
 
 
 def test_ld_trend_exact_ladder_values():
-    tab = empirical_ld_trend(scaled_l1, TP, 2.0, [1, 2], dim=2)
+    tab = empirical_ld_trend(scaled_l1, TP, 2.0, [1, 2])
     assert [r.p_exact for r in tab.rows] == [Fraction(15, 16), Fraction(4095, 4096)]
     for r in tab.rows:
         assert r.rate == pytest.approx(-math.log(float(r.p_exact)) / r.n)
@@ -418,14 +416,14 @@ def test_ld_trend_exact_ladder_values():
 def test_ld_trend_probability_monotone_in_eps():
     ps = []
     for eps in (0.05, 0.5, 2.0):
-        tab = empirical_ld_trend(scaled_l1, TP, eps, [2], dim=2)
+        tab = empirical_ld_trend(scaled_l1, TP, eps, [2])
         ps.append(tab.rows[0].p_exact)
     assert ps[0] <= ps[1] <= ps[2]
     assert ps[0] == 0 and ps[2] == Fraction(4095, 4096)
 
 
 def test_ld_trend_mc_censored_row():
-    tab = empirical_ld_trend(scaled_l1, TP, 0.05, [1], dim=2,
+    tab = empirical_ld_trend(scaled_l1, TP, 0.05, [1],
                              method="mc", samples=50, seed=4)
     row = tab.rows[0]
     assert row.method == "monte-carlo"
@@ -437,7 +435,7 @@ def test_ld_trend_mc_censored_row():
 
 
 def test_ld_trend_mc_regular_row():
-    tab = empirical_ld_trend(scaled_l1, TP, 2.0, [2], dim=2,
+    tab = empirical_ld_trend(scaled_l1, TP, 2.0, [2],
                              method="mc", samples=60, seed=9)
     row = tab.rows[0]
     assert not row.censored
@@ -446,7 +444,7 @@ def test_ld_trend_mc_regular_row():
 
 
 def test_ld_trend_table_json_is_qualitative():
-    tab = empirical_ld_trend(scaled_l1, TP, 2.0, [1], dim=2, functional_value=0.35)
+    tab = empirical_ld_trend(scaled_l1, TP, 2.0, [1], functional_value=0.35)
     j = tab.to_json()
     assert j["functional_value"] == 0.35
     assert "qualitative" in j["comparison"]
@@ -457,7 +455,5 @@ def test_ld_trend_metric_object_supplies_dim():
     D = diag_metric()
     tab = empirical_ld_trend(D, TP, 2.0, [1])
     assert tab.rows[0].n == 1
-    with pytest.raises(ValueError):
-        empirical_ld_trend(l1_metric, TP, 2.0, [1])  # bare callable, no dim
     with pytest.raises(ValueError):
         empirical_ld_trend(D, TP, -0.1, [1])

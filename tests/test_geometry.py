@@ -491,11 +491,14 @@ def test_evaluate_many_equals_per_pair_evaluate(make):
 
 def test_grid_evaluate_many_rows_equal_rows_alone():
     D = piecewise_metric()
-    G = GridPseudometric.from_function(D, m=5, dim=2)
+    G = GridPseudometric.from_function(D, m=5)
     # the batched table equals the one tabulated pair by pair
-    assert np.array_equal(G.values, GridPseudometric.from_function(D.evaluate, m=5, dim=2).values)
-    rng = np.random.default_rng(17)
     nodes = np.array(list(np.ndindex(6, 6))) / 5.0
+    table = np.zeros((36, 36))
+    for i, j in zip(*np.triu_indices(36, 1)):
+        table[i, j] = table[j, i] = D.evaluate(nodes[i], nodes[j])
+    assert np.array_equal(G.values, table)
+    rng = np.random.default_rng(17)
     X = np.concatenate([nodes, rng.random((200, 2)), nodes[:7]])
     Y = np.concatenate([nodes[::-1], rng.random((200, 2)), rng.random((7, 2))])
     got = G.evaluate_many(X, Y)
@@ -643,7 +646,7 @@ def test_bent_highways_make_a_metric(dim, seed):
 
 def test_grid_pseudometric_contract():
     D = diag_metric()
-    G = GridPseudometric.from_function(D.evaluate, m=4, dim=2)
+    G = GridPseudometric.from_function(D, m=4)
     # exact at grid nodes
     assert G.evaluate((0, 0), (1, 1)) == D.evaluate((0, 0), (1, 1))
     assert G.evaluate((0.25, 0.5), (0.75, 0.25)) == pytest.approx(
@@ -664,7 +667,7 @@ def test_grid_pseudometric_needs_a_cell(m):
     with pytest.raises(GeometryError, match="m >= 1"):
         GridPseudometric(np.zeros((1, 1)), m, 2)
     with pytest.raises(GeometryError, match="m >= 1"):
-        GridPseudometric.from_function(lambda x, y: 0.0, m, 2)
+        GridPseudometric.from_function(NormPlusHighways([1.0, 1.0], []), m)
 
 
 # ---------------------------------------------------------------------------
@@ -779,17 +782,20 @@ def test_network_build_closes_one_pool_per_geodesic(monkeypatch):
     assert hw_insert(pools[-1], [], D) is pools[-1]
 
 
-def test_hw_insert_needs_cost_linear_on_each_piece():
+def test_hw_insert_needs_cost_linear_on_each_piece(monkeypatch):
     """Fixture 2's highway changes discount at x = 1/2: inserted as one bare
-    segment under a bare callable its cost is not linear, split there it is,
-    and the pool then reads the metric.  A NormPlusHighways target splits a
-    bare segment itself, at its transfer parameters, also over a symmetric
-    profile, whose midpoint reads half the increment though the cost bends
-    twice."""
+    segment left unrefined its cost is not linear, split there it is, and
+    the pool then reads the metric.  hw_insert splits a bare segment itself,
+    at its transfer parameters, also over a symmetric profile, whose
+    midpoint reads half the increment though the cost bends twice."""
+    from fpplab import geometry
+
     D = piecewise_metric()
     chain = HWChain(D.weights)
-    with pytest.raises(GeodesyError, match="not linear on piece 0"):
-        hw_insert(chain, [LipschitzPath([[0, 0], [1, 0]])], D.evaluate)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_transfer_params", lambda *a: np.empty(0))
+        with pytest.raises(GeodesyError, match="not linear on piece 0"):
+            hw_insert(chain, [LipschitzPath([[0, 0], [1, 0]])], D)
     symmetric = NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [0.75, 0]]),
                                                [[0.25, 0.5], [0.5, 0.8], [0.75, 0.5]])])
     rng = np.random.default_rng(8)
@@ -910,7 +916,7 @@ def test_gradient_along_a_two_piece_profile():
 
 def test_gradient_generic_metric_upper_bound():
     D = diag_metric()
-    G = GridPseudometric.from_function(D.evaluate, m=8, dim=2)
+    G = GridPseudometric.from_function(D, m=8)
     est = gradient_by_paths(G, (0.25, 0.25), (1, 1))
     assert est.kind == "upper-bound"
     assert est.value <= 2.0 + 1e-9

@@ -65,6 +65,36 @@ def test_truncation_caps_support():
                           np.minimum(tp.sample_from_uniforms(u), 2.0))
 
 
+@pytest.mark.parametrize("kind, args, what", [
+    ("deterministic", (math.inf,), "c"),
+    ("deterministic", (math.nan,), "c"),
+    ("two_point", (1.0, math.inf, Fraction(1, 2)), "hi"),
+    ("two_point", (math.nan, 2.0, Fraction(1, 2)), "lo"),
+    ("uniform", (0.0, math.inf), "b"),
+    ("uniform", (math.nan, 1.0), "a"),
+    ("exponential", (math.nan,), "rate"),
+    ("exponential", (math.inf,), "rate"),
+    ("exponential", (1.0, math.inf), "shift"),
+    ("finite_support", ([math.nan, 1.0], [Fraction(1, 2)] * 2), "values"),
+    ("finite_support", ([1.0, math.inf], [Fraction(1, 2)] * 2), "values"),
+])
+def test_laws_reject_non_finite_parameters(kind, args, what):
+    # an infinite weight made a connected pair's passage time inf, and a NaN
+    # one sampled NaN weights or sorted a NaN atom into the table
+    with pytest.raises(ValueError, match=f"{what} must be finite"):
+        getattr(EdgeDistribution, kind)(*args)
+
+
+@pytest.mark.parametrize("law", [EdgeDistribution.two_point(1, 2, Fraction(1, 2)),
+                                 EdgeDistribution.exponential(1.0)],
+                         ids=["two_point", "exponential"])
+def test_truncate_rejects_nan_and_keeps_the_law_at_inf(law):
+    # a NaN level returned the law, or built one capped at NaN; min(tau, inf) = tau
+    with pytest.raises(ValueError, match="NaN"):
+        truncate(law, math.nan)
+    assert truncate(law, math.inf) is law
+
+
 def test_two_point_log_mgf_closed_form():
     tp = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
     lam = 0.7

@@ -275,6 +275,31 @@ def test_chernoff_formula_and_optimum():
         chernoff_upper_tail(TP, -0.1, eps, n, hops)
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: crude_lower_bound(TP, (0, 0), (2, 0), math.nan), "t must",
+                 id="crude-nan-t"),
+    pytest.param(lambda: cramer_rate(TP, math.nan), "zeta must", id="cramer-nan-zeta"),
+    pytest.param(lambda: iid_sum_lower_tail_rate(TP, math.nan, 3), "zeta must",
+                 id="iid-nan-zeta"),
+    pytest.param(lambda: iid_sum_lower_tail_rate(TP, 1.5, 0), "n must", id="iid-zero-n"),
+    pytest.param(lambda: chernoff_upper_tail(TP, math.nan, 1.8, 4, 4), "lam must",
+                 id="chernoff-nan-lam"),
+    pytest.param(lambda: chernoff_upper_tail(TP, math.inf, 1.8, 4, 4), "lam must",
+                 id="chernoff-inf-lam"),
+    pytest.param(lambda: chernoff_upper_tail(TP, 0.8, math.nan, 4, 4), "eps must",
+                 id="chernoff-nan-eps"),
+    pytest.param(lambda: chernoff_best_lambda(TP, 0.0, 4, 4), "eps must",
+                 id="best-lambda-zero-eps"),
+    pytest.param(lambda: wilson_interval(5, 3), "k in 0..n", id="wilson-k-above-n"),
+    pytest.param(lambda: wilson_interval(-1, 3), "k in 0..n", id="wilson-negative-k"),
+])
+def test_analytic_bounds_reject_bad_arguments(call, match):
+    # each returned 0, inf or nan, or failed in arithmetic, or blamed the
+    # wrong argument: a diverging mgf for an eps of zero
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_chernoff_best_lambda_of_a_truncated_exponential():
     # the law is bounded, so lam above the base rate 1 gives finite bounds
     law = truncate(EdgeDistribution.exponential(1.0), 2.0)

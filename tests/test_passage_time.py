@@ -371,6 +371,17 @@ def test_uniform_gap_within_truncation_bound(d, n, b):
     assert rep.n_pairs > 0
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, 0.0, -1.0])
+def test_continuous_metric_needs_a_finite_positive_level(b):
+    # a NaN level gave a gap of 0.0 against a NaN bound; an infinite one met
+    # the zero distances of the access costs as inf * 0
+    field = sample_weights(EdgeDistribution.two_point(1, 2, Fraction(1, 2)), LatticeBox(2, 2), 0)
+    with pytest.raises(ValueError, match="truncation level b must be positive and finite"):
+        ContinuousMetric(field, b)
+    with pytest.raises(ValueError, match="truncation level b must be positive and finite"):
+        uniform_gap(field, b)
+
+
 # ---------------------------------------------------------------------------
 # disjoint paths
 # ---------------------------------------------------------------------------
