@@ -9,7 +9,8 @@ rerun with the same manifest produces byte-identical artifacts.
 Exit codes: 0 success, 1 invariant failure (or any uncaught error),
 2 an unreadable config file (missing, not JSON, or holding a number that is
 not finite), a config schema violation or a config value the model rejects,
-3 enumeration budget exceeded.
+3 a size cap exceeded: the enumeration or all-pairs budget, or the fixed
+limit on box edges of ``rate``, which ``--budget`` does not raise.
 """
 
 from __future__ import annotations
@@ -457,7 +458,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget")
     if budget is not None and pts is None and box.n_vertices ** 2 > budget:
-        raise CapExceededError(box.n_vertices ** 2, budget)
+        raise CapExceededError(box.n_vertices ** 2, budget, "all-pairs cells")
     field = sample_weights(dist, box, seed)
     metric = rescaled_metric(field, points=None if pts is None else np.asarray(pts))
     metric.write_csv(outdir / "metric.csv")
@@ -956,7 +957,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget (cap on configurations)")
+                       help="enumeration budget (cap on configurations; "
+                            "simulate: on all-pairs cells)")
     return parser
 
 
@@ -1037,7 +1039,10 @@ def main(argv=None) -> int:
         print(f"invalid config value: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        if exc.fixed:
+            print(f"size limit exceeded: {exc}; --budget does not raise it", file=sys.stderr)
+        else:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     _write_manifest(outdir, args.command, cfg, artifacts + ["manifest.json"])
     return 0

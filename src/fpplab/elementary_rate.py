@@ -61,7 +61,7 @@ def _scaled_box(xv: np.ndarray, n: int):
     """The box of side n max|x|, its origin and the target n x."""
     box = LatticeBox(dimension=xv.shape[0], side=int(n * xv.max()))
     if box.n_edges > _MAX_EDGES:
-        raise CapExceededError(box.n_edges, _MAX_EDGES)
+        raise CapExceededError(box.n_edges, _MAX_EDGES, "box edges", fixed=True)
     return box, (0,) * box.dimension, tuple(int(c) for c in n * xv)
 
 
@@ -208,6 +208,8 @@ def estimate_time_constant(
     of expectations); the report carries that check's outcome rather than
     enforcing it.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     xv = _canonical_direction(x)
     l1 = int(np.abs(xv).sum())
     ns = _scale_ladder(n_ladder)

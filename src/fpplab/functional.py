@@ -26,7 +26,6 @@ from fpplab._segments import fvec, segment_intersection
 from fpplab.geometry import (
     LipschitzPath,
     NormPlusHighways,
-    _discount_at,
     _norm_factory,
     _path_integrals,
     check_path_family,
@@ -63,8 +62,8 @@ class AnalyticRate:
 
     def __init__(self, weights, scale: float = 1.0):
         self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 1 or np.any(self.weights <= 0):
-            raise FunctionalError("rate weights must be positive, one per axis")
+        if self.weights.ndim != 1 or not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise FunctionalError("rate weights must be positive and finite, one per axis")
         if not (scale > 0 and math.isfinite(scale)):
             raise FunctionalError("scale must be positive and finite")
         self.scale = float(scale)
@@ -168,12 +167,12 @@ class PathFamily:
 
 
 def _highway_pieces(D: NormPlusHighways):
-    """Per highway of ``D``: its path and its (t0, t1, lam) pieces of positive
-    length, lam constant on each.  The highways must be geodesics of ``D``
-    (:meth:`NormPlusHighways.validate_geodesics`), or ``GeodesyError``."""
+    """Per highway of ``D``: the (p0, p1, lam) pieces of its table, lam the
+    piece's discount (``D.discounts``).  The highways must be geodesics of
+    ``D`` (:meth:`NormPlusHighways.validate_geodesics`), or ``GeodesyError``."""
     D.validate_geodesics()
-    for k, (path, _, _) in enumerate(D.chain.rides):
-        yield path, [(t0, t1, lam) for t0, t1, lam in D.chain.discount_profile(k) if t1 > t0]
+    for block, lam in zip(D.chain.blocks, D.discounts):
+        yield zip(block.pts[:-1], block.pts[1:], lam)
 
 
 def functional_geodesic_sum(D: NormPlusHighways, J) -> float:
@@ -185,14 +184,14 @@ def functional_geodesic_sum(D: NormPlusHighways, J) -> float:
     is an exact finite sum: by joint homogeneity the interval term is
     J(increment vector, lam * g(increment vector)).
     """
-    def one_highway(path, pieces) -> float:
+    def one_highway(pieces) -> float:
         total = 0.0
-        for t0, t1, lam in pieces:
-            v = path.point_at(t1) - path.point_at(t0)
+        for p0, p1, lam in pieces:
+            v = p1 - p0
             total += float(J(v, lam * float(D.gnorm(v))))
         return total
 
-    return float(sum(one_highway(*hw) for hw in _highway_pieces(D)))
+    return float(sum(one_highway(hw) for hw in _highway_pieces(D)))
 
 
 def functional_intrinsic(D: NormPlusHighways, J, order: int = 8) -> float:
@@ -207,18 +206,17 @@ def functional_intrinsic(D: NormPlusHighways, J, order: int = 8) -> float:
     constant-discount piece is Gauss-Legendre, exact for the piecewise
     constant integrand.
     """
-    def one_highway(path, pieces) -> float:
+    def one_highway(pieces) -> float:
         total = 0.0
-        for t0, t1, lam in pieces:
-            piece = path.subpath(Fraction(t0), Fraction(t1))
+        for p0, p1, lam in pieces:
 
             def f(_x, u2, lam=lam):
                 return J(u2, lam * float(D.gnorm(u2)))
 
-            total += _path_integrals([piece], f, order)
+            total += _path_integrals([LipschitzPath([p0, p1])], f, order)
         return total
 
-    return float(sum(one_highway(*hw) for hw in _highway_pieces(D)))
+    return float(sum(one_highway(hw) for hw in _highway_pieces(D)))
 
 
 def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
@@ -227,28 +225,23 @@ def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
     Returns merged intervals in the segment's own l1 parameter together
     with their discounts: a list of (a, b, lam) with a, b exact Fractions in
     [0, L1].  Each interval lies within one piece of a highway's ride table,
-    whose breakpoints include every discount breakpoint, so its discount is
-    constant.  Point intersections carry no length and are dropped; the
-    highways are pairwise disjoint so overlap intervals from different
-    highways can only share endpoints.
+    whose breakpoints include every discount breakpoint, and takes that
+    piece's discount (``D.discounts``).  Point intersections carry no
+    length and are dropped; the highways are pairwise disjoint so overlap
+    intervals from different highways can only share endpoints.
     """
     fp0, fp1 = fvec(p0), fvec(p1)
     seg_l1 = sum(abs(x - y) for x, y in zip(fp0, fp1))
     out = []
-    for block, profile in zip(D.chain.blocks, D.profiles):
+    for block, lam in zip(D.chain.blocks, D.discounts):
         for i in range(len(block.ts) - 1):
-            q0, q1 = fvec(block.pts[i]), fvec(block.pts[i + 1])
-            hit = segment_intersection(fp0, fp1, q0, q1)
+            hit = segment_intersection(fp0, fp1, fvec(block.pts[i]), fvec(block.pts[i + 1]))
             if hit is None or hit[0] != "overlap":
                 continue
-            (a0, a1), (u0, u1) = hit[1], hit[2]
+            a0, a1 = hit[1]
             if a1 <= a0:
                 continue
-            # both parameters are fractions of their segment's l1 length and
-            # the segments are collinear, so l1 length is shared
-            h_len = Fraction(float(block.ts[i + 1])) - Fraction(float(block.ts[i]))
-            h_mid = Fraction(float(block.ts[i])) + (u0 + u1) / 2 * h_len
-            out.append((a0 * seg_l1, a1 * seg_l1, _discount_at(profile, float(h_mid))))
+            out.append((a0 * seg_l1, a1 * seg_l1, lam[i]))
     out.sort(key=lambda r: (r[0], r[1]))
     return out, seg_l1
 

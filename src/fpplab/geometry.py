@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import csgraph_from_dense
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.sparse.csgraph import floyd_warshall as _floyd_warshall
 
@@ -46,24 +47,6 @@ _PROBE_STEPS = 2.0 ** -np.arange(3.0, 11.0)  # step ladder of gradient_by_paths'
 
 class GeometryError(ValueError):
     """Invalid geometric input (non-injective path, overlapping highways, ...)."""
-
-
-def _complete_csr(E: np.ndarray):
-    """Complete-graph CSR with every off-diagonal entry stored explicitly.
-
-    csgraph's dense-input conversion drops edges whose weight is zero or merely
-    tiny, which would disconnect geometrically coincident nodes; explicitly
-    stored entries of a sparse matrix are kept whatever their value.
-    """
-    from scipy.sparse import csr_matrix
-
-    n = E.shape[0]
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    mask = ~np.eye(n, dtype=bool)
-    indices = cols[mask]
-    data = E[mask]
-    indptr = np.arange(n + 1) * (n - 1)
-    return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 class GeodesyError(GeometryError):
@@ -389,21 +372,16 @@ def _normalize_profile(speed, total: float):
     return profile
 
 
-def _discount_at(profile, t):
-    """The discount of a profile at parameter ``t`` (a scalar or an array):
-    that of the first piece ending at or after it, the last past its end."""
-    k = np.minimum(np.searchsorted([end for end, _ in profile], t), len(profile) - 1)
-    return np.array([lam for _, lam in profile])[k]
-
-
 def _highway_ride(path: LipschitzPath, profile, gnorm: Callable):
-    """A highway's ride ``(ts, cum)``: the path's breakpoints merged with the
-    profile's ends, and the discounted norm length up to each."""
-    ends = np.minimum([end for end, _ in profile], path.length_l1)
-    ts = np.unique(np.concatenate([path.cum, ends]))
+    """A highway's ride ``(ts, cum, lam)``: the path's breakpoints merged with
+    the profile's ends, the discounted norm length up to each, and the
+    discount of each piece between them, that of the first profile piece
+    ending at or after its midpoint."""
+    ends, lams = np.array(profile).T
+    ts = np.unique(np.concatenate([path.cum, np.minimum(ends, path.length_l1)]))
     steps = gnorm(np.diff(path.point_at(ts), axis=0))
-    lam = _discount_at(profile, 0.5 * (ts[:-1] + ts[1:]))
-    return ts, np.concatenate([[0.0], np.cumsum(lam * steps)])
+    lam = lams[np.minimum(np.searchsorted(ends, 0.5 * (ts[:-1] + ts[1:])), len(lams) - 1)]
+    return ts, np.concatenate([[0.0], np.cumsum(lam * steps)]), lam
 
 
 class NormPlusHighways:
@@ -411,11 +389,11 @@ class NormPlusHighways:
 
     ``weights`` are the positive per-axis norm weights, each highway is an
     injective Lipschitz path together with a discount in (0, 1] (a constant or
-    a piecewise-constant profile given as (param_end, lam) pieces, kept in
-    ``self.profiles``).  Highway k is ride k of ``self.chain``, the
-    :class:`HWChain` node pool that answers every query, exactly: its table
-    is the highway's discounted length, linear between the merged
-    breakpoints.
+    a piecewise-constant profile given as (param_end, lam) pieces).  Highway k
+    is ride k of ``self.chain``, the :class:`HWChain` node pool that answers
+    every query, exactly: its table is the highway's discounted length,
+    linear between the merged breakpoints, and ``self.discounts[k]`` holds
+    the discount of each piece of that table, the one record of it.
 
     Construction checks only that the input is well formed: the weights, the
     dimensions, the profiles, and an injective, pairwise disjoint family.
@@ -431,15 +409,17 @@ class NormPlusHighways:
         self.dim = self.weights.shape[0]
         self.gnorm = _norm_factory(self.weights)
 
-        self.profiles = []
+        self.discounts = []
         rides = []
         for path, speed in highways:
             if not isinstance(path, LipschitzPath):
                 path = LipschitzPath(path)
             if path.dim != self.dim:
                 raise GeometryError("highway dimension does not match the norm")
-            self.profiles.append(_normalize_profile(speed, path.length_l1))
-            rides.append((path, *_highway_ride(path, self.profiles[-1], self.gnorm)))
+            ts, cum, lam = _highway_ride(path, _normalize_profile(speed, path.length_l1),
+                                         self.gnorm)
+            rides.append((path, ts, cum))
+            self.discounts.append(lam)
         check_path_family([path for path, _, _ in rides], "highway", allow_touch=False)
         self.chain = HWChain(self.weights, rides)
 
@@ -518,7 +498,7 @@ class NormPlusHighways:
                 if ride < E[i0, i1]:
                     E[i0, i1] = ride
                     E[i1, i0] = ride
-        dist, pred = _csgraph_dijkstra(_complete_csr(E), directed=False,
+        dist, pred = _csgraph_dijkstra(csgraph_from_dense(E, null_value=np.inf), directed=False,
                                        indices=0, return_predecessors=True)
         order = [1]
         while order[-1] != 0:
@@ -531,11 +511,13 @@ class NormPlusHighways:
         return LipschitzPath(poly), float(dist[1])
 
     def to_json(self) -> dict:
+        """The metric as config JSON, each highway's profile read off its
+        table: one (param_end, lam) entry per table piece."""
         return jsonable({
             "kind": "norm_plus_highways",
             "weights": self.weights,
-            "highways": [{"points": b.path.points, "profile": profile}
-                         for b, profile in zip(self.chain.blocks, self.profiles)],
+            "highways": [{"points": b.path.points, "profile": np.stack([b.ts[1:], lam], axis=1)}
+                         for b, lam in zip(self.chain.blocks, self.discounts)],
         })
 
     @classmethod
@@ -694,24 +676,15 @@ class HWChain:
         for b in blocks:
             E[b.rows, b.rows] = np.minimum(E[b.rows, b.rows],
                                            np.abs(b.access_cum[:, None] - b.access_cum))
-        self.M = _floyd_warshall(_complete_csr(E), directed=False) if blocks else E
+        # null_value=inf: the default of 0 would drop zero and tiny hops, and
+        # with them the links between coincident nodes
+        self.M = (_floyd_warshall(csgraph_from_dense(E, null_value=np.inf), directed=False)
+                  if blocks else E)
 
     def insert(self, *rides) -> "HWChain":
         """The pool with more rides (this pool if none), built anew, so the
         older rides gain transfer nodes toward the new ones."""
         return HWChain(self.weights, self.rides + rides) if rides else self
-
-    def discount_profile(self, k: int):
-        """Per linear piece of ride k: (t0, t1, lam) with lam the ratio of
-        its cost speed to norm speed."""
-        path, ts, cum = self.rides[k]
-        out = []
-        for i in range(len(ts) - 1):
-            seg_g = self.gnorm(path.point_at(ts[i + 1]) - path.point_at(ts[i]))
-            dd = cum[i + 1] - cum[i]
-            lam = dd / seg_g if seg_g > 0 else 1.0
-            out.append((float(ts[i]), float(ts[i + 1]), float(lam)))
-        return out
 
     def query_many(self, X, Y) -> np.ndarray:
         """Distances between the rows of X and Y, two ``(B, dim)`` arrays.
@@ -1021,11 +994,9 @@ def _locate_on_highways(metric: NormPlusHighways, z: np.ndarray):
             if s is None:
                 continue
             param = float(cum[i] + s * (cum[i + 1] - cum[i]))
-            interior = 0 < param < block.path.length_l1
             # breakpoints of the merged table carry direction or discount jumps
-            for tt in block.ts[1:-1]:
-                if abs(param - tt) <= 1e-15:
-                    interior = False
+            interior = (0 < param < block.path.length_l1
+                        and not np.any(np.abs(param - block.ts[1:-1]) <= 1e-15))
             return k, param, interior
     return None
 
@@ -1059,8 +1030,8 @@ def gradient_by_paths(metric, z, u) -> GradientEstimate:
             i = min(i, len(block.ts) - 2)
             direction = block.pts[i + 1] - block.pts[i]
             if _parallel(fvec(u), fvec(direction)):
-                lam = _discount_at(metric.profiles[k], param)
-                return GradientEstimate(value=float(lam * metric.gnorm(u)), kind="analytic")
+                return GradientEstimate(value=float(metric.discounts[k][i] * metric.gnorm(u)),
+                                        kind="analytic")
             return GradientEstimate(value=float(metric.gnorm(u)), kind="analytic")
         note = (f"z is an endpoint, junction, or discount breakpoint of highway {k}; "
                 f"returning the norm value, which is an upper bound there")

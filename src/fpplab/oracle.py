@@ -12,6 +12,7 @@ and Chernoff upper-tail bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -47,12 +48,20 @@ __all__ = [
 
 
 class CapExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configuration cap."""
+    """Raised when a computation would exceed a size cap.
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"enumeration needs {required} configurations, cap is {cap}")
+    ``required`` and ``cap`` count ``what``: the configurations of an
+    enumeration, the cells of an all-pairs table or the edges of a box.
+    ``fixed`` marks a cap that no budget raises.
+    """
+
+    def __init__(self, required: int, cap: int, what: str = "configurations",
+                 fixed: bool = False):
+        kind = "fixed limit" if fixed else "cap"
+        super().__init__(f"{required} {what} needed, {kind} is {cap}")
         self.required = required
         self.cap = cap
+        self.fixed = fixed
 
 
 @dataclass(frozen=True)
@@ -608,14 +617,24 @@ def cramer_rate(dist: EdgeDistribution, zeta: float) -> float:
     return max(0.0, best)
 
 
+def _check_chernoff_args(eps: float, n, hops) -> None:
+    """Raise ``ValueError`` naming the first of ``eps``, ``n`` (the scale) and
+    ``hops`` that a Chernoff bound cannot take."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not n > 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if not isinstance(hops, numbers.Integral) or hops < 0:
+        raise ValueError(f"hops must be a nonnegative integer, got {hops}")
+
+
 def chernoff_upper_tail(dist: EdgeDistribution, lam: float, eps: float, n: int, hops: int) -> float:
     """Chernoff bound exp(-lam eps n) E[exp(lam tau)]^hops for the upper tail
     of the passage time: any fixed path with the given hop count witnesses
     P(T >= eps n) <= P(path sum >= eps n) <= this bound."""
     if not 0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_chernoff_args(eps, n, hops)
     log_bound = -lam * eps * n + hops * dist.log_mgf(lam)
     return math.exp(min(log_bound, 700.0))
 
@@ -627,8 +646,8 @@ def chernoff_best_lambda(
     hops: int,
 ) -> tuple[float, float]:
     """Chernoff bound minimised over ``_CHERNOFF_LAMBDAS``; returns (best lam, best bound)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    # checked before the grid, whose loop takes a ValueError for a diverging mgf
+    _check_chernoff_args(eps, n, hops)
     best_lam, best_bound = None, math.inf
     for lam in _CHERNOFF_LAMBDAS:
         try:

@@ -159,10 +159,22 @@ def test_malformed_distribution_rejected(tmp_path):
     assert run(tmp_path, "oracle", cfg) == 2
 
 
-def test_budget_exit_code(tmp_path, capsys):
-    cfg = json.loads(json.dumps(DEFAULT_CONFIGS["simulate"]))
-    assert run(tmp_path, "simulate", cfg, extra=["--budget", "10"]) == 3
-    assert "budget exceeded" in capsys.readouterr().err
+@pytest.mark.parametrize("command, patch, budget, message", [
+    pytest.param("simulate", {"n": 20}, "1000",
+                 "budget exceeded: 194481 all-pairs cells needed, cap is 1000",
+                 id="simulate-all-pairs-cells"),
+    pytest.param("oracle", {}, "10", "budget exceeded: 16 configurations needed, cap is 10",
+                 id="oracle-configurations"),
+    # box edges against a fixed limit: the message named them configurations
+    # and the cap a budget, which --budget cannot raise
+    pytest.param("rate", {"n_ladder": [1500]}, "100000000000",
+                 "size limit exceeded: 4503000 box edges needed, fixed limit is 4194304; "
+                 "--budget does not raise it", id="rate-box-edges"),
+])
+def test_budget_exit_code(tmp_path, capsys, command, patch, budget, message):
+    cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
+    assert run(tmp_path, command, cfg, extra=["--budget", budget]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_selftest_schema_rejects_junk(tmp_path):

@@ -210,6 +210,12 @@ def test_time_constant_rejects_bad_ladder():
         estimate_time_constant(TP, (1, 0), [8, 4], samples=10)
 
 
+def test_time_constant_needs_a_sample():
+    # samples=0 warned on a mean of an empty slice and reported mu_hat nan
+    with pytest.raises(ValueError, match="samples must"):
+        estimate_time_constant(TP, (1, 0), [2, 4], samples=0)
+
+
 # ---------------------------------------------------------------------------
 # surface extension
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ def test_analytic_rate_joint_homogeneity():
 def test_analytic_rate_rejects_bad_parameters():
     with pytest.raises(FunctionalError):
         AnalyticRate([1.0, -1.0])
+    # a NaN weight made all three expressions nan, an inf one made J inf
+    for weight in (math.nan, math.inf, -math.inf):
+        with pytest.raises(FunctionalError, match="positive and finite"):
+            AnalyticRate([weight, 1.0])
     with pytest.raises(FunctionalError):
         AnalyticRate([1.0, 1.0], scale=0.0)
     with pytest.raises(FunctionalError):
@@ -282,6 +286,18 @@ def test_sub_ulp_breakpoint_leaves_the_highway():
     assert D.chain.blocks[0].pts.tolist() == [[0, 0], [0.5, 0], [1, 1]]
     rep = functional_report(D, AnalyticRate([1, 1]))
     assert (rep.geodesic_sum, rep.delta_sup) == (1.0, 0.0)
+
+
+def test_two_piece_profile_reads_one_discount_everywhere():
+    """A profile break inside the elbow's first leg: every expression reads
+    the discount recorded in the highway's table, so they agree to the last
+    bit (the sup bound read 1.1e-16 above the geodesic sum when the two
+    re-derived the discount in two ways)."""
+    D = NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0, 0], [1, 0], [1, 1]]),
+                                       [[0.5, 0.5], [2.0, 0.8]])])
+    rep = functional_report(D, AnalyticRate([1, 1]))
+    assert rep.geodesic_sum == rep.sup_bound
+    assert abs(rep.delta_intrinsic) <= 1e-15
 
 
 @pytest.mark.parametrize("evaluate", [

@@ -725,13 +725,10 @@ def test_network_from_highways_recovers_profile():
     net = network_from_highways(D)
     assert net.converged
     assert net.chain is D.chain
-    profile = net.chain.discount_profile(0)
-    lams = {}
-    for t0, t1, lam in profile:
-        mid = 0.5 * (t0 + t1)
-        lams[mid < 0.5] = lam
-    assert lams[True] == pytest.approx(0.5, abs=1e-9)
-    assert lams[False] == pytest.approx(0.8, abs=1e-9)
+    block = net.chain.blocks[0]
+    ratio = np.diff(block.cum) / D.gnorm(np.diff(block.pts, axis=0))
+    assert D.discounts[0].tolist() == [0.5, 0.8]
+    assert np.abs(ratio - D.discounts[0]).max() <= 1e-9
 
 
 def test_build_highway_network_seeded_convergence():

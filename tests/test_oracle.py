@@ -290,12 +290,25 @@ def test_chernoff_formula_and_optimum():
                  id="chernoff-nan-eps"),
     pytest.param(lambda: chernoff_best_lambda(TP, 0.0, 4, 4), "eps must",
                  id="best-lambda-zero-eps"),
+    pytest.param(lambda: chernoff_upper_tail(TP, 0.8, 1.8, -4, 4), "n must",
+                 id="chernoff-negative-n"),
+    pytest.param(lambda: chernoff_upper_tail(TP, 0.8, 1.8, 0, 4), "n must",
+                 id="chernoff-zero-n"),
+    pytest.param(lambda: chernoff_upper_tail(TP, 0.8, 1.8, 4, -4), "hops must",
+                 id="chernoff-negative-hops"),
+    pytest.param(lambda: chernoff_upper_tail(TP, 0.8, 1.8, 4, 2.5), "hops must",
+                 id="chernoff-fractional-hops"),
+    pytest.param(lambda: chernoff_best_lambda(TP, 1.8, -4, 4), "n must",
+                 id="best-lambda-negative-n"),
+    pytest.param(lambda: chernoff_best_lambda(TP, 1.8, 4, -4), "hops must",
+                 id="best-lambda-negative-hops"),
     pytest.param(lambda: wilson_interval(5, 3), "k in 0..n", id="wilson-k-above-n"),
     pytest.param(lambda: wilson_interval(-1, 3), "k in 0..n", id="wilson-negative-k"),
 ])
 def test_analytic_bounds_reject_bad_arguments(call, match):
-    # each returned 0, inf or nan, or failed in arithmetic, or blamed the
-    # wrong argument: a diverging mgf for an eps of zero
+    # each returned 0, inf or nan, a "bound" above 1 or below the true tail
+    # (a negative n or hops), or failed in arithmetic, or blamed the wrong
+    # argument: a diverging mgf for an eps of zero
     with pytest.raises(ValueError, match=match):
         call()
 
