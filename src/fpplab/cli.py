@@ -1,10 +1,15 @@
 """Command-line front end: configuration, dispatch, and artifact emission.
 
 Every run validates its JSON config against a per-command schema (unknown
-fields are rejected), writes its artifacts into the output directory, and
-records a manifest holding the canonical config, its hash, the effective
-seed, and the package version.  Nothing time-dependent is written, so a
-rerun with the same manifest produces byte-identical artifacts.
+fields are rejected), fills each omitted key from the schema's ``default``
+(the one table of CLI defaults), writes its artifacts into the output
+directory, and records a manifest holding the resolved config, its hash, the
+seed, the cap, and the package version.  Nothing time-dependent is written,
+so a rerun with the same manifest produces byte-identical artifacts.
+``--budget`` caps all-pairs cells on ``simulate`` (no cap by default),
+configurations per exact probability on ``oracle`` (2^24), and
+configurations per exact point on ``rate`` and ``ld-trend`` (2^13; past it,
+method ``auto`` samples).  ``selftest`` has neither ``--seed`` nor ``--budget``.
 
 Exit codes: 0 success, 1 invariant failure (or any uncaught error),
 2 an unreadable config file (missing, not JSON, or holding a number that is
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import functools
 import hashlib
 import json
@@ -154,7 +160,7 @@ _RATE_FN = {
                            "weights": {"type": "array", "minItems": 1,
                                        "items": {"type": "number",
                                                  "exclusiveMinimum": 0}},
-                           "scale": {"type": "number", "exclusiveMinimum": 0}},
+                           "scale": {"type": "number", "exclusiveMinimum": 0, "default": 1.0}},
             "required": ["kind", "weights"],
             "additionalProperties": False,
         },
@@ -168,16 +174,16 @@ _RATE_FN = {
     ]
 }
 
-_COMMON = {
-    "seed": {"type": "integer", "minimum": 0},
-    "budget": {"type": "integer", "minimum": 1},
-}
+_SEED = {"type": "integer", "minimum": 0, "default": 0}
+_SAMPLES = {"type": "integer", "minimum": 1, "default": 200}
+_METHOD = {"enum": ["auto", "exact", "mc"], "default": "auto"}
+_BUDGET = {"type": "integer", "minimum": 1}
 
 
 def _schema(properties: dict, required: list) -> dict:
     return {
         "type": "object",
-        "properties": {**properties, **_COMMON},
+        "properties": properties,
         "required": required,
         "additionalProperties": False,
         "$defs": {"distribution": _DISTRIBUTION, "fraction": _FRACTION},
@@ -198,11 +204,13 @@ SCHEMAS = {
                     "b": {"type": "number", "exclusiveMinimum": 0},
                     "L_values": {"type": "array", "minItems": 1,
                                  "items": {"type": "number"}},
-                    "n_random_pairs": {"type": "integer", "minimum": 0},
+                    "n_random_pairs": {"type": "integer", "minimum": 0, "default": 8},
                 },
                 "required": ["b", "L_values"],
                 "additionalProperties": False,
             },
+            "seed": _SEED,
+            "budget": _BUDGET,  # no default: no cap
         },
         ["distribution", "dim", "n"],
     ),
@@ -240,7 +248,7 @@ SCHEMAS = {
                     },
                 ]
             },
-            "mc_samples": {"type": "integer", "minimum": 0},
+            "mc_samples": {"type": "integer", "minimum": 0, "default": 0},
             "fkg": {
                 "type": "object",
                 "properties": {"x1": _INT_POINT, "x2": _INT_POINT,
@@ -249,6 +257,8 @@ SCHEMAS = {
                 "required": ["x1", "x2", "t1", "t2"],
                 "additionalProperties": False,
             },
+            "seed": _SEED,
+            "budget": {**_BUDGET, "default": 1 << 24},
         },
         ["distribution", "dim", "n", "event"],
     ),
@@ -258,33 +268,36 @@ SCHEMAS = {
             "x": {**_INT_POINT, "minItems": 2},
             "zeta_grid": {"type": "array", "minItems": 1,
                           "items": {"type": "number", "exclusiveMinimum": 0}},
-            "zeta_count": {"type": "integer", "minimum": 2},
+            "zeta_count": {"type": "integer", "minimum": 2, "default": 5},
             "n_ladder": {"type": "array", "minItems": 1,
                          "items": {"type": "integer", "minimum": 1}},
-            "samples": {"type": "integer", "minimum": 1},
-            "method": {"enum": ["auto", "exact", "mc"]},
+            "samples": _SAMPLES,
+            "method": _METHOD,
             "time_constant": {
                 "type": "object",
                 "properties": {"n_ladder": {"type": "array", "minItems": 2,
                                             "items": {"type": "integer",
                                                       "minimum": 1}},
-                               "samples": {"type": "integer", "minimum": 1}},
+                               "samples": _SAMPLES},
                 "required": ["n_ladder"],
                 "additionalProperties": False,
             },
-            "zero_tol": {"type": "number", "exclusiveMinimum": 0},
+            "zero_tol": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
+            "seed": _SEED,
+            "budget": {**_BUDGET, "default": 1 << 13},
         },
         ["distribution", "x", "n_ladder"],
     ),
     "highways": _schema(
         {
             "metric": _METRIC,
-            "mode": {"enum": ["own", "build"]},
-            "n_geodesics": {"type": "integer", "minimum": 1},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
-            "seed_pairs": {"type": "array",
+            "mode": {"enum": ["own", "build"], "default": "build"},
+            "n_geodesics": {"type": "integer", "minimum": 1, "default": 12},
+            "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-6},
+            "seed_pairs": {"type": "array", "default": [],
                            "items": {"type": "array", "minItems": 2,
                                      "maxItems": 2, "items": _POINT}},
+            "seed": _SEED,
         },
         ["metric"],
     ),
@@ -292,9 +305,10 @@ SCHEMAS = {
         {
             "metric": _METRIC,
             "rate": _RATE_FN,
-            "order": {"type": "integer", "minimum": 1},
+            "order": {"type": "integer", "minimum": 1, "default": 8},
             "family": {"type": "array", "minItems": 1, "items": _PATH_POINTS},
             "probe_metric": _METRIC,
+            "seed": _SEED,
         },
         ["metric", "rate"],
     ),
@@ -305,9 +319,11 @@ SCHEMAS = {
             "eps": {"type": "number", "minimum": 0},
             "n_ladder": {"type": "array", "minItems": 1,
                          "items": {"type": "integer", "minimum": 1}},
-            "samples": {"type": "integer", "minimum": 1},
-            "method": {"enum": ["auto", "exact", "mc"]},
+            "samples": _SAMPLES,
+            "method": _METHOD,
             "rate": _RATE_FN,
+            "seed": _SEED,
+            "budget": {**_BUDGET, "default": 1 << 13},
         },
         ["metric", "distribution", "eps", "n_ladder"],
     ),
@@ -323,28 +339,24 @@ _DIAGONAL_METRIC = {
                   "profile": [[2.0, 0.5]]}],
 }
 
+# the configs of runs without --config: only keys that differ from a schema default
 DEFAULT_CONFIGS = {
-    "simulate": {"distribution": _TWO_POINT, "dim": 2, "n": 8, "seed": 0,
-                 "truncation": 2.0,
+    "simulate": {"distribution": _TWO_POINT, "dim": 2, "n": 8, "truncation": 2.0,
                  "geodesic_stats": {"b": 2.0, "L_values": [1.0, 1.5]}},
     "oracle": {"distribution": _TWO_POINT, "dim": 2, "n": 1,
                "event": {"kind": "passage_time_at_most",
                          "x": [0, 0], "y": [1, 1], "t": 2.0},
-               "mc_samples": 400, "seed": 0},
+               "mc_samples": 400},
     "rate": {"distribution": _TWO_POINT, "x": [1, 0],
              "zeta_grid": [1.0, 1.2, 1.4, 1.7, 2.0],
-             "n_ladder": [1, 2], "samples": 200, "seed": 0,
-             "time_constant": {"n_ladder": [4, 8], "samples": 200}},
-    "highways": {"metric": _DIAGONAL_METRIC, "mode": "build",
-                 "n_geodesics": 6, "tol": 1e-6, "seed": 0,
+             "n_ladder": [1, 2], "time_constant": {"n_ladder": [4, 8]}},
+    "highways": {"metric": _DIAGONAL_METRIC, "n_geodesics": 6,
                  "seed_pairs": [[[0.0, 0.0], [1.0, 1.0]]]},
     "functional": {"metric": _DIAGONAL_METRIC,
-                   "rate": {"kind": "analytic", "weights": [1.0, 1.0],
-                            "scale": 1.0}},
+                   "rate": {"kind": "analytic", "weights": [1.0, 1.0]}},
     "ld-trend": {"metric": {"kind": "norm_plus_highways",
                             "weights": [0.9, 0.9], "highways": []},
-                 "distribution": _TWO_POINT, "eps": 1.5,
-                 "n_ladder": [1, 2], "samples": 200, "seed": 0,
+                 "distribution": _TWO_POINT, "eps": 1.5, "n_ladder": [1, 2],
                  "rate": {"kind": "analytic", "weights": [1.0, 1.0]}},
     "selftest": {},
 }
@@ -359,7 +371,24 @@ def _canonical(cfg) -> str:
     return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
 
+def _with_defaults(schema: dict, cfg: dict) -> dict:
+    """``cfg``, valid against ``schema``, with each omitted key that has a
+    schema ``default`` filled in, in nested objects too: of a ``oneOf`` the
+    branch whose ``kind`` matches (a ``$ref`` holds no defaults)."""
+    if "oneOf" in schema:
+        schema = next(branch for branch in schema["oneOf"]
+                      if branch["properties"]["kind"]["const"] == cfg["kind"])
+    out = {key: copy.deepcopy(sub["default"])
+           for key, sub in schema["properties"].items() if "default" in sub}
+    for key, value in cfg.items():
+        sub = schema["properties"][key]
+        nested = isinstance(value, dict) and ("properties" in sub or "oneOf" in sub)
+        out[key] = _with_defaults(sub, value) if nested else value
+    return out
+
+
 def _write_manifest(outdir: Path, command: str, cfg: dict, artifacts: list) -> None:
+    """The manifest of a run on the resolved config ``cfg``; no seed or cap reads null."""
     canon = _canonical(cfg)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -368,8 +397,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, artifacts: list) -> N
         "command": command,
         "config": json.loads(canon),
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
-        "seed": cfg.get("seed"),
-        "budget": cfg.get("budget"),
+        **{key: cfg[key] if key in cfg else None for key in ("seed", "budget")},
         "artifacts": sorted(artifacts),
     }
     write_json(outdir / "manifest.json", manifest)
@@ -389,7 +417,7 @@ def _rate_fn_from(rec: dict, outdir: Path, dim: int):
 
     if rec["kind"] == "analytic":
         _check_dim("rate.weights", len(rec["weights"]), dim)
-        return AnalyticRate(rec["weights"], scale=rec.get("scale", 1.0))
+        return AnalyticRate(rec["weights"], scale=rec["scale"])
     from fpplab.elementary_rate import RateSurface
 
     path = Path(rec["file"])
@@ -455,7 +483,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
     if "geodesic_stats" in cfg:
         with _config_values("geodesic_stats.b"):
             truncate(dist, cfg["geodesic_stats"]["b"])
-    seed = cfg.get("seed", 0)
+    seed = cfg["seed"]
     budget = cfg.get("budget")
     if budget is not None and pts is None and box.n_vertices ** 2 > budget:
         raise CapExceededError(box.n_vertices ** 2, budget, "all-pairs cells")
@@ -474,7 +502,7 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
         gs = cfg["geodesic_stats"]
         report["geodesic_stats"] = geodesic_length_stats(
             field, gs["b"], gs["L_values"],
-            n_random_pairs=gs.get("n_random_pairs", 8), seed=seed)
+            n_random_pairs=gs["n_random_pairs"], seed=seed)
     write_json(outdir / "simulate.json", report)
     print(f"simulate: wrote metric.csv ({len(metric.points)} grid points), "
           f"simulate.json")
@@ -487,8 +515,8 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
                                fkg_supermultiplicativity_check,
                                monte_carlo_event_probability)
 
-    seed = cfg.get("seed", 0)
-    budget = cfg.get("budget", 1 << 24)
+    seed = cfg["seed"]
+    budget = cfg["budget"]
     ev = cfg["event"]
     with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
@@ -519,7 +547,7 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
         res = exact_event_probability(event, dist, box, cap=budget)
         report["p_exact"] = res.p
         report["n_configs"] = res.n_configs
-    mc_samples = cfg.get("mc_samples", 0)
+    mc_samples = cfg["mc_samples"]
     if mc_samples > 0:
         mc = monte_carlo_event_probability(event, dist, box, mc_samples,
                                            seed=seed)
@@ -553,17 +581,15 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
     with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
     x = cfg["x"]
-    seed = cfg.get("seed", 0)
-    samples = cfg.get("samples", 200)
-    method = cfg.get("method", "auto")
-    budget = cfg.get("budget", 1 << 13)
+    seed = cfg["seed"]
+    method = cfg["method"]
     with _config_values("method"):
         _check_method(method, dist)
     with _config_values("x"):
         xv = _canonical_direction(x)
     zetas = cfg.get("zeta_grid")
     if zetas is None:
-        zetas = default_zeta_grid(dist, x, count=cfg.get("zeta_count", 5))
+        zetas = default_zeta_grid(dist, x, count=cfg["zeta_count"])
     with _config_values("zeta_grid"):
         for z in zetas:
             _domain_check(dist, xv, z)
@@ -581,8 +607,8 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
         for n in ladder:
             sub = int(next(children).generate_state(1)[0])
             per_z.append(estimate_rate_point(
-                dist, x, z, n, samples=samples, seed=sub, method=method,
-                enum_cap=budget))
+                dist, x, z, n, samples=cfg["samples"], seed=sub, method=method,
+                enum_cap=cfg["budget"]))
         points.extend(per_z)
         envelope.append(fekete_envelope(per_z) if len(per_z) > 1 else per_z[0])
 
@@ -604,9 +630,8 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
     if "time_constant" in cfg:
         tc_cfg = cfg["time_constant"]
         tc = estimate_time_constant(dist, x, tc_cfg["n_ladder"],
-                                    samples=tc_cfg.get("samples", 200),
-                                    seed=seed)
-        zs = zero_set_check(surface, tc, zero_tol=cfg.get("zero_tol", 0.05))
+                                    samples=tc_cfg["samples"], seed=seed)
+        zs = zero_set_check(surface, tc, zero_tol=cfg["zero_tol"])
         report["time_constant"] = tc
         report["zero_set"] = {"zero_ok": zs.zero_ok,
                               "positive_ok": zs.positive_ok,
@@ -624,14 +649,13 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
     from fpplab.geometry import build_highway_network, network_from_highways
 
     metric = _metric_from(cfg["metric"], "metric")
-    seed = cfg.get("seed", 0)
-    mode = cfg.get("mode", "build")
-    if mode == "own":
+    seed = cfg["seed"]
+    if cfg["mode"] == "own":
         with _config_values("metric"):
             net = network_from_highways(metric)
     else:
         seed_pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-                      for a, b in cfg.get("seed_pairs", [])]
+                      for a, b in cfg["seed_pairs"]]
         for a, b in seed_pairs:
             _check_dim("seed_pairs", len(a), metric.dim)
             _check_dim("seed_pairs", len(b), metric.dim)
@@ -639,8 +663,8 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
                 with _config_values("seed_pairs"):
                     raise ValueError("a pair's endpoints coincide")
         net = build_highway_network(
-            metric, n_geodesics=cfg.get("n_geodesics", 12),
-            tol=cfg.get("tol", 1e-6), seed=seed, seed_pairs=seed_pairs)
+            metric, n_geodesics=cfg["n_geodesics"], tol=cfg["tol"], seed=seed,
+            seed_pairs=seed_pairs)
     write_json(outdir / "network.json", net.to_json())
     rows = [[d["k"], d["origin"], d["sup_distance"], d["n_pieces"], seed]
             for d in net.diagnostics]
@@ -668,15 +692,14 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
             for path in paths:
                 _check_dim("family", path.dim, metric.dim)
             family = PathFamily(paths)
-    rep = functional_report(metric, J, family=family, order=cfg.get("order", 8))
+    rep = functional_report(metric, J, family=family, order=cfg["order"])
     out = rep.to_json()
     if "probe_metric" in cfg:
         smaller = _metric_from(cfg["probe_metric"], "probe_metric")
         _check_dim("probe_metric", smaller.dim, metric.dim)
         with _config_values("probe_metric"):
             smaller.validate_geodesics()
-        probe = strict_monotonicity_probe(smaller, metric, J,
-                                          seed=cfg.get("seed", 0))
+        probe = strict_monotonicity_probe(smaller, metric, J, seed=cfg["seed"])
         out["monotonicity_probe"] = probe.to_json()
     write_json(outdir / "functional.json", out)
 
@@ -704,7 +727,7 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
     with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
     with _config_values("method"):
-        _check_method(cfg.get("method", "auto"), dist)
+        _check_method(cfg["method"], dist)
     fv = None
     if "rate" in cfg:
         J = _rate_fn_from(cfg["rate"], outdir, metric.dim)
@@ -713,9 +736,8 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
         fv = functional_geodesic_sum(metric, J)
     table = empirical_ld_trend(
         metric, dist, cfg["eps"], cfg["n_ladder"],
-        samples=cfg.get("samples", 200), seed=cfg.get("seed", 0),
-        method=cfg.get("method", "auto"), enum_cap=cfg.get("budget", 1 << 13),
-        functional_value=fv)
+        samples=cfg["samples"], seed=cfg["seed"], method=cfg["method"],
+        enum_cap=cfg["budget"], functional_value=fv)
     write_json(outdir / "ld_trend.json", table.to_json())
     rows = [[r.n, r.method, r.p,
              getattr(r.p_exact, "numerator", None), getattr(r.p_exact, "denominator", None),
@@ -948,17 +970,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "ld-trend": "finite-box lower-deviation probabilities along a ladder",
         "selftest": "run the fast cross-module invariant suite",
     }
-    for cmd in SCHEMAS:
+    per_point = "configurations per exact point; past it, method auto samples"
+    budget_counts = {"simulate": "all-pairs cells", "rate": per_point, "ld-trend": per_point,
+                     "oracle": "configurations per exact probability"}
+    for cmd, schema in SCHEMAS.items():
         p = sub.add_parser(cmd, help=help_by_cmd[cmd])
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file (defaults to a built-in fixture)")
         p.add_argument("-o", "--output", type=str, default=None,
                        help="output directory (default: $FPPLAB_OUTPUT_DIR or .)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget (cap on configurations; "
-                            "simulate: on all-pairs cells)")
+        if "seed" in schema["properties"]:
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if "budget" in schema["properties"]:
+            budget = schema["properties"]["budget"]
+            cap = budget["default"] if "default" in budget else "no cap"
+            p.add_argument("--budget", type=int, help=f"cap on {budget_counts[cmd]} (default: {cap})")
     return parser
 
 
@@ -973,19 +999,17 @@ def _finite_number(token: str) -> float:
 
 
 def _effective_config(args) -> dict:
-    """The config file (or the command's default config) with the flags
-    applied.  Raises ``OSError`` for a file that cannot be read and
-    ``ValueError`` for one that is not JSON or holds a number that is not
+    """The config file (or the command's default config) with ``--seed`` and
+    ``--budget`` applied where the command has them.  Raises ``OSError`` for a file that cannot be read
+    and ``ValueError`` for one that is not JSON or holds a number that is not
     finite."""
-    import copy
-
     if args.config is not None:
         with open(args.config) as fh:
             cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     else:
         cfg = copy.deepcopy(DEFAULT_CONFIGS[args.command])
     for key in ("seed", "budget"):
-        val = getattr(args, key)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -1016,6 +1040,7 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"config schema violation: {error.message}", file=sys.stderr)
         return 2
+    cfg = _with_defaults(SCHEMAS[args.command], cfg)
 
     outdir = Path(args.output or os.environ.get("FPPLAB_OUTPUT_DIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)

@@ -168,11 +168,14 @@ class PathFamily:
 
 def _highway_pieces(D: NormPlusHighways):
     """Per highway of ``D``: the (p0, p1, lam) pieces of its table, lam the
-    piece's discount (``D.discounts``).  The highways must be geodesics of
-    ``D`` (:meth:`NormPlusHighways.validate_geodesics`), or ``GeodesyError``."""
+    piece's discount (``D.discounts``).  A piece whose two table parameters
+    round to one float point has no length and is left out.  The highways
+    must be geodesics of ``D`` (:meth:`NormPlusHighways.validate_geodesics`),
+    or ``GeodesyError``."""
     D.validate_geodesics()
     for block, lam in zip(D.chain.blocks, D.discounts):
-        yield zip(block.pts[:-1], block.pts[1:], lam)
+        yield ((p0, p1, lam_i) for p0, p1, lam_i in zip(block.pts[:-1], block.pts[1:], lam)
+               if not np.array_equal(p0, p1))
 
 
 def functional_geodesic_sum(D: NormPlusHighways, J) -> float:
@@ -226,15 +229,18 @@ def _piece_overlaps(D: NormPlusHighways, p0: np.ndarray, p1: np.ndarray):
     with their discounts: a list of (a, b, lam) with a, b exact Fractions in
     [0, L1].  Each interval lies within one piece of a highway's ride table,
     whose breakpoints include every discount breakpoint, and takes that
-    piece's discount (``D.discounts``).  Point intersections carry no
-    length and are dropped; the highways are pairwise disjoint so overlap
-    intervals from different highways can only share endpoints.
+    piece's discount (``D.discounts``).  Point intersections, and table
+    pieces whose ends are one float point, carry no length and are dropped;
+    the highways are pairwise disjoint so overlap intervals from different
+    highways can only share endpoints.
     """
     fp0, fp1 = fvec(p0), fvec(p1)
     seg_l1 = sum(abs(x - y) for x, y in zip(fp0, fp1))
     out = []
     for block, lam in zip(D.chain.blocks, D.discounts):
         for i in range(len(block.ts) - 1):
+            if np.array_equal(block.pts[i], block.pts[i + 1]):
+                continue
             hit = segment_intersection(fp0, fp1, fvec(block.pts[i]), fvec(block.pts[i + 1]))
             if hit is None or hit[0] != "overlap":
                 continue

@@ -181,6 +181,26 @@ def test_selftest_schema_rejects_junk(tmp_path):
     assert run(tmp_path, "selftest", {"anything": True}) == 2
 
 
+@pytest.mark.parametrize("command, key", [
+    ("highways", "budget"), ("functional", "budget"), ("selftest", "budget"),
+    ("selftest", "seed"),
+])
+def test_no_key_a_command_does_not_read(tmp_path, capsys, command, key):
+    cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), key: 10}
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err.startswith("config schema violation:")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("highways", "--budget"), ("functional", "--budget"), ("selftest", "--budget"),
+    ("selftest", "--seed"),
+])
+def test_no_flag_a_command_does_not_read(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as ei:
+        main([command, "-o", str(tmp_path), flag, "10"])
+    assert ei.value.code == 2
+
+
 @pytest.mark.parametrize("command, patch, message", [
     ("simulate", {"dim": 1}, "config schema violation"),
     ("oracle", {"dim": 1}, "config schema violation"),
@@ -396,12 +416,30 @@ def test_lattice_commands_do_not_import_geometry():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def _keys_at_default(schema: dict, cfg: dict, prefix: str = "") -> list:
+    """The keys of ``cfg``, nested ones dotted, whose value is the schema
+    default; of a ``oneOf`` the branch whose ``kind`` matches applies."""
+    if "oneOf" in schema:
+        schema = next(b for b in schema["oneOf"]
+                      if b["properties"]["kind"]["const"] == cfg["kind"])
+    found = []
+    for key, value in cfg.items():
+        sub = schema["properties"][key]
+        if "default" in sub and value == sub["default"]:
+            found.append(prefix + key)
+        elif isinstance(value, dict) and ("properties" in sub or "oneOf" in sub):
+            found += _keys_at_default(sub, value, f"{prefix}{key}.")
+    return found
+
+
 def test_every_command_has_a_schema_and_default():
     assert set(SCHEMAS) == set(DEFAULT_CONFIGS)
     for cmd, schema in SCHEMAS.items():
         assert schema["additionalProperties"] is False
         import jsonschema
         jsonschema.validate(DEFAULT_CONFIGS[cmd], schema)
+        # each default is written once, in the schema
+        assert _keys_at_default(schema, DEFAULT_CONFIGS[cmd]) == [], cmd
 
 
 def test_every_schema_passes_the_metaschema():
@@ -478,6 +516,50 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "oracle.json").exists()
 
 
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_manifest_records_the_resolved_config(tmp_path, command):
+    """The manifest's config is the one that ran: it holds every schema
+    default and passes the schema, and the same config with the defaults
+    spelled out hashes the same as the default config that omits them."""
+    import jsonschema
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([command, "-o", str(a)]) == 0
+    man = read_json(a, "manifest.json")
+    jsonschema.validate(man["config"], SCHEMAS[command])
+    properties = SCHEMAS[command]["properties"]
+    assert {k for k, sub in properties.items() if "default" in sub} <= set(man["config"])
+    b.mkdir()
+    assert run(b, command, man["config"]) == 0
+    assert read_json(b, "manifest.json")["config_sha256"] == man["config_sha256"]
+
+
+@pytest.mark.parametrize("command, cap", [
+    ("simulate", None), ("oracle", 1 << 24), ("rate", 1 << 13), ("ld-trend", 1 << 13),
+])
+def test_manifest_budget_is_the_cap_applied(tmp_path, monkeypatch, command, cap):
+    import fpplab.oracle
+
+    applied = set()
+    enumerate_exactly = fpplab.oracle.exact_event_probability
+
+    def spy(*args, **kwargs):
+        applied.add(kwargs["cap"])
+        return enumerate_exactly(*args, **kwargs)
+
+    monkeypatch.setattr(fpplab.oracle, "exact_event_probability", spy)
+    assert run(tmp_path, command) == 0
+    assert read_json(tmp_path, "manifest.json")["budget"] == cap
+    # simulate enumerates nothing, and its default is no cap
+    assert applied == (set() if cap is None else {cap})
+
+
+def test_highways_config_without_n_geodesics_builds_12(tmp_path):
+    cfg = {k: v for k, v in DEFAULT_CONFIGS["highways"].items() if k != "n_geodesics"}
+    assert run(tmp_path, "highways", cfg) == 0
+    assert read_json(tmp_path, "manifest.json")["config"]["n_geodesics"] == 12
+
+
 def test_effective_config_recorded(tmp_path):
     assert run(tmp_path, "oracle", extra=["--seed", "7"]) == 0
     man = read_json(tmp_path, "manifest.json")
@@ -526,6 +608,17 @@ def test_custom_functional_config_piecewise(tmp_path):
     assert run(tmp_path, "functional", cfg) == 0
     rep = read_json(tmp_path, "functional.json")
     assert rep["geodesic_sum"] == pytest.approx(0.35, abs=1e-12)
+
+
+def test_functional_table_piece_of_one_float_point(tmp_path):
+    # profile ends 0.01 and the next float after it map to one point
+    cfg = {**DEFAULT_CONFIGS["functional"], "metric": {**_DIAGONAL, "highways": [
+        {"points": [[0.9, 0.9], [0.9, 0.95]],
+         "profile": [[0.01, 0.5], [float(np.nextafter(0.01, 1)), 0.6], [0.05, 0.7]]}]}}
+    assert run(tmp_path, "functional", cfg) == 0
+    rep = read_json(tmp_path, "functional.json")
+    for key in ("geodesic_sum", "intrinsic", "sup_bound"):
+        assert rep[key] == pytest.approx(0.017, abs=1e-15)
 
 
 def test_truncated_distribution_config(tmp_path):

@@ -300,6 +300,22 @@ def test_two_piece_profile_reads_one_discount_everywhere():
     assert abs(rep.delta_intrinsic) <= 1e-15
 
 
+def test_table_piece_of_one_float_point_adds_nothing():
+    """Two profile ends a step of one ulp apart map to one float point of
+    the highway: that table piece has no length, so every expression skips
+    it (the intrinsic integral raised ``GeometryError`` on it, and the sup
+    bound's segment intersection a degenerate segment)."""
+    D = NormPlusHighways([1.0, 1.0], [(LipschitzPath([[0.9, 0.9], [0.9, 0.95]]),
+                                       [[0.01, 0.5], [np.nextafter(0.01, 1), 0.6],
+                                        [0.05, 0.7]])])
+    block = D.chain.blocks[0]
+    assert any(np.array_equal(a, b) for a, b in zip(block.pts[:-1], block.pts[1:]))
+    rep = functional_report(D, J)
+    # 0.01 at discount 0.5 and 0.04 at discount 0.7: 0.005 + 0.012
+    for value in (rep.geodesic_sum, rep.intrinsic, rep.sup_bound):
+        assert value == pytest.approx(0.017, abs=1e-15)
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda D: functional_geodesic_sum(D, J),
     lambda D: functional_intrinsic(D, J),
