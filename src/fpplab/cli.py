@@ -204,7 +204,6 @@ SCHEMAS = {
                     "b": {"type": "number", "exclusiveMinimum": 0},
                     "L_values": {"type": "array", "minItems": 1,
                                  "items": {"type": "number"}},
-                    "n_random_pairs": {"type": "integer", "minimum": 0, "default": 8},
                 },
                 "required": ["b", "L_values"],
                 "additionalProperties": False,
@@ -268,8 +267,7 @@ SCHEMAS = {
             "x": {**_INT_POINT, "minItems": 2},
             "zeta_grid": {"type": "array", "minItems": 1,
                           "items": {"type": "number", "exclusiveMinimum": 0}},
-            "zeta_count": {"type": "integer", "minimum": 2, "default": 5},
-            "n_ladder": {"type": "array", "minItems": 1,
+            "n_ladder": {"type": "array", "minItems": 1, "uniqueItems": True,
                          "items": {"type": "integer", "minimum": 1}},
             "samples": _SAMPLES,
             "method": _METHOD,
@@ -282,7 +280,6 @@ SCHEMAS = {
                 "required": ["n_ladder"],
                 "additionalProperties": False,
             },
-            "zero_tol": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
             "seed": _SEED,
             "budget": {**_BUDGET, "default": 1 << 13},
         },
@@ -305,7 +302,6 @@ SCHEMAS = {
         {
             "metric": _METRIC,
             "rate": _RATE_FN,
-            "order": {"type": "integer", "minimum": 1, "default": 8},
             "family": {"type": "array", "minItems": 1, "items": _PATH_POINTS},
             "probe_metric": _METRIC,
             "seed": _SEED,
@@ -500,9 +496,8 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
         report["uniform_gap"] = uniform_gap(field, cfg["truncation"], seed=seed)
     if "geodesic_stats" in cfg:
         gs = cfg["geodesic_stats"]
-        report["geodesic_stats"] = geodesic_length_stats(
-            field, gs["b"], gs["L_values"],
-            n_random_pairs=gs["n_random_pairs"], seed=seed)
+        report["geodesic_stats"] = geodesic_length_stats(field, gs["b"], gs["L_values"],
+                                                         seed=seed)
     write_json(outdir / "simulate.json", report)
     print(f"simulate: wrote metric.csv ({len(metric.points)} grid points), "
           f"simulate.json")
@@ -589,7 +584,7 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
         xv = _canonical_direction(x)
     zetas = cfg.get("zeta_grid")
     if zetas is None:
-        zetas = default_zeta_grid(dist, x, count=cfg["zeta_count"])
+        zetas = default_zeta_grid(dist, x)
     with _config_values("zeta_grid"):
         for z in zetas:
             _domain_check(dist, xv, z)
@@ -614,6 +609,12 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
 
     surface = extend_surface(envelope)
     surface.check_invariants()
+    if "time_constant" in cfg:
+        tc_cfg = cfg["time_constant"]
+        tc = estimate_time_constant(dist, x, tc_cfg["n_ladder"],
+                                    samples=tc_cfg["samples"], seed=seed)
+        with _config_values("zeta_grid"):  # the speeds must straddle the time constant
+            zs = zero_set_check(surface, tc)
 
     rows = [["_".join(str(v) for v in p.x), p.zeta, p.n, p.estimate, *p.ci, p.method,
              p.censored, p.p_hat, p.samples or "", p.hits, p.seed] for p in points]
@@ -628,10 +629,6 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
               "n_ladder": ladder, "n_points": len(points), "seed": seed,
               "invariants_ok": True}
     if "time_constant" in cfg:
-        tc_cfg = cfg["time_constant"]
-        tc = estimate_time_constant(dist, x, tc_cfg["n_ladder"],
-                                    samples=tc_cfg["samples"], seed=seed)
-        zs = zero_set_check(surface, tc, zero_tol=cfg["zero_tol"])
         report["time_constant"] = tc
         report["zero_set"] = {"zero_ok": zs.zero_ok,
                               "positive_ok": zs.positive_ok,
@@ -692,7 +689,7 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
             for path in paths:
                 _check_dim("family", path.dim, metric.dim)
             family = PathFamily(paths)
-    rep = functional_report(metric, J, family=family, order=cfg["order"])
+    rep = functional_report(metric, J, family=family)
     out = rep.to_json()
     if "probe_metric" in cfg:
         smaller = _metric_from(cfg["probe_metric"], "probe_metric")

@@ -24,11 +24,12 @@ from .model import LatticeBox
 # not called here: perfbench/tests/test_tracing.py checks the tracer on this
 # from-import copy
 from .model import sample_weights  # noqa: F401
-from .oracle import CapExceededError, EventSpec, estimate_event_rate
+from .oracle import _Z95, CapExceededError, EventSpec, estimate_event_rate
 from .passage_time import _seeded_passage_times
 
-_Z95 = 1.959963984540054
 _ZETA_LIFT = 0.05  # default_zeta_grid starts this far (relative) above the trivial threshold
+_ZETA_COUNT = 5    # speeds in default_zeta_grid
+_ZERO_TOL = 0.05   # largest rate zero_set_check accepts as zero
 
 #: Largest box, in edges, that a rate point or a time-constant rung builds;
 #: a larger one (from config input) raises :class:`CapExceededError`.
@@ -430,9 +431,9 @@ def extend_surface(points: Sequence[RatePoint]) -> RateSurface:
     return surface
 
 
-def default_zeta_grid(dist, x, count: int = 6) -> np.ndarray:
-    """Geometric speed grid between just above the trivial threshold and the
-    mean-speed ceiling."""
+def default_zeta_grid(dist, x) -> np.ndarray:
+    """Geometric grid of five speeds between just above the trivial threshold
+    and the mean-speed ceiling."""
     xv = _canonical_direction(x)
     l1 = int(np.abs(xv).sum())
     lo = float(dist.support_infimum) * l1 * (1.0 + _ZETA_LIFT)
@@ -441,7 +442,7 @@ def default_zeta_grid(dist, x, count: int = 6) -> np.ndarray:
         lo = min(1e-3, hi * 0.1)
     if hi <= lo:
         hi = lo * 2.0
-    return np.geomspace(lo, hi, count)
+    return np.geomspace(lo, hi, _ZETA_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +465,12 @@ class ZeroSetReport:
         return self.zero_ok and self.positive_ok and self.trend_ok
 
 
-def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate,
-                   zero_tol: float = 0.05) -> ZeroSetReport:
+def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate) -> ZeroSetReport:
     """Compare the surface's zero set with the estimated time constant.
 
-    Cells at speeds two CIs above the time constant must carry (near) zero
-    rate; cells below it by a margin (two CI half-widths, at least 5% of the
-    time constant) must be positive beyond their own CI;
+    Cells at speeds two CIs above the time constant must carry a rate of at
+    most ``_ZERO_TOL``; cells below it by a margin (two CI half-widths, at
+    least 5% of the time constant) must be positive beyond their own CI;
     and a linear fit over the positive range must slope downward.
     """
     p, k = _primitive(tc.x)
@@ -485,7 +485,7 @@ def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate,
     pos_cells = [c for c in ray if c.zeta <= mu_n - margin]
     if not zero_cells and not pos_cells:
         raise ValueError("surface ray does not straddle the time constant")
-    zero_ok = all(c.value <= zero_tol for c in zero_cells)
+    zero_ok = all(c.value <= _ZERO_TOL for c in zero_cells)
     positive_ok = all(c.ci[0] > 0.0 for c in pos_cells) and bool(pos_cells)
 
     trend_cells = [c for c in ray if c.zeta <= mu_n]

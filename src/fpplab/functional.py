@@ -43,6 +43,7 @@ _SUP_TOL = 1e-9        # relative excess of a path family over the geodesic sum
 _ORDER_TOL = 1e-12     # slack of D1 <= D2 in the probe, and least rise of a strict witness
 _PROBE_PAIRS = 48      # Halton point pairs the probe adds to the corners and the centre
 _PROBE_MARGIN = 1e-9   # least amount by which the smaller metric's functional must win
+_QUADRATURE_ORDER = 8  # Gauss-Legendre nodes per table piece of the intrinsic integral
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def functional_geodesic_sum(D: NormPlusHighways, J) -> float:
     return float(sum(one_highway(hw) for hw in _highway_pieces(D)))
 
 
-def functional_intrinsic(D: NormPlusHighways, J, order: int = 8) -> float:
+def functional_intrinsic(D: NormPlusHighways, J) -> float:
     """Hausdorff-measure expression of the functional.
 
     The integrand at a point of a highway is J evaluated at the unit
@@ -216,7 +217,7 @@ def functional_intrinsic(D: NormPlusHighways, J, order: int = 8) -> float:
             def f(_x, u2, lam=lam):
                 return J(u2, lam * float(D.gnorm(u2)))
 
-            total += _path_integrals([LipschitzPath([p0, p1])], f, order)
+            total += _path_integrals([LipschitzPath([p0, p1])], f, _QUADRATURE_ORDER)
         return total
 
     return float(sum(one_highway(hw) for hw in _highway_pieces(D)))
@@ -296,7 +297,6 @@ class FunctionalReport:
     intrinsic: float
     sup_bound: float
     family_size: int
-    order: int
     n_highways: int
 
     @property
@@ -315,15 +315,15 @@ class FunctionalReport:
             "delta_intrinsic": self.delta_intrinsic,
             "delta_sup": self.delta_sup,
             "family_size": self.family_size,
-            "quadrature_order": self.order,
+            "quadrature_order": _QUADRATURE_ORDER,
             "n_highways": self.n_highways,
             "cross_tol": _CROSS_TOL,
             "sup_tol": _SUP_TOL,
         }
 
 
-def functional_report(D: NormPlusHighways, J, family: PathFamily | None = None,
-                      order: int = 8) -> FunctionalReport:
+def functional_report(D: NormPlusHighways, J,
+                      family: PathFamily | None = None) -> FunctionalReport:
     """Evaluate all three expressions and enforce their mutual contracts.
 
     The supremum expression is evaluated on ``family`` (default: the
@@ -333,7 +333,7 @@ def functional_report(D: NormPlusHighways, J, family: PathFamily | None = None,
     sum by more than ``_SUP_TOL`` relative.
     """
     geo = functional_geodesic_sum(D, J)
-    intr = functional_intrinsic(D, J, order=order)
+    intr = functional_intrinsic(D, J)
     if family is None:
         family = PathFamily([path for path, _, _ in D.chain.rides])
     sup = functional_sup_lower_bound(D, J, family)
@@ -349,8 +349,7 @@ def functional_report(D: NormPlusHighways, J, family: PathFamily | None = None,
         )
     return FunctionalReport(
         geodesic_sum=geo, intrinsic=intr, sup_bound=sup,
-        family_size=len(family.paths), order=order,
-        n_highways=len(D.chain.rides),
+        family_size=len(family.paths), n_highways=len(D.chain.rides),
     )
 
 

@@ -26,6 +26,7 @@ from fpplab.passage_time import (_arc_table, _batch_rows, _batched_distances, _h
 
 _CRAMER_TOL = 1e-10  # tolerance of cramer_rate's bounded maximisation
 _CHERNOFF_LAMBDAS = np.geomspace(1e-3, 64.0, 121)  # the grid chernoff_best_lambda searches
+_Z95 = 1.959963984540054  # the two-sided 95% standard normal quantile
 
 __all__ = [
     "EventSpec",
@@ -349,10 +350,11 @@ def exact_event_probability(
 # Monte-Carlo companion
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need at least one sample and k in 0..n, got k={k}, n={n}")
+    z = _Z95
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

@@ -389,8 +389,7 @@ def rescaled_metric(field: WeightField, points=None) -> RescaledMetric:
         pts = _integral(points).astype(np.int64)
         if pts.ndim == 1:
             pts = pts[None, :]
-    ids = box.vertex_id(pts) if pts.ndim == 2 else np.array([box.vertex_id(pts)])
-    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+    ids = box.vertex_id(pts)
     dist, _ = _solve(field, ids)
     return RescaledMetric(field, pts, dist[:, ids])
 
@@ -685,19 +684,21 @@ def hub_check(field: WeightField, x, kappa: float) -> HubReport:
 # ---------------------------------------------------------------------------
 # geodesic length statistics
 
+_RANDOM_PAIRS = 8  # seeded random vertex pairs geodesic_length_stats draws
+
 
 def geodesic_length_stats(
     field: WeightField,
     b: float,
     L_values: Sequence[float],
-    n_random_pairs: int = 8,
     seed: int = 0,
 ) -> dict:
     """Hop counts of truncated-field geodesics and long-geodesic indicators.
 
-    Samples corner-to-corner plus seeded random vertex pairs, records the
-    geodesic edge counts under the b-truncated weights, and for each L in the
-    ladder reports whether some sampled geodesic has at least L n edges.
+    Samples corner-to-corner plus ``_RANDOM_PAIRS`` seeded random vertex
+    pairs, records the geodesic edge counts under the b-truncated weights,
+    and for each L in the ladder reports whether some sampled geodesic has
+    at least L n edges.
     """
     box = field.box
     n, d = box.side, box.dimension
@@ -705,7 +706,7 @@ def geodesic_length_stats(
     rng = np.random.default_rng(seed)
     pairs = [(np.zeros(d, dtype=np.int64), np.full(d, n, dtype=np.int64))]
     pairs.append((np.zeros(d, dtype=np.int64), np.array([n] + [0] * (d - 1))))
-    for _ in range(n_random_pairs):
+    for _ in range(_RANDOM_PAIRS):
         u = rng.integers(0, n + 1, size=d)
         v = rng.integers(0, n + 1, size=d)
         if np.array_equal(u, v):

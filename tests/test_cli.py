@@ -184,11 +184,38 @@ def test_selftest_schema_rejects_junk(tmp_path):
 @pytest.mark.parametrize("command, key", [
     ("highways", "budget"), ("functional", "budget"), ("selftest", "budget"),
     ("selftest", "seed"),
+    # settings every run shares are constants, not config keys
+    ("rate", "zeta_count"), ("rate", "zero_tol"), ("functional", "order"),
 ])
 def test_no_key_a_command_does_not_read(tmp_path, capsys, command, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), key: 10}
     assert run(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.startswith("config schema violation:")
+
+
+def test_rate_without_zeta_grid_uses_the_default_grid(tmp_path):
+    from fpplab.elementary_rate import default_zeta_grid
+    from fpplab.model import EdgeDistribution
+
+    cfg = {key: value for key, value in DEFAULT_CONFIGS["rate"].items()
+           if key not in ("zeta_grid", "time_constant")}
+    assert run(tmp_path, "rate", cfg) == 0
+    want = default_zeta_grid(EdgeDistribution.from_spec(cfg["distribution"]), cfg["x"])
+    assert len(want) == 5
+    assert read_json(tmp_path, "rate.json")["zeta_grid"] == want.tolist()
+
+
+def test_rate_speeds_must_straddle_the_time_constant(tmp_path, capsys):
+    # both speeds lie within the time constant's margin, so no cell is
+    # checked as zero or as positive
+    cfg = {"distribution": DEFAULT_CONFIGS["rate"]["distribution"], "x": [1, 0],
+           "zeta_grid": [1.44, 1.46], "n_ladder": [1, 2],
+           "time_constant": {"n_ladder": [4, 8], "samples": 40}}
+    assert run(tmp_path, "rate", cfg) == 2
+    err = capsys.readouterr().err.rstrip("\n")
+    assert err.startswith("invalid config value:")
+    assert err.endswith('(in "zeta_grid")')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -244,6 +271,11 @@ def test_no_flag_a_command_does_not_read(tmp_path, command, flag):
      "invalid config file: Infinity is not a finite number"),
     ("oracle", {"fkg": {"x1": [1, 0], "x2": [0, 1], "t1": -math.inf, "t2": 1.0}},
      "invalid config file: -Infinity is not a finite number"),
+    # the geodesic statistics always draw 8 random pairs
+    ("simulate", {"geodesic_stats": {"b": 2.0, "L_values": [1.0], "n_random_pairs": 8}},
+     "config schema violation"),
+    # a repeated rung would reach the scale envelope, which needs increasing scales
+    ("rate", {"n_ladder": [1, 1]}, "config schema violation"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

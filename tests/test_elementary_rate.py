@@ -315,6 +315,7 @@ def test_surface_json_round_trip_and_csv(tmp_path):
 
 def test_default_zeta_grid_spans_bracket():
     grid = default_zeta_grid(TP, (1, 0))
+    assert len(grid) == 5
     assert grid[0] > 1.0
     assert grid[-1] == pytest.approx(1.5)
     assert np.all(np.diff(grid) > 0)

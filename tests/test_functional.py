@@ -195,6 +195,7 @@ def test_halving_the_discount_raises_the_value():
 def test_piecewise_profile_all_three_expressions():
     D = piecewise_metric()
     rep = functional_report(D, J)
+    assert rep.to_json()["quadrature_order"] == 8
     # (1 - 0.5) * 0.5 + (1 - 0.8) * 0.5
     assert rep.geodesic_sum == pytest.approx(0.35, abs=1e-12)
     assert rep.intrinsic == pytest.approx(0.35, abs=1e-12)
