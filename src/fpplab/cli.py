@@ -10,6 +10,9 @@ so a rerun with the same manifest produces byte-identical artifacts.
 configurations per exact probability on ``oracle`` (2^24), and
 configurations per exact point on ``rate`` and ``ld-trend`` (2^13; past it,
 method ``auto`` samples).  ``selftest`` has neither ``--seed`` nor ``--budget``.
+The argument parser and the package version are built once per process, so
+repeated :func:`main` calls in one process (a benchmark loop, the tests, a
+scripted sweep) pay for them once.
 
 Exit codes: 0 success, 1 invariant failure (or any uncaught error),
 2 an unreadable config file (missing, not JSON, or holding a number that is
@@ -39,7 +42,9 @@ from fpplab._artifacts import write_csv, write_json
 SCHEMA_VERSION = 1
 
 
+@functools.cache
 def _package_version() -> str:
+    """The installed package version, looked up once per process."""
     try:
         from importlib.metadata import version
 
@@ -313,7 +318,7 @@ SCHEMAS = {
             "metric": _METRIC,
             "distribution": {"$ref": "#/$defs/distribution"},
             "eps": {"type": "number", "minimum": 0},
-            "n_ladder": {"type": "array", "minItems": 1,
+            "n_ladder": {"type": "array", "minItems": 1, "uniqueItems": True,
                          "items": {"type": "integer", "minimum": 1}},
             "samples": _SAMPLES,
             "method": _METHOD,
@@ -952,7 +957,15 @@ def _cmd_selftest(cfg: dict, outdir: Path) -> tuple[list, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser of all seven commands, built once per process.
+
+    It depends only on :data:`SCHEMAS`, ``parse_args`` returns a fresh
+    ``Namespace`` per call, and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints, so one parser serves every
+    :func:`main` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="fpplab",
         description="First-passage percolation large-deviations laboratory",

@@ -389,7 +389,10 @@ def monte_carlo_event_probability(
     rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
     if event.kind == "passage_time_at_most":
         p = event.params
-        times = _seeded_passage_times(dist, box, rep_seeds, p["x"], p["y"], p["region"])
+        # only T <= t counts, so the solve stops at t: a field with T > t reads
+        # inf.  csgraph rejects a negative limit; with t < 0 nothing counts anyway
+        times = _seeded_passage_times(dist, box, rep_seeds, p["x"], p["y"], p["region"],
+                                      limit=max(p["t"], 0.0))
         k = int(np.count_nonzero(times <= p["t"]))
     else:
         compiled = _predicate(event, box)

@@ -147,7 +147,8 @@ def _solve(field: WeightField, sources, mask=None):
     return _scipy_dijkstra(graph, directed=True, indices=sources), graph
 
 
-def _solve_rows(W: np.ndarray, box: LatticeBox, sources, mask=None, access=None) -> np.ndarray:
+def _solve_rows(W: np.ndarray, box: LatticeBox, sources, mask=None, access=None,
+                limit: float = math.inf) -> np.ndarray:
     """Passage times from one source per weight row: shape ``(B, size)``.
 
     ``W`` is a ``(B, n_edges)`` block of weight rows of ``box`` and
@@ -157,23 +158,27 @@ def _solve_rows(W: np.ndarray, box: LatticeBox, sources, mask=None, access=None)
     into one block-diagonal :func:`_box_graph` and one csgraph Dijkstra with
     ``min_only=True`` from every block's source.  The blocks are disjoint
     components, so each block's distances are its own field's, bit for bit
-    those of a one-block solve of that field.
+    those of a one-block solve of that field.  The search stops at
+    ``limit``: a vertex farther than it reads ``inf``, and one at most
+    ``limit`` away (ties included) keeps its exact distance.
     """
     size = box.n_vertices + (access is not None)
     starts = np.asarray(sources, dtype=np.int64) + size * np.arange(len(W))
     dist = _scipy_dijkstra(_box_graph(W, box, mask, access), directed=True, indices=starts,
-                           min_only=True)
+                           min_only=True, limit=limit)
     return dist.reshape(len(W), size)
 
 
-def _seeded_passage_times(dist, box: LatticeBox, seeds, x, y, region=None) -> np.ndarray:
+def _seeded_passage_times(dist, box: LatticeBox, seeds, x, y, region=None,
+                          limit: float = math.inf) -> np.ndarray:
     """T(x, y) among paths in ``region``, under the field of each seed in turn.
 
     The fields are sampled as weight rows and solved by :func:`_solve_rows`
     a chunk at a time, as many rows per chunk as fit in
     :data:`_BLOCK_VERTICES` vertices (one row when a single box has more).
     Each value equals ``restricted_passage_time(sample_weights(dist, box,
-    seed), x, y, region)`` bit for bit.
+    seed), x, y, region)`` bit for bit where that is at most ``limit``, and
+    is ``inf`` where it is larger.
     """
     mask = _region_mask(box, region)
     sid, tid = _pair_ids(box, x, y, mask)
@@ -181,7 +186,7 @@ def _seeded_passage_times(dist, box: LatticeBox, seeds, x, y, region=None) -> np
     out = np.empty(len(seeds))
     for start in range(0, len(seeds), rows):
         W = sample_weight_rows(dist, box, seeds[start:start + rows])
-        out[start:start + rows] = _solve_rows(W, box, sid, mask)[:, tid]
+        out[start:start + rows] = _solve_rows(W, box, sid, mask, limit=limit)[:, tid]
     return out
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fpplab
-from fpplab.cli import DEFAULT_CONFIGS, SCHEMAS, main
+from fpplab.cli import DEFAULT_CONFIGS, SCHEMAS, _build_parser, main
 
 
 def run(tmp_path, command, cfg=None, extra=()):
@@ -218,6 +218,32 @@ def test_rate_speeds_must_straddle_the_time_constant(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: fpplab")
+    assert "{simulate,oracle,rate,highways,functional,ld-trend,selftest}" in out
+
+
+def test_unknown_command_prints_usage_after_a_run(tmp_path, capsys):
+    """The parser is kept across runs; its errors still go to the stderr of
+    the moment, not to one captured when it was built."""
+    assert main(["oracle", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as ei:
+        main(["no-such-command"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fpplab")
+    assert "invalid choice: 'no-such-command'" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("highways", "--budget"), ("functional", "--budget"), ("selftest", "--budget"),
     ("selftest", "--seed"),
@@ -276,6 +302,8 @@ def test_no_flag_a_command_does_not_read(tmp_path, command, flag):
      "config schema violation"),
     # a repeated rung would reach the scale envelope, which needs increasing scales
     ("rate", {"n_ladder": [1, 1]}, "config schema violation"),
+    # a repeated ld-trend rung would be computed again as a duplicate row
+    ("ld-trend", {"n_ladder": [2, 1, 1]}, "config schema violation"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
@@ -540,6 +568,20 @@ def test_seed_flag_changes_results_and_manifest(tmp_path):
     ja = json.loads((a / "rate.json").read_text())
     jb = json.loads((b / "rate.json").read_text())
     assert ja["time_constant"] != jb["time_constant"]
+
+
+@pytest.mark.parametrize("command, flag, value, default", [
+    ("rate", "--seed", "99", 0), ("oracle", "--budget", str(1 << 20), 1 << 24),
+])
+def test_flag_does_not_outlive_its_run(tmp_path, command, flag, value, default):
+    """One parser serves every run in a process, so a flag given to one run
+    must not reach the next run, which omits it."""
+    key = flag.lstrip("-")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([command, "-o", str(a), flag, value]) == 0
+    assert read_json(a, "manifest.json")[key] == int(value)
+    assert main([command, "-o", str(b)]) == 0
+    assert read_json(b, "manifest.json")[key] == default
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -24,7 +24,8 @@ from fpplab.oracle import (
 )
 from fpplab.geometry import NormPlusHighways
 from fpplab.oracle import _live_edges, _predicate
-from fpplab.passage_time import _BLOCK_VERTICES, _arc_table, _batched_distances, hub_check
+from fpplab.passage_time import (_BLOCK_VERTICES, _arc_table, _batched_distances,
+                                 _seeded_passage_times, hub_check)
 from reference import reference_dijkstra
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
@@ -437,6 +438,37 @@ def test_mc_successes_at_frozen_seeds():
                                           [Fraction(1, 5), Fraction(1, 3), Fraction(7, 15)])
     strip = EventSpec.passage_time_at_most((0, 0), (4, 1), 1.2, region=((0, 4), (0, 1)))
     assert monte_carlo_event_probability(strip, law, LatticeBox(2, 4), 300, seed=11).successes == 79
+
+
+_EXP1 = EdgeDistribution.exponential(1.0)
+
+
+@pytest.mark.parametrize("law, n, x, y, t, region", [
+    # thresholds at sums of the atoms 1 and 2, so some fields meet T == t
+    (TP, 3, (0, 0), (3, 3), 6.0, None),
+    (TP, 3, (0, 0), (3, 3), 8.0, None),
+    (TP, 3, (0, 0), (3, 3), 9.0, None),
+    (_EXP1, 4, (0, 0), (4, 4), 5.0, None),
+    (TP, 4, (0, 0), (4, 1), 6.0, ((0, 4), (0, 1))),
+    (TP, 3, (0, 0), (3, 3), -1.0, None),
+    (_EXP1, 3, (0, 0), (3, 3), math.inf, None),
+], ids=["tie-low", "tie-mid", "tie-high", "exponential", "region", "negative-t", "infinite-t"])
+def test_mc_early_stop_counts_equal_the_full_solve(law, n, x, y, t, region):
+    """The Monte-Carlo solve stops at t; its hits are those of the full solve."""
+    box, samples, seed = LatticeBox(2, n), 300, 4
+    ev = EventSpec.passage_time_at_most(x, y, t, region=region)
+    mc = monte_carlo_event_probability(ev, law, box, samples, seed)
+    rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
+    full = _seeded_passage_times(law, box, rep_seeds, x, y, region)
+    assert mc.successes == np.count_nonzero(full <= t)
+    stopped = _seeded_passage_times(law, box, rep_seeds, x, y, region, limit=max(t, 0.0))
+    assert stopped.tobytes() == np.where(full <= max(t, 0.0), full, math.inf).tobytes()
+    if law is TP and t >= 0:
+        assert np.any(full == t)  # the inclusive limit keeps these fields
+    if t < 0:
+        assert mc.successes == 0
+    if math.isinf(t):
+        assert mc.successes == samples
 
 
 def test_event_rate_enumerates_or_falls_back_to_monte_carlo():
