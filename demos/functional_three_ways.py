@@ -32,7 +32,7 @@ slower = NormPlusHighways(
 )
 probe = strict_monotonicity_probe(metric, slower, J)
 print(f"\nslowing the highway 0.5 -> 0.7 drops the functional "
-      f"{probe.value_smaller:.3f} -> {probe.value_larger:.3f} "
+      f"{probe.value_smaller_metric:.3f} -> {probe.value_larger_metric:.3f} "
       f"(order violations: {probe.max_order_violation})")
 
 dist = EdgeDistribution.two_point(1.0, 2.0, 0.5)

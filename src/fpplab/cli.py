@@ -14,7 +14,8 @@ The argument parser and the package version are built once per process, so
 repeated :func:`main` calls in one process (a benchmark loop, the tests, a
 scripted sweep) pay for them once.
 
-Exit codes: 0 success, 1 invariant failure (or any uncaught error),
+Exit codes: 0 success, 1 invariant failure (``invariant failed: <message>``
+on stderr when a functional contract fails, or any uncaught error),
 2 an unreadable config file (missing, not JSON, or holding a number that is
 not finite), a config schema violation or a config value the model rejects,
 3 a size cap exceeded: the enumeration or all-pairs budget, or the fixed
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fpplab._artifacts import write_csv, write_json
+from fpplab._artifacts import jsonable, write_csv, write_json
 
 SCHEMA_VERSION = 1
 
@@ -449,6 +450,10 @@ def _config_values(key: str):
         raise _ConfigValueError(f'{exc} (in "{key}")') from exc
 
 
+class _InvariantError(Exception):
+    """A library invariant that failed on a valid config (exit 1)."""
+
+
 def _check_dim(key: str, got: int, want: int) -> None:
     """A config error naming ``key`` when a value of dimension ``got`` meets
     a metric or box of dimension ``want``."""
@@ -679,7 +684,7 @@ def _cmd_highways(cfg: dict, outdir: Path) -> list:
 
 
 def _cmd_functional(cfg: dict, outdir: Path) -> list:
-    from fpplab.functional import (PathFamily, functional_report,
+    from fpplab.functional import (FunctionalError, PathFamily, functional_report,
                                    strict_monotonicity_probe)
     from fpplab.geometry import LipschitzPath
 
@@ -694,15 +699,18 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
             for path in paths:
                 _check_dim("family", path.dim, metric.dim)
             family = PathFamily(paths)
-    rep = functional_report(metric, J, family=family)
-    out = rep.to_json()
-    if "probe_metric" in cfg:
-        smaller = _metric_from(cfg["probe_metric"], "probe_metric")
-        _check_dim("probe_metric", smaller.dim, metric.dim)
-        with _config_values("probe_metric"):
-            smaller.validate_geodesics()
-        probe = strict_monotonicity_probe(smaller, metric, J, seed=cfg["seed"])
-        out["monotonicity_probe"] = probe.to_json()
+    try:
+        rep = functional_report(metric, J, family=family)
+        out = jsonable(rep)
+        if "probe_metric" in cfg:
+            smaller = _metric_from(cfg["probe_metric"], "probe_metric")
+            _check_dim("probe_metric", smaller.dim, metric.dim)
+            with _config_values("probe_metric"):
+                smaller.validate_geodesics()
+            probe = strict_monotonicity_probe(smaller, metric, J, seed=cfg["seed"])
+            out["monotonicity_probe"] = probe
+    except FunctionalError as exc:  # a contract of the functional failed: exit 1
+        raise _InvariantError(str(exc)) from exc
     write_json(outdir / "functional.json", out)
 
     width = max(len(f"{v:.12g}") for v in
@@ -714,9 +722,8 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
     print(f"delta intrinsic   {rep.delta_intrinsic:.3g}")
     print(f"delta sup         {rep.delta_sup:.3g}")
     if "monotonicity_probe" in out:
-        p = out["monotonicity_probe"]
-        print(f"probe: smaller metric {p['value_smaller_metric']:.12g} > "
-              f"larger metric {p['value_larger_metric']:.12g}")
+        print(f"probe: smaller metric {probe.value_smaller_metric:.12g} > "
+              f"larger metric {probe.value_larger_metric:.12g}")
     return ["functional.json"]
 
 
@@ -740,7 +747,7 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
         metric, dist, cfg["eps"], cfg["n_ladder"],
         samples=cfg["samples"], seed=cfg["seed"], method=cfg["method"],
         enum_cap=cfg["budget"], functional_value=fv)
-    write_json(outdir / "ld_trend.json", table.to_json())
+    write_json(outdir / "ld_trend.json", table)
     rows = [[r.n, r.method, r.p,
              getattr(r.p_exact, "numerator", None), getattr(r.p_exact, "denominator", None),
              r.rate, *(r.ci or (None, None)), r.censored, r.samples, r.hits, r.seed]
@@ -1073,6 +1080,9 @@ def main(argv=None) -> int:
     except _ConfigValueError as exc:
         print(f"invalid config value: {exc}", file=sys.stderr)
         return 2
+    except _InvariantError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return 1
     except CapExceededError as exc:
         if exc.fixed:
             print(f"size limit exceeded: {exc}; --budget does not raise it", file=sys.stderr)

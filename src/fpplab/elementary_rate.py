@@ -89,15 +89,6 @@ class RatePoint:
     hits: int | None = None
     seed: int | None = None
 
-    def to_json(self) -> dict:
-        out = {"x": self.x, "zeta": self.zeta, "n": self.n, "estimate": self.estimate,
-               "ci": self.ci, "method": self.method, "censored": self.censored}
-        if self.p_exact is not None:
-            out["p_exact"] = self.p_exact
-        if self.p_hat is not None:
-            out.update(p_mc=self.p_hat, samples=self.samples, hits=self.hits, seed=self.seed)
-        return jsonable(out)
-
 
 def _domain_check(dist, x: np.ndarray, zeta: float) -> None:
     """Speeds strictly above a |x|_1 are always admissible; the boundary speed

@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from fpplab._artifacts import jsonable
 from fpplab._segments import fvec, segment_intersection
 from fpplab.geometry import (
     LipschitzPath,
@@ -291,35 +290,23 @@ def functional_sup_lower_bound(D: NormPlusHighways, J, family: PathFamily) -> fl
 
 @dataclass
 class FunctionalReport:
-    """The three expressions of the functional with their pairwise gaps."""
+    """The three expressions of the functional with their pairwise gaps and
+    the constants they were checked under; written as its fields."""
 
     geodesic_sum: float
     intrinsic: float
     sup_bound: float
     family_size: int
     n_highways: int
+    delta_intrinsic: float = field(init=False)
+    delta_sup: float = field(init=False)
+    quadrature_order: int = field(default=_QUADRATURE_ORDER, init=False)
+    cross_tol: float = field(default=_CROSS_TOL, init=False)
+    sup_tol: float = field(default=_SUP_TOL, init=False)
 
-    @property
-    def delta_intrinsic(self) -> float:
-        return self.intrinsic - self.geodesic_sum
-
-    @property
-    def delta_sup(self) -> float:
-        return self.sup_bound - self.geodesic_sum
-
-    def to_json(self) -> dict:
-        return {
-            "geodesic_sum": self.geodesic_sum,
-            "intrinsic": self.intrinsic,
-            "sup_bound": self.sup_bound,
-            "delta_intrinsic": self.delta_intrinsic,
-            "delta_sup": self.delta_sup,
-            "family_size": self.family_size,
-            "quadrature_order": _QUADRATURE_ORDER,
-            "n_highways": self.n_highways,
-            "cross_tol": _CROSS_TOL,
-            "sup_tol": _SUP_TOL,
-        }
+    def __post_init__(self):
+        self.delta_intrinsic = self.intrinsic - self.geodesic_sum
+        self.delta_sup = self.sup_bound - self.geodesic_sum
 
 
 def functional_report(D: NormPlusHighways, J,
@@ -360,21 +347,15 @@ def functional_report(D: NormPlusHighways, J,
 
 @dataclass
 class MonotonicityReport:
-    value_smaller: float     # functional of the smaller metric
-    value_larger: float      # functional of the larger metric
+    """The two functionals of a strict monotonicity probe; written as its
+    fields."""
+
+    value_smaller_metric: float   # functional of the smaller metric
+    value_larger_metric: float    # functional of the larger metric
     n_pairs: int
     max_order_violation: float
     witness: tuple | None
-
-    def to_json(self) -> dict:
-        return jsonable({
-            "value_smaller_metric": self.value_smaller,
-            "value_larger_metric": self.value_larger,
-            "margin": _PROBE_MARGIN,
-            "n_pairs": self.n_pairs,
-            "max_order_violation": self.max_order_violation,
-            "witness": self.witness,
-        })
+    margin: float = field(default=_PROBE_MARGIN, init=False)
 
 
 def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
@@ -426,7 +407,7 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
             f"(margin {_PROBE_MARGIN:g})"
         )
     return MonotonicityReport(
-        value_smaller=val1, value_larger=val2,
+        value_smaller_metric=val1, value_larger_metric=val2,
         n_pairs=len(i), max_order_violation=worst, witness=witness,
     )
 
@@ -438,18 +419,15 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
 
 @dataclass
 class LDTrendTable:
+    """Finite-box rates beside a functional value; written as its fields."""
+
     rows: list[LDTrendRow]
     eps: float
     functional_value: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "functional_value": self.functional_value,
-            "comparison": "qualitative only; convergence of finite-box rates "
-                          "to the functional is not observable at these sizes",
-            "rows": [r.to_json() for r in self.rows],
-        }
+    comparison: str = field(
+        default="qualitative only; convergence of finite-box rates "
+                "to the functional is not observable at these sizes",
+        init=False)
 
 
 def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from fpplab._artifacts import jsonable
 from fpplab.model import EdgeDistribution, LatticeBox, _edge_arrays, _integral, sample_weight_rows
 from fpplab.passage_time import (_arc_table, _batch_rows, _batched_distances, _hub_budgets,
                                  _hub_times, _pair_ids, _region_mask, _seeded_passage_times)
@@ -171,19 +170,20 @@ def _predicate(event: EventSpec, box: LatticeBox) -> _CompiledEvent:
     if event.kind == "ld_lower":
         p = event.params
         n = box.side
+        # all_vertex_coords lists the vertices in id order, so row k is vertex k
         grid = np.asarray(box.all_vertex_coords(), dtype=np.int64)
-        gids = np.atleast_1d(box.vertex_id(grid))
+        sources = np.arange(box.n_vertices)
         i, j = np.divmod(np.arange(len(grid) ** 2), len(grid))
         D = p["metric"].evaluate_many(grid[i] / n, grid[j] / n).reshape(len(grid), len(grid))
         budget = D + p["eps"]
         nbr, eid = _arc_table(box, None)
 
         def test(W):
-            dist_arr = _batched_distances(W, gids, nbr, eid)[:, :, gids]
+            dist_arr = _batched_distances(W, sources, nbr, eid)
             return ~np.any(dist_arr / n > budget, axis=(1, 2))
 
         centre = np.full(box.dimension, n / 2)
-        return _CompiledEvent(test, _batch_rows(box, len(gids)), np.array([(centre, centre)]))
+        return _CompiledEvent(test, _batch_rows(box, len(sources)), np.array([(centre, centre)]))
 
     if event.kind != "hub":
         raise ValueError(f"unknown event kind {event.kind!r}")
@@ -385,7 +385,10 @@ def monte_carlo_event_probability(
     through :func:`~fpplab.passage_time._seeded_passage_times` (block-diagonal
     csgraph, faster than Bellman-Ford on boxes too big to enumerate); every
     ``ld_lower`` or hub event through the compiled test of the exact oracle.
+    ``samples`` must be a positive integer, or ``ValueError``.
     """
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
     rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
     if event.kind == "passage_time_at_most":
         p = event.params
@@ -414,7 +417,8 @@ class LDTrendRow:
 
     Exact rows carry ``p_exact``, ``ci=None`` and the configuration count
     in ``samples``.  Monte-Carlo rows carry the hit count and the rate
-    interval, the decreasing image of the Wilson interval on p.
+    interval, the decreasing image of the Wilson interval on p.  A row is
+    written as its fields.
     """
 
     n: int
@@ -427,10 +431,11 @@ class LDTrendRow:
     samples: int
     hits: int | None
     seed: int
+    rate_is_infinite: bool = field(init=False)
 
-    def to_json(self) -> dict:
-        return {**jsonable(self),
-                "rate_is_infinite": self.rate is not None and math.isinf(self.rate)}
+    def __post_init__(self):
+        object.__setattr__(self, "rate_is_infinite",
+                           self.rate is not None and math.isinf(self.rate))
 
 
 def _check_method(method: str, dist: EdgeDistribution) -> None:

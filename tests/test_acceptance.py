@@ -373,7 +373,7 @@ def test_criterion_08_strict_monotonicity():
     for fast, slow in probes:
         rep = strict_monotonicity_probe(fast, slow, J)
         assert rep.max_order_violation == 0.0
-        gap = rep.value_smaller - rep.value_larger
+        gap = rep.value_smaller_metric - rep.value_larger_metric
         assert gap > 1e-9
         margins.append(gap)
     _passed(8, f"{len(probes)} slowdown probes, functional gaps in [{min(margins):.3f}, {max(margins):.3f}]")

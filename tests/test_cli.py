@@ -141,6 +141,33 @@ def test_ld_trend_artifacts(tmp_path):
     assert len(lines) == 3
 
 
+def _diagonal_at(discount):
+    return {**_DIAGONAL, "highways": [{**_DIAGONAL["highways"][0], "profile": [[2.0, discount]]}]}
+
+
+def test_report_artifact_keys_are_pinned(tmp_path):
+    """functional.json, its probe block and the ld_trend.json rows are their
+    report records' fields; a new field shows up here."""
+    cfg = {**DEFAULT_CONFIGS["functional"], "metric": _diagonal_at(0.6),
+           "probe_metric": _diagonal_at(0.5)}
+    for sub in ("functional", "ld-trend"):
+        (tmp_path / sub).mkdir()
+    assert run(tmp_path / "functional", "functional", cfg) == 0
+    rep = read_json(tmp_path / "functional", "functional.json")
+    assert sorted(rep) == ["cross_tol", "delta_intrinsic", "delta_sup", "family_size",
+                           "geodesic_sum", "intrinsic", "monotonicity_probe", "n_highways",
+                           "quadrature_order", "sup_bound", "sup_tol"]
+    assert sorted(rep["monotonicity_probe"]) == ["margin", "max_order_violation", "n_pairs",
+                                                 "value_larger_metric", "value_smaller_metric",
+                                                 "witness"]
+    assert run(tmp_path / "ld-trend", "ld-trend") == 0
+    tab = read_json(tmp_path / "ld-trend", "ld_trend.json")
+    assert sorted(tab) == ["comparison", "eps", "functional_value", "rows"]
+    for row in tab["rows"]:
+        assert sorted(row) == ["censored", "ci", "hits", "method", "n", "p", "p_exact",
+                               "rate", "rate_is_infinite", "samples", "seed"]
+
+
 # ---------------------------------------------------------------------------
 # config validation and exit codes
 # ---------------------------------------------------------------------------
@@ -438,6 +465,34 @@ def test_functional_checks_each_metric_once(tmp_path, monkeypatch):
     assert "monotonicity_probe" in read_json(tmp_path, "functional.json")
     assert len(geodesy) == 2 and geodesy[0] is not geodesy[1]
     assert families == [("highway",), ("family path",), ("highway",)]
+
+
+@pytest.mark.parametrize("rate, message", [
+    # the probe metric is the slower one, so the ordering check fails
+    ({"kind": "analytic", "weights": [1.0, 1.0]},
+     "ordering violated on a sampled pair: D1 - D2 = 0.2"),
+    # the default rate surface reads both functionals as 4 log 2
+    ({"kind": "surface", "file": "surface.json"}, "strict monotonicity failed"),
+])
+def test_functional_invariant_failure_exits_1(tmp_path, capsys, rate, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    metric, probe_metric = _diagonal_at(0.6), _diagonal_at(0.5)
+    if rate["kind"] == "surface":
+        assert run(tmp_path / "rate", "rate") == 0
+        (out / "surface.json").write_bytes((tmp_path / "rate" / "surface.json").read_bytes())
+    else:
+        metric, probe_metric = probe_metric, metric
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"metric": metric, "probe_metric": probe_metric,
+                                    "rate": rate}))
+    capsys.readouterr()
+    assert main(["functional", "--config", str(cfg_path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invariant failed: {message}")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == (["surface.json"] if rate["kind"] == "surface"
+                                                     else [])
 
 
 def test_commands_do_not_import_scipy_optimize_or_stats():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fpplab._artifacts import jsonable
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weight_rows, truncate
 from fpplab.elementary_rate import (
     RatePoint,
@@ -106,7 +107,7 @@ def test_mc_censored_point_is_one_sided():
     assert pt.hits == 0
     assert pt.estimate == pytest.approx(0.234213, abs=1e-5)
     assert pt.ci[1] == math.inf
-    j = pt.to_json()
+    j = jsonable(pt)
     assert j["censored"] is True
     assert j["ci"][1] is None
 
@@ -145,7 +146,7 @@ def test_mc_hits_agree_across_samplers():
 
 def test_rate_point_json_exact_fraction():
     pt = estimate_rate_point(TP, (1, 0), 1.0, 1)
-    j = pt.to_json()
+    j = jsonable(pt)
     assert j["p_exact"] == {"num": 1, "den": 2}
     assert j["method"] == "exact-oracle"
 

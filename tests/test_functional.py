@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fpplab._artifacts import jsonable
 from fpplab.elementary_rate import RatePoint, extend_surface
 from fpplab.functional import (
     AnalyticRate,
@@ -195,7 +196,7 @@ def test_halving_the_discount_raises_the_value():
 def test_piecewise_profile_all_three_expressions():
     D = piecewise_metric()
     rep = functional_report(D, J)
-    assert rep.to_json()["quadrature_order"] == 8
+    assert rep.quadrature_order == 8
     # (1 - 0.5) * 0.5 + (1 - 0.8) * 0.5
     assert rep.geodesic_sum == pytest.approx(0.35, abs=1e-12)
     assert rep.intrinsic == pytest.approx(0.35, abs=1e-12)
@@ -335,7 +336,7 @@ def test_report_cross_check_enforced(monkeypatch):
     D = diag_metric()
     rep = functional_report(D, J)
     assert abs(rep.delta_intrinsic) <= 1e-12
-    j = rep.to_json()
+    j = jsonable(rep)
     assert j["geodesic_sum"] == 1.0
     assert j["family_size"] == 1
     assert j["cross_tol"] == 1e-9
@@ -353,8 +354,8 @@ def test_report_cross_check_enforced(monkeypatch):
 
 def test_probe_smaller_metric_wins():
     rep = strict_monotonicity_probe(diag_metric(0.5), diag_metric(0.6), J)
-    assert rep.value_smaller == 1.0
-    assert rep.value_larger == pytest.approx(0.8, abs=1e-12)
+    assert rep.value_smaller_metric == 1.0
+    assert rep.value_larger_metric == pytest.approx(0.8, abs=1e-12)
     assert rep.max_order_violation == 0.0
     assert rep.witness is not None
 
@@ -363,12 +364,12 @@ def test_probe_report_matches_parent():
     """Criterion 08's first slowdown pair at seed 0, pinned from the
     per-pair probe that preceded the batched one."""
     rep = strict_monotonicity_probe(diag_metric(0.5), diag_metric(0.6), J)
-    assert rep.to_json()["margin"] == 1e-9
+    assert rep.margin == 1e-9
     assert rep.n_pairs == 4851
     assert rep.max_order_violation == 0.0
     assert [w.tolist() for w in rep.witness] == [[0.0, 0.0], [1.0, 1.0]]
-    assert rep.value_smaller == 1.0
-    assert rep.value_larger == 0.8
+    assert rep.value_smaller_metric == 1.0
+    assert rep.value_larger_metric == 0.8
 
 
 def test_probe_witness_is_the_first_largest_rise(monkeypatch):
@@ -398,8 +399,8 @@ def test_probe_witness_is_the_first_largest_rise(monkeypatch):
 def test_probe_highway_beats_plain_norm():
     rep = strict_monotonicity_probe(
         diag_metric(0.5), NormPlusHighways([1.0, 1.0], []), J)
-    assert rep.value_smaller == 1.0
-    assert rep.value_larger == 0.0
+    assert rep.value_smaller_metric == 1.0
+    assert rep.value_larger_metric == 0.0
 
 
 def test_probe_rejects_equal_metrics():
@@ -427,7 +428,7 @@ def test_ld_trend_impossible_event_has_infinite_rate():
     assert row.p_exact == 0
     assert row.samples == 16  # 2^4 configurations enumerated
     assert row.rate == math.inf
-    j = row.to_json()
+    j = jsonable(row)
     assert j["rate"] is None
     assert j["rate_is_infinite"] is True
 
@@ -463,7 +464,7 @@ def test_ld_trend_mc_censored_row():
     assert row.censored and row.hits == 0
     assert row.rate is None
     assert row.ci[0] > 0 and row.ci[1] == math.inf
-    j = row.to_json()
+    j = jsonable(row)
     assert j["ci"][1] is None
 
 
@@ -478,7 +479,7 @@ def test_ld_trend_mc_regular_row():
 
 def test_ld_trend_table_json_is_qualitative():
     tab = empirical_ld_trend(scaled_l1, TP, 2.0, [1], functional_value=0.35)
-    j = tab.to_json()
+    j = jsonable(tab)
     assert j["functional_value"] == 0.35
     assert "qualitative" in j["comparison"]
     assert len(j["rows"]) == 1

@@ -276,6 +276,9 @@ def test_chernoff_formula_and_optimum():
         chernoff_upper_tail(TP, -0.1, eps, n, hops)
 
 
+_MC_EVENT = EventSpec.passage_time_at_most([0, 0], [1, 1], 2.0)
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: crude_lower_bound(TP, (0, 0), (2, 0), math.nan), "t must",
                  id="crude-nan-t"),
@@ -305,11 +308,19 @@ def test_chernoff_formula_and_optimum():
                  id="best-lambda-negative-hops"),
     pytest.param(lambda: wilson_interval(5, 3), "k in 0..n", id="wilson-k-above-n"),
     pytest.param(lambda: wilson_interval(-1, 3), "k in 0..n", id="wilson-negative-k"),
+    pytest.param(lambda: monte_carlo_event_probability(_MC_EVENT, TP, LatticeBox(2, 1), -1),
+                 "samples must", id="mc-negative-samples"),
+    pytest.param(lambda: monte_carlo_event_probability(_MC_EVENT, TP, LatticeBox(2, 1), 0),
+                 "samples must", id="mc-zero-samples"),
+    pytest.param(lambda: monte_carlo_event_probability(_MC_EVENT, TP, LatticeBox(2, 1), 2.5),
+                 "samples must", id="mc-fractional-samples"),
 ])
 def test_analytic_bounds_reject_bad_arguments(call, match):
     # each returned 0, inf or nan, a "bound" above 1 or below the true tail
     # (a negative n or hops), or failed in arithmetic, or blamed the wrong
-    # argument: a diverging mgf for an eps of zero
+    # argument: a diverging mgf for an eps of zero.  The Monte-Carlo sample
+    # counts failed in numpy (-1), in the Wilson interval (0) or with a
+    # TypeError (2.5), none naming samples
     with pytest.raises(ValueError, match=match):
         call()
 
