@@ -711,6 +711,9 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
             out["monotonicity_probe"] = probe
     except FunctionalError as exc:  # a contract of the functional failed: exit 1
         raise _InvariantError(str(exc)) from exc
+    if cfg["rate"]["kind"] == "surface":
+        # queries below the surface's tabulated speeds, read at its boundary cell
+        out["rate_surface"] = {"flagged_queries": J.n_flagged}
     write_json(outdir / "functional.json", out)
 
     width = max(len(f"{v:.12g}") for v in

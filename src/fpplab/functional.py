@@ -25,6 +25,7 @@ from fpplab._segments import fvec, segment_intersection
 from fpplab.geometry import (
     LipschitzPath,
     NormPlusHighways,
+    _halton,
     _norm_factory,
     _path_integrals,
     check_path_family,
@@ -370,15 +371,13 @@ def strict_monotonicity_probe(D1: NormPlusHighways, D2: NormPlusHighways, J,
     ``GeodesyError``; the smaller metric must win by more than
     ``_PROBE_MARGIN``.
     """
-    from scipy.stats import qmc
-
     D1.validate_geodesics()
     D2.validate_geodesics()
     if D1.dim != D2.dim:
         raise FunctionalError("metrics live in different dimensions")
     dim = D1.dim
     pts = [np.zeros(dim), np.ones(dim), np.full(dim, 0.5)]
-    for row in qmc.Halton(d=2 * dim, scramble=True, seed=seed).random(_PROBE_PAIRS):
+    for row in _halton(2 * dim, _PROBE_PAIRS, seed):
         pts.append(row[:dim])
         pts.append(row[dim:])
     pts = np.asarray(pts)

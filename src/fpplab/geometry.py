@@ -347,10 +347,17 @@ def _transfer_params(pts: np.ndarray, ts: np.ndarray, other: np.ndarray) -> np.n
 
 
 def _ride_table(cum_a: np.ndarray, cum_b: np.ndarray) -> np.ndarray:
-    """``|cum_a[:, i] - cum_b[..., j]|`` as a fresh ``(B, i, j)`` array; cum_b
-    is one table or one table per row."""
-    out = cum_a[:, :, None] - cum_b[..., None, :]
+    """``|cum_a - cum_b|``, broadcast, as one fresh array."""
+    out = cum_a - cum_b
     return np.abs(out, out=out)
+
+
+def _hops(D: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weighted l1 norms of the difference vectors D, ``(..., dim)``, as
+    one 2-D matrix-vector product: a stacked one rounds each norm alike and
+    is an order of magnitude slower."""
+    a = np.abs(D)
+    return (a.reshape(-1, a.shape[-1]) @ weights).reshape(a.shape[:-1])
 
 
 def _normalize_profile(speed, total: float):
@@ -719,37 +726,46 @@ class HWChain:
 
     def _entry_candidates(self, block: _Block, g: np.ndarray, P: np.ndarray):
         """Costs of reaching each entry candidate of a ride from each row of
-        P, with the candidates' ride values: the block's access nodes, whose
-        costs ``g`` the pool already has, then the rows' axis projections."""
-        proj = _axis_projections(block.pts, block.ts, P)
-        cost = np.abs(P[:, None, :] - block.path.point_at(proj)) @ self.weights
-        ride = np.broadcast_to(block.access_cum, (len(P), len(block.access_cum)))
-        return (np.concatenate([g[:, block.rows], cost], axis=1),
-                np.concatenate([ride, block.cum_at(proj)], axis=1))
+        P, with the candidates' ride values, as two ``(candidates, rows)``
+        arrays: the block's access nodes, whose costs ``g`` the pool already
+        has, then the rows' axis projections."""
+        proj = _axis_projections(block.pts, block.ts, P).T
+        cost = _hops(P - block.path.point_at(proj), self.weights)
+        ride = np.broadcast_to(block.access_cum[:, None], (len(block.access_cum), len(P)))
+        return (np.concatenate([g[block.rows], cost]),
+                np.concatenate([ride, block.cum_at(proj)]))
 
     def _query_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Distances between the rows of one chunk.  Every temporary keeps
+        the rows on its last, contiguous axis and is reduced over its leading
+        axes, which numpy does a whole row of pairs at a time; over a short
+        last axis it goes one element at a time.  Rounding is monotone, so
+        the minimum over entry candidates (or pool entry nodes) may be taken
+        before the exit cost is added: each value is the minimum of the same
+        sums as over all pairs of candidates."""
         best = self.gnorm(X - Y)
         if not self.blocks:
             return best
         B = len(X)
         P = np.concatenate([X, Y])  # x rows, then y rows
-        g = np.abs(P[:, None, :] - self.nodes) @ self.weights
+        g = _hops(P - self.nodes[:, None, :], self.weights)
         v = g.copy()
         for block in self.blocks:
             c, cum = self._entry_candidates(block, g, P)
-            # enter at a, ride to b, leave: (ride[a, b] + c_x[a]) + c_y[b]
-            route = _ride_table(cum[:B], cum[B:])
-            route += c[:B, :, None]
-            route += c[B:, None, :]
-            best = np.minimum(best, route.reshape(B, -1).min(axis=1))
+            # enter at a, ride to b, leave: (|cum_x[a] - cum_y[b]| + c_x[a]) + c_y[b]
+            route = _ride_table(cum[:, None, :B], cum[:, B:])
+            route += c[:, None, :B]
+            exits = route.min(axis=0)
+            exits += c[:, B:]
+            best = np.minimum(best, exits.min(axis=0))
             # access costs into the block's nodes, through its entry candidates
-            route = _ride_table(cum, block.access_cum)
-            route += c[:, :, None]
-            v[:, block.rows] = np.minimum(v[:, block.rows], route.min(axis=1))
-        # enter the pool, cross M, leave
-        route = v[:B, :, None] + self.M
-        route += v[B:, None, :]
-        return np.minimum(best, route.reshape(B, -1).min(axis=1))
+            route = _ride_table(cum[:, None], block.access_cum[:, None])
+            route += c[:, None]
+            v[block.rows] = np.minimum(v[block.rows], route.min(axis=0))
+        # enter the pool at i, cross M, leave at j: (v_x[i] + M[i, j]) + v_y[j]
+        exits = (v[:, None, :B] + self.M[:, :, None]).min(axis=0)
+        exits += v[:, B:]
+        return np.minimum(best, exits.min(axis=0))
 
 
 def hw_insert(chain: HWChain, paths: Sequence[LipschitzPath], target: NormPlusHighways) -> HWChain:
@@ -824,6 +840,39 @@ class HighwayNetwork:
         })
 
 
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the scrambled Halton sequence in [0, 1)^d, bit
+    for bit those of ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``
+    (Owen 2017, Algorithm 1), without importing ``scipy.stats``.
+
+    Coordinate k has the k-th prime b as base.  Its digit permutations are
+    ``ceil(54 / log2 b) - 1`` copies of ``arange(b)``, shuffled in turn by
+    ``default_rng(seed)``, and a point's coordinate is the sum of
+    ``perm[j][digit_j] * b**-(j + 1)`` from the lowest digit up, each power
+    taken by repeated division, as scipy takes them."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, d))
+    bases: list[int] = []
+    base = 2
+    while len(bases) < d:
+        if all(base % b for b in bases):
+            bases.append(base)
+        base += 1
+    for k, base in enumerate(bases):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        scales = [1.0 / base]
+        for _ in range(count - 1):
+            scales.append(scales[-1] / base)
+        digits = np.arange(n) // base ** np.arange(count)[:, None] % base
+        terms = perms[np.arange(count)[:, None], digits] * np.array(scales)[:, None]
+        # cumsum adds in digit order; a sum may pair the terms up (it does at n = 1)
+        out[:, k] = np.cumsum(terms, axis=0)[-1]
+    return out
+
+
 def build_highway_network(
     metric,
     n_geodesics: int = 12,
@@ -845,8 +894,6 @@ def build_highway_network(
     once the diagnostic reaches ``tol``; exhausting ``n_geodesics`` first
     returns the partial network with ``converged`` False.
     """
-    from scipy.stats import qmc
-
     if not isinstance(metric, NormPlusHighways):
         raise TypeError("network construction needs a NormPlusHighways metric")
     dim = metric.dim
@@ -854,7 +901,7 @@ def build_highway_network(
     # metric's own highway chords, the pairs a reconstruction can least
     # afford to miss
     pts = np.array([np.zeros(dim), np.ones(dim), np.full(dim, 0.5),
-                    *qmc.Halton(d=dim, scramble=True, seed=seed).random(3)])
+                    *_halton(dim, 3, seed)])
     i, j = np.triu_indices(len(pts), 1)
     ends = [b.path.points[[0, -1]] for b in metric.chain.blocks]
     probe_x = np.concatenate([pts[i], *(e[:1] for e in ends)])
@@ -865,13 +912,11 @@ def build_highway_network(
     diagnostics = []
     converged = False
 
-    sampler = qmc.Halton(d=2 * dim, scramble=True, seed=seed)
-
     def candidates():
         for x, y in seed_pairs:
             geo, _ = metric.geodesic(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
             yield geo, "seed"
-        for row in sampler.random(n_geodesics):
+        for row in _halton(2 * dim, n_geodesics, seed):
             x, y = row[:dim], row[dim:]
             if np.abs(x - y).sum() < 1e-9:
                 continue

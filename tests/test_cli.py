@@ -495,13 +495,30 @@ def test_functional_invariant_failure_exits_1(tmp_path, capsys, rate, message):
                                                      else [])
 
 
+def test_functional_records_clamped_surface_queries(tmp_path):
+    """Under the default rate surface (speeds 1.0-2.0 along (1, 0)) the
+    diagonal highway at discount 0.5 asks for a speed below the tabulated
+    range, read at the boundary cell; functional.json counts it.  The
+    default config, with an analytic rate, writes no such block."""
+    assert run(tmp_path / "rate", "rate") == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "surface.json").write_bytes((tmp_path / "rate" / "surface.json").read_bytes())
+    cfg = {"metric": _diagonal_at(0.5), "rate": {"kind": "surface", "file": "surface.json"}}
+    assert run(out, "functional", cfg) == 0
+    assert read_json(out, "functional.json")["rate_surface"]["flagged_queries"] >= 1
+    assert run(tmp_path / "analytic", "functional") == 0
+    assert "rate_surface" not in read_json(tmp_path / "analytic", "functional.json")
+
+
 def test_commands_do_not_import_scipy_optimize_or_stats():
-    """The five commands that need neither module leave both unimported,
-    which keeps them off every command's start-up time."""
+    """No command needs either module, so every command leaves both
+    unimported, which keeps them off its start-up time."""
     code = (
         "import sys, tempfile\n"
         "from fpplab.cli import main\n"
-        "for cmd in ('simulate', 'oracle', 'rate', 'functional', 'ld-trend'):\n"
+        "for cmd in ('simulate', 'oracle', 'rate', 'functional', 'ld-trend', 'highways',\n"
+        "            'selftest'):\n"
         "    with tempfile.TemporaryDirectory() as out:\n"
         "        assert main([cmd, '-o', out]) == 0, cmd\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"

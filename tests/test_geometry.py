@@ -33,7 +33,7 @@ from fpplab.geometry import (
     network_from_highways,
     remove_loops,
 )
-from fpplab.geometry import _MIN_PIECE_LENGTH
+from fpplab.geometry import _MIN_PIECE_LENGTH, _axis_projections, _halton, _hops
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
 from fpplab.passage_time import _BLOCK_VERTICES, ContinuousMetric
 from reference import DenseGridMetric
@@ -639,6 +639,97 @@ def test_bent_highways_make_a_metric(dim, seed):
             ride, abs=1e-12)
 
 
+def _reference_query(chain, X, Y):
+    """The query kernel in its former layout, kept as the reference for the
+    values: ``(B, K, K)`` ride tables, ``(2B, K, P)`` access tables and a
+    ``(B, N, N)`` pool crossing, each reduced over its middle axes."""
+    def ride_table(cum_a, cum_b):
+        out = cum_a[:, :, None] - cum_b[..., None, :]
+        return np.abs(out, out=out)
+
+    best = chain.gnorm(X - Y)
+    if not chain.blocks:
+        return best
+    B = len(X)
+    P = np.concatenate([X, Y])
+    g = np.abs(P[:, None, :] - chain.nodes) @ chain.weights
+    v = g.copy()
+    for block in chain.blocks:
+        proj = _axis_projections(block.pts, block.ts, P)
+        cost = np.abs(P[:, None, :] - block.path.point_at(proj)) @ chain.weights
+        ride = np.broadcast_to(block.access_cum, (len(P), len(block.access_cum)))
+        c = np.concatenate([g[:, block.rows], cost], axis=1)
+        cum = np.concatenate([ride, block.cum_at(proj)], axis=1)
+        route = ride_table(cum[:B], cum[B:])
+        route += c[:B, :, None]
+        route += c[B:, None, :]
+        best = np.minimum(best, route.reshape(B, -1).min(axis=1))
+        route = ride_table(cum, block.access_cum)
+        route += c[:, :, None]
+        v[:, block.rows] = np.minimum(v[:, block.rows], route.min(axis=1))
+    route = v[:B, :, None] + chain.M
+    route += v[B:, None, :]
+    return np.minimum(best, route.reshape(B, -1).min(axis=1))
+
+
+def _random_profiled_bent_family(rng, dim):
+    """1-3 disjoint highways through 2-4 unsorted points, each with a
+    constant discount or a two-piece profile."""
+    while True:
+        highways = []
+        for _ in range(int(rng.integers(1, 4))):
+            path = LipschitzPath(rng.uniform(0.05, 0.95, (int(rng.integers(2, 5)), dim)))
+            lam = rng.uniform(0.1, 0.9, 2)
+            total = path.length_l1
+            highways.append((path, float(lam[0]) if rng.random() < 0.5 else
+                             [[rng.uniform(0.2, 0.8) * total, lam[0]], [total, lam[1]]]))
+        try:
+            return NormPlusHighways(rng.uniform(0.5, 2.0, dim), highways)
+        except GeometryError:
+            continue
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_query_many_equals_the_reference_kernel(dim, seed):
+    """Bit for bit the values of the former kernel, on bent highways with
+    two-piece profiles, at x == y pairs and highway breakpoints, and on
+    batches one row short of, exactly and one row over a chunk."""
+    rng = np.random.default_rng([dim, seed])
+    make = (_random_family, _random_bent_family, _random_profiled_bent_family)[seed % 3]
+    chain = make(rng, dim).chain
+    special = np.concatenate([np.eye(dim), *(b.pts for b in chain.blocks),
+                              *(b.path.point_at(rng.uniform(0.0, b.path.length_l1, 3))
+                                for b in chain.blocks)])
+    rows = chain._batch_rows()
+    n = rows + 1
+    i, j = rng.integers(0, len(special), (2, n))
+    X, Y = special[i], special[j]
+    loose = rng.random(n) < 0.3
+    X[loose] = rng.random((loose.sum(), dim))
+    Y[::7] = X[::7]
+    for k in (rows - 1, rows, rows + 1):
+        want = _reference_query(chain, X[:k], Y[:k])
+        assert chain.query_many(X[:k], Y[:k]).tobytes() == want.tobytes()
+
+
+def test_norm_hops_equal_the_stacked_product():
+    """One 2-D matrix-vector product reads what the stacked ``(R, K, d) @ w``
+    reads, bit for bit, in either axis order; an elementwise sum would not,
+    since the BLAS product fuses its multiplies and adds.  K starts at 2, as
+    in every query (a ride has two nodes or more, a piece ``dim``
+    projections): numpy takes a stack of ``(1, d)`` rows through another
+    kernel."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        R, K, d = 2 * int(rng.integers(0, 60)) + 1, int(rng.integers(2, 10)), int(rng.integers(2, 4))
+        D = rng.standard_normal((R, K, d))
+        w = rng.uniform(0.5, 2.0, d)
+        stacked = np.abs(D) @ w
+        assert np.array_equal(_hops(D, w), stacked)
+        assert np.array_equal(_hops(D.transpose(1, 0, 2), w), stacked.T)
+
+
 # ---------------------------------------------------------------------------
 # grid pseudometric
 # ---------------------------------------------------------------------------
@@ -847,6 +938,19 @@ def test_network_reconstruction_reads_the_metric(make):
     X, Y = (np.concatenate([rng.random((400, D.dim))] + [pts[k] for pts in on])
             for k in (0, 1))
     assert np.max(np.abs(net.chain.query_many(X, Y) - D.evaluate_many(X, Y))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_halton_equals_scipy_scrambled_halton(d):
+    """Bit for bit scipy's scrambled Halton points, over seeds 0-19 and,
+    across the seeds, every length from 1 to 200."""
+    from scipy.stats import qmc
+
+    for seed in range(20):
+        want = qmc.Halton(d=d, scramble=True, seed=seed).random(200)
+        for n in range(seed + 1, 201, 20):
+            assert _halton(d, n, seed).tobytes() == want[:n].tobytes()
+    assert _halton(d, 0, 0).shape == (0, d)
 
 
 def test_network_json_shape():
