@@ -3,16 +3,18 @@
 Every run validates its JSON config against a per-command schema (unknown
 fields are rejected), fills each omitted key from the schema's ``default``
 (the one table of CLI defaults), writes its artifacts into the output
-directory, and records a manifest holding the resolved config, its hash, the
-seed, the cap, and the package version.  Nothing time-dependent is written,
-so a rerun with the same manifest produces byte-identical artifacts.
-``--budget`` caps all-pairs cells on ``simulate`` (no cap by default),
-configurations per exact probability on ``oracle`` (2^24), and
-configurations per exact point on ``rate`` and ``ld-trend`` (2^13; past it,
-method ``auto`` samples).  ``selftest`` has neither ``--seed`` nor ``--budget``.
-The argument parser and the package version are built once per process, so
-repeated :func:`main` calls in one process (a benchmark loop, the tests, a
-scripted sweep) pay for them once.
+directory (each JSON artifact with one key set per command, a part the
+config did not ask for written as ``null``), and records a manifest holding
+the resolved config, its hash, the seed, the cap, and the package version.
+Nothing time-dependent is written, so a rerun with the same manifest
+produces byte-identical artifacts.  ``--budget`` caps the all-pairs cells
+of the table ``simulate`` writes (no cap by default), configurations per
+exact probability on ``oracle`` (2^24), and configurations per exact point
+on ``rate`` and ``ld-trend`` (2^13; past it, method ``auto`` samples).
+``selftest`` has neither ``--seed`` nor ``--budget``.  The argument parser
+and the package version are built once per process, so repeated
+:func:`main` calls in one process (a benchmark loop, the tests, a scripted
+sweep) pay for them once.
 
 Exit codes: 0 success, 1 invariant failure (``invariant failed: <message>``
 on stderr when a functional contract fails, or any uncaught error),
@@ -474,6 +476,8 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
                                      rescaled_metric, uniform_gap)
 
     pts = cfg.get("points")
+    truncation = cfg.get("truncation")
+    gs = cfg.get("geodesic_stats")
     with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
     box = LatticeBox(dimension=cfg["dim"], side=cfg["n"])
@@ -483,32 +487,30 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> list:
     else:
         with _config_values("n"):
             _check_all_pairs(box)
-    if "truncation" in cfg:
+    if truncation is not None:
         with _config_values("truncation"):
-            truncate(dist, cfg["truncation"])
-    if "geodesic_stats" in cfg:
+            truncate(dist, truncation)
+    if gs is not None:
         with _config_values("geodesic_stats.b"):
-            truncate(dist, cfg["geodesic_stats"]["b"])
+            truncate(dist, gs["b"])
     seed = cfg["seed"]
     budget = cfg.get("budget")
-    if budget is not None and pts is None and box.n_vertices ** 2 > budget:
-        raise CapExceededError(box.n_vertices ** 2, budget, "all-pairs cells")
+    cells = (box.n_vertices if pts is None else len(pts)) ** 2  # of the table written
+    if budget is not None and cells > budget:
+        raise CapExceededError(cells, budget, "all-pairs cells")
     field = sample_weights(dist, box, seed)
     metric = rescaled_metric(field, points=None if pts is None else np.asarray(pts))
     metric.write_csv(outdir / "metric.csv")
-    report = {
+    write_json(outdir / "simulate.json", {
         "dim": cfg["dim"], "n": cfg["n"], "seed": seed,
         "distribution": dist.spec(), "n_edges": box.n_edges,
         "n_grid_points": len(metric.points),
         "max_rescaled_value": float(metric.raw_times.max()) / metric.n,
-    }
-    if "truncation" in cfg:
-        report["uniform_gap"] = uniform_gap(field, cfg["truncation"], seed=seed)
-    if "geodesic_stats" in cfg:
-        gs = cfg["geodesic_stats"]
-        report["geodesic_stats"] = geodesic_length_stats(field, gs["b"], gs["L_values"],
-                                                         seed=seed)
-    write_json(outdir / "simulate.json", report)
+        "uniform_gap": (None if truncation is None
+                        else uniform_gap(field, truncation, seed=seed)),
+        "geodesic_stats": None if gs is None else geodesic_length_stats(
+            field, gs["b"], gs["L_values"], seed=seed),
+    })
     print(f"simulate: wrote metric.csv ({len(metric.points)} grid points), "
           f"simulate.json")
     return ["metric.csv", "simulate.json"]
@@ -539,38 +541,35 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
         if key in ev:
             with _config_values(f"event.{key}"):
                 box.vertex_id(ev[key])
-    if "fkg" in cfg:
+    mc_samples = cfg["mc_samples"]
+    if not dist.is_finite_support and mc_samples == 0:
+        with _config_values("mc_samples"):
+            raise ValueError("a law without finite support is not enumerated, "
+                             "so mc_samples must be positive")
+    fk = cfg.get("fkg")
+    if fk is not None:
         with _config_values("fkg"):
-            _fkg_endpoints(box, cfg["fkg"]["x1"], cfg["fkg"]["x2"])
+            _fkg_endpoints(box, fk["x1"], fk["x2"])
             if not dist.is_finite_support:
                 raise ValueError("the fkg check enumerates, so it needs a finite-support law")
 
-    report = {"event": event.name, "dim": cfg["dim"], "n": cfg["n"],
-              "distribution": dist.spec(), "p_exact": None, "p_mc": None,
-              "ci": None, "seed": seed}
-    if dist.is_finite_support:
-        res = exact_event_probability(event, dist, box, cap=budget)
-        report["p_exact"] = res.p
-        report["n_configs"] = res.n_configs
-    mc_samples = cfg["mc_samples"]
-    if mc_samples > 0:
-        mc = monte_carlo_event_probability(event, dist, box, mc_samples,
-                                           seed=seed)
-        report["p_mc"] = mc.p_hat
-        report["ci"] = [mc.ci_low, mc.ci_high]
-        report["mc_samples"] = mc_samples
-    if "fkg" in cfg:
-        fk = cfg["fkg"]
-        rep = fkg_supermultiplicativity_check(dist, box, fk["x1"], fk["x2"],
-                                              fk["t1"], fk["t2"], cap=budget)
-        report["fkg"] = {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack,
-                         "slack_nonnegative": rep.slack >= 0}
-    write_json(outdir / "oracle.json", report)
-    bits = []
-    if report["p_exact"] is not None:
-        bits.append(f"p_exact = {report['p_exact']}")
-    if report["p_mc"] is not None:
-        bits.append(f"p_mc = {report['p_mc']:.6g}")
+    exact = (exact_event_probability(event, dist, box, cap=budget)
+             if dist.is_finite_support else None)
+    mc = (monte_carlo_event_probability(event, dist, box, mc_samples, seed=seed)
+          if mc_samples > 0 else None)
+    fkg = (None if fk is None else fkg_supermultiplicativity_check(
+        dist, box, fk["x1"], fk["x2"], fk["t1"], fk["t2"], cap=budget))
+    write_json(outdir / "oracle.json", {
+        "event": event.name, "dim": cfg["dim"], "n": cfg["n"],
+        "distribution": dist.spec(), "seed": seed, "mc_samples": mc_samples,
+        "p_exact": None if exact is None else exact.p,
+        "n_configs": None if exact is None else exact.n_configs,
+        "p_mc": None if mc is None else mc.p_hat,
+        "ci": None if mc is None else [mc.ci_low, mc.ci_high],
+        "fkg": fkg,
+    })
+    bits = [] if exact is None else [f"p_exact = {exact.p}"]
+    bits += [] if mc is None else [f"p_mc = {mc.p_hat:.6g}"]
     print(f"oracle: {event.name}: " + ", ".join(bits))
     return ["oracle.json"]
 
@@ -598,9 +597,10 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
     with _config_values("zeta_grid"):
         for z in zetas:
             _domain_check(dist, xv, z)
-    if "time_constant" in cfg:
+    tc_cfg = cfg.get("time_constant")
+    if tc_cfg is not None:
         with _config_values("time_constant"):
-            _scale_ladder(cfg["time_constant"]["n_ladder"])
+            _scale_ladder(tc_cfg["n_ladder"])
     ladder = sorted(cfg["n_ladder"])
 
     root = np.random.SeedSequence(seed)
@@ -619,8 +619,8 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
 
     surface = extend_surface(envelope)
     surface.check_invariants()
-    if "time_constant" in cfg:
-        tc_cfg = cfg["time_constant"]
+    tc = zs = None
+    if tc_cfg is not None:
         tc = estimate_time_constant(dist, x, tc_cfg["n_ladder"],
                                     samples=tc_cfg["samples"], seed=seed)
         with _config_values("zeta_grid"):  # the speeds must straddle the time constant
@@ -632,24 +632,14 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
               ["x", "zeta", "n", "estimate", "ci_lo", "ci_hi", "method",
                "censored", "p_mc", "samples", "hits", "seed"], rows)
     surface.write_csv(outdir / "surface.csv")
-    write_json(outdir / "surface.json", surface.to_json())
-    artifacts = ["rate_points.csv", "surface.csv", "surface.json"]
-
-    report = {"x": list(x), "zeta_grid": [float(z) for z in zetas],
-              "n_ladder": ladder, "n_points": len(points), "seed": seed,
-              "invariants_ok": True}
-    if "time_constant" in cfg:
-        report["time_constant"] = tc
-        report["zero_set"] = {"zero_ok": zs.zero_ok,
-                              "positive_ok": zs.positive_ok,
-                              "trend_ok": zs.trend_ok,
-                              "trend_slope": zs.trend_slope,
-                              "passed": zs.passed()}
-    write_json(outdir / "rate.json", report)
-    artifacts.append("rate.json")
+    write_json(outdir / "surface.json", surface)
+    write_json(outdir / "rate.json", {
+        "x": list(x), "zeta_grid": [float(z) for z in zetas],
+        "n_ladder": ladder, "n_points": len(points), "seed": seed,
+        "invariants_ok": True, "time_constant": tc, "zero_set": zs})
     print(f"rate: {len(points)} points on {len(zetas)} speeds, surface "
           f"invariants ok; wrote rate_points.csv, surface.csv, surface.json, rate.json")
-    return artifacts
+    return ["rate_points.csv", "surface.csv", "surface.json", "rate.json"]
 
 
 def _cmd_highways(cfg: dict, outdir: Path) -> list:
@@ -699,22 +689,22 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
             for path in paths:
                 _check_dim("family", path.dim, metric.dim)
             family = PathFamily(paths)
+    probe = None
     try:
         rep = functional_report(metric, J, family=family)
-        out = jsonable(rep)
         if "probe_metric" in cfg:
             smaller = _metric_from(cfg["probe_metric"], "probe_metric")
             _check_dim("probe_metric", smaller.dim, metric.dim)
             with _config_values("probe_metric"):
                 smaller.validate_geodesics()
             probe = strict_monotonicity_probe(smaller, metric, J, seed=cfg["seed"])
-            out["monotonicity_probe"] = probe
     except FunctionalError as exc:  # a contract of the functional failed: exit 1
         raise _InvariantError(str(exc)) from exc
-    if cfg["rate"]["kind"] == "surface":
+    write_json(outdir / "functional.json", {
+        **jsonable(rep), "monotonicity_probe": probe,
         # queries below the surface's tabulated speeds, read at its boundary cell
-        out["rate_surface"] = {"flagged_queries": J.n_flagged}
-    write_json(outdir / "functional.json", out)
+        "rate_surface": ({"flagged_queries": J.n_flagged}
+                         if cfg["rate"]["kind"] == "surface" else None)})
 
     width = max(len(f"{v:.12g}") for v in
                 (rep.geodesic_sum, rep.intrinsic, rep.sup_bound))
@@ -724,7 +714,7 @@ def _cmd_functional(cfg: dict, outdir: Path) -> list:
     print("sup lower bound   " + f"{rep.sup_bound:.12g}".rjust(width))
     print(f"delta intrinsic   {rep.delta_intrinsic:.3g}")
     print(f"delta sup         {rep.delta_sup:.3g}")
-    if "monotonicity_probe" in out:
+    if probe is not None:
         print(f"probe: smaller metric {probe.value_smaller_metric:.12g} > "
               f"larger metric {probe.value_larger_metric:.12g}")
     return ["functional.json"]

@@ -13,13 +13,13 @@ speed) as value-lowering transforms on the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ._artifacts import jsonable, write_csv
+from ._artifacts import write_csv
 from .model import LatticeBox
 # not called here: perfbench/tests/test_tracing.py checks the tracer on this
 # from-import copy
@@ -250,7 +250,8 @@ class RateSurface:
     the integer ray scale, so absolute homogeneity is built into the storage;
     queries rescale.  The extension transforms only ever lower values (each
     uses a valid upper bound from elsewhere in the table), and every change is
-    recorded on the cell.
+    recorded on the cell.  ``surface.json`` is its one field, ``cells``, which
+    :meth:`from_json` reads back.
     """
 
     cells: list[SurfaceCell]
@@ -310,9 +311,6 @@ class RateSurface:
                 if lhs > rhs + 1e-12 * (1.0 + abs(rhs)):
                     raise AssertionError(f"ray {p}: convexity violated at {zs[i]}")
         return True
-
-    def to_json(self) -> dict:
-        return jsonable({"cells": self.cells, "directions": self.directions()})
 
     @classmethod
     def from_json(cls, data: dict) -> "RateSurface":
@@ -451,9 +449,10 @@ class ZeroSetReport:
     trend_ok: bool
     trend_slope: float
     details: dict
+    passed: bool = field(init=False)
 
-    def passed(self) -> bool:
-        return self.zero_ok and self.positive_ok and self.trend_ok
+    def __post_init__(self):
+        object.__setattr__(self, "passed", self.zero_ok and self.positive_ok and self.trend_ok)
 
 
 def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate) -> ZeroSetReport:

@@ -509,11 +509,18 @@ def _fkg_endpoints(box: LatticeBox, x1, x2) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class FKGReport:
+    """The three exact probabilities of an FKG check and its slack, written
+    as its fields."""
+
     lhs: Fraction
     factor_first: Fraction
     factor_second: Fraction
     rhs: Fraction
     slack: Fraction
+    slack_nonnegative: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slack_nonnegative", self.slack >= 0)
 
 
 def fkg_supermultiplicativity_check(

@@ -145,23 +145,74 @@ def _diagonal_at(discount):
     return {**_DIAGONAL, "highways": [{**_DIAGONAL["highways"][0], "profile": [[2.0, discount]]}]}
 
 
+def _key_sets(tmp_path, command, name, cfgs):
+    """The artifact ``name`` of ``command`` run on each config, after
+    checking that every run wrote the same sorted keys."""
+    reps = []
+    for i, cfg in enumerate(cfgs):
+        out = tmp_path / f"{command}-{i}"
+        out.mkdir(exist_ok=True)
+        assert run(out, command, cfg) == 0, (command, i)
+        reps.append(read_json(out, name))
+    assert all(sorted(rep) == sorted(reps[0]) for rep in reps), (command, name)
+    return reps
+
+
 def test_report_artifact_keys_are_pinned(tmp_path):
-    """functional.json, its probe block and the ld_trend.json rows are their
-    report records' fields; a new field shows up here."""
-    cfg = {**DEFAULT_CONFIGS["functional"], "metric": _diagonal_at(0.6),
-           "probe_metric": _diagonal_at(0.5)}
-    for sub in ("functional", "ld-trend"):
-        (tmp_path / sub).mkdir()
-    assert run(tmp_path / "functional", "functional", cfg) == 0
-    rep = read_json(tmp_path / "functional", "functional.json")
-    assert sorted(rep) == ["cross_tol", "delta_intrinsic", "delta_sup", "family_size",
-                           "geodesic_sum", "intrinsic", "monotonicity_probe", "n_highways",
-                           "quadrature_order", "sup_bound", "sup_tol"]
-    assert sorted(rep["monotonicity_probe"]) == ["margin", "max_order_violation", "n_pairs",
-                                                 "value_larger_metric", "value_smaller_metric",
-                                                 "witness"]
-    assert run(tmp_path / "ld-trend", "ld-trend") == 0
-    tab = read_json(tmp_path / "ld-trend", "ld_trend.json")
+    """Each JSON artifact has one key set per command: a part the config
+    does not ask for is null, and a library record is written as its
+    fields, so a new field shows up here."""
+    oracle = DEFAULT_CONFIGS["oracle"]
+    exact, mc, fkg = _key_sets(tmp_path, "oracle", "oracle.json", [
+        {**oracle, "mc_samples": 0},
+        {**oracle, "distribution": {"kind": "exponential", "rate": 1.0}, "mc_samples": 50},
+        {**oracle, "fkg": {"x1": [1, 0], "x2": [0, 1], "t1": 1.5, "t2": 1.5}}])
+    assert sorted(exact) == ["ci", "dim", "distribution", "event", "fkg", "mc_samples", "n",
+                             "n_configs", "p_exact", "p_mc", "seed"]
+    assert exact["p_mc"] is exact["ci"] is exact["fkg"] is None and exact["mc_samples"] == 0
+    assert mc["p_exact"] is mc["n_configs"] is mc["fkg"] is None and mc["mc_samples"] == 50
+    assert sorted(fkg["fkg"]) == ["factor_first", "factor_second", "lhs", "rhs", "slack",
+                                  "slack_nonnegative"]
+
+    simulate = DEFAULT_CONFIGS["simulate"]
+    full, bare = _key_sets(tmp_path, "simulate", "simulate.json", [
+        simulate, {k: v for k, v in simulate.items() if k not in ("truncation", "geodesic_stats")}])
+    assert sorted(full) == ["dim", "distribution", "geodesic_stats", "max_rescaled_value", "n",
+                            "n_edges", "n_grid_points", "seed", "uniform_gap"]
+    assert bare["uniform_gap"] is bare["geodesic_stats"] is None
+
+    rate = DEFAULT_CONFIGS["rate"]
+    no_tc = {k: v for k, v in rate.items() if k != "time_constant"}
+    with_tc, without_tc = _key_sets(tmp_path, "rate", "rate.json", [rate, no_tc])
+    assert sorted(with_tc) == ["invariants_ok", "n_ladder", "n_points", "seed",
+                               "time_constant", "x", "zero_set", "zeta_grid"]
+    assert sorted(with_tc["time_constant"]) == ["bracket", "ci", "half_widths", "means",
+                                                "mu_hat", "non_increasing_within_ci", "ns", "x"]
+    assert sorted(with_tc["zero_set"]) == ["details", "direction", "mu_ci", "mu_hat", "passed",
+                                           "positive_ok", "trend_ok", "trend_slope", "zero_ok"]
+    assert without_tc["time_constant"] is without_tc["zero_set"] is None
+    for i in range(2):
+        assert sorted(read_json(tmp_path / f"rate-{i}", "surface.json")) == ["cells"]
+
+    (tmp_path / "functional-2").mkdir()
+    (tmp_path / "functional-2" / "surface.json").write_bytes(
+        (tmp_path / "rate-0" / "surface.json").read_bytes())
+    analytic, probed, surface = _key_sets(tmp_path, "functional", "functional.json", [
+        DEFAULT_CONFIGS["functional"],
+        {**DEFAULT_CONFIGS["functional"], "metric": _diagonal_at(0.6),
+         "probe_metric": _diagonal_at(0.5)},
+        {"metric": _diagonal_at(0.5), "rate": {"kind": "surface", "file": "surface.json"}}])
+    assert sorted(analytic) == ["cross_tol", "delta_intrinsic", "delta_sup", "family_size",
+                                "geodesic_sum", "intrinsic", "monotonicity_probe",
+                                "n_highways", "quadrature_order", "rate_surface", "sup_bound",
+                                "sup_tol"]
+    assert analytic["monotonicity_probe"] is analytic["rate_surface"] is None
+    assert sorted(probed["monotonicity_probe"]) == ["margin", "max_order_violation", "n_pairs",
+                                                    "value_larger_metric",
+                                                    "value_smaller_metric", "witness"]
+    assert sorted(surface["rate_surface"]) == ["flagged_queries"]
+
+    (tab,) = _key_sets(tmp_path, "ld-trend", "ld_trend.json", [None])
     assert sorted(tab) == ["comparison", "eps", "functional_value", "rows"]
     for row in tab["rows"]:
         assert sorted(row) == ["censored", "ci", "hits", "method", "n", "p", "p_exact",
@@ -190,6 +241,10 @@ def test_malformed_distribution_rejected(tmp_path):
     pytest.param("simulate", {"n": 20}, "1000",
                  "budget exceeded: 194481 all-pairs cells needed, cap is 1000",
                  id="simulate-all-pairs-cells"),
+    # explicit points: the cap counts the cells of the table written, 5 x 5
+    pytest.param("simulate", {"points": [[i, i] for i in range(5)]}, "24",
+                 "budget exceeded: 25 all-pairs cells needed, cap is 24",
+                 id="simulate-points-cells"),
     pytest.param("oracle", {}, "10", "budget exceeded: 16 configurations needed, cap is 10",
                  id="oracle-configurations"),
     # box edges against a fixed limit: the message named them configurations
@@ -405,6 +460,10 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, text, message):
     ("highways", {"mode": "own", "metric": _DOUBLED_BACK}, "metric"),
     ("functional", {"metric": _DOUBLED_BACK}, "metric"),
     ("ld-trend", {"metric": _DOUBLED_BACK}, "metric"),
+    # a law without finite support is only sampled, so no samples would compute nothing
+    ("oracle", {"distribution": {"kind": "exponential", "rate": 1.0}, "n": 2,
+                "event": {"kind": "passage_time_at_most", "x": [0, 0], "y": [2, 2], "t": 2.0},
+                "mc_samples": 0}, "mc_samples"),
 ])
 def test_invalid_config_value_names_its_key(tmp_path, capsys, command, patch, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}
@@ -499,7 +558,7 @@ def test_functional_records_clamped_surface_queries(tmp_path):
     """Under the default rate surface (speeds 1.0-2.0 along (1, 0)) the
     diagonal highway at discount 0.5 asks for a speed below the tabulated
     range, read at the boundary cell; functional.json counts it.  The
-    default config, with an analytic rate, writes no such block."""
+    default config, with an analytic rate, writes the block as null."""
     assert run(tmp_path / "rate", "rate") == 0
     out = tmp_path / "out"
     out.mkdir()
@@ -508,7 +567,7 @@ def test_functional_records_clamped_surface_queries(tmp_path):
     assert run(out, "functional", cfg) == 0
     assert read_json(out, "functional.json")["rate_surface"]["flagged_queries"] >= 1
     assert run(tmp_path / "analytic", "functional") == 0
-    assert "rate_surface" not in read_json(tmp_path / "analytic", "functional.json")
+    assert read_json(tmp_path / "analytic", "functional.json")["rate_surface"] is None
 
 
 def test_commands_do_not_import_scipy_optimize_or_stats():

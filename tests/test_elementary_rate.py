@@ -302,7 +302,7 @@ def test_surface_json_round_trip_and_csv(tmp_path):
         _pt((1, 0), 1.5, 2, 0.0),
         _pt((1, 1), 2.2, 4, 0.4),
     ])
-    back = RateSurface.from_json(surf.to_json())
+    back = RateSurface.from_json(jsonable(surf))
     assert back.value_at((1, 0), 1.25) == surf.value_at((1, 0), 1.25)
     assert back.directions() == surf.directions()
     out = tmp_path / "surface.csv"
@@ -340,7 +340,7 @@ def test_zero_set_check_passes_at_scale_eight():
     tc = estimate_time_constant(TP, (1, 0), [4, 8], samples=400, seed=11)
     rep = zero_set_check(surf, tc)
     assert rep.zero_ok and rep.positive_ok and rep.trend_ok
-    assert rep.passed()
+    assert rep.passed
     assert rep.trend_slope < 0
 
 
@@ -351,7 +351,7 @@ def test_zero_set_check_sees_finite_size_bias():
     tc = estimate_time_constant(TP, (1, 0), [4, 8], samples=400, seed=11)
     rep = zero_set_check(surf, tc)
     assert not rep.zero_ok
-    assert not rep.passed()
+    assert not rep.passed
 
 
 def test_exact_and_mc_test_the_same_event_on_non_dyadic_atoms():
