@@ -43,7 +43,7 @@ print(f"\ntruncation at b=2: sup gap {gap.gap:.4f} <= 2bd/n = {gap.bound:.4f} "
       f"({gap.n_pairs} pairs)")
 
 stats = geodesic_length_stats(field, b=2.0, L_values=[1.0, 1.5, 2.0])
-print(f"\nmax geodesic hop count over {len(stats['pairs'])} sampled pairs: {stats['max_hops']}")
-for row in stats["ladder"]:
-    print(f"some geodesic reaches {row['threshold_hops']:.0f} hops "
-          f"(L={row['L']}): {row['long_geodesic']}")
+print(f"\nmax geodesic hop count over {len(stats.pairs)} sampled pairs: {stats.max_hops}")
+for row in stats.ladder:
+    print(f"some geodesic reaches {row.threshold_hops:.0f} hops "
+          f"(L={row.L}): {row.long_geodesic}")

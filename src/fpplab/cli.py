@@ -576,7 +576,7 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> list:
 
 def _cmd_rate(cfg: dict, outdir: Path) -> list:
     from fpplab.elementary_rate import (_canonical_direction, _domain_check, _scale_ladder,
-                                        default_zeta_grid, estimate_rate_point,
+                                        default_zeta_grid, estimate_rate_rung,
                                         estimate_time_constant, extend_surface,
                                         fekete_envelope, zero_set_check)
     from fpplab.model import EdgeDistribution
@@ -603,17 +603,14 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
             _scale_ladder(tc_cfg["n_ladder"])
     ladder = sorted(cfg["n_ladder"])
 
-    root = np.random.SeedSequence(seed)
-    children = iter(root.spawn(len(zetas) * len(ladder)))
+    # one seed and one field set per rung, shared by its speeds
+    rungs = [estimate_rate_rung(dist, x, zetas, n, samples=cfg["samples"],
+                                seed=int(child.generate_state(1)[0]), method=method,
+                                enum_cap=cfg["budget"])
+             for n, child in zip(ladder, np.random.SeedSequence(seed).spawn(len(ladder)))]
     points = []
     envelope = []
-    for z in zetas:
-        per_z = []
-        for n in ladder:
-            sub = int(next(children).generate_state(1)[0])
-            per_z.append(estimate_rate_point(
-                dist, x, z, n, samples=cfg["samples"], seed=sub, method=method,
-                enum_cap=cfg["budget"]))
+    for per_z in zip(*rungs):
         points.extend(per_z)
         envelope.append(fekete_envelope(per_z) if len(per_z) > 1 else per_z[0])
 
@@ -762,7 +759,7 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
 
 def _selftest_checks():
     """Fast cross-module invariant suite; yields (name, passed, detail)."""
-    from fpplab.elementary_rate import (RatePoint, estimate_rate_point,
+    from fpplab.elementary_rate import (RatePoint, estimate_rate_point, estimate_rate_rung,
                                         extend_surface, fekete_envelope)
     from fpplab.functional import AnalyticRate, functional_report
     from fpplab.geometry import NormPlusHighways, build_highway_network
@@ -886,8 +883,7 @@ def _selftest_checks():
         return env.estimate == 0.7, f"envelope = {env.estimate}"
 
     def surface_invariants():
-        pts = [estimate_rate_point(tp, [1, 0], z, 1)
-               for z in (1.0, 1.2, 1.5, 1.8, 2.0)]
+        pts = estimate_rate_rung(tp, [1, 0], (1.0, 1.2, 1.5, 1.8, 2.0), 1)
         surf = extend_surface(pts)
         surf.check_invariants()
         return True, f"{len(surf.cells)} cells pass the structural checks"

@@ -24,7 +24,8 @@ from .model import LatticeBox
 # not called here: perfbench/tests/test_tracing.py checks the tracer on this
 # from-import copy
 from .model import sample_weights  # noqa: F401
-from .oracle import _Z95, CapExceededError, EventSpec, estimate_event_rate
+from .oracle import (_Z95, CapExceededError, EventSpec, _check_method, _exact_rows, _mc_row,
+                     _passage_hits, _replicate_seeds)
 from .passage_time import _seeded_passage_times
 
 _ZETA_LIFT = 0.05  # default_zeta_grid starts this far (relative) above the trivial threshold
@@ -103,6 +104,61 @@ def _domain_check(dist, x: np.ndarray, zeta: float) -> None:
         )
 
 
+def estimate_rate_rung(
+    dist,
+    x,
+    zetas: Sequence[float],
+    n: int,
+    samples: int = 400,
+    seed: int = 0,
+    method: str = "auto",
+    region=None,
+    enum_cap: int = 1 << 13,
+) -> list[RatePoint]:
+    """The rate points of every speed in ``zetas`` at one scale n: a rung.
+
+    The speeds share one box of side n max|x| and one decision between
+    enumeration and sampling, as in :func:`estimate_rate_point`: the
+    configuration count s^m does not depend on the speed.  An exact rung
+    enumerates each speed's event.  A Monte-Carlo rung samples one set of
+    ``samples`` fields from ``seed`` and solves each once, up to the largest
+    threshold n max zeta; the field with passage time T hits every speed
+    with T <= n zeta (common random numbers).  So a rung's points are
+    dependent and its hit counts never decrease in the speed, while each
+    point, with its own Wilson interval, is exactly the one
+    :func:`estimate_rate_point` gives for its speed and ``seed``.
+    """
+    if not len(zetas):
+        raise ValueError("a rung needs at least one speed")
+    xv = _canonical_direction(x)
+    for zeta in zetas:
+        _domain_check(dist, xv, zeta)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    box, origin, target = _scaled_box(xv, n)
+    events = [EventSpec.passage_time_at_most(origin, target, float(n * z), region=region)
+              for z in zetas]
+    _check_method(method, dist)
+    rows = _exact_rows(events, dist, box, n, seed, method, enum_cap)
+    if rows is None:
+        hits = _passage_hits(dist, box, _replicate_seeds(samples, seed), origin, target, region,
+                             [ev.params["t"] for ev in events])
+        rows = [_mc_row(k, samples, n, seed) for k in hits]
+    points = []
+    for z, row in zip(zetas, rows):
+        cell = dict(x=tuple(int(c) for c in xv), zeta=float(z), n=n, method=row.method)
+        if row.p_exact is None:
+            points.append(RatePoint(**cell, estimate=row.ci[0] if row.censored else row.rate,
+                                    ci=row.ci, censored=row.censored, p_hat=row.p,
+                                    samples=row.samples, hits=row.hits, seed=row.seed))
+        elif row.p_exact == 0:
+            raise AssertionError("exact zero probability inside the domain; check the region")
+        else:
+            points.append(RatePoint(**cell, estimate=row.rate, ci=(row.rate, row.rate),
+                                    p_exact=row.p_exact))
+    return points
+
+
 def estimate_rate_point(
     dist,
     x,
@@ -117,30 +173,16 @@ def estimate_rate_point(
     """Estimate -(1/n) log P(T(0, n|x|) <= n zeta) on the box of side n max|x|.
 
     The direction is reflected to nonnegative coordinates first; coordinate
-    sign flips leave the weight law invariant, so this loses nothing.  The
-    rate comes from :func:`~fpplab.oracle.estimate_event_rate`: with
-    ``method='auto'`` exact enumeration whenever the configuration count
-    fits ``enum_cap``, otherwise Monte Carlo over independent fields with a
-    Wilson interval; a zero-hit outcome is returned censored, with the
-    one-sided bound as its estimate.  ``region`` restricts the admissible
-    paths (for thin-box ladders) and is passed through to both backends.
+    sign flips leave the weight law invariant, so this loses nothing.  With
+    ``method='auto'`` the rate is exact by enumeration whenever the
+    configuration count fits ``enum_cap``, otherwise Monte Carlo over
+    independent fields with a Wilson interval; a zero-hit outcome is
+    returned censored, with the one-sided bound as its estimate.  ``region``
+    restricts the admissible paths (for thin-box ladders) and is passed
+    through to both backends.  This is the rung
+    :func:`estimate_rate_rung` of the one speed ``zeta``.
     """
-    xv = _canonical_direction(x)
-    _domain_check(dist, xv, zeta)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    box, origin, target = _scaled_box(xv, n)
-    event = EventSpec.passage_time_at_most(origin, target, float(n * zeta), region=region)
-    row = estimate_event_rate(event, dist, box, n, samples, seed, method, enum_cap)
-    cell = dict(x=tuple(int(c) for c in xv), zeta=float(zeta), n=n, method=row.method)
-    if row.p_exact is not None:
-        if row.p_exact == 0:
-            raise AssertionError("exact zero probability inside the domain; check the region")
-        return RatePoint(**cell, estimate=row.rate, ci=(row.rate, row.rate),
-                         p_exact=row.p_exact)
-    return RatePoint(**cell, estimate=row.ci[0] if row.censored else row.rate, ci=row.ci,
-                     censored=row.censored, p_hat=row.p, samples=row.samples,
-                     hits=row.hits, seed=row.seed)
+    return estimate_rate_rung(dist, x, [zeta], n, samples, seed, method, region, enum_cap)[0]
 
 
 def fekete_envelope(points: Sequence[RatePoint]) -> RatePoint:

@@ -371,6 +371,27 @@ class MCEstimate:
     ci_high: float
 
 
+def _replicate_seeds(samples, seed: int) -> np.ndarray:
+    """The ``samples`` replicate seeds that ``seed`` spawns, one per field;
+    ``ValueError`` unless ``samples`` is a positive integer."""
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
+    return np.random.SeedSequence(seed).generate_state(samples, np.uint64)
+
+
+def _passage_hits(dist: EdgeDistribution, box: LatticeBox, rep_seeds: np.ndarray, x, y,
+                  region, thresholds) -> list[int]:
+    """Per threshold t, the number of replicate fields with T(x, y) <= t
+    among paths in ``region``, from one solve stopped at the largest t.
+    csgraph's ``limit`` is inclusive and keeps every distance within it
+    exact, so each count is, bit for bit, that of a solve stopped at its t.
+    """
+    # csgraph rejects a negative limit; with t < 0 nothing counts anyway
+    times = _seeded_passage_times(dist, box, rep_seeds, x, y, region,
+                                  limit=max(max(thresholds), 0.0))
+    return [int(np.count_nonzero(times <= t)) for t in thresholds]
+
+
 def monte_carlo_event_probability(
     event: EventSpec,
     dist: EdgeDistribution,
@@ -382,21 +403,15 @@ def monte_carlo_event_probability(
 
     The one event sampler: one field per replicate seed, sampled as weight
     rows by :func:`~fpplab.model.sample_weight_rows`.  A passage event goes
-    through :func:`~fpplab.passage_time._seeded_passage_times` (block-diagonal
-    csgraph, faster than Bellman-Ford on boxes too big to enumerate); every
-    ``ld_lower`` or hub event through the compiled test of the exact oracle.
-    ``samples`` must be a positive integer, or ``ValueError``.
+    through :func:`_passage_hits` (block-diagonal csgraph, faster than
+    Bellman-Ford on boxes too big to enumerate); every ``ld_lower`` or hub
+    event through the compiled test of the exact oracle.  ``samples`` must
+    be a positive integer, or ``ValueError``.
     """
-    if not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
-    rep_seeds = np.random.SeedSequence(seed).generate_state(samples, np.uint64)
+    rep_seeds = _replicate_seeds(samples, seed)
     if event.kind == "passage_time_at_most":
         p = event.params
-        # only T <= t counts, so the solve stops at t: a field with T > t reads
-        # inf.  csgraph rejects a negative limit; with t < 0 nothing counts anyway
-        times = _seeded_passage_times(dist, box, rep_seeds, p["x"], p["y"], p["region"],
-                                      limit=max(p["t"], 0.0))
-        k = int(np.count_nonzero(times <= p["t"]))
+        (k,) = _passage_hits(dist, box, rep_seeds, p["x"], p["y"], p["region"], [p["t"]])
     else:
         compiled = _predicate(event, box)
         k = 0
@@ -447,6 +462,47 @@ def _check_method(method: str, dist: EdgeDistribution) -> None:
         raise ValueError("exact method requires a finite-support distribution")
 
 
+def _rate(p: float, n: int) -> float:
+    """-(1/n) log p: ``inf`` at p == 0 and never below ``+0.0``."""
+    return math.inf if p <= 0.0 else max(-math.log(p) / n, 0.0) + 0.0
+
+
+def _exact_rows(events, dist: EdgeDistribution, box: LatticeBox, n: int, seed: int,
+                method: str, enum_cap: int) -> list[LDTrendRow] | None:
+    """Exact rows of ``events`` on ``box``, or ``None`` when they are to be sampled.
+
+    Enumerates under ``method='exact'``, and under ``'auto'`` when the law
+    has finite support and the configurations fit ``enum_cap``.  The cap
+    compares s^m, the configurations of the live edges, so events that see
+    the same edges are enumerated all or none.
+    """
+    if method == "mc" or not dist.is_finite_support:
+        return None
+    try:
+        found = [exact_event_probability(ev, dist, box, cap=enum_cap) for ev in events]
+    except CapExceededError:
+        if method == "exact":
+            raise
+        return None
+    return [LDTrendRow(n=n, method="exact-oracle", p=float(res.p), p_exact=res.p,
+                       rate=_rate(float(res.p), n), ci=None, censored=False,
+                       samples=res.n_configs, hits=None, seed=seed)
+            for res in found]
+
+
+def _mc_row(hits: int, samples: int, n: int, seed: int) -> LDTrendRow:
+    """The Monte-Carlo row of ``hits`` among ``samples`` fields: the one
+    censoring rule and the one Wilson-to-rate transform, described at
+    :func:`estimate_event_rate`."""
+    p = hits / samples
+    lo, hi = wilson_interval(hits, samples)
+    censored = hits == 0
+    return LDTrendRow(n=n, method="monte-carlo", p=p, p_exact=None,
+                      rate=None if censored else _rate(p, n),
+                      ci=(_rate(hi, n), math.inf if censored else _rate(lo, n)),
+                      censored=censored, samples=samples, hits=hits, seed=seed)
+
+
 def estimate_event_rate(
     event: EventSpec,
     dist: EdgeDistribution,
@@ -467,26 +523,11 @@ def estimate_event_rate(
     ``None``, interval ``(-(1/n) log hi, inf)`` from the upper Wilson limit.
     """
     _check_method(method, dist)
-
-    def rate(p: float) -> float:
-        return math.inf if p <= 0.0 else max(-math.log(p) / n, 0.0) + 0.0
-
-    if method != "mc" and dist.is_finite_support:
-        try:
-            res = exact_event_probability(event, dist, box, cap=enum_cap)
-        except CapExceededError:
-            if method == "exact":
-                raise
-        else:
-            return LDTrendRow(n=n, method="exact-oracle", p=float(res.p), p_exact=res.p,
-                              rate=rate(float(res.p)), ci=None, censored=False,
-                              samples=res.n_configs, hits=None, seed=seed)
+    exact = _exact_rows([event], dist, box, n, seed, method, enum_cap)
+    if exact is not None:
+        return exact[0]
     mc = monte_carlo_event_probability(event, dist, box, samples, seed)
-    censored = mc.successes == 0
-    return LDTrendRow(n=n, method="monte-carlo", p=mc.p_hat, p_exact=None,
-                      rate=None if censored else rate(mc.p_hat),
-                      ci=(rate(mc.ci_high), math.inf if censored else rate(mc.ci_low)),
-                      censored=censored, samples=samples, hits=mc.successes, seed=seed)
+    return _mc_row(mc.successes, samples, n, seed)
 
 
 # ---------------------------------------------------------------------------

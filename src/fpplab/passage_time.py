@@ -34,6 +34,9 @@ __all__ = [
     "disjoint_paths",
     "HubReport",
     "hub_check",
+    "GeodesicRecord",
+    "LongGeodesicFlag",
+    "GeodesicStats",
     "geodesic_length_stats",
 ]
 
@@ -692,18 +695,48 @@ def hub_check(field: WeightField, x, kappa: float) -> HubReport:
 _RANDOM_PAIRS = 8  # seeded random vertex pairs geodesic_length_stats draws
 
 
+@dataclass(frozen=True)
+class GeodesicRecord:
+    """One sampled pair's truncated-field geodesic: its time and edge count."""
+
+    source: tuple[int, ...]
+    target: tuple[int, ...]
+    time: float
+    hops: int
+
+
+@dataclass(frozen=True)
+class LongGeodesicFlag:
+    """Whether some sampled geodesic has at least ``threshold_hops`` = L n edges."""
+
+    L: float
+    threshold_hops: float
+    long_geodesic: bool
+
+
+@dataclass(frozen=True)
+class GeodesicStats:
+    """The sampled geodesics of :func:`geodesic_length_stats`, their largest
+    edge count and the long-geodesic flag per L."""
+
+    pairs: tuple[GeodesicRecord, ...]
+    max_hops: int
+    ladder: tuple[LongGeodesicFlag, ...]
+
+
 def geodesic_length_stats(
     field: WeightField,
     b: float,
     L_values: Sequence[float],
     seed: int = 0,
-) -> dict:
+) -> GeodesicStats:
     """Hop counts of truncated-field geodesics and long-geodesic indicators.
 
     Samples corner-to-corner plus ``_RANDOM_PAIRS`` seeded random vertex
     pairs, records the geodesic edge counts under the b-truncated weights,
     and for each L in the ladder reports whether some sampled geodesic has
-    at least L n edges.
+    at least L n edges.  Truncated weights are finite and the box is
+    connected, so every pair has a geodesic.
     """
     box = field.box
     n, d = box.side, box.dimension
@@ -720,13 +753,10 @@ def geodesic_length_stats(
     records = []
     for u, v in pairs:
         t, path = restricted_passage_time(tf, u, v, return_path=True)
-        records.append(
-            {"source": tuple(map(int, u)), "target": tuple(map(int, v)),
-             "time": float(t), "hops": int(path.hops) if path is not None else -1}
-        )
-    max_hops = max(r["hops"] for r in records)
-    ladder = [
-        {"L": float(L), "threshold_hops": float(L) * n, "long_geodesic": max_hops >= float(L) * n}
-        for L in L_values
-    ]
-    return {"pairs": records, "max_hops": max_hops, "ladder": ladder}
+        records.append(GeodesicRecord(source=tuple(map(int, u)), target=tuple(map(int, v)),
+                                      time=float(t), hops=path.hops))
+    max_hops = max(r.hops for r in records)
+    ladder = tuple(LongGeodesicFlag(L=float(L), threshold_hops=float(L) * n,
+                                    long_geodesic=max_hops >= float(L) * n)
+                   for L in L_values)
+    return GeodesicStats(pairs=tuple(records), max_hops=max_hops, ladder=ladder)

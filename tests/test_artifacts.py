@@ -105,18 +105,26 @@ def test_float_cells_equal_repr_on_any_floats(xs):
 
 
 # sha256 of artifacts of the default configs; their numbers come from exact
-# Fractions, hashed weights and Wilson intervals, with no quasi-random draw
-# and no least-squares fit
+# Fractions, hashed weights and Wilson intervals, with no quasi-random draw.
+# The one least-squares fit, rate.json's zero-set trend slope, is numpy's
+# polyfit of three points.
 PINNED = {
     ("oracle", "oracle.json"):
         "4cbff3b425cba218494f9a07edd10724a43d7f5fb6745f52e65ac2ab053af5c9",
     ("ld-trend", "ld_trend.json"):
         "d51b8c3fc55fbfdbd0a3d2b036993d539e4e5db74a1686c26023b97d4b4a03c9",
+    # every default rate point is exact, so no Monte-Carlo draw reaches these
+    ("rate", "rate_points.csv"):
+        "81b0820713e9ac43fe39d6fa2058df853c65b179965c7d267951a4830adf6171",
+    ("rate", "rate.json"):
+        "0db02eb697d42d3919282e80dfccc68e2a03141808ae07f1fbd89898a6a57c66",
+    ("rate", "surface.json"):
+        "971606720ff95055fdaeae6eaf37bb9b70afe5b4c18cc0d9ad90f5a8121c2c7c",
 }
 
 
 def test_default_artifacts_are_pinned(tmp_path):
+    for command in dict.fromkeys(command for command, _ in PINNED):
+        assert main([command, "-o", str(tmp_path / command)]) == 0
     for (command, name), digest in PINNED.items():
-        out = tmp_path / command
-        assert main([command, "-o", str(out)]) == 0
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest() == digest, name

@@ -1,5 +1,6 @@
 """Command-line driver: schemas, artifacts, manifests, and exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -273,6 +274,29 @@ def test_no_key_a_command_does_not_read(tmp_path, capsys, command, key):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), key: 10}
     assert run(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.startswith("config schema violation:")
+
+
+def test_mc_rate_speeds_share_one_field_set_per_rung(tmp_path):
+    from fpplab.model import EdgeDistribution, LatticeBox
+    from fpplab.oracle import EventSpec, monte_carlo_event_probability
+
+    law = {"kind": "exponential", "rate": 1.0}
+    cfg = {"distribution": law, "x": [1, 0], "zeta_grid": [0.4, 0.6, 0.9],
+           "n_ladder": [4, 8], "samples": 60, "method": "mc", "seed": 3}
+    assert run(tmp_path, "rate", cfg) == 0
+    with open(tmp_path / "rate_points.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for n in cfg["n_ladder"]:
+        rung = [r for r in rows if r["n"] == str(n)]  # in the order of zeta_grid
+        hits = [int(r["hits"]) for r in rung]
+        assert len(rung) == 3 and hits == sorted(hits)
+        seeds = {int(r["seed"]) for r in rung}
+        assert len(seeds) == 1
+        for r in rung:  # each count is its own event's, sampled from the rung's seed
+            event = EventSpec.passage_time_at_most((0, 0), (n, 0), n * float(r["zeta"]))
+            mc = monte_carlo_event_probability(event, EdgeDistribution.from_spec(law),
+                                               LatticeBox(2, n), 60, seed=int(r["seed"]))
+            assert mc.successes == int(r["hits"])
 
 
 def test_rate_without_zeta_grid_uses_the_default_grid(tmp_path):

@@ -14,6 +14,7 @@ from fpplab.elementary_rate import (
     SurfaceConflictError,
     default_zeta_grid,
     estimate_rate_point,
+    estimate_rate_rung,
     estimate_time_constant,
     extend_surface,
     fekete_envelope,
@@ -50,6 +51,8 @@ def test_boundary_speed_needs_an_atom():
 def test_below_threshold_always_rejected():
     with pytest.raises(ValueError):
         estimate_rate_point(TP, (1, 1), 1.5, 2)  # below 2 = a |x|_1
+    with pytest.raises(ValueError, match="at least one speed"):
+        estimate_rate_rung(TP, (1, 0), [], 8, method="mc")
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,34 @@ def test_mc_hits_agree_across_samplers():
     bellman_ford = sum(int(np.count_nonzero(compiled.test(W[i:i + compiled.rows])))
                        for i in range(0, 90, compiled.rows))
     assert 0 < pt.hits == mc.successes == bellman_ford < 90
+
+
+# ---------------------------------------------------------------------------
+# rungs: the speeds of one scale
+# ---------------------------------------------------------------------------
+
+
+_EXP1 = EdgeDistribution.exponential(1.0)
+
+
+@pytest.mark.parametrize("law, x, zetas, n, kw, method", [
+    pytest.param(_EXP1, (1, 0), (0.4, 0.6, 0.9), 8, {}, "monte-carlo", id="mc-exponential"),
+    # 2^144 configurations exceed the cap, so 'auto' samples the whole rung
+    pytest.param(TP, (1, 0), (1.05, 1.35, 1.8), 8, {}, "monte-carlo", id="mc-two-point"),
+    pytest.param(TP, (1, 0), (1.0, 1.3, 1.7), 2, {}, "exact-oracle", id="exact"),
+    pytest.param(_EXP1, (2, 0), (0.5, 0.7, 1.0), 3, {"region": ((0, 6), (0, 1))},
+                 "monte-carlo", id="mc-region"),
+    pytest.param(TP, (1, 0), (1.0, 1.5, 2.0), 2, {"region": ((0, 2), (0, 0))},
+                 "exact-oracle", id="exact-region"),
+])
+def test_rung_equals_its_points_field_for_field(law, x, zetas, n, kw, method):
+    rung = estimate_rate_rung(law, x, zetas, n, samples=90, seed=5, **kw)
+    assert rung == [estimate_rate_point(law, x, z, n, samples=90, seed=5, **kw) for z in zetas]
+    assert [p.method for p in rung] == [method] * len(zetas)
+    if method == "monte-carlo":  # one field set: a field that meets a speed meets every faster one
+        hits = [p.hits for p in rung]
+        assert hits == sorted(hits) and len(set(hits)) > 1
+        assert {p.seed for p in rung} == {5}
 
 
 def test_rate_point_json_exact_fraction():
@@ -328,8 +359,8 @@ def test_default_zeta_grid_spans_bracket():
 
 
 def _mc_surface_n8():
-    pts = [estimate_rate_point(TP, (1, 0), z, 8, samples=500, seed=5, method="mc")
-           for z in (1.05, 1.2, 1.35, 1.65, 1.8)]
+    pts = estimate_rate_rung(TP, (1, 0), (1.05, 1.2, 1.35, 1.65, 1.8), 8, samples=500, seed=5,
+                             method="mc")
     return extend_surface(pts), pts
 
 

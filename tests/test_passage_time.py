@@ -524,9 +524,9 @@ def test_geodesic_length_stats_ladder():
     tp = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
     field = sample_weights(tp, LatticeBox(2, 6), 21)
     stats = geodesic_length_stats(field, b=2.0, L_values=[1.0, 50.0])
-    assert stats["max_hops"] >= 6  # some pair spans the box
-    flags = {row["L"]: row["long_geodesic"] for row in stats["ladder"]}
+    assert stats.max_hops >= 6  # some pair spans the box
+    flags = {row.L: row.long_geodesic for row in stats.ladder}
     assert flags[1.0] is True
     assert flags[50.0] is False
-    for rec in stats["pairs"]:
-        assert rec["hops"] >= abs(rec["source"][0] - rec["target"][0])
+    for rec in stats.pairs:
+        assert rec.hops >= abs(rec.source[0] - rec.target[0])
