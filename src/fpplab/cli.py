@@ -282,9 +282,10 @@ SCHEMAS = {
             "time_constant": {
                 "type": "object",
                 "properties": {"n_ladder": {"type": "array", "minItems": 2,
+                                            "uniqueItems": True,
                                             "items": {"type": "integer",
                                                       "minimum": 1}},
-                               "samples": _SAMPLES},
+                               "samples": {**_SAMPLES, "minimum": 2}},
                 "required": ["n_ladder"],
                 "additionalProperties": False,
             },

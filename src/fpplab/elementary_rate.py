@@ -13,6 +13,7 @@ speed) as value-lowering transforms on the table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -24,8 +25,7 @@ from .model import LatticeBox
 # not called here: perfbench/tests/test_tracing.py checks the tracer on this
 # from-import copy
 from .model import sample_weights  # noqa: F401
-from .oracle import (_Z95, CapExceededError, EventSpec, _check_method, _exact_rows, _mc_row,
-                     _passage_hits, _replicate_seeds)
+from .oracle import _Z95, CapExceededError, EventSpec, estimate_event_rates
 from .passage_time import _seeded_passage_times
 
 _ZETA_LIFT = 0.05  # default_zeta_grid starts this far (relative) above the trivial threshold
@@ -117,16 +117,17 @@ def estimate_rate_rung(
 ) -> list[RatePoint]:
     """The rate points of every speed in ``zetas`` at one scale n: a rung.
 
-    The speeds share one box of side n max|x| and one decision between
-    enumeration and sampling, as in :func:`estimate_rate_point`: the
-    configuration count s^m does not depend on the speed.  An exact rung
-    enumerates each speed's event.  A Monte-Carlo rung samples one set of
-    ``samples`` fields from ``seed`` and solves each once, up to the largest
-    threshold n max zeta; the field with passage time T hits every speed
-    with T <= n zeta (common random numbers).  So a rung's points are
-    dependent and its hit counts never decrease in the speed, while each
-    point, with its own Wilson interval, is exactly the one
-    :func:`estimate_rate_point` gives for its speed and ``seed``.
+    The speeds' passage events on one box of side n max|x| go to one call
+    of :func:`~fpplab.oracle.estimate_event_rates`, so they share its one
+    decision between enumeration and sampling (the configuration count s^m
+    does not depend on the speed).  An exact rung enumerates each speed's
+    event.  A Monte-Carlo rung samples one set of ``samples`` fields from
+    ``seed`` and solves each once, up to the largest threshold n max zeta;
+    the field with passage time T hits every speed with T <= n zeta (common
+    random numbers).  So a rung's points are dependent and its hit counts
+    never decrease in the speed, while each point, with its own Wilson
+    interval, is exactly the one :func:`estimate_rate_point` gives for its
+    speed and ``seed``.
     """
     if not len(zetas):
         raise ValueError("a rung needs at least one speed")
@@ -138,12 +139,7 @@ def estimate_rate_rung(
     box, origin, target = _scaled_box(xv, n)
     events = [EventSpec.passage_time_at_most(origin, target, float(n * z), region=region)
               for z in zetas]
-    _check_method(method, dist)
-    rows = _exact_rows(events, dist, box, n, seed, method, enum_cap)
-    if rows is None:
-        hits = _passage_hits(dist, box, _replicate_seeds(samples, seed), origin, target, region,
-                             [ev.params["t"] for ev in events])
-        rows = [_mc_row(k, samples, n, seed) for k in hits]
+    rows = estimate_event_rates(events, dist, box, n, samples, seed, method, enum_cap)
     points = []
     for z, row in zip(zetas, rows):
         cell = dict(x=tuple(int(c) for c in xv), zeta=float(z), n=n, method=row.method)
@@ -223,8 +219,8 @@ class TimeConstantEstimate:
 
 def _scale_ladder(n_ladder) -> list[int]:
     ns = [int(n) for n in n_ladder]
-    if not ns or ns != sorted(ns):
-        raise ValueError("n_ladder must be a nondecreasing nonempty sequence")
+    if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("n_ladder must be a strictly increasing nonempty sequence")
     return ns
 
 
@@ -242,8 +238,9 @@ def estimate_time_constant(
     of expectations); the report carries that check's outcome rather than
     enforcing it.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    # one field has no spread to measure, so its interval would read exact
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, got {samples}")
     xv = _canonical_direction(x)
     l1 = int(np.abs(xv).sum())
     ns = _scale_ladder(n_ladder)
@@ -254,8 +251,7 @@ def estimate_time_constant(
         rep_seeds = root.spawn(1)[0].generate_state(samples, dtype=np.uint64)
         vals = _seeded_passage_times(dist, box, rep_seeds, origin, target) / n
         means.append(float(vals.mean()))
-        sd = float(vals.std(ddof=1)) if samples > 1 else 0.0
-        halfs.append(_Z95 * sd / math.sqrt(samples))
+        halfs.append(_Z95 * float(vals.std(ddof=1)) / math.sqrt(samples))
     ok = all(
         means[i + 1] <= means[i] + 2.0 * (halfs[i] + halfs[i + 1])
         for i in range(len(ns) - 1)

@@ -31,7 +31,7 @@ from fpplab.geometry import (
     check_path_family,
 )
 from fpplab.model import EdgeDistribution, LatticeBox
-from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rate
+from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rates
 
 
 class FunctionalError(ValueError):
@@ -437,13 +437,13 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
 
     ``D`` is a metric with ``dim`` and ``evaluate_many(X, Y)``; each rung's
     box has its dimension.  Per ladder rung the event "every vertex pair of
-    the box satisfies T-hat_n(x, y) <= D(x, y) + eps" is measured by
-    :func:`~fpplab.oracle.estimate_event_rate`: exactly when the law has
-    finite support and the configuration space fits under ``enum_cap``,
-    and by Monte Carlo from the rung's sub-seed otherwise.  Exact rows
-    record ``seed`` itself.  The table reports -(1/n) log p next to a
-    functional value for qualitative comparison only; no convergence claim
-    is attached at desk scale.
+    the box satisfies T-hat_n(x, y) <= D(x, y) + eps" is measured by one
+    call of :func:`~fpplab.oracle.estimate_event_rates` with a list of one:
+    exactly when the law has finite support and the configuration space
+    fits under ``enum_cap``, and by Monte Carlo from the rung's sub-seed
+    otherwise.  Exact rows record ``seed`` itself.  The table reports
+    -(1/n) log p next to a functional value for qualitative comparison
+    only; no convergence claim is attached at desk scale.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -451,9 +451,9 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
     root = np.random.SeedSequence(seed)
     rows = []
     for n, seq in zip(rungs, root.spawn(max(len(rungs), 1))):
-        row = estimate_event_rate(EventSpec.ld_lower(D, eps), dist,
-                                  LatticeBox(dimension=D.dim, side=n), n, samples,
-                                  int(seq.generate_state(1)[0]), method, enum_cap)
+        (row,) = estimate_event_rates([EventSpec.ld_lower(D, eps)], dist,
+                                      LatticeBox(dimension=D.dim, side=n), n, samples,
+                                      int(seq.generate_state(1)[0]), method, enum_cap)
         rows.append(row if row.p_exact is None else replace(row, seed=seed))
     return LDTrendTable(rows=rows, eps=float(eps),
                         functional_value=functional_value)

@@ -36,7 +36,7 @@ __all__ = [
     "monte_carlo_event_probability",
     "wilson_interval",
     "LDTrendRow",
-    "estimate_event_rate",
+    "estimate_event_rates",
     "FKGReport",
     "fkg_supermultiplicativity_check",
     "crude_lower_bound",
@@ -379,17 +379,39 @@ def _replicate_seeds(samples, seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(samples, np.uint64)
 
 
-def _passage_hits(dist: EdgeDistribution, box: LatticeBox, rep_seeds: np.ndarray, x, y,
-                  region, thresholds) -> list[int]:
-    """Per threshold t, the number of replicate fields with T(x, y) <= t
-    among paths in ``region``, from one solve stopped at the largest t.
+def _event_hits(events, dist: EdgeDistribution, box: LatticeBox, samples,
+                seed: int) -> list[int]:
+    """Per event, how many of the ``samples`` fields drawn from ``seed`` hold it.
+
+    Every event sees the same fields, one per replicate seed (common random
+    numbers).  Passage events with the same end points and the same region
+    object share one block-diagonal csgraph solve (faster than Bellman-Ford
+    on boxes too big to enumerate), stopped at their largest threshold:
     csgraph's ``limit`` is inclusive and keeps every distance within it
-    exact, so each count is, bit for bit, that of a solve stopped at its t.
+    exact, so each count is, bit for bit, that of a solve stopped at its own
+    t.  Every other event runs its compiled test over the fields as weight
+    rows.  ``ValueError`` unless ``samples`` is a positive integer.
     """
-    # csgraph rejects a negative limit; with t < 0 nothing counts anyway
-    times = _seeded_passage_times(dist, box, rep_seeds, x, y, region,
-                                  limit=max(max(thresholds), 0.0))
-    return [int(np.count_nonzero(times <= t)) for t in thresholds]
+    rep_seeds = _replicate_seeds(samples, seed)
+    hits = [0] * len(events)
+    solves: dict[tuple, list[int]] = {}  # (x, y, id(region)) -> indices of its passage events
+    for i, event in enumerate(events):
+        p = event.params
+        if event.kind == "passage_time_at_most":
+            solves.setdefault((p["x"], p["y"], id(p["region"])), []).append(i)
+            continue
+        compiled = _predicate(event, box)
+        for start in range(0, samples, compiled.rows):
+            W = sample_weight_rows(dist, box, rep_seeds[start:start + compiled.rows])
+            hits[i] += int(np.count_nonzero(compiled.test(W)))
+    for group in solves.values():
+        p = events[group[0]].params
+        # csgraph rejects a negative limit; with t < 0 nothing counts anyway
+        times = _seeded_passage_times(dist, box, rep_seeds, p["x"], p["y"], p["region"],
+                                      limit=max(max(events[i].params["t"] for i in group), 0.0))
+        for i in group:
+            hits[i] = int(np.count_nonzero(times <= events[i].params["t"]))
+    return hits
 
 
 def monte_carlo_event_probability(
@@ -401,23 +423,12 @@ def monte_carlo_event_probability(
 ) -> MCEstimate:
     """Monte-Carlo frequency of an event, with a Wilson confidence interval.
 
-    The one event sampler: one field per replicate seed, sampled as weight
-    rows by :func:`~fpplab.model.sample_weight_rows`.  A passage event goes
-    through :func:`_passage_hits` (block-diagonal csgraph, faster than
-    Bellman-Ford on boxes too big to enumerate); every ``ld_lower`` or hub
-    event through the compiled test of the exact oracle.  ``samples`` must
-    be a positive integer, or ``ValueError``.
+    The hits of :func:`_event_hits` for the one event: one field per
+    replicate seed, sampled as weight rows by
+    :func:`~fpplab.model.sample_weight_rows`.  ``samples`` must be a
+    positive integer, or ``ValueError``.
     """
-    rep_seeds = _replicate_seeds(samples, seed)
-    if event.kind == "passage_time_at_most":
-        p = event.params
-        (k,) = _passage_hits(dist, box, rep_seeds, p["x"], p["y"], p["region"], [p["t"]])
-    else:
-        compiled = _predicate(event, box)
-        k = 0
-        for start in range(0, samples, compiled.rows):
-            W = sample_weight_rows(dist, box, rep_seeds[start:start + compiled.rows])
-            k += int(np.count_nonzero(compiled.test(W)))
+    (k,) = _event_hits([event], dist, box, samples, seed)
     lo, hi = wilson_interval(k, samples)
     return MCEstimate(p_hat=k / samples, successes=k, samples=samples, ci_low=lo, ci_high=hi)
 
@@ -454,7 +465,7 @@ class LDTrendRow:
 
 
 def _check_method(method: str, dist: EdgeDistribution) -> None:
-    """Raise ``ValueError`` unless :func:`estimate_event_rate` accepts
+    """Raise ``ValueError`` unless :func:`estimate_event_rates` accepts
     ``method`` for ``dist``."""
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -467,44 +478,8 @@ def _rate(p: float, n: int) -> float:
     return math.inf if p <= 0.0 else max(-math.log(p) / n, 0.0) + 0.0
 
 
-def _exact_rows(events, dist: EdgeDistribution, box: LatticeBox, n: int, seed: int,
-                method: str, enum_cap: int) -> list[LDTrendRow] | None:
-    """Exact rows of ``events`` on ``box``, or ``None`` when they are to be sampled.
-
-    Enumerates under ``method='exact'``, and under ``'auto'`` when the law
-    has finite support and the configurations fit ``enum_cap``.  The cap
-    compares s^m, the configurations of the live edges, so events that see
-    the same edges are enumerated all or none.
-    """
-    if method == "mc" or not dist.is_finite_support:
-        return None
-    try:
-        found = [exact_event_probability(ev, dist, box, cap=enum_cap) for ev in events]
-    except CapExceededError:
-        if method == "exact":
-            raise
-        return None
-    return [LDTrendRow(n=n, method="exact-oracle", p=float(res.p), p_exact=res.p,
-                       rate=_rate(float(res.p), n), ci=None, censored=False,
-                       samples=res.n_configs, hits=None, seed=seed)
-            for res in found]
-
-
-def _mc_row(hits: int, samples: int, n: int, seed: int) -> LDTrendRow:
-    """The Monte-Carlo row of ``hits`` among ``samples`` fields: the one
-    censoring rule and the one Wilson-to-rate transform, described at
-    :func:`estimate_event_rate`."""
-    p = hits / samples
-    lo, hi = wilson_interval(hits, samples)
-    censored = hits == 0
-    return LDTrendRow(n=n, method="monte-carlo", p=p, p_exact=None,
-                      rate=None if censored else _rate(p, n),
-                      ci=(_rate(hi, n), math.inf if censored else _rate(lo, n)),
-                      censored=censored, samples=samples, hits=hits, seed=seed)
-
-
-def estimate_event_rate(
-    event: EventSpec,
+def estimate_event_rates(
+    events,
     dist: EdgeDistribution,
     box: LatticeBox,
     n: int,
@@ -512,22 +487,42 @@ def estimate_event_rate(
     seed: int,
     method: str = "auto",
     enum_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> LDTrendRow:
-    """-(1/n) log P(event) on ``box``, with an interval.
+) -> list[LDTrendRow]:
+    """-(1/n) log P(event) on ``box`` for each of ``events``, with an interval.
 
-    Enumerates under ``method='exact'``, and under ``'auto'`` when the law
-    has finite support and the configurations fit ``enum_cap``; otherwise
-    samples ``samples`` fields from ``seed`` by
-    :func:`monte_carlo_event_probability`.  The rate is ``inf`` at p == 0
-    and never below ``+0.0``.  A sample with no hit is censored: rate
-    ``None``, interval ``(-(1/n) log hi, inf)`` from the upper Wilson limit.
+    One decision for the whole list.  It enumerates every event under
+    ``method='exact'``, and under ``'auto'`` when the law has finite support
+    and every event's configurations fit ``enum_cap``; the cap compares
+    s^m, the configurations of the live edges, so events that see the same
+    edges are enumerated all or none.  Otherwise it samples one set of
+    ``samples`` fields from ``seed`` for all events by :func:`_event_hits`,
+    so the rows are dependent while each interval is valid on its own.  The
+    rate is ``inf`` at p == 0 and never below ``+0.0``.  A sample with no
+    hit is censored: rate ``None``, interval ``(-(1/n) log hi, inf)`` from
+    the upper Wilson limit.
     """
     _check_method(method, dist)
-    exact = _exact_rows([event], dist, box, n, seed, method, enum_cap)
-    if exact is not None:
-        return exact[0]
-    mc = monte_carlo_event_probability(event, dist, box, samples, seed)
-    return _mc_row(mc.successes, samples, n, seed)
+    if method != "mc" and dist.is_finite_support:
+        try:
+            found = [exact_event_probability(ev, dist, box, cap=enum_cap) for ev in events]
+        except CapExceededError:
+            if method == "exact":
+                raise
+        else:
+            return [LDTrendRow(n=n, method="exact-oracle", p=float(res.p), p_exact=res.p,
+                               rate=_rate(float(res.p), n), ci=None, censored=False,
+                               samples=res.n_configs, hits=None, seed=seed)
+                    for res in found]
+    rows = []
+    for hits in _event_hits(events, dist, box, samples, seed):
+        p = hits / samples
+        lo, hi = wilson_interval(hits, samples)
+        censored = hits == 0
+        rows.append(LDTrendRow(n=n, method="monte-carlo", p=p, p_exact=None,
+                               rate=None if censored else _rate(p, n),
+                               ci=(_rate(hi, n), math.inf if censored else _rate(lo, n)),
+                               censored=censored, samples=samples, hits=hits, seed=seed))
+    return rows
 
 
 # ---------------------------------------------------------------------------

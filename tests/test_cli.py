@@ -410,6 +410,10 @@ def test_no_flag_a_command_does_not_read(tmp_path, command, flag):
     ("rate", {"n_ladder": [1, 1]}, "config schema violation"),
     # a repeated ld-trend rung would be computed again as a duplicate row
     ("ld-trend", {"n_ladder": [2, 1, 1]}, "config schema violation"),
+    # one field has no spread, so its time-constant interval would read exact
+    ("rate", {"time_constant": {"n_ladder": [4, 8], "samples": 1}}, "config schema violation"),
+    # a repeated time-constant rung would write two means at one scale
+    ("rate", {"time_constant": {"n_ladder": [8, 8]}}, "config schema violation"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

@@ -238,14 +238,17 @@ def test_mc_region_point_frozen_seed():
 
 
 def test_time_constant_rejects_bad_ladder():
-    with pytest.raises(ValueError):
-        estimate_time_constant(TP, (1, 0), [8, 4], samples=10)
+    for ladder in ([8, 4], [8, 8]):
+        with pytest.raises(ValueError):
+            estimate_time_constant(TP, (1, 0), ladder, samples=10)
 
 
 def test_time_constant_needs_a_sample():
-    # samples=0 warned on a mean of an empty slice and reported mu_hat nan
-    with pytest.raises(ValueError, match="samples must"):
-        estimate_time_constant(TP, (1, 0), [2, 4], samples=0)
+    # samples=0 warned on a mean of an empty slice and reported mu_hat nan;
+    # one field gave a zero-width interval, as if the mean were exact
+    for samples in (0, 1, 2.5):
+        with pytest.raises(ValueError, match="samples must"):
+            estimate_time_constant(TP, (1, 0), [2, 4], samples=samples)
 
 
 # ---------------------------------------------------------------------------

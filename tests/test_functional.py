@@ -477,6 +477,13 @@ def test_ld_trend_mc_regular_row():
     assert row.ci[0] - 1e-12 <= row.rate <= row.ci[1] + 1e-12
 
 
+def test_ld_trend_mc_hits_are_pinned():
+    # each rung's sub-seed and hit count at seed 9, taken before the
+    # ld-trend rows and the rate rungs shared one estimator
+    tab = empirical_ld_trend(scaled_l1, TP, 2.0, [1, 2], method="mc", samples=60, seed=9)
+    assert [(r.n, r.seed, r.hits) for r in tab.rows] == [(1, 747784396, 54), (2, 4053640108, 60)]
+
+
 def test_ld_trend_table_json_is_qualitative():
     tab = empirical_ld_trend(scaled_l1, TP, 2.0, [1], functional_value=0.35)
     j = jsonable(tab)

@@ -15,7 +15,7 @@ from fpplab.oracle import (
     chernoff_upper_tail,
     cramer_rate,
     crude_lower_bound,
-    estimate_event_rate,
+    estimate_event_rates,
     exact_event_probability,
     fkg_supermultiplicativity_check,
     iid_sum_lower_tail_rate,
@@ -485,19 +485,57 @@ def test_mc_early_stop_counts_equal_the_full_solve(law, n, x, y, t, region):
 def test_event_rate_enumerates_or_falls_back_to_monte_carlo():
     ev = EventSpec.passage_time_at_most((0, 0), (2, 1), 4.0)
     box = LatticeBox(2, 2)  # 12 edges: 4096 configurations
-    exact = estimate_event_rate(ev, TP, box, 2, 100, 5, "auto", enum_cap=4096)
+    (exact,) = estimate_event_rates([ev], TP, box, 2, 100, 5, "auto", enum_cap=4096)
     assert (exact.method, exact.ci, exact.samples, exact.seed) == ("exact-oracle", None, 4096, 5)
     assert exact.rate == -math.log(float(exact.p_exact)) / 2
-    mc = estimate_event_rate(ev, TP, box, 2, 100, 5, "auto", enum_cap=4095)
+    (mc,) = estimate_event_rates([ev], TP, box, 2, 100, 5, "auto", enum_cap=4095)
     assert (mc.method, mc.p_exact, mc.samples, mc.seed) == ("monte-carlo", None, 100, 5)
     assert mc.hits == monte_carlo_event_probability(ev, TP, box, 100, seed=5).successes
     assert mc.ci[0] <= mc.rate <= mc.ci[1]
     with pytest.raises(CapExceededError):
-        estimate_event_rate(ev, TP, box, 2, 100, 5, "exact", enum_cap=4095)
+        estimate_event_rates([ev], TP, box, 2, 100, 5, "exact", enum_cap=4095)
     with pytest.raises(ValueError, match="finite-support"):
-        estimate_event_rate(ev, EdgeDistribution.exponential(1.0), box, 2, 10, 0, "exact")
+        estimate_event_rates([ev], EdgeDistribution.exponential(1.0), box, 2, 10, 0, "exact")
     with pytest.raises(ValueError, match="unknown method"):
-        estimate_event_rate(ev, TP, box, 2, 10, 0, "fast")
+        estimate_event_rates([ev], TP, box, 2, 10, 0, "fast")
+
+
+def _one_event_calls(events, *args):
+    return [row for ev in events for row in estimate_event_rates([ev], *args)]
+
+
+def test_event_rates_of_shared_passage_events_equal_one_event_calls():
+    # three thresholds on both sides of a typical T((0,0),(6,0)) under
+    # Exp(1): one solve stopped at the largest, one count per threshold
+    law, box = EdgeDistribution.exponential(1.0), LatticeBox(2, 6)
+    events = [EventSpec.passage_time_at_most((0, 0), (6, 0), t) for t in (0.5, 2.5, 5.0)]
+    rows = estimate_event_rates(events, law, box, 6, 80, 7)
+    assert rows == _one_event_calls(events, law, box, 6, 80, 7)
+    assert [r.method for r in rows] == ["monte-carlo"] * 3
+    hits = [r.hits for r in rows]
+    assert hits == sorted(hits) and hits[0] < 80 // 2 < hits[-1]
+
+
+def test_exact_event_rates_equal_one_event_calls():
+    box = LatticeBox(2, 2)
+    events = [EventSpec.passage_time_at_most((0, 0), (2, 1), t) for t in (3.0, 4.0, 5.0)]
+    rows = estimate_event_rates(events, TP, box, 2, 100, 5)
+    assert rows == _one_event_calls(events, TP, box, 2, 100, 5)
+    assert [(r.method, r.samples) for r in rows] == [("exact-oracle", 4096)] * 3
+
+
+def test_event_rates_of_mixed_events_count_each_events_hits():
+    # ld_lower and hub events run their compiled tests on the shared fields;
+    # passage events with other end points get a solve of their own
+    law, box = EdgeDistribution.exponential(1.0), LatticeBox(2, 2)
+    events = [EventSpec.ld_lower(NormPlusHighways([0.9, 0.9], []), 1.5),
+              EventSpec.passage_time_at_most((0, 0), (2, 2), 2.5),
+              EventSpec.hub((1, 1), 1.6),
+              EventSpec.passage_time_at_most((0, 0), (1, 2), 2.0)]
+    rows = estimate_event_rates(events, law, box, 2, 50, 3)
+    assert [r.hits for r in rows] == [
+        monte_carlo_event_probability(ev, law, box, 50, 3).successes for ev in events]
+    assert rows == _one_event_calls(events, law, box, 2, 50, 3)
 
 
 def test_hub_event_values_are_pinned():
