@@ -214,7 +214,7 @@ def _edge_order(box: LatticeBox, live: np.ndarray, anchors: np.ndarray) -> np.nd
 
 
 def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
-               live: np.ndarray) -> tuple[Fraction, int]:
+               live: np.ndarray) -> tuple[Fraction, int, int]:
     """Exact probability of ``event.test`` over every configuration of the
     ``live`` edges; the other edges hold ``values[0]``.
 
@@ -231,64 +231,73 @@ def _enumerate(event: _CompiledEvent, values, probs, box: LatticeBox,
 
     Nodes wait on a stack of blocks, one per depth, with the deepest on
     top, and are taken ``event.rows`` at a time, so at most (m + 1) s
-    ``event.rows`` nodes wait.  A settled node that holds the event adds one
-    to an integer count of its class: its depth k and the multiplicities of
-    its fixed atoms, or k alone when all atoms are equally likely.  Its free
-    edges' probabilities sum to 1, so the class probability is the product
-    of its fixed atoms' probabilities, and the node stands for s^(m - k)
-    configurations.  Both are exact Python numbers, taken once per class, so
-    no sum overflows however large s^m is.  Returns ``(p, n_satisfying)``.
+    ``event.rows`` nodes wait.  A block keeps its nodes' two outcomes in one
+    (2, N) array.  Its untested bounds become weight rows in one gather
+    from the two fill rows, the upper bounds first, with the fixed atoms
+    written over them; its children are written through a (parent, atom)
+    view, so no Python runs per node.  A settled node that holds the event
+    adds one to an integer count of its class: its depth k and the
+    multiplicities of its fixed atoms, or k alone when all atoms are
+    equally likely.  Its free edges' probabilities sum to 1, so the class
+    probability is the product of its fixed atoms' probabilities, and the
+    node stands for s^(m - k) configurations.  Both are exact Python
+    numbers, taken once per class, so no sum overflows however large s^m
+    is.  Returns ``(p, n_satisfying,
+    rows_tested)``, the last the number of rows passed to ``event.test``.
     """
     s, m, rows = len(values), len(live), event.rows
     vals = np.asarray(values, dtype=float)
     order = _edge_order(box, live, event.anchors)
     uniform = all(q == probs[0] for q in probs)
-    lo_fill = np.full(box.n_edges, vals[0])
-    hi_fill = lo_fill.copy()
-    hi_fill[order] = vals[-1]  # the atoms are sorted
+    fills = np.full((2, box.n_edges), vals[0])  # the free edges of the upper and lower bound
+    fills[0, order] = vals[-1]  # the atoms are sorted
+    atoms = np.arange(s, dtype=np.min_scalar_type(s - 1))
     per_class: dict[tuple, int] = {}  # (k, multiplicities) -> settled nodes that hold the event
-    # a block: depth k, fixed atoms (N, k), and the bounds' outcomes, -1 while untested
-    stack = [(0, np.zeros((1, 0), np.min_scalar_type(s - 1)), np.full(1, -1), np.full(1, -1))]
+    rows_tested = 0
+    # a block: depth k, fixed atoms (N, k), and the (2, N) outcomes of the
+    # upper and lower bound, -1 while untested
+    stack = [(0, np.zeros((1, 0), atoms.dtype), np.full((2, 1), -1))]
     while stack:
-        k, fixed, hi, lo = stack.pop()
+        k, fixed, out = stack.pop()
         if len(fixed) > rows:  # take the block's tail now, its head later
-            stack.append((k, fixed[:-rows], hi[:-rows], lo[:-rows]))
-            fixed, hi, lo = fixed[-rows:], hi[-rows:], lo[-rows:]
+            stack.append((k, fixed[:-rows], out[:, :-rows]))
+            fixed, out = fixed[-rows:], out[:, -rows:]
         if k == m:  # a leaf's two bounds are its one configuration
-            hi = lo = np.maximum(hi, lo)
-            bounds = [(hi, hi_fill)]
-        else:
-            bounds = [(hi, hi_fill), (lo, lo_fill)]
-        need = [np.flatnonzero(out < 0) for out, _ in bounds]
-        if sum(map(len, need)):
-            W = np.concatenate([np.broadcast_to(fill, (len(i), box.n_edges))
-                                for (_, fill), i in zip(bounds, need)])
-            W[:, order[:k]] = vals[fixed[np.concatenate(need)]]
-            hits = np.concatenate([event.test(W[a:a + rows]) for a in range(0, len(W), rows)])
-            for (dst, _), i in zip(bounds, need):
-                dst[i], hits = hits[:len(i)], hits[len(i):]
+            out = np.maximum(out[:1], out[1:])
+        untested = out < 0
+        if untested.any():
+            bound, node = np.nonzero(untested)  # the upper bounds' rows first
+            W = fills[bound]
+            W[:, order[:k]] = vals[fixed[node]]
+            out[untested] = np.concatenate([event.test(W[a:a + rows])
+                                            for a in range(0, len(W), rows)])
+            rows_tested += len(W)
+        hi, lo = out[0], out[-1]
         settled = (hi == lo) & (hi >= 0)
         held = settled & (hi == 1)
         if held.any():
             if uniform:  # one class per depth, its atoms all counted as the first
                 per_class[k, (k,)] = per_class.get((k, (k,)), 0) + int(held.sum())
             else:
-                mult, counts = np.unique((fixed[held, :, None] == np.arange(s)).sum(axis=1),
+                mult, counts = np.unique((fixed[held, :, None] == atoms).sum(axis=1),
                                          axis=0, return_counts=True)
                 for key, c in zip(map(tuple, mult.tolist()), counts.tolist()):
                     per_class[k, key] = per_class.get((k, key), 0) + c
         if not settled.all():
-            split = ~settled
-            atom = np.tile(np.arange(s, dtype=fixed.dtype), int(split.sum()))
-            stack.append((k + 1,
-                          np.column_stack([np.repeat(fixed[split], s, axis=0), atom]),
-                          np.where(atom == s - 1, np.repeat(hi[split], s), -1),
-                          np.where(atom == 0, np.repeat(lo[split], s), -1)))
+            parents = np.flatnonzero(~settled)
+            # written through (parent, atom) views of the children's arrays
+            kids = np.empty((len(parents), s, k + 1), atoms.dtype)
+            kids[:, :, :k] = fixed[parents, None]
+            kids[:, :, k] = atoms
+            kid_out = np.full((2, len(parents), s), -1)
+            kid_out[0, :, -1] = hi[parents]
+            kid_out[1, :, 0] = lo[parents]
+            stack.append((k + 1, kids.reshape(-1, k + 1), kid_out.reshape(2, -1)))
 
     p = sum((c * math.prod(map(pow, probs, mult), start=Fraction(1))
              for (_, mult), c in per_class.items()), Fraction(0))
     count = sum(c * s ** (m - k) for (k, _), c in per_class.items())
-    return p, count
+    return p, count, rows_tested
 
 
 @dataclass(frozen=True)
@@ -296,6 +305,7 @@ class ExactProbability:
     p: Fraction
     n_configs: int
     n_satisfying: int
+    rows_tested: int
 
     @property
     def numerator(self) -> int:
@@ -332,7 +342,9 @@ def exact_event_probability(
 
     ``n_configs`` is the number of configurations of the live edges, s^m,
     tested or settled in a subtree; ``n_satisfying`` counts the hits among
-    them, whatever the atoms' probabilities.
+    them, whatever the atoms' probabilities.  ``rows_tested`` is the number
+    of weight rows the walk passed to the compiled test, bound rows and
+    leaves alike: the walk's cost, which the artifacts do not record.
     """
     if not dist.is_finite_support:
         raise ValueError("the enumeration oracle needs a finite-support law")
@@ -342,8 +354,8 @@ def exact_event_probability(
     if required > cap:
         raise CapExceededError(required, cap)
 
-    p, count = _enumerate(_predicate(event, box), values, probs, box, live)
-    return ExactProbability(p=p, n_configs=required, n_satisfying=count)
+    p, count, rows_tested = _enumerate(_predicate(event, box), values, probs, box, live)
+    return ExactProbability(p=p, n_configs=required, n_satisfying=count, rows_tested=rows_tested)
 
 
 # ---------------------------------------------------------------------------

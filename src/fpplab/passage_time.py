@@ -230,29 +230,30 @@ def _bellman_ford_rounds(W: np.ndarray, sources: np.ndarray, nbr: np.ndarray, ei
     shape (B, S, V), after each Bellman-Ford round: round h holds the
     cheapest times over paths of at most h edges, round 0 the sources alone.
 
-    Each round sets ``dist[v] = min(dist[v], dist[nbr[v, k]] + w[eid[v, k]])``
-    for all slots ``k`` at once.  The rounds stop after the last one that
-    changes a value.  A yielded array is reused two rounds later; copy it to
-    keep it.
+    Each round sets ``dist[v] = min(dist[v], min_k dist[nbr[v, k]] + w[eid[v, k]])``
+    for all slots ``k`` at once, in a vertex-first layout: the times are
+    held as (V, B, S), so one gather through the transposed neighbour table
+    copies whole (B, S) blocks into a (2d, V, B, S) temporary, the weights,
+    gathered once per call, are added to it, and one reduction over its
+    leading slot axis takes the minimum.  ``min`` is exact, so the order of
+    the slots changes no value.  The rounds stop after the last one that
+    changes a value.  Each round is a new array, yielded as a (B, S, V) view.
     """
-    n_rows, n_vert = len(W), len(nbr)
-    padded = np.concatenate([W, np.full((n_rows, 1), math.inf)], axis=1)
-    slots = [(nbr[:, k], padded[:, None, eid[:, k]]) for k in range(nbr.shape[1])]
-    dist = np.full((n_rows, len(sources), n_vert), math.inf)
-    dist[:, np.arange(len(sources)), sources] = 0.0
-    nxt = np.empty_like(dist)
-    arrival = np.empty_like(dist)
-    yield dist
+    n_vert = len(nbr)
+    padded = np.concatenate([W, np.full((len(W), 1), math.inf)], axis=1)
+    cols, w = nbr.T, padded.T[eid.T, :, None]  # (2d, V) and (2d, V, B, 1)
+    dist = np.full((n_vert, len(W), len(sources)), math.inf)
+    dist[sources, :, np.arange(len(sources))] = 0.0
+    yield dist.transpose(1, 2, 0)
     # a best path has at most V - 1 edges, so round V changes nothing
     for _ in range(n_vert):
-        np.copyto(nxt, dist)
-        for cols, w in slots:
-            np.add(dist[..., cols], w, out=arrival)
-            np.minimum(nxt, arrival, out=nxt)
-        if np.array_equal(nxt, dist):
+        arrival = dist.take(cols, axis=0)
+        arrival += w
+        nxt = np.minimum(dist, np.minimum.reduce(arrival, axis=0))
+        if (nxt == dist).all():
             return
-        dist, nxt = nxt, dist
-        yield dist
+        dist = nxt
+        yield dist.transpose(1, 2, 0)
     raise ValueError("edge weights must be nonnegative")
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weight_rows, sample_weights, truncate
 from fpplab.oracle import (
@@ -25,7 +27,7 @@ from fpplab.oracle import (
 from fpplab.geometry import NormPlusHighways
 from fpplab.oracle import _live_edges, _predicate
 from fpplab.passage_time import (_BLOCK_VERTICES, _arc_table, _batched_distances,
-                                 _seeded_passage_times, hub_check)
+                                 _region_mask, _seeded_passage_times, _solve_rows, hub_check)
 from reference import reference_dijkstra
 
 TP = EdgeDistribution.two_point(1, 2, Fraction(1, 2))
@@ -572,7 +574,7 @@ def _brute_force(event, law, box):
     values, probs = law.atoms()
     live = _live_edges(event, box)
     idx = np.array(list(itertools.product(range(len(values)), repeat=len(live))),
-                   dtype=np.int64).reshape(-1, len(live))
+                   dtype=np.int64).reshape(len(values) ** len(live), len(live))
     W = np.full((len(idx), box.n_edges), values[0])
     W[:, live] = np.asarray(values)[idx]
     hits = _test_rows(_predicate(event, box), W)
@@ -672,8 +674,18 @@ def test_walk_of_a_large_axis_cell_stays_small_and_fast():
     finally:
         tracemalloc.stop()
     assert (res.p, res.n_configs, res.n_satisfying) == (Fraction(1, 2), 16777216, 8388608)
+    assert res.rows_tested == 12
     assert elapsed < 1.0
     assert peak <= 32 * 2 ** 20
+
+
+def test_rows_tested_on_the_diagonal_cell():
+    # the walk's cost in rows, bound rows and leaves alike: a faster kernel
+    # makes each row cheaper, and this count shows that it tests no fewer
+    event = EventSpec.passage_time_at_most((0, 0), (3, 3), 8.4)
+    res = exact_event_probability(event, TP, LatticeBox(2, 3))
+    assert (res.p, res.n_configs) == (Fraction(7735709, 8388608), 16777216)
+    assert res.rows_tested == 859756
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -737,3 +749,82 @@ def test_hub_event_rejects_non_positive_kappa(kappa):
     field = sample_weights(TP, LatticeBox(2, 2), 0)
     with pytest.raises(ValueError, match="kappa must be positive"):
         hub_check(field, (1, 1), kappa)
+
+
+# ---------------------------------------------------------------------------
+# randomized walk against the brute-force walk
+# ---------------------------------------------------------------------------
+
+_ATOM_GRIDS = {"integers": (1, 4), "dyadics": (4, 12), "tenths": (10, 30)}  # (den, top numerator)
+
+
+@st.composite
+def _walk_cells(draw):
+    """A finite law, a box, one event of each kind and a few weight rows,
+    with thresholds drawn at a float sum of atoms, one ulp either side of
+    it, or between two sums.
+
+    A law with three atoms gets the 4-edge box only: on a 12-edge box its
+    brute force would test 3^12 rows per event."""
+    d, n, s = draw(st.sampled_from([(2, 1, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2)]))
+    den, top = _ATOM_GRIDS[draw(st.sampled_from(sorted(_ATOM_GRIDS)))]
+    values = sorted(draw(st.lists(st.integers(0, top), min_size=s, max_size=s, unique=True)))
+    values = [v / den for v in values]
+    weights = draw(st.lists(st.integers(1, 6), min_size=s, max_size=s, unique=True))
+    law = EdgeDistribution.finite_support(values, [Fraction(w, sum(weights)) for w in weights])
+    box = LatticeBox(d, n)
+
+    def vertex(lo=(0,) * d, hi=(n,) * d):
+        return tuple(draw(st.integers(a, b)) for a, b in zip(lo, hi))
+
+    def atom_sum(fewest, most):
+        t = 0.0
+        for w in draw(st.lists(st.sampled_from(values), min_size=fewest, max_size=most)):
+            t += w  # summed in path order, as a passage time is
+        return t
+
+    def threshold(fewest, most):
+        t = atom_sum(fewest, most)
+        where = draw(st.sampled_from(["at", "below", "above", "between"]))
+        if where == "between":
+            return (t + atom_sum(fewest, most)) / 2
+        return {"at": t, "below": np.nextafter(t, -math.inf),
+                "above": np.nextafter(t, math.inf)}[where]
+
+    region = None
+    if draw(st.booleans()):
+        a, b = vertex(), vertex()
+        region = tuple((min(p, q), max(p, q)) for p, q in zip(a, b))
+        x = vertex(*zip(*region))
+        y = vertex(*zip(*region))
+    else:
+        x, y = vertex(), vertex()
+    # D + eps with D = w |x - y|_1 / n: a pair's budget n D + n eps meets a
+    # sum of atoms when w is an atom (a metric weight must be positive) and
+    # n eps the gap of two sums
+    metric = NormPlusHighways(weights=[draw(st.sampled_from(values)) or 1.0] * d, highways=[])
+    eps = max(threshold(1, 2) - atom_sum(1, 2), 0.0) / n
+    kappa = threshold(1, 2)
+    hops = max(1, sum(abs(a - b) for a, b in zip(x, y)))  # the l1 length of x to y
+    events = [EventSpec.passage_time_at_most(x, y, threshold(hops, hops + 2), region=region),
+              EventSpec.ld_lower(metric, eps),
+              EventSpec.hub(vertex(), kappa if kappa > 0 else values[-1])]
+    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=box.n_edges,
+                                  max_size=box.n_edges), min_size=1, max_size=9))
+    return law, box, events, np.array(rows)
+
+
+@given(_walk_cells())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_random_walk_cells_equal_brute_force(cell):
+    law, box, events, W = cell
+    for event in events:
+        res = exact_event_probability(event, law, box)
+        assert (res.p, res.n_configs, res.n_satisfying) == _brute_force(event, law, box), \
+            event.name
+    # the batched kernel against csgraph's Dijkstra, on drawn rows of the law
+    passage = events[0].params
+    mask = _region_mask(box, passage["region"])
+    sid = box.vertex_id(passage["x"])
+    got = _batched_distances(W, np.array([sid]), *_arc_table(box, mask))[:, 0]
+    assert got.tobytes() == _solve_rows(W, box, sid, mask).tobytes()

@@ -25,8 +25,8 @@ from fpplab.passage_time import (
     restricted_passage_time,
     uniform_gap,
 )
-from fpplab.passage_time import (_BLOCK_VERTICES, _region_mask, _seeded_passage_times,
-                                 _solve, _solve_rows)
+from fpplab.passage_time import (_BLOCK_VERTICES, _arc_table, _batch_rows, _bellman_ford_rounds,
+                                 _region_mask, _seeded_passage_times, _solve, _solve_rows)
 from fpplab.oracle import EventSpec, _predicate
 from reference import reference_dijkstra
 
@@ -530,3 +530,57 @@ def test_geodesic_length_stats_ladder():
     assert flags[50.0] is False
     for rec in stats.pairs:
         assert rec.hops >= abs(rec.source[0] - rec.target[0])
+
+
+# ---------------------------------------------------------------------------
+# batched Bellman-Ford rounds
+# ---------------------------------------------------------------------------
+
+
+def _reference_rounds(W, sources, nbr, eid):
+    """The round kernel in its former layout, kept as the reference for every
+    round: one gather, add and minimum per neighbour slot, copied out."""
+    n_rows, n_vert = len(W), len(nbr)
+    padded = np.concatenate([W, np.full((n_rows, 1), math.inf)], axis=1)
+    slots = [(nbr[:, k], padded[:, None, eid[:, k]]) for k in range(nbr.shape[1])]
+    dist = np.full((n_rows, len(sources), n_vert), math.inf)
+    dist[:, np.arange(len(sources)), sources] = 0.0
+    rounds = [dist.copy()]
+    for _ in range(n_vert):
+        nxt = dist.copy()
+        for cols, w in slots:
+            np.minimum(nxt, dist[..., cols] + w, out=nxt)
+        if np.array_equal(nxt, dist):
+            return rounds
+        dist = nxt
+        rounds.append(dist.copy())
+    raise ValueError("edge weights must be nonnegative")
+
+
+@pytest.mark.parametrize("d, n, region", [
+    (2, 2, None),
+    (2, 3, None),
+    (2, 3, ((0, 3), (1, 2))),
+    (2, 3, [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (3, 2), (3, 3)]),
+    (3, 2, None),
+    (3, 2, ((0, 2), (0, 1), (1, 2))),
+])
+def test_every_round_equals_the_per_slot_kernel(d, n, region):
+    # _hub_times reads the rounds before the fixed point, so every round is
+    # pinned, not the distances alone.  A region sends its cut arcs to the
+    # inf padding edge; zero atoms give ties and free hops
+    box = LatticeBox(d, n)
+    mask = _region_mask(box, region)
+    nbr, eid = _arc_table(box, mask)
+    inside = np.flatnonzero(mask) if mask is not None else np.arange(box.n_vertices)
+    rng = np.random.default_rng(d * 10 + n)
+    atoms = np.array([0.0, 0.0, 0.1, 0.7, 1.0, 2.0])
+    for sources in (inside[:1], inside[-1:], inside):
+        for B in (1, 7, _batch_rows(box, len(sources))):
+            W = atoms[rng.integers(0, len(atoms), (B, box.n_edges))]
+            W[: B // 2] += rng.exponential(1.0, (B // 2, box.n_edges))
+            want = _reference_rounds(W, sources, nbr, eid)
+            got = [dist.copy() for dist in _bellman_ford_rounds(W, sources, nbr, eid)]
+            assert len(got) == len(want), (len(sources), B)
+            for h, (a, b) in enumerate(zip(got, want)):
+                assert a.tobytes() == b.tobytes(), (len(sources), B, h)
