@@ -22,8 +22,9 @@ import numpy as np
 
 from ._artifacts import write_csv
 from .model import LatticeBox
-# not called here: perfbench/tests/test_tracing.py checks the tracer on this
-# from-import copy
+# not called here, and kept only for perfbench/tests/test_tracing.py, which
+# checks that the tracer also patches this from-import copy of a traced
+# function; it can go once that test reads another module
 from .model import sample_weights  # noqa: F401
 from .oracle import _Z95, CapExceededError, EventSpec, estimate_event_rates
 from .passage_time import _seeded_passage_times

@@ -1,5 +1,5 @@
-"""Continuum geometry: Lipschitz paths, highway metrics, and length/derivative
-tools on the unit cube.
+"""Continuum geometry: Lipschitz paths, highway metrics, and derivative,
+gradient and integral tools on the unit cube.
 
 The central objects are piecewise-linear paths with canonical arc-length
 parametrization, pseudometrics of "weighted l1 norm plus discounted highways"
@@ -41,8 +41,6 @@ _MIN_PIECE_LENGTH = 1e-9  # cut_path_against drops pieces no longer than this (l
 _LOOP_ROUNDS = 128        # splices remove_loops makes before it gives up
 _DERIVATIVE_LEVELS = 6    # steps of metric_derivative's halving ladder
 _DERIVATIVE_TOL = 1e-6    # spread (or one-sided gap) above which metric_derivative flags
-_LENGTH_TOL = 1e-9        # relative move of one doubling at which d_length stops
-_PROBE_STEPS = 2.0 ** -np.arange(3.0, 11.0)  # step ladder of gradient_by_paths' straight probe
 
 
 class GeometryError(ValueError):
@@ -51,15 +49,6 @@ class GeometryError(ValueError):
 
 class GeodesyError(GeometryError):
     """A curve offered as a geodesic fails the geodesic identity."""
-
-
-class RefinementError(RuntimeError):
-    """Dyadic refinement failed to converge at the requested tolerance."""
-
-    def __init__(self, message: str, last: float, previous: float):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
 
 
 # ---------------------------------------------------------------------------
@@ -538,86 +527,6 @@ class NormPlusHighways:
 
 
 # ---------------------------------------------------------------------------
-# tabulated pseudometrics
-# ---------------------------------------------------------------------------
-
-
-class GridPseudometric:
-    """Pseudometric tabulated on the regular (m+1)^d grid of the unit cube.
-
-    Interpolation contract: at pairs of grid nodes the stored value is
-    returned exactly; elsewhere the value is the multilinear interpolation in
-    each argument separately.  Interpolated values are convex combinations of
-    node values, so bounds transfer, but the pseudometric axioms are only
-    guaranteed at the nodes.
-    """
-
-    def __init__(self, values: np.ndarray, m: int, dim: int):
-        values = np.asarray(values, dtype=float)
-        if m < 1 or dim < 1:
-            raise GeometryError(f"a grid needs m >= 1 and dim >= 1, not m={m}, d={dim}")
-        n_nodes = (m + 1) ** dim
-        if values.shape != (n_nodes, n_nodes):
-            raise GeometryError(f"need a {n_nodes} x {n_nodes} table for m={m}, d={dim}")
-        self.values = values
-        self.m = int(m)
-        self.dim = int(dim)
-
-    @classmethod
-    def from_function(cls, metric, m: int) -> "GridPseudometric":
-        """Tabulate ``metric`` (its ``dim`` and ``evaluate_many``) on the grid
-        nodes, all pairs above the diagonal in one batch."""
-        dim = metric.dim
-        n = (m + 1) ** dim
-        grid = cls(np.zeros((n, n)), m, dim)
-        coords = np.stack(np.meshgrid(*([np.arange(m + 1)] * dim), indexing="ij"), axis=-1)
-        nodes = coords.reshape(-1, dim) / m
-        i, j = np.triu_indices(n, 1)
-        grid.values[i, j] = grid.values[j, i] = metric.evaluate_many(nodes[i], nodes[j])
-        return grid
-
-    def _corners(self, Z: np.ndarray):
-        """Flat node ids and multilinear weights of the 2^d corners of the
-        grid cell holding each row of Z, two ``(B, 2^d)`` arrays."""
-        zm = np.clip(Z, 0.0, 1.0) * self.m
-        base = np.minimum(zm.astype(int), self.m - 1)
-        frac = zm - base
-        corner = np.arange(1 << self.dim)
-        w = np.ones((len(Z), len(corner)))
-        flat = np.zeros((len(Z), len(corner)), dtype=np.int64)
-        for a in range(self.dim):
-            bit = (corner >> a) & 1
-            w *= np.where(bit, frac[:, a, None], 1.0 - frac[:, a, None])
-            flat = flat * (self.m + 1) + (base[:, a, None] + bit)
-        return flat, w
-
-    def evaluate_many(self, X, Y) -> np.ndarray:
-        """Interpolated values between the rows of X and Y, two ``(B, dim)``
-        arrays."""
-        X, Y = _point_rows(X, Y, self.dim)
-        ix, wx = self._corners(X)
-        iy, wy = self._corners(Y)
-        # a corner of weight zero drops out, so an inf stored there cannot
-        # turn the sum into nan
-        live = (wx[:, :, None] > 0.0) & (wy[:, None, :] > 0.0)
-        block = np.where(live, self.values[ix[:, :, None], iy[:, None, :]], 0.0)
-        return (wx[:, None, :] @ block @ wy[:, :, None])[:, 0, 0]
-
-    def evaluate(self, x, y) -> float:
-        return float(self.evaluate_many(np.asarray(x, dtype=float)[None],
-                                        np.asarray(y, dtype=float)[None])[0])
-
-
-def _point_rows(X, Y, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y as float arrays, checked to be two ``(B, dim)`` point arrays."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != dim:
-        raise GeometryError(f"points must be two arrays of shape (B, {dim})")
-    return X, Y
-
-
-# ---------------------------------------------------------------------------
 # recursive highway insertion
 # ---------------------------------------------------------------------------
 
@@ -701,7 +610,10 @@ class HWChain:
         operation over a chunk of rows, and the chunks keep every temporary
         within a fixed element budget.
         """
-        X, Y = _point_rows(X, Y, self.dim)
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != self.dim:
+            raise GeometryError(f"points must be two arrays of shape (B, {self.dim})")
         rows = self._batch_rows()
         out = np.empty(len(X))
         for start in range(0, len(X), rows):
@@ -945,37 +857,8 @@ def network_from_highways(metric: NormPlusHighways) -> HighwayNetwork:
 
 
 # ---------------------------------------------------------------------------
-# lengths, derivatives, gradients, integrals
+# derivatives, gradients, integrals
 # ---------------------------------------------------------------------------
-
-
-def d_length(metric, path: LipschitzPath, max_depth: int = 12) -> float:
-    """Length of a path in a pseudometric, by dyadic chain-sum refinement.
-
-    The chain sums are nondecreasing under refinement by the triangle
-    inequality, so the limit exists; refinement stops when one doubling moves
-    the sum by at most ``_LENGTH_TOL`` relative to its size.  Raises
-    :class:`RefinementError` when the budget is exhausted before that.
-    """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-
-    def chain_sum(params):
-        pts = path.point_at(params)
-        # summed left to right, as the chain is walked
-        return float(sum(metric.evaluate_many(pts[:-1], pts[1:]).tolist()))
-
-    params = np.asarray(path.cum, dtype=float)
-    val = chain_sum(params)
-    for _ in range(max_depth):
-        mids = 0.5 * (params[:-1] + params[1:])
-        params = np.sort(np.concatenate([params, mids]))
-        new = chain_sum(params)
-        if new - val <= _LENGTH_TOL * max(1.0, abs(new)):
-            return new
-        val = new
-    raise RefinementError(
-        f"chain sums still moving after {max_depth} doublings", last=new, previous=val)
 
 
 @dataclass(frozen=True)
@@ -1046,63 +929,39 @@ def _locate_on_highways(metric: NormPlusHighways, z: np.ndarray):
     return None
 
 
-def gradient_by_paths(metric, z, u) -> GradientEstimate:
+def gradient_by_paths(metric: NormPlusHighways, z, u) -> GradientEstimate:
     """Smallest initial metric speed over paths leaving z with velocity u.
 
-    For a norm-plus-highways metric the value is analytic: a point off the
-    highways, or a direction transverse to the local highway tangent, gives
-    the norm of u, while the tangent direction gives the discounted norm.
-    The reasoning for the transverse case: a path with initial velocity u
-    transverse to the tangent stays off the highway for small positive time,
-    so its initial speed is the norm speed.  Junctions, endpoints, and
-    discount breakpoints are reported as boundary cases with a numeric
-    straight-probe value, which is only an upper bound.  For any other metric
-    the straight probe bound is returned.
+    The value is analytic: a point off the highways, or a direction
+    transverse to the local highway tangent, gives the norm of u, while the
+    tangent direction gives the discounted norm.  The reasoning for the
+    transverse case: a path with initial velocity u transverse to the tangent
+    stays off the highway for small positive time, so its initial speed is
+    the norm speed.  Junctions, endpoints, and discount breakpoints are
+    reported as boundary cases with the norm of u, which is only an upper
+    bound there.
     """
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.abs(u).sum() == 0:
         return GradientEstimate(value=0.0, kind="analytic")
-
-    if isinstance(metric, NormPlusHighways):
-        loc = _locate_on_highways(metric, z)
-        if loc is None:
-            return GradientEstimate(value=float(metric.gnorm(u)), kind="analytic")
-        k, param, interior = loc
-        if interior:
-            block = metric.chain.blocks[k]
-            i = int(np.searchsorted(block.ts, param, side="right")) - 1
-            i = min(i, len(block.ts) - 2)
-            direction = block.pts[i + 1] - block.pts[i]
-            if _parallel(fvec(u), fvec(direction)):
-                return GradientEstimate(value=float(metric.discounts[k][i] * metric.gnorm(u)),
-                                        kind="analytic")
-            return GradientEstimate(value=float(metric.gnorm(u)), kind="analytic")
-        note = (f"z is an endpoint, junction, or discount breakpoint of highway {k}; "
-                f"returning the norm value, which is an upper bound there")
-        return GradientEstimate(value=float(metric.gnorm(u)), kind="upper-bound",
-                                boundary=True, note=note)
-
-    # the straight probe: difference quotients along z + h u
-    W = z + _PROBE_STEPS[:, None] * u
-    inside = np.all((W >= 0.0) & (W <= 1.0), axis=1)
-    if not inside.any():
-        raise GeometryError("no probe step keeps z + h u inside the cube")
-    vals = metric.evaluate_many(np.broadcast_to(z, W[inside].shape), W[inside])
-    return GradientEstimate(value=float(np.min(vals / _PROBE_STEPS[inside])), kind="upper-bound")
-
-
-def hausdorff_integrate(paths: Sequence[LipschitzPath], integrand: Callable,
-                        order: int = 8) -> float:
-    """Integral of ``integrand(point, unit_euclidean_tangent)`` over the union
-    of the paths with respect to one-dimensional Hausdorff measure.
-
-    The paths must be injective and may share at most isolated points
-    (:func:`check_path_family`), so the union integral is the sum of the path
-    integrals (:func:`_path_integrals`).
-    """
-    check_path_family(paths)
-    return _path_integrals(paths, integrand, order)
+    loc = _locate_on_highways(metric, z)
+    if loc is None:
+        return GradientEstimate(value=float(metric.gnorm(u)), kind="analytic")
+    k, param, interior = loc
+    if interior:
+        block = metric.chain.blocks[k]
+        i = int(np.searchsorted(block.ts, param, side="right")) - 1
+        i = min(i, len(block.ts) - 2)
+        direction = block.pts[i + 1] - block.pts[i]
+        if _parallel(fvec(u), fvec(direction)):
+            return GradientEstimate(value=float(metric.discounts[k][i] * metric.gnorm(u)),
+                                    kind="analytic")
+        return GradientEstimate(value=float(metric.gnorm(u)), kind="analytic")
+    note = (f"z is an endpoint, junction, or discount breakpoint of highway {k}; "
+            f"returning the norm value, which is an upper bound there")
+    return GradientEstimate(value=float(metric.gnorm(u)), kind="upper-bound",
+                            boundary=True, note=note)
 
 
 def _path_integrals(paths: Sequence[LipschitzPath], integrand: Callable, order: int) -> float:

@@ -18,22 +18,19 @@ from fpplab._segments import (
 from fpplab.geometry import (
     GeodesyError,
     GeometryError,
-    GridPseudometric,
     HWChain,
     LipschitzPath,
     NormPlusHighways,
     build_highway_network,
     check_path_family,
     cut_path_against,
-    d_length,
     gradient_by_paths,
-    hausdorff_integrate,
     hw_insert,
     metric_derivative,
     network_from_highways,
     remove_loops,
 )
-from fpplab.geometry import _MIN_PIECE_LENGTH, _axis_projections, _halton, _hops
+from fpplab.geometry import _MIN_PIECE_LENGTH, _axis_projections, _halton, _hops, _path_integrals
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
 from fpplab.passage_time import _BLOCK_VERTICES, ContinuousMetric
 from reference import DenseGridMetric
@@ -331,23 +328,21 @@ def test_a_route_may_reenter_its_highway_across_a_bend():
         D.validate_geodesics()
 
 
-def test_geodesic_matches_evaluate_and_d_length():
+def test_geodesic_matches_evaluate_and_its_chain_sum():
+    """The geodesic's metric length, the chain sum over its breakpoints and
+    65 evenly spaced parameters, is its value."""
     D = diag_metric()
     for x, y in [((0, 0), (1, 1)), ((0.25, 0.0), (0.75, 1.0)), ((0.1, 0.8), (0.9, 0.3))]:
         path, val = D.geodesic(x, y)
         assert val == pytest.approx(D.evaluate(x, y), abs=1e-12)
         assert np.allclose(path.points[0], x) and np.allclose(path.points[-1], y)
-        assert d_length(D, path) == pytest.approx(val, rel=1e-6)
+        pts = path.point_at(np.union1d(path.cum, np.linspace(0.0, path.length_l1, 65)))
+        assert D.evaluate_many(pts[:-1], pts[1:]).sum() == pytest.approx(val, rel=1e-9)
 
 
 def test_geodesic_rejects_coincident_endpoints():
     with pytest.raises(GeometryError, match="endpoints coincide"):
         diag_metric().geodesic((0.25, 0.25), (0.25, 0.25))
-
-
-def test_d_length_needs_a_doubling():
-    with pytest.raises(ValueError):
-        d_length(diag_metric(), LipschitzPath([[0.0, 0.0], [1.0, 1.0]]), max_depth=0)
 
 
 def _two_highway_target():
@@ -487,25 +482,6 @@ def test_evaluate_many_equals_per_pair_evaluate(make):
     assert 1 < rows < len(X) - 1 and len(X) % rows != 0  # the walk ends on a short chunk
     for n in (1, rows - 1, rows, rows + 1, len(X)):
         assert np.array_equal(D.evaluate_many(X[:n], Y[:n]), want[:n])
-
-
-def test_grid_evaluate_many_rows_equal_rows_alone():
-    D = piecewise_metric()
-    G = GridPseudometric.from_function(D, m=5)
-    # the batched table equals the one tabulated pair by pair
-    nodes = np.array(list(np.ndindex(6, 6))) / 5.0
-    table = np.zeros((36, 36))
-    for i, j in zip(*np.triu_indices(36, 1)):
-        table[i, j] = table[j, i] = D.evaluate(nodes[i], nodes[j])
-    assert np.array_equal(G.values, table)
-    rng = np.random.default_rng(17)
-    X = np.concatenate([nodes, rng.random((200, 2)), nodes[:7]])
-    Y = np.concatenate([nodes[::-1], rng.random((200, 2)), rng.random((7, 2))])
-    got = G.evaluate_many(X, Y)
-    assert np.array_equal(got, [G.evaluate(x, y) for x, y in zip(X, Y)])
-    # exact at pairs of grid nodes
-    ids = np.arange(36)
-    assert np.array_equal(got[:36], G.values[ids, ids[::-1]])
 
 
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
@@ -728,37 +704,6 @@ def test_norm_hops_equal_the_stacked_product():
         stacked = np.abs(D) @ w
         assert np.array_equal(_hops(D, w), stacked)
         assert np.array_equal(_hops(D.transpose(1, 0, 2), w), stacked.T)
-
-
-# ---------------------------------------------------------------------------
-# grid pseudometric
-# ---------------------------------------------------------------------------
-
-
-def test_grid_pseudometric_contract():
-    D = diag_metric()
-    G = GridPseudometric.from_function(D, m=4)
-    # exact at grid nodes
-    assert G.evaluate((0, 0), (1, 1)) == D.evaluate((0, 0), (1, 1))
-    assert G.evaluate((0.25, 0.5), (0.75, 0.25)) == pytest.approx(
-        D.evaluate((0.25, 0.5), (0.75, 0.25)), abs=1e-12)
-    # multilinear between nodes: midpoint of two node pairs averages
-    v = G.evaluate((0.125, 0.0), (1.0, 1.0))
-    a = G.evaluate((0.0, 0.0), (1.0, 1.0))
-    b = G.evaluate((0.25, 0.0), (1.0, 1.0))
-    assert v == pytest.approx(0.5 * (a + b), abs=1e-12)
-    with pytest.raises(GeometryError):
-        GridPseudometric(np.zeros((4, 4)), m=4, dim=2)
-
-
-@pytest.mark.parametrize("m", [0, -1])
-def test_grid_pseudometric_needs_a_cell(m):
-    """A grid of m < 1 cells per side has no cell to interpolate in, and
-    from_function would divide by m."""
-    with pytest.raises(GeometryError, match="m >= 1"):
-        GridPseudometric(np.zeros((1, 1)), m, 2)
-    with pytest.raises(GeometryError, match="m >= 1"):
-        GridPseudometric.from_function(NormPlusHighways([1.0, 1.0], []), m)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,14 +960,6 @@ def test_gradient_along_a_two_piece_profile():
     assert mid.kind == "upper-bound" and mid.boundary and mid.value == 1.0
 
 
-def test_gradient_generic_metric_upper_bound():
-    D = diag_metric()
-    G = GridPseudometric.from_function(D, m=8)
-    est = gradient_by_paths(G, (0.25, 0.25), (1, 1))
-    assert est.kind == "upper-bound"
-    assert est.value <= 2.0 + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff integration
 # ---------------------------------------------------------------------------
@@ -1030,14 +967,14 @@ def test_gradient_generic_metric_upper_bound():
 
 def test_hausdorff_integral_of_one_is_euclidean_length():
     diag = LipschitzPath([[0, 0], [1, 1]])
-    val = hausdorff_integrate([diag], lambda x, u: 1.0)
+    val = _path_integrals([diag], lambda x, u: 1.0, 8)
     assert val == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 def test_hausdorff_integral_additive_over_touching_paths():
     a = LipschitzPath([[0, 0], [0.5, 0.5]])
     b = LipschitzPath([[0.5, 0.5], [1, 1]])
-    val = hausdorff_integrate([a, b], lambda x, u: 1.0)
+    val = _path_integrals([a, b], lambda x, u: 1.0, 8)
     assert val == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
@@ -1048,15 +985,6 @@ def test_hausdorff_integrand_sees_unit_tangent():
         seen.append(np.array(u))
         return 1.0
 
-    hausdorff_integrate([LipschitzPath([[0, 0], [1, 1]])], f, order=2)
+    _path_integrals([LipschitzPath([[0, 0], [1, 1]])], f, 2)
     for u in seen:
         assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_hausdorff_rejects_overlapping_paths():
-    a = LipschitzPath([[0, 0], [1, 1]])
-    with pytest.raises(GeometryError):
-        hausdorff_integrate([a, a], lambda x, u: 1.0)
-    loop = LipschitzPath([[0, 0], [1, 0], [1, 1], [0.5, -0.5]])
-    with pytest.raises(GeometryError):
-        hausdorff_integrate([loop], lambda x, u: 1.0)
