@@ -14,6 +14,7 @@ functional value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -26,7 +27,7 @@ from fpplab.geometry import (
     LipschitzPath,
     NormPlusHighways,
     _halton,
-    _norm_factory,
+    _norm,
     _path_integrals,
     check_path_family,
 )
@@ -68,7 +69,7 @@ class AnalyticRate:
         if not (scale > 0 and math.isfinite(scale)):
             raise FunctionalError("scale must be positive and finite")
         self.scale = float(scale)
-        self.gnorm = _norm_factory(self.weights)
+        self.gnorm = functools.partial(_norm, weights=self.weights)
 
     def __call__(self, u, zeta: float) -> float:
         return self.scale * max(float(self.gnorm(u)) - float(zeta), 0.0)
@@ -134,7 +135,7 @@ class SurfaceRate:
             v1 = self._ray_value(self._dirs[j], u_abs, zeta)
             return (1.0 - t) * v0 + t * v1
         scores = [
-            float(p @ u_abs) / (float(np.linalg.norm(p)) * float(np.linalg.norm(u_abs)))
+            math.fsum(p * u_abs) / (math.hypot(*p) * math.hypot(*u_abs))
             for p in self._dirs
         ]
         return self._ray_value(self._dirs[int(np.argmax(scores))], u_abs, zeta)

@@ -11,6 +11,7 @@ so these decisions carry no rounding error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,16 +281,16 @@ def check_path_family(paths: Sequence[LipschitzPath], name: str = "path",
 # ---------------------------------------------------------------------------
 
 
-def _norm_factory(weights: np.ndarray) -> Callable:
-    col = np.asarray(weights, dtype=float)[:, None]
-
-    def g(v):
-        # one dot product per vector, so a vector in a batch of rows is
-        # rounded exactly as it is on its own
-        a = np.abs(np.asarray(v, dtype=float))
-        return (a[..., None, :] @ col)[..., 0, 0]
-
-    return g
+def _norm(V, weights) -> np.ndarray:
+    """The weighted l1 norms of the vectors along the last axis of V, as the
+    ordered elementwise sum ``|v_0| w_0 + |v_1| w_1 + ...``.  numpy never
+    fuses a multiply and an add, so a norm rounds the same way alone, inside
+    any batch and on every BLAS kernel."""
+    a = np.abs(np.asarray(V, dtype=float))
+    out = a[..., 0] * weights[0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * weights[k]
+    return out
 
 
 def _axis_projections(pts: np.ndarray, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -339,14 +340,6 @@ def _ride_table(cum_a: np.ndarray, cum_b: np.ndarray) -> np.ndarray:
     """``|cum_a - cum_b|``, broadcast, as one fresh array."""
     out = cum_a - cum_b
     return np.abs(out, out=out)
-
-
-def _hops(D: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The weighted l1 norms of the difference vectors D, ``(..., dim)``, as
-    one 2-D matrix-vector product: a stacked one rounds each norm alike and
-    is an order of magnitude slower."""
-    a = np.abs(D)
-    return (a.reshape(-1, a.shape[-1]) @ weights).reshape(a.shape[:-1])
 
 
 def _normalize_profile(speed, total: float):
@@ -403,7 +396,7 @@ class NormPlusHighways:
         if self.weights.ndim != 1 or np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
             raise GeometryError("norm weights must be positive and finite")
         self.dim = self.weights.shape[0]
-        self.gnorm = _norm_factory(self.weights)
+        self.gnorm = functools.partial(_norm, weights=self.weights)
 
         self.discounts = []
         rides = []
@@ -487,7 +480,7 @@ class NormPlusHighways:
                 pts.append(block.path.point_at(t))
             hw_params.append(entries)
         P = np.asarray(pts)
-        E = np.abs(P[:, None, :] - P[None, :, :]) @ self.weights
+        E = _norm(P[:, None, :] - P[None, :, :], self.weights)
         for block, entries in zip(self.chain.blocks, hw_params):
             for (t0, i0), (t1, i1) in zip(entries[:-1], entries[1:]):
                 ride = float(block.cum_at(t1) - block.cum_at(t0))
@@ -573,7 +566,7 @@ class HWChain:
 
     def __init__(self, weights, rides=()):
         self.weights = np.asarray(weights, dtype=float)
-        self.gnorm = _norm_factory(self.weights)
+        self.gnorm = functools.partial(_norm, weights=self.weights)
         self.dim = self.weights.shape[0]
         self.rides = tuple(rides)
         pts = [path.point_at(ts) for path, ts, _ in self.rides]
@@ -588,7 +581,7 @@ class HWChain:
         self.nodes = np.concatenate([np.zeros((0, self.dim)),
                                      *(b.path.point_at(b.params) for b in blocks)])
         # norm hops between all nodes, rides within each block, one closure
-        E = np.abs(self.nodes[:, None, :] - self.nodes[None, :, :]) @ self.weights
+        E = _norm(self.nodes[:, None, :] - self.nodes[None, :, :], self.weights)
         for b in blocks:
             E[b.rows, b.rows] = np.minimum(E[b.rows, b.rows],
                                            np.abs(b.access_cum[:, None] - b.access_cum))
@@ -642,7 +635,7 @@ class HWChain:
         arrays: the block's access nodes, whose costs ``g`` the pool already
         has, then the rows' axis projections."""
         proj = _axis_projections(block.pts, block.ts, P).T
-        cost = _hops(P - block.path.point_at(proj), self.weights)
+        cost = _norm(P - block.path.point_at(proj), self.weights)
         ride = np.broadcast_to(block.access_cum[:, None], (len(block.access_cum), len(P)))
         return (np.concatenate([g[block.rows], cost]),
                 np.concatenate([ride, block.cum_at(proj)]))
@@ -660,7 +653,7 @@ class HWChain:
             return best
         B = len(X)
         P = np.concatenate([X, Y])  # x rows, then y rows
-        g = _hops(P - self.nodes[:, None, :], self.weights)
+        g = _norm(P - self.nodes[:, None, :], self.weights)
         v = g.copy()
         for block in self.blocks:
             c, cum = self._entry_candidates(block, g, P)
@@ -974,7 +967,7 @@ def _path_integrals(paths: Sequence[LipschitzPath], integrand: Callable, order: 
     for path in paths:
         for p0, p1, _, _ in path.pieces():
             delta = p1 - p0
-            elen = float(np.linalg.norm(delta))
+            elen = math.hypot(*delta)
             if elen == 0.0:
                 continue
             tang = delta / elen

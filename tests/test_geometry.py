@@ -15,6 +15,7 @@ from fpplab._segments import (
     point_on_segment,
     segment_intersection,
 )
+from fpplab.functional import AnalyticRate
 from fpplab.geometry import (
     GeodesyError,
     GeometryError,
@@ -30,7 +31,7 @@ from fpplab.geometry import (
     network_from_highways,
     remove_loops,
 )
-from fpplab.geometry import _MIN_PIECE_LENGTH, _axis_projections, _halton, _hops, _path_integrals
+from fpplab.geometry import _MIN_PIECE_LENGTH, _axis_projections, _halton, _norm, _path_integrals
 from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
 from fpplab.passage_time import _BLOCK_VERTICES, ContinuousMetric
 from reference import DenseGridMetric
@@ -618,7 +619,9 @@ def test_bent_highways_make_a_metric(dim, seed):
 def _reference_query(chain, X, Y):
     """The query kernel in its former layout, kept as the reference for the
     values: ``(B, K, K)`` ride tables, ``(2B, K, P)`` access tables and a
-    ``(B, N, N)`` pool crossing, each reduced over its middle axes."""
+    ``(B, N, N)`` pool crossing, each reduced over its middle axes.  It
+    reads its norms through ``_norm``: it is the reference for the layout,
+    and the norm has its own test."""
     def ride_table(cum_a, cum_b):
         out = cum_a[:, :, None] - cum_b[..., None, :]
         return np.abs(out, out=out)
@@ -628,11 +631,11 @@ def _reference_query(chain, X, Y):
         return best
     B = len(X)
     P = np.concatenate([X, Y])
-    g = np.abs(P[:, None, :] - chain.nodes) @ chain.weights
+    g = _norm(P[:, None, :] - chain.nodes, chain.weights)
     v = g.copy()
     for block in chain.blocks:
         proj = _axis_projections(block.pts, block.ts, P)
-        cost = np.abs(P[:, None, :] - block.path.point_at(proj)) @ chain.weights
+        cost = _norm(P[:, None, :] - block.path.point_at(proj), chain.weights)
         ride = np.broadcast_to(block.access_cum, (len(P), len(block.access_cum)))
         c = np.concatenate([g[:, block.rows], cost], axis=1)
         cum = np.concatenate([ride, block.cum_at(proj)], axis=1)
@@ -689,21 +692,43 @@ def test_query_many_equals_the_reference_kernel(dim, seed):
         assert chain.query_many(X[:k], Y[:k]).tobytes() == want.tobytes()
 
 
-def test_norm_hops_equal_the_stacked_product():
-    """One 2-D matrix-vector product reads what the stacked ``(R, K, d) @ w``
-    reads, bit for bit, in either axis order; an elementwise sum would not,
-    since the BLAS product fuses its multiplies and adds.  K starts at 2, as
-    in every query (a ride has two nodes or more, a piece ``dim``
-    projections): numpy takes a stack of ``(1, d)`` rows through another
-    kernel."""
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        R, K, d = 2 * int(rng.integers(0, 60)) + 1, int(rng.integers(2, 10)), int(rng.integers(2, 4))
-        D = rng.standard_normal((R, K, d))
-        w = rng.uniform(0.5, 2.0, d)
-        stacked = np.abs(D) @ w
-        assert np.array_equal(_hops(D, w), stacked)
-        assert np.array_equal(_hops(D.transpose(1, 0, 2), w), stacked.T)
+def _fixed_order_norm(v, w) -> float:
+    """``|v_0| w_0 + |v_1| w_1 + ...`` in Python floats, left to right.
+    CPython fuses no multiply and add, so this reads the same on every
+    machine.  Not ``sum()``, which compensates from Python 3.12 on."""
+    acc = 0.0
+    for vk, wk in zip(v, w):
+        acc = acc + abs(float(vk)) * float(wk)
+    return acc
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_norm_is_the_fixed_order_sum(d):
+    """Bit for bit the fixed-order sum, on a batch of rows, a stack of them
+    and one vector, and every row reads what it reads alone; so does the
+    ``gnorm`` of a metric, of its pool and of an analytic rate."""
+    rng = np.random.default_rng(d)
+    w = rng.uniform(0.5, 2.0, d)
+    D = NormPlusHighways(w, [])
+    for shape in [(400, d), (20, 30, d), (d,)]:
+        V = rng.standard_normal(shape)
+        rows = V.reshape(-1, d)
+        want = np.array([_fixed_order_norm(v, w) for v in rows]).reshape(shape[:-1])
+        for norm in (_norm(V, w), D.gnorm(V), D.chain.gnorm(V), AnalyticRate(w).gnorm(V)):
+            assert np.asarray(norm).tobytes() == want.tobytes()
+        alone = np.array([_norm(v, w) for v in rows]).reshape(shape[:-1])
+        assert alone.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_highway_free_geodesic_equals_evaluate(dim):
+    """Without highways the geodesic is the straight hop, and its value is
+    the norm that ``evaluate`` reads, to the last bit."""
+    rng = np.random.default_rng([dim, 300])
+    w = rng.uniform(0.5, 2.0, dim)
+    D = NormPlusHighways(w, [])
+    for x, y in zip(*rng.random((2, 300, dim))):
+        assert D.geodesic(x, y)[1] == D.evaluate(x, y) == _fixed_order_norm(x - y, w)
 
 
 # ---------------------------------------------------------------------------
