@@ -519,9 +519,13 @@ def zero_set_check(surface: RateSurface, tc: TimeConstantEstimate) -> ZeroSetRep
 
     trend_cells = [c for c in ray if c.zeta <= mu_n]
     if len(trend_cells) >= 2:
-        zs = np.array([c.zeta for c in trend_cells])
-        vs = np.array([c.value for c in trend_cells])
-        slope = float(np.polyfit(zs, vs, 1)[0])
+        # the least-squares slope in closed form, each sum correctly rounded
+        # by fsum, so that no BLAS or LAPACK kernel rounds it
+        z_bar = math.fsum(c.zeta for c in trend_cells) / len(trend_cells)
+        v_bar = math.fsum(c.value for c in trend_cells) / len(trend_cells)
+        dz = [c.zeta - z_bar for c in trend_cells]
+        slope = (math.fsum(d * (c.value - v_bar) for d, c in zip(dz, trend_cells))
+                 / math.fsum(d * d for d in dz))
         trend_ok = slope < 0.0
     else:
         slope = math.nan

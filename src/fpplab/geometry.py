@@ -157,38 +157,47 @@ class LipschitzPath:
         injective.  A positive-length self-overlap raises, since splicing it
         out is not well defined.
         """
-        fpts, cum = self._frac
-        n = len(fpts) - 1
         hits = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                res = segment_intersection(fpts[i], fpts[i + 1], fpts[j], fpts[j + 1])
-                if res is None:
-                    continue
-                if res[0] == "overlap":
-                    (t0, t1), (u0, u1) = res[1], res[2]
-                    if j == i + 1:
-                        # adjacent pieces legitimately share the joint
-                        if t1 - t0 == 0 and t0 == 1 and min(u0, u1) == 0:
-                            continue
-                        raise GeometryError("path backtracks along itself")
-                    raise GeometryError("path has a positive-length self-overlap")
-                t, u = res[1], res[2]
-                if j == i + 1 and t == 1 and u == 0:
-                    continue
-                ga = cum[i] + t * (cum[i + 1] - cum[i])
-                gb = cum[j] + u * (cum[j + 1] - cum[j])
-                if ga != gb:
-                    hits.append((min(ga, gb), max(ga, gb)))
-        if not hits:
-            return None
-        return min(hits)
+        for kind, (i, j), (s, _), (t, _) in _meetings(self):
+            if kind == "overlap":
+                raise GeometryError("path backtracks along itself" if j == i + 1
+                                    else "path has a positive-length self-overlap")
+            # piece i precedes piece j, so s <= t, and s == t only at their joint
+            if s != t:
+                hits.append((s, t))
+        return min(hits, default=None)
 
     def is_injective(self) -> bool:
         return self.first_self_intersection() is None
 
     def __repr__(self):
         return f"LipschitzPath({self.n_pieces} pieces, l1 length {self.length_l1:g})"
+
+
+def _canonical(cum, i: int, s: Fraction) -> Fraction:
+    """The canonical parameter of local parameter s on piece i."""
+    return cum[i] + s * (cum[i + 1] - cum[i])
+
+
+def _meetings(a: LipschitzPath, b: LipschitzPath | None = None):
+    """Every meeting of a piece of ``a`` with a piece of ``b`` (without
+    ``b``, of pieces i < j of ``a``), exactly, by :func:`segment_intersection`.
+    Yields ``(kind, (i, j), (s0, s1), (t0, t1))``: ``"point"`` or
+    ``"overlap"``, the piece pair, and the canonical parameter intervals of
+    the meeting on ``a`` and on ``b``, a point being an interval of length
+    zero."""
+    fa, ca = a._frac
+    fb, cb = (fa, ca) if b is None else b._frac
+    for i in range(len(fa) - 1):
+        for j in range(i + 1 if b is None else 0, len(fb) - 1):
+            res = segment_intersection(fa[i], fa[i + 1], fb[j], fb[j + 1])
+            if res is None:
+                continue
+            kind, s, t = res
+            if kind == "point":
+                s, t = (s, s), (t, t)
+            yield (kind, (i, j), tuple(_canonical(ca, i, x) for x in s),
+                   tuple(_canonical(cb, j, x) for x in t))
 
 
 def remove_loops(path: LipschitzPath) -> LipschitzPath:
@@ -200,15 +209,10 @@ def remove_loops(path: LipschitzPath) -> LipschitzPath:
             return path
         a, b = hit
         total = path._frac[1][-1]
-        pts = []
-        if a > 0:
-            pts.extend(path.subpath(Fraction(0), a).points)
-        else:
-            pts.append(path.points[0])
-        if b < total:
-            tail = path.subpath(b, total).points
-            pts.extend(tail if len(pts) == 0 else tail[1:] if np.array_equal(pts[-1], tail[0]) else tail)
-        arr = np.asarray(pts, dtype=float)
+        # a and b are one exact point, so the tail starts where the head ends
+        head = path.subpath(Fraction(0), a).points if a > 0 else path.points[:1]
+        tail = path.subpath(b, total).points[1:] if b < total else head[:0]
+        arr = np.concatenate([head, tail])
         if arr.shape[0] < 2:
             raise GeometryError("loop removal collapsed the path to a point")
         path = LipschitzPath(arr)
@@ -225,25 +229,8 @@ def cut_path_against(path: LipschitzPath, obstacles: Sequence[LipschitzPath]) ->
     most ``_MIN_PIECE_LENGTH`` is dropped: its ends may round to one float
     point.  Returns possibly zero subpaths, in order along the original path.
     """
-    fpts, cum = path._frac
-    removed: list[tuple[Fraction, Fraction]] = []
-    for obs in obstacles:
-        opts, _ = obs._frac
-        for i in range(len(fpts) - 1):
-            for j in range(len(opts) - 1):
-                res = segment_intersection(fpts[i], fpts[i + 1], opts[j], opts[j + 1])
-                if res is None:
-                    continue
-                if res[0] == "point":
-                    t = res[1]
-                    g = cum[i] + t * (cum[i + 1] - cum[i])
-                    removed.append((g, g))
-                else:
-                    t0, t1 = res[1]
-                    g0 = cum[i] + t0 * (cum[i + 1] - cum[i])
-                    g1 = cum[i] + t1 * (cum[i + 1] - cum[i])
-                    removed.append((g0, g1))
-    keep = complement_segments((Fraction(0), cum[-1]), removed)
+    removed = [s for obs in obstacles for _, _, s, _ in _meetings(path, obs)]
+    keep = complement_segments((Fraction(0), path._frac[1][-1]), removed)
     return [path.subpath(a, b) for a, b in keep if b - a > _MIN_PIECE_LENGTH]
 
 
@@ -260,19 +247,13 @@ def check_path_family(paths: Sequence[LipschitzPath], name: str = "path",
         if not p.is_injective():
             raise GeometryError(f"{name} {k} is not injective")
     touches = set()
-    for a in range(len(paths)):
-        fa, _ = paths[a]._frac
-        for b in range(a + 1, len(paths)):
-            fb, _ = paths[b]._frac
-            for i in range(len(fa) - 1):
-                for j in range(len(fb) - 1):
-                    res = segment_intersection(fa[i], fa[i + 1], fb[j], fb[j + 1])
-                    if res is None:
-                        continue
-                    if res[0] == "overlap" or not allow_touch:
-                        raise GeometryError(f"{name}s overlap on positive length" if allow_touch
-                                            else f"{name}s must be pairwise disjoint")
-                    touches.add(flerp(fa[i], fa[i + 1], res[1]))
+    for k, a in enumerate(paths):
+        for b in paths[k + 1:]:
+            for kind, _, (s, _), _ in _meetings(a, b):
+                if kind == "overlap" or not allow_touch:
+                    raise GeometryError(f"{name}s overlap on positive length" if allow_touch
+                                        else f"{name}s must be pairwise disjoint")
+                touches.add(a.point_at_frac(s))
     return len(touches)
 
 
@@ -914,7 +895,7 @@ def _locate_on_highways(metric: NormPlusHighways, z: np.ndarray):
             s = point_on_segment(zf, fpts[i], fpts[i + 1])
             if s is None:
                 continue
-            param = float(cum[i] + s * (cum[i + 1] - cum[i]))
+            param = float(_canonical(cum, i, s))
             # breakpoints of the merged table carry direction or discount jumps
             interior = (0 < param < block.path.length_l1
                         and not np.any(np.abs(param - block.ts[1:-1]) <= 1e-15))

@@ -106,8 +106,8 @@ def test_float_cells_equal_repr_on_any_floats(xs):
 
 # sha256 of artifacts of the default configs; their numbers come from exact
 # Fractions, hashed weights and Wilson intervals, with no quasi-random draw.
-# The one least-squares fit, rate.json's zero-set trend slope, is numpy's
-# polyfit of three points.
+# The one least-squares fit, rate.json's zero-set trend slope, is a closed
+# form of math.fsum sums over three points, so no BLAS kernel rounds it.
 PINNED = {
     ("oracle", "oracle.json"):
         "4cbff3b425cba218494f9a07edd10724a43d7f5fb6745f52e65ac2ab053af5c9",
@@ -117,7 +117,7 @@ PINNED = {
     ("rate", "rate_points.csv"):
         "81b0820713e9ac43fe39d6fa2058df853c65b179965c7d267951a4830adf6171",
     ("rate", "rate.json"):
-        "0db02eb697d42d3919282e80dfccc68e2a03141808ae07f1fbd89898a6a57c66",
+        "4fe7880b868c45d905a2668ec5bf3d8772925af7d12ec2b7e556c857ccf5ed23",
     ("rate", "surface.json"):
         "971606720ff95055fdaeae6eaf37bb9b70afe5b4c18cc0d9ad90f5a8121c2c7c",
 }

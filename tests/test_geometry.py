@@ -127,7 +127,20 @@ def test_self_intersection_detection():
     assert straight.first_self_intersection() is None
     bow = LipschitzPath([[0, 0], [1, 0], [1, 1], [0.5, -0.5]])
     assert not bow.is_injective()
-    assert bow.first_self_intersection() is not None
+    assert bow.first_self_intersection() == (F(2, 3), F(10, 3))
+    with pytest.raises(GeometryError, match="^path backtracks along itself$"):
+        LipschitzPath([[0, 0], [1, 0], [0.5, 0]]).first_self_intersection()
+    with pytest.raises(GeometryError, match="^path has a positive-length self-overlap$"):
+        LipschitzPath([[0, 0], [1, 0], [1, 1], [0.5, 1], [0.5, 0], [0.75, 0]]).is_injective()
+
+
+@pytest.mark.parametrize("points, spliced", [
+    # the loop's start is the path's start (a == 0), its end the path's end (b == length)
+    ([[0, 0], [1, 0], [1, 1], [0, 1], [0, -0.5]], [[0, 0], [0, -0.5]]),
+    ([[0, 0], [1, 0], [1, 1], [0.5, 0]], [[0, 0], [0.5, 0]]),
+])
+def test_remove_loops_splices_at_the_path_ends(points, spliced):
+    assert np.array_equal(remove_loops(LipschitzPath(points)).points, spliced)
 
 
 def test_remove_loops_keeps_endpoints():
@@ -158,6 +171,17 @@ def test_cut_path_against_collinear_overlap():
     assert lens == [0.25, 0.5]
 
 
+def test_cut_path_against_overlap_crossing_and_touch():
+    path = LipschitzPath([[0, 0], [1, 0], [1, 1]])
+    obstacles = [LipschitzPath([[0.25, 0], [0.5, 0]]),      # overlap
+                 LipschitzPath([[0.5, 0.5], [1.5, 0.5]]),    # crossing
+                 LipschitzPath([[0.75, -1], [0.75, 0]])]     # touch
+    parts = cut_path_against(path, obstacles)
+    assert [part.points.tolist() for part in parts] == [
+        [[0, 0], [0.25, 0]], [[0.5, 0], [0.75, 0]], [[0.75, 0], [1, 0], [1, 0.5]],
+        [[1, 0.5], [1, 1]]]
+
+
 def test_check_path_family_counts_touches_and_names_the_paths():
     a = LipschitzPath([[0, 0], [1, 1]])
     b = LipschitzPath([[0, 1], [1, 0]])
@@ -165,6 +189,9 @@ def test_check_path_family_counts_touches_and_names_the_paths():
     loop = LipschitzPath([[0, 0], [1, 1], [1, 0], [0, 1]])
     assert check_path_family([a, b]) == 1
     assert check_path_family([a]) == 0
+    # a crossing, a shared end, and two ends on the third path
+    assert check_path_family([a, LipschitzPath([[0, 1], [1, 0], [1, 1]]),
+                              LipschitzPath([[0, 0], [0, 1]])]) == 4
     with pytest.raises(GeometryError, match="^family paths overlap on positive length$"):
         check_path_family([a, c], "family path")
     with pytest.raises(GeometryError, match="^highways must be pairwise disjoint$"):
