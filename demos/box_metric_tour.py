@@ -36,7 +36,7 @@ assert t_strip >= t_free
 
 rm = rescaled_metric(field)
 print(f"\nrescaled pseudometric on all {len(rm.points)} grid points")
-print(f"diameter: {rm.matrix.max():.4f}, T-hat((0,0),(1,1)) = {rm.value((0, 0), (1, 1)):.4f}")
+print(f"diameter: {rm.matrix.max():.4f}, T-hat((0,0),(1,1)) = {rm.matrix[0, -1]:.4f}")
 
 gap = uniform_gap(field, b=2.0)
 print(f"\ntruncation at b=2: sup gap {gap.gap:.4f} <= 2bd/n = {gap.bound:.4f} "

@@ -6,7 +6,7 @@ fills in reflections, rescalings, and the convex envelope.
 """
 
 from fpplab.elementary_rate import (
-    estimate_rate_point,
+    estimate_rate_rung,
     estimate_time_constant,
     extend_surface,
     zero_set_check,
@@ -19,20 +19,20 @@ print("rate points along e1 (exact enumeration at n=1,2):")
 points = []
 for zeta in (1.0, 1.2, 1.4):
     for n in (1, 2):
-        pt = estimate_rate_point(dist, (1, 0), zeta, n)
+        pt = estimate_rate_rung(dist, (1, 0), [zeta], n)[0]
         points.append(pt)
         print(f"  zeta={zeta:.2f} n={n}: rate {pt.estimate:.4f} [{pt.method}]")
 
 print("\nlarger boxes, Monte-Carlo:")
 for i, zeta in enumerate((1.1, 1.3, 1.5)):
-    pt = estimate_rate_point(dist, (1, 0), zeta, 8, samples=400, seed=20 + i)
+    pt = estimate_rate_rung(dist, (1, 0), [zeta], 8, samples=400, seed=20 + i)[0]
     points.append(pt)
     lo, hi = pt.ci
     hi_s = "inf" if hi == float("inf") else f"{hi:.4f}"
     est = "censored" if pt.estimate is None else f"{pt.estimate:.4f}"
     print(f"  zeta={zeta:.2f} n=8: rate {est}, CI ({lo:.4f}, {hi_s})")
 
-diag = estimate_rate_point(dist, (1, 1), 2.4, 1)
+diag = estimate_rate_rung(dist, (1, 1), [2.4], 1)[0]
 points.append(diag)
 print(f"\ndiagonal ray, zeta=2.4: rate {diag.estimate:.4f}")
 

@@ -273,7 +273,7 @@ SCHEMAS = {
         {
             "distribution": {"$ref": "#/$defs/distribution"},
             "x": {**_INT_POINT, "minItems": 2},
-            "zeta_grid": {"type": "array", "minItems": 1,
+            "zeta_grid": {"type": "array", "minItems": 1, "uniqueItems": True,
                           "items": {"type": "number", "exclusiveMinimum": 0}},
             "n_ladder": {"type": "array", "minItems": 1, "uniqueItems": True,
                          "items": {"type": "integer", "minimum": 1}},
@@ -581,7 +581,7 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
                                         estimate_time_constant, extend_surface,
                                         fekete_envelope, zero_set_check)
     from fpplab.model import EdgeDistribution
-    from fpplab.oracle import _check_method
+    from fpplab.oracle import _check_method, _rung_seeds
 
     with _config_values("distribution"):
         dist = EdgeDistribution.from_spec(cfg["distribution"])
@@ -605,10 +605,9 @@ def _cmd_rate(cfg: dict, outdir: Path) -> list:
     ladder = sorted(cfg["n_ladder"])
 
     # one seed and one field set per rung, shared by its speeds
-    rungs = [estimate_rate_rung(dist, x, zetas, n, samples=cfg["samples"],
-                                seed=int(child.generate_state(1)[0]), method=method,
-                                enum_cap=cfg["budget"])
-             for n, child in zip(ladder, np.random.SeedSequence(seed).spawn(len(ladder)))]
+    rungs = [estimate_rate_rung(dist, x, zetas, n, samples=cfg["samples"], seed=rung_seed,
+                                method=method, enum_cap=cfg["budget"])
+             for n, rung_seed in zip(ladder, _rung_seeds(seed, len(ladder)))]
     points = []
     envelope = []
     for per_z in zip(*rungs):
@@ -760,8 +759,8 @@ def _cmd_ld_trend(cfg: dict, outdir: Path) -> list:
 
 def _selftest_checks():
     """Fast cross-module invariant suite; yields (name, passed, detail)."""
-    from fpplab.elementary_rate import (RatePoint, estimate_rate_point, estimate_rate_rung,
-                                        extend_surface, fekete_envelope)
+    from fpplab.elementary_rate import (RatePoint, estimate_rate_rung, extend_surface,
+                                        fekete_envelope)
     from fpplab.functional import AnalyticRate, functional_report
     from fpplab.geometry import NormPlusHighways, build_highway_network
     from fpplab.model import EdgeDistribution, LatticeBox, sample_weights
@@ -850,7 +849,7 @@ def _selftest_checks():
 
     def highway_diagonal():
         D = NormPlusHighways([1, 1], [([[0, 0], [1, 1]], 0.5)])
-        if D.evaluate([0, 0], [1, 1]) != 1.0:
+        if D.evaluate_many([[0, 0]], [[1, 1]])[0] != 1.0:
             return False, "diagonal distance is not 1.0"
         rep = functional_report(D, AnalyticRate([1.0, 1.0]))
         ok = (rep.geodesic_sum == 1.0 and abs(rep.intrinsic - 1.0) < 1e-9
@@ -870,7 +869,7 @@ def _selftest_checks():
                 f"diagnostics {['%.2g' % s for s in sups]}")
 
     def rate_exact_log2():
-        pt = estimate_rate_point(tp, [1, 0], 1.0, 1)
+        pt = estimate_rate_rung(tp, [1, 0], [1.0], 1)[0]
         ok = (pt.method == "exact-oracle" and pt.p_exact == Fraction(1, 2)
               and abs(pt.estimate - math.log(2)) < 1e-12)
         return ok, f"rate = {pt.estimate:.6f}, p = {pt.p_exact}"

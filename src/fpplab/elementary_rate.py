@@ -116,19 +116,25 @@ def estimate_rate_rung(
     region=None,
     enum_cap: int = 1 << 13,
 ) -> list[RatePoint]:
-    """The rate points of every speed in ``zetas`` at one scale n: a rung.
+    """The rate points -(1/n) log P(T(0, n|x|) <= n zeta) of every speed in
+    ``zetas`` at one scale n: a rung, the one entry for a rate point.
 
-    The speeds' passage events on one box of side n max|x| go to one call
-    of :func:`~fpplab.oracle.estimate_event_rates`, so they share its one
-    decision between enumeration and sampling (the configuration count s^m
-    does not depend on the speed).  An exact rung enumerates each speed's
+    The direction is reflected to nonnegative coordinates first; coordinate
+    sign flips leave the weight law invariant, so this loses nothing.  The
+    speeds' passage events on one box of side n max|x| go to one call of
+    :func:`~fpplab.oracle.estimate_event_rates`, so they share its one
+    decision between enumeration and sampling: with ``method='auto'`` a rung
+    is exact whenever the configuration count s^m, which does not depend on
+    the speed, fits ``enum_cap``.  An exact rung enumerates each speed's
     event.  A Monte-Carlo rung samples one set of ``samples`` fields from
     ``seed`` and solves each once, up to the largest threshold n max zeta;
     the field with passage time T hits every speed with T <= n zeta (common
     random numbers).  So a rung's points are dependent and its hit counts
-    never decrease in the speed, while each point, with its own Wilson
-    interval, is exactly the one :func:`estimate_rate_point` gives for its
-    speed and ``seed``.
+    never decrease in the speed, while each point carries its own Wilson
+    interval and equals the point of a one-speed rung at the same ``seed``.
+    A zero-hit point is censored, with the one-sided bound as its estimate.
+    ``region`` restricts the admissible paths (for thin-box ladders) on both
+    backends.
     """
     if not len(zetas):
         raise ValueError("a rung needs at least one speed")
@@ -154,32 +160,6 @@ def estimate_rate_rung(
             points.append(RatePoint(**cell, estimate=row.rate, ci=(row.rate, row.rate),
                                     p_exact=row.p_exact))
     return points
-
-
-def estimate_rate_point(
-    dist,
-    x,
-    zeta: float,
-    n: int,
-    samples: int = 400,
-    seed: int = 0,
-    method: str = "auto",
-    region=None,
-    enum_cap: int = 1 << 13,
-) -> RatePoint:
-    """Estimate -(1/n) log P(T(0, n|x|) <= n zeta) on the box of side n max|x|.
-
-    The direction is reflected to nonnegative coordinates first; coordinate
-    sign flips leave the weight law invariant, so this loses nothing.  With
-    ``method='auto'`` the rate is exact by enumeration whenever the
-    configuration count fits ``enum_cap``, otherwise Monte Carlo over
-    independent fields with a Wilson interval; a zero-hit outcome is
-    returned censored, with the one-sided bound as its estimate.  ``region``
-    restricts the admissible paths (for thin-box ladders) and is passed
-    through to both backends.  This is the rung
-    :func:`estimate_rate_rung` of the one speed ``zeta``.
-    """
-    return estimate_rate_rung(dist, x, [zeta], n, samples, seed, method, region, enum_cap)[0]
 
 
 def fekete_envelope(points: Sequence[RatePoint]) -> RatePoint:

@@ -32,7 +32,7 @@ from fpplab.geometry import (
     check_path_family,
 )
 from fpplab.model import EdgeDistribution, LatticeBox
-from fpplab.oracle import EventSpec, LDTrendRow, estimate_event_rates
+from fpplab.oracle import EventSpec, LDTrendRow, _rung_seeds, estimate_event_rates
 
 
 class FunctionalError(ValueError):
@@ -449,12 +449,11 @@ def empirical_ld_trend(D, dist: EdgeDistribution, eps: float,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     rungs = [int(n) for n in n_ladder]
-    root = np.random.SeedSequence(seed)
     rows = []
-    for n, seq in zip(rungs, root.spawn(max(len(rungs), 1))):
+    for n, rung_seed in zip(rungs, _rung_seeds(seed, len(rungs))):
         (row,) = estimate_event_rates([EventSpec.ld_lower(D, eps)], dist,
                                       LatticeBox(dimension=D.dim, side=n), n, samples,
-                                      int(seq.generate_state(1)[0]), method, enum_cap)
+                                      rung_seed, method, enum_cap)
         rows.append(row if row.p_exact is None else replace(row, seed=seed))
     return LDTrendTable(rows=rows, eps=float(eps),
                         functional_value=functional_value)

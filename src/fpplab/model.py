@@ -464,11 +464,6 @@ class LatticeBox:
             raise ValueError(f"{u} and {v} are not lattice neighbours")
         return int(hit[0])
 
-    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """(base coords, axis, (base flat ids, tip flat ids)) for every edge,
-        canonical order."""
-        return _edge_arrays(self.dimension, self.side)
-
 
 @lru_cache(maxsize=32)
 def _edge_arrays(d: int, n: int):

@@ -391,6 +391,13 @@ def _replicate_seeds(samples, seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(samples, np.uint64)
 
 
+def _rung_seeds(seed: int, count: int) -> list[int]:
+    """One seed per rung of a scale ladder: the first state word of each of
+    the ``count`` children that ``seed`` spawns."""
+    return [int(child.generate_state(1)[0])
+            for child in np.random.SeedSequence(seed).spawn(count)]
+
+
 def _event_hits(events, dist: EdgeDistribution, box: LatticeBox, samples,
                 seed: int) -> list[int]:
     """Per event, how many of the ``samples`` fields drawn from ``seed`` hold it.

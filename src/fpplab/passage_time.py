@@ -2,9 +2,9 @@
 box metrics, disjoint lattice paths, hubs, and geodesic length statistics.
 
 Conventions.  A weight field lives on the box [0, n]^d (see
-:mod:`fpplab.model`).  The rescaled pseudometric on X = [0, 1]^d evaluates
-grid pairs as (1/n) T(floor(nx), floor(ny)) where T is the passage time
-restricted to the box.  Unreachable pairs (under a region restriction that
+:mod:`fpplab.model`).  The rescaled pseudometric holds (1/n) T(u, v) for
+pairs of grid vertices u, v, where T is the passage time restricted to the
+box.  Unreachable pairs (under a region restriction that
 disconnects them) get the value ``math.inf`` rather than an exception.
 """
 
@@ -24,7 +24,6 @@ from fpplab.model import (LatticeBox, WeightField, _adjacency, _integral, _neigh
 
 __all__ = [
     "DiscretePath",
-    "path_time",
     "restricted_passage_time",
     "RescaledMetric",
     "rescaled_metric",
@@ -65,15 +64,6 @@ class DiscretePath:
     def is_vertex_self_avoiding(self) -> bool:
         seen = set(map(tuple, self.vertices))
         return len(seen) == len(self.vertices)
-
-
-def path_time(path: DiscretePath, field: WeightField) -> float:
-    """Sum of edge weights along a path; raises if an edge leaves the box."""
-    total = 0.0
-    v = path.vertices
-    for i in range(len(v) - 1):
-        total += field.weights[field.box.edge_id(v[i], v[i + 1])]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +322,23 @@ def restricted_passage_time(field: WeightField, x, y, region=None, return_path: 
 
 
 class RescaledMetric:
-    """All-pairs rescaled passage times on a set of grid points.
+    """All-pairs rescaled passage times on a set of integer grid points.
 
-    Values are (1/n) T(floor(nx), floor(ny)) for x, y in [0, 1]^d whose floors
-    are among the stored points.  The raw matrix is symmetrised by a pointwise
-    min with its transpose; the two triangular halves agree up to float
-    rounding and the min removes that rounding asymmetry.
+    ``matrix[i, j]`` is (1/n) T(points[i], points[j]).  The raw matrix is
+    symmetrised by a pointwise min with its transpose; the two triangular
+    halves agree up to float rounding and the min removes that rounding
+    asymmetry.
     """
 
-    def __init__(self, field: WeightField, points: np.ndarray, raw_times: np.ndarray):
-        self.field = field
-        self.n = field.box.side
+    def __init__(self, n: int, points: np.ndarray, raw_times: np.ndarray):
+        self.n = n
         self.points = points
         self.raw_times = np.minimum(raw_times, raw_times.T)
-        self._index = {tuple(p): i for i, p in enumerate(points)}
 
     @property
     def matrix(self) -> np.ndarray:
         """Rescaled all-pairs values, (1/n) T."""
         return self.raw_times / self.n
-
-    def vertex_value(self, u, v) -> float:
-        iu = self._index.get(tuple(_integral(u).astype(np.int64).tolist()))
-        iv = self._index.get(tuple(_integral(v).astype(np.int64).tolist()))
-        if iu is None or iv is None:
-            raise KeyError("vertex not among the stored grid points")
-        return float(self.raw_times[iu, iv]) / self.n
-
-    def value(self, x, y) -> float:
-        """T-hat at continuum points of X, through the floor map."""
-        u, v = (np.minimum(np.floor(np.asarray(p, dtype=float) * self.n), self.n) for p in (x, y))
-        return self.vertex_value(u, v)
 
     def write_csv(self, path) -> None:
         """RFC 4180 CSV; one row per source point, row-major vertex labels.
@@ -400,7 +376,7 @@ def rescaled_metric(field: WeightField, points=None) -> RescaledMetric:
             pts = pts[None, :]
     ids = box.vertex_id(pts)
     dist, _ = _solve(field, ids)
-    return RescaledMetric(field, pts, dist[:, ids])
+    return RescaledMetric(box.side, pts, dist[:, ids])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 
+from fpplab.model import _edge_arrays
+
 
 def reference_dijkstra(box, w, source, mask=None):
     """Plain heap Dijkstra over the box's edge list, mask excluding vertices."""
-    _, _, (u_flat, v_flat) = box.edge_endpoints()
+    _, _, (u_flat, v_flat) = _edge_arrays(box.dimension, box.side)
     adj = [[] for _ in range(box.n_vertices)]
     for e, (u, v) in enumerate(zip(u_flat.tolist(), v_flat.tolist())):
         adj[u].append((v, e))

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from fpplab.elementary_rate import (
-    estimate_rate_point,
+    estimate_rate_rung,
     estimate_time_constant,
     extend_surface,
     zero_set_check,
@@ -383,13 +383,13 @@ def test_criterion_09_rate_surface_laws():
     """Extended surface obeys its exact laws; zero set and upper bound line up."""
     pts = []
     for zeta in (1.0, 1.2, 1.4):
-        pts.append(estimate_rate_point(TP, (1, 0), zeta, 2))
+        pts.append(estimate_rate_rung(TP, (1, 0), [zeta], 2)[0])
     for zeta in (1.05, 1.45):
-        pts.append(estimate_rate_point(TP, (-1, 0), zeta, 1))
+        pts.append(estimate_rate_rung(TP, (-1, 0), [zeta], 1)[0])
     for zeta in (2.2, 2.6):
-        pts.append(estimate_rate_point(TP, (2, 0), zeta, 1))
+        pts.append(estimate_rate_rung(TP, (2, 0), [zeta], 1)[0])
     for zeta in (2.0, 2.4, 3.0):
-        pts.append(estimate_rate_point(TP, (1, 1), zeta, 1))
+        pts.append(estimate_rate_rung(TP, (1, 1), [zeta], 1)[0])
     surf = extend_surface(pts)
     assert surf.check_invariants()
 
@@ -409,7 +409,7 @@ def test_criterion_09_rate_surface_laws():
 
     # zero set against the time-constant bracket
     zpts = [
-        estimate_rate_point(TP, (1, 0), z, 8, samples=400, seed=40 + i)
+        estimate_rate_rung(TP, (1, 0), [z], 8, samples=400, seed=40 + i)[0]
         for i, z in enumerate((1.1, 1.2, 1.3, 1.45, 1.5))
     ]
     tc = estimate_time_constant(TP, (1, 0), n_ladder=(4, 8), samples=400, seed=5)
@@ -419,12 +419,12 @@ def test_criterion_09_rate_surface_laws():
     # sum bound and its convex envelope along the first axis
     for zeta in (1.0, 1.1, 1.2, 1.4):
         for n in (1, 2):
-            point = estimate_rate_point(TP, (1, 0), zeta, n)
+            point = estimate_rate_rung(TP, (1, 0), [zeta], n)[0]
             iid = iid_sum_lower_tail_rate(TP, zeta, n)
             assert point.estimate <= iid + 1e-12
             assert iid >= cramer_rate(TP, zeta) - 1e-12
     for zeta, n in ((1.05, 8), (1.2, 8)):
-        point = estimate_rate_point(TP, (1, 0), zeta, n, samples=400, seed=11)
+        point = estimate_rate_rung(TP, (1, 0), [zeta], n, samples=400, seed=11)[0]
         assert point.ci[0] <= iid_sum_lower_tail_rate(TP, zeta, n) + 1e-12
     _passed(
         9,

@@ -299,6 +299,30 @@ def test_mc_rate_speeds_share_one_field_set_per_rung(tmp_path):
             assert mc.successes == int(r["hits"])
 
 
+def test_mc_rate_and_ld_trend_record_one_rung_seed_rule(tmp_path):
+    """Both commands seed rung i of their ladder with ``_rung_seeds(seed, k)[i]``."""
+    from fpplab.oracle import _rung_seeds
+
+    law = {"kind": "exponential", "rate": 1.0}
+    rate_cfg = {"distribution": law, "x": [1, 0], "zeta_grid": [0.6, 0.9],
+                "n_ladder": [2, 4, 8], "samples": 20, "method": "mc", "seed": 11}
+    for sub in ("rate", "ld"):
+        (tmp_path / sub).mkdir()
+    assert run(tmp_path / "rate", "rate", rate_cfg) == 0
+    with open(tmp_path / "rate" / "rate_points.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    seeds = {}
+    for r in rows:
+        seeds.setdefault(int(r["n"]), set()).add(int(r["seed"]))
+    assert [seeds[n] for n in (2, 4, 8)] == [{s} for s in _rung_seeds(11, 3)]
+    ld_cfg = {**DEFAULT_CONFIGS["ld-trend"], "distribution": law, "samples": 20,
+              "n_ladder": [1, 2], "seed": 12}
+    assert run(tmp_path / "ld", "ld-trend", ld_cfg) == 0
+    tab = read_json(tmp_path / "ld", "ld_trend.json")
+    assert [r["method"] for r in tab["rows"]] == ["monte-carlo"] * 2
+    assert [r["seed"] for r in tab["rows"]] == _rung_seeds(12, 2)
+
+
 def test_rate_without_zeta_grid_uses_the_default_grid(tmp_path):
     from fpplab.elementary_rate import default_zeta_grid
     from fpplab.model import EdgeDistribution
@@ -414,6 +438,8 @@ def test_no_flag_a_command_does_not_read(tmp_path, command, flag):
     ("rate", {"time_constant": {"n_ladder": [4, 8], "samples": 1}}, "config schema violation"),
     # a repeated time-constant rung would write two means at one scale
     ("rate", {"time_constant": {"n_ladder": [8, 8]}}, "config schema violation"),
+    # a repeated speed would write its points twice but only one surface cell
+    ("rate", {"zeta_grid": [1.05, 1.05, 1.9]}, "config schema violation"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, capsys, command, patch, message):
     cfg = {**json.loads(json.dumps(DEFAULT_CONFIGS[command])), **patch}

@@ -13,7 +13,6 @@ from fpplab.elementary_rate import (
     RateSurface,
     SurfaceConflictError,
     default_zeta_grid,
-    estimate_rate_point,
     estimate_rate_rung,
     estimate_time_constant,
     extend_surface,
@@ -37,20 +36,20 @@ def _pt(x, zeta, n, est, method="exact-oracle", ci=None, **kw):
 
 def test_boundary_speed_needs_an_atom():
     # two-point law has an atom at its infimum: zeta = |x|_1 is admissible
-    pt = estimate_rate_point(TP, (1, 0), 1.0, 2)
+    pt = estimate_rate_rung(TP, (1, 0), [1.0], 2)[0]
     assert pt.method == "exact-oracle"
     # uniform law has no atom there: the boundary speed is inadmissible
     with pytest.raises(ValueError):
-        estimate_rate_point(EdgeDistribution.uniform(1.0, 2.0), (1, 0), 1.0, 2,
-                            method="mc", samples=10)
+        estimate_rate_rung(EdgeDistribution.uniform(1.0, 2.0), (1, 0), [1.0], 2,
+                           method="mc", samples=10)
     # strictly above the threshold it works again
-    estimate_rate_point(EdgeDistribution.uniform(1.0, 2.0), (1, 0), 1.2, 1,
-                        method="mc", samples=10)
+    estimate_rate_rung(EdgeDistribution.uniform(1.0, 2.0), (1, 0), [1.2], 1,
+                       method="mc", samples=10)
 
 
 def test_below_threshold_always_rejected():
     with pytest.raises(ValueError):
-        estimate_rate_point(TP, (1, 1), 1.5, 2)  # below 2 = a |x|_1
+        estimate_rate_rung(TP, (1, 1), [1.5], 2)  # below 2 = a |x|_1
     with pytest.raises(ValueError, match="at least one speed"):
         estimate_rate_rung(TP, (1, 0), [], 8, method="mc")
 
@@ -61,7 +60,7 @@ def test_below_threshold_always_rejected():
 
 
 def test_exact_rate_log2_single_edge():
-    pt = estimate_rate_point(TP, (1, 0), 1.0, 1)
+    pt = estimate_rate_rung(TP, (1, 0), [1.0], 1)[0]
     assert pt.p_exact == Fraction(1, 2)
     assert pt.estimate == pytest.approx(math.log(2), abs=1e-12)
     assert pt.ci == (pt.estimate, pt.estimate)
@@ -70,21 +69,21 @@ def test_exact_rate_log2_single_edge():
 def test_exact_rate_thin_strip_region():
     # restricted to the bottom edge row of the unit box, two edges must
     # both be light to meet speed 1: p = 1/4
-    pt = estimate_rate_point(TP, (1, 0), 1.0, 2, region=((0, 2), (0, 0)))
+    pt = estimate_rate_rung(TP, (1, 0), [1.0], 2, region=((0, 2), (0, 0)))[0]
     assert pt.p_exact == Fraction(1, 4)
     assert pt.estimate == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_deterministic_law_has_zero_rate():
     det = EdgeDistribution.deterministic(1.0)
-    pt = estimate_rate_point(det, (1, 0), 1.0, 3)
+    pt = estimate_rate_rung(det, (1, 0), [1.0], 3)[0]
     assert pt.estimate == 0.0
     assert pt.p_exact == 1
 
 
 def test_direction_reflection_is_free():
-    a = estimate_rate_point(TP, (1, 0), 1.0, 1)
-    b = estimate_rate_point(TP, (-1, 0), 1.0, 1)
+    a = estimate_rate_rung(TP, (1, 0), [1.0], 1)[0]
+    b = estimate_rate_rung(TP, (-1, 0), [1.0], 1)[0]
     assert a.x == b.x == (1, 0)
     assert a.estimate == b.estimate
 
@@ -95,7 +94,7 @@ def test_direction_reflection_is_free():
 
 
 def test_mc_point_frozen_seed():
-    pt = estimate_rate_point(TP, (1, 0), 1.4, 8, samples=300, seed=7, method="mc")
+    pt = estimate_rate_rung(TP, (1, 0), [1.4], 8, samples=300, seed=7, method="mc")[0]
     assert pt.method == "monte-carlo"
     assert pt.hits == 111
     assert pt.p_hat == pytest.approx(0.37)
@@ -105,7 +104,7 @@ def test_mc_point_frozen_seed():
 
 
 def test_mc_censored_point_is_one_sided():
-    pt = estimate_rate_point(TP, (1, 0), 1.01, 12, samples=60, seed=3, method="mc")
+    pt = estimate_rate_rung(TP, (1, 0), [1.01], 12, samples=60, seed=3, method="mc")[0]
     assert pt.censored
     assert pt.hits == 0
     assert pt.estimate == pytest.approx(0.234213, abs=1e-5)
@@ -118,7 +117,7 @@ def test_mc_censored_point_is_one_sided():
 def test_all_hit_mc_point_has_no_negative_zero():
     # every field meets speed 2 = the heavy weight, so p_hat = 1 and the
     # upper Wilson limit is 1
-    pt = estimate_rate_point(TP, (1, 0), 2.0, 2, samples=50, seed=3, method="mc")
+    pt = estimate_rate_rung(TP, (1, 0), [2.0], 2, samples=50, seed=3, method="mc")[0]
     assert pt.hits == 50
     assert math.copysign(1.0, pt.estimate) == 1.0
     assert math.copysign(1.0, pt.ci[0]) == 1.0
@@ -128,7 +127,7 @@ def test_boundary_speed_of_an_all_zero_truncated_law():
     # min(tau, 0) is 0 on every edge: zeta = 0 sits at the infimum, where
     # the law holds all its mass, so every field hits
     law = truncate(EdgeDistribution.exponential(1.0), 0.0)
-    pt = estimate_rate_point(law, (1, 0), 0.0, 2, samples=20, method="mc")
+    pt = estimate_rate_rung(law, (1, 0), [0.0], 2, samples=20, method="mc")[0]
     assert pt.hits == 20
     assert pt.estimate == 0.0
 
@@ -138,7 +137,7 @@ def test_mc_hits_agree_across_samplers():
     law = EdgeDistribution.exponential(1.0)
     box, region = LatticeBox(2, 6), ((0, 6), (0, 1))
     event = EventSpec.passage_time_at_most((0, 0), (6, 0), 3.6, region=region)
-    pt = estimate_rate_point(law, (2, 0), 1.2, 3, samples=90, seed=5, region=region)
+    pt = estimate_rate_rung(law, (2, 0), [1.2], 3, samples=90, seed=5, region=region)[0]
     mc = monte_carlo_event_probability(event, law, box, 90, seed=5)
     W = sample_weight_rows(law, box, np.random.SeedSequence(5).generate_state(90, np.uint64))
     compiled = _predicate(event, box)
@@ -167,7 +166,7 @@ _EXP1 = EdgeDistribution.exponential(1.0)
 ])
 def test_rung_equals_its_points_field_for_field(law, x, zetas, n, kw, method):
     rung = estimate_rate_rung(law, x, zetas, n, samples=90, seed=5, **kw)
-    assert rung == [estimate_rate_point(law, x, z, n, samples=90, seed=5, **kw) for z in zetas]
+    assert rung == [estimate_rate_rung(law, x, [z], n, samples=90, seed=5, **kw)[0] for z in zetas]
     assert [p.method for p in rung] == [method] * len(zetas)
     if method == "monte-carlo":  # one field set: a field that meets a speed meets every faster one
         hits = [p.hits for p in rung]
@@ -176,7 +175,7 @@ def test_rung_equals_its_points_field_for_field(law, x, zetas, n, kw, method):
 
 
 def test_rate_point_json_exact_fraction():
-    pt = estimate_rate_point(TP, (1, 0), 1.0, 1)
+    pt = estimate_rate_rung(TP, (1, 0), [1.0], 1)[0]
     j = jsonable(pt)
     assert j["p_exact"] == {"num": 1, "den": 2}
     assert j["method"] == "exact-oracle"
@@ -229,12 +228,12 @@ def test_time_constant_means_frozen():
 
 
 def test_mc_region_point_frozen_seed():
-    pt = estimate_rate_point(EdgeDistribution.exponential(1.0), (2, 0), 0.7, 3,
-                             samples=90, seed=5, region=((0, 6), (0, 1)))
+    pt = estimate_rate_rung(EdgeDistribution.exponential(1.0), (2, 0), [0.7], 3,
+                            samples=90, seed=5, region=((0, 6), (0, 1)))[0]
     assert (pt.hits, pt.estimate) == (2, 1.2688874965901065)
     with pytest.raises(ValueError, match="endpoints must belong to the region"):
-        estimate_rate_point(EdgeDistribution.exponential(1.0), (2, 0), 0.7, 3,
-                            samples=5, region=((1, 6), (0, 1)))
+        estimate_rate_rung(EdgeDistribution.exponential(1.0), (2, 0), [0.7], 3,
+                           samples=5, region=((1, 6), (0, 1)))
 
 
 def test_time_constant_rejects_bad_ladder():
@@ -380,7 +379,7 @@ def test_zero_set_check_passes_at_scale_eight():
 
 def test_zero_set_check_sees_finite_size_bias():
     """Small-scale exact rates stay positive above the time constant."""
-    pts = [estimate_rate_point(TP, (1, 0), z, 2) for z in (1.05, 1.2, 1.35, 1.65, 1.8)]
+    pts = [estimate_rate_rung(TP, (1, 0), [z], 2)[0] for z in (1.05, 1.2, 1.35, 1.65, 1.8)]
     surf = extend_surface(pts)
     tc = estimate_time_constant(TP, (1, 0), [4, 8], samples=400, seed=11)
     rep = zero_set_check(surf, tc)
@@ -392,8 +391,8 @@ def test_exact_and_mc_test_the_same_event_on_non_dyadic_atoms():
     # the float sum 0.1 + 0.2 exceeds 0.3, so only the straight path with two
     # light edges reaches (2, 0) in time 0.3: both backends must agree on 1/4
     law = EdgeDistribution.two_point(0.1, 0.2, Fraction(1, 2))
-    exact = estimate_rate_point(law, (1, 0), 0.15, 2, method="exact")
+    exact = estimate_rate_rung(law, (1, 0), [0.15], 2, method="exact")[0]
     assert exact.p_exact == Fraction(1, 4)
-    mc = estimate_rate_point(law, (1, 0), 0.15, 2, samples=400, seed=0, method="mc")
+    mc = estimate_rate_rung(law, (1, 0), [0.15], 2, samples=400, seed=0, method="mc")[0]
     lo, hi = wilson_interval(mc.hits, mc.samples)
     assert lo <= 0.25 <= hi

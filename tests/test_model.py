@@ -231,9 +231,8 @@ def test_edge_id_round_trips_every_edge(d, n):
 
 def test_non_integer_coordinates_are_rejected():
     # truncation used to name another vertex: (2.9, 0) read as (2, 0), and
-    # (0.7, 0)-(1.2, 0) as edge 0; a rescaled metric read (2.5, 1) as (2, 1),
-    # stored the point (2, 2.9) as (2, 2), and disjoint paths from (0.5, 0)
-    # started at (0, 0)
+    # (0.7, 0)-(1.2, 0) as edge 0; a rescaled metric stored the point
+    # (2, 2.9) as (2, 2), and disjoint paths from (0.5, 0) started at (0, 0)
     from fpplab.passage_time import disjoint_paths, rescaled_metric, restricted_passage_time
 
     box = LatticeBox(2, 3)
@@ -251,10 +250,6 @@ def test_non_integer_coordinates_are_rejected():
     assert box.edge_id([0.0, 0.0], [1.0, 0.0]) == 0
     assert restricted_passage_time(field, (0.0, 0.0), (2.0, 1.0)) == \
         restricted_passage_time(field, (0, 0), (2, 1))
-    rm = rescaled_metric(field)
-    with pytest.raises(ValueError, match="integers"):
-        rm.vertex_value((0, 0), (2.5, 1))
-    assert rm.vertex_value((0.0, 0.0), (2.0, 1.0)) == rm.vertex_value((0, 0), (2, 1))
     with pytest.raises(ValueError, match="integers"):
         rescaled_metric(field, points=[(0.5, 0), (2, 2.9)])
     with pytest.raises(ValueError, match="integers"):

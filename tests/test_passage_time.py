@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpplab._artifacts import jsonable
-from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, sample_weight_rows,
-                          sample_weights)
+from fpplab.model import (EdgeDistribution, LatticeBox, WeightField, _edge_arrays,
+                          sample_weight_rows, sample_weights)
 from fpplab.passage_time import (
     ContinuousMetric,
     DiscretePath,
     disjoint_paths,
     geodesic_length_stats,
     hub_check,
-    path_time,
     rescaled_metric,
     restricted_passage_time,
     uniform_gap,
@@ -93,7 +92,8 @@ def test_zero_weight_geodesics_are_self_avoiding_and_stable():
         t, path = restricted_passage_time(field, (0, 0), y, return_path=True)
         assert path.endpoints() == ((0, 0), y)
         assert path.is_vertex_self_avoiding()
-        assert path_time(path, field) == t
+        v = path.vertices
+        assert sum(field.weights[field.box.edge_id(a, b)] for a, b in zip(v, v[1:])) == t
         again = restricted_passage_time(field, (0, 0), y, return_path=True)[1]
         assert np.array_equal(again.vertices, path.vertices)
 
@@ -105,7 +105,8 @@ def test_geodesic_is_consistent_with_time():
     assert isinstance(path, DiscretePath)
     assert path.endpoints() == ((0, 0), (5, 5))
     assert path.is_vertex_self_avoiding()
-    assert path_time(path, field) == t
+    v = path.vertices
+    assert sum(field.weights[field.box.edge_id(a, b)] for a, b in zip(v, v[1:])) == t
 
 
 def test_region_restriction_lengthens_or_disconnects():
@@ -204,14 +205,6 @@ def test_rescaled_metric_pseudometric_axioms():
     n = m.shape[0]
     for i, j, k in itertools.product(range(0, n, 5), repeat=3):
         assert m[i, k] <= m[i, j] + m[j, k] + 1e-12
-
-
-def test_rescaled_metric_value_floor_map():
-    field = _det_field(2, 4)
-    rm = rescaled_metric(field)
-    # points inside a cell map to the cell's lower-left lattice vertex
-    assert rm.value((0.1, 0.1), (0.9, 0.1)) == rm.vertex_value((0, 0), (3, 0))
-    assert rm.value((0.0, 0.0), (1.0, 1.0)) == 2.0
 
 
 def test_rescaled_metric_csv_round_trip(tmp_path):
@@ -454,7 +447,7 @@ def _reference_hub(field, x, kappa):
     l1 = np.abs(coords - np.asarray(x, dtype=np.int64)[None, :]).sum(axis=1)
     hop_budget = 2 * l1 + 4
     time_budget = kappa * l1.astype(np.float64)
-    _, _, (u_flat, v_flat) = box.edge_endpoints()
+    _, _, (u_flat, v_flat) = _edge_arrays(box.dimension, box.side)
     w = field.weights
     cur = np.full(box.n_vertices, math.inf)
     cur[sid] = 0.0
